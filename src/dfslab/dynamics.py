@@ -1,8 +1,12 @@
 """Closed-system evolution and the coherence experiment.
 
-Evolution is exact diagonalization: rho_t = U rho U^dag with
-U = V exp(-i lambda t) V^dag from one Hermitian eigendecomposition, reused
-across all requested times.
+Evolution is exact diagonalization of the Hamiltonian, H = V diag(lambda) V^dag.
+``evolve`` returns the density matrix rho_t = U rho U^dag with
+U = V exp(-i lambda t) V^dag.  The coherence experiment never forms a d x d
+state: it factors rho0 = W W^dag once, moves W into each Hamiltonian's
+eigenbasis, C = V^dag W, and at every sample time takes the d x r block
+psi(t) = V (exp(-i lambda t) C), so rho_t = psi psi^dag.  Leakage and the
+reduced system state are read off psi directly.
 """
 
 from __future__ import annotations
@@ -12,14 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError, UsageError
-from .fock import DecoherenceModel, env_vacuum_projector, parity_generators
-from .opcore import Operator, SubspaceBasis
-from .states import DensityMatrix, fidelity, partial_trace
+from .fock import DecoherenceModel, parity_generators
+from .opcore import HERMITICITY_TOL, Operator, SubspaceBasis
+from .states import DensityMatrix, _fidelity_from_root, _psd_sqrt, partial_trace
 from .symmetry import symmetrize_factorized
 
 BOUNDS_SLACK = 1e-9
 SUPPORT_TOL = 1e-10
-HERMITICITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -97,9 +100,21 @@ def coherence_experiment(
     elif tuple(rho0.dims) != (sys_dim, env_dim):
         raise UsageError(f"initial state dims {rho0.dims} do not match ({sys_dim}, {env_dim})")
 
-    vac = env_vacuum_projector(model).mat
-    p_code = np.kron(code.projector().mat, np.eye(env_dim)) @ vac
-    support = float(np.real(np.trace(p_code @ rho0.op.mat)))
+    # rho0 = W W^dag over the eigenpairs above numpy's matrix_rank cutoff;
+    # a pure state gives a single column.
+    vals, vecs = np.linalg.eigh(rho0.op.mat)
+    keep = vals > vals[-1] * vals.size * np.finfo(float).eps
+    w = vecs[:, keep] * np.sqrt(vals[keep])
+    rank = w.shape[1]
+
+    p_code = code.projector().mat
+
+    def code_weight(psi: np.ndarray) -> float:
+        """Tr(P psi psi^dag) for P the projector onto code x environment vacuum."""
+        in_vacuum = psi.reshape(sys_dim, env_dim, rank)[:, 0, :]
+        return float(np.sum(np.abs(p_code @ in_vacuum) ** 2))
+
+    support = code_weight(w)
     if abs(support - 1.0) > SUPPORT_TOL:
         raise UsageError(
             f"initial state has weight {support:.6f} inside the protected subspace, need 1"
@@ -108,18 +123,18 @@ def coherence_experiment(
     h_full = model.h_total
     h_sym = symmetrize_factorized(h_full, parity_generators(model))
 
-    rho_sys0 = partial_trace(rho0, keep=(0,))
+    root0 = _psd_sqrt(partial_trace(rho0, keep=(0,)).op.mat)
     results = []
     for ham in (h_full, h_sym):
         prop = _Propagator(ham)
+        coeffs = prop.vecs.conj().T @ w
         fids = np.empty(times.size)
         leaks = np.empty(times.size)
         for k, t in enumerate(times):
-            rho_t = prop.advance(rho0.op.mat, float(t))
-            leaks[k] = 1.0 - float(np.real(np.trace(p_code @ rho_t)))
-            reduced = partial_trace(
-                DensityMatrix(Operator(rho_t), dims=(sys_dim, env_dim)), keep=(0,)
-            )
-            fids[k] = fidelity(rho_sys0, reduced)
+            psi = prop.vecs @ (np.exp(-1.0j * prop.vals * t)[:, None] * coeffs)
+            leaks[k] = 1.0 - code_weight(psi)
+            m = psi.reshape(sys_dim, env_dim * rank)
+            reduced = DensityMatrix(Operator(m @ m.conj().T), dims=(sys_dim,))
+            fids[k] = _fidelity_from_root(root0, reduced)
         results.append(Trajectory(times, fids, leaks))
     return results[0], results[1]

@@ -15,11 +15,10 @@ import numpy as np
 
 from .errors import DomainError, ShapeError, UnsupportedFluxError
 from .fock import FockSpace, position_momentum
-from .opcore import Operator, unitary_exp
+from .opcore import UNITARITY_TOL, Operator, unitary_exp
 
 TWO_PI = 2.0 * math.pi
 RATIONAL_TOL = 1e-12
-UNITARITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)

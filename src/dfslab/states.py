@@ -116,7 +116,11 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Uhlmann fidelity (squared-overlap convention), clipped to [0, 1]."""
     if rho.dim != sigma.dim:
         raise ShapeError("fidelity needs states of equal dimension")
-    root = _psd_sqrt(rho.op.mat)
+    return _fidelity_from_root(_psd_sqrt(rho.op.mat), sigma)
+
+
+def _fidelity_from_root(root: np.ndarray, sigma: DensityMatrix) -> float:
+    """Fidelity of sigma against the state whose PSD square root is ``root``."""
     inner = root @ sigma.op.mat @ root
     vals = np.linalg.eigvalsh(inner)
     vals = _clip_spectrum(vals)

@@ -25,6 +25,8 @@ from .opcore import (
 MAX_GROUP_ORDER = 10_000
 DEDUP_DECIMALS = 8
 CLOSURE_TOL = 1e-10
+# Largest entry of U^2 - 1 or [U_a, U_b] that symmetrize_factorized accepts.
+FACTORIZATION_TOL = 1e-8
 
 
 def _unitary_key(mat: np.ndarray) -> bytes:
@@ -141,18 +143,27 @@ def symmetrize_factorized(h: Operator, generators: list[Operator]) -> Operator:
     When every exp(i Theta) is an involution and the generators commute, the
     full group is the product of the per-generator Z2 averages, so averaging
     one generator at a time reproduces the group average at a fraction of the
-    cost.  Each generator must satisfy exp(i Theta)^2 = 1; violations raise.
+    cost.  Each generator must satisfy exp(i Theta)^2 = 1 and every pair of
+    unitaries must commute; violations raise.
     """
     acc = h.mat
+    unitaries = []
     for th in generators:
         if th.dim != h.dim:
             raise ShapeError("generator does not act on the operator's space")
         u = unitary_exp(th).mat
         sq_residual = float(np.abs(u @ u - np.eye(h.dim)).max())
-        if sq_residual > 1e-8:
+        if sq_residual > FACTORIZATION_TOL:
             raise DomainError(
                 f"factorized path needs involutive unitaries (residual {sq_residual:.2e})"
             )
+        for prev in unitaries:
+            comm_residual = float(np.abs(u @ prev - prev @ u).max())
+            if comm_residual > FACTORIZATION_TOL:
+                raise DomainError(
+                    f"factorized path needs commuting unitaries (residual {comm_residual:.2e})"
+                )
+        unitaries.append(u)
         acc = 0.5 * (acc + u.conj().T @ acc @ u)
     return Operator(acc)
 

@@ -11,11 +11,17 @@ from dfslab import (
     UsageError,
     build_decoherence_model,
     coherence_experiment,
+    env_vacuum_projector,
     evolve,
+    fidelity,
+    parity_generators,
+    partial_trace,
     pure_state,
+    symmetrize_factorized,
 )
 
 EVOLVE_TOL = 1e-12
+REFERENCE_TOL = 1e-12
 
 SZ = np.diag([1.0, -1.0])
 
@@ -36,16 +42,47 @@ def level_code(sys_dim, levels=(0, 1)):
     return SubspaceBasis(ambient_dim=sys_dim, vectors=rows)
 
 
-def coded_state(model, amps):
+def mixed_coded_state(model, weights, amp_rows):
+    """Mixture of code x vacuum pure states, one per row of amplitudes."""
     sys_dim = model.system_space.dim
-    vec_sys = np.zeros(sys_dim, dtype=complex)
+    vac = np.eye(model.env_space.dim)[0]
+    rho = np.zeros((sys_dim * vac.size,) * 2, dtype=complex)
+    for p, amps in zip(weights, amp_rows):
+        vec_sys = np.zeros(sys_dim, dtype=complex)
+        vec_sys[: len(amps)] = amps
+        vec = np.kron(vec_sys, vac)
+        rho += p * np.outer(vec, vec.conj())
+    return DensityMatrix(Operator(rho), dims=(sys_dim, vac.size))
+
+
+def coded_state(model, amps):
     amps = np.asarray(amps, dtype=complex)
-    vec_sys[: amps.size] = amps / np.linalg.norm(amps)
-    vec = np.kron(vec_sys, np.eye(model.env_space.dim)[0])
-    return DensityMatrix(
-        Operator(np.outer(vec, vec.conj())),
-        dims=(sys_dim, model.env_space.dim),
-    )
+    return mixed_coded_state(model, (1.0,), (amps / np.linalg.norm(amps),))
+
+
+def reference_experiment(model, code, rho0, times):
+    """The density-matrix path: evolve rho0 to each time, project, trace out."""
+    env_dim = model.env_space.dim
+    p_code = np.kron(code.projector().mat, np.eye(env_dim)) @ env_vacuum_projector(model).mat
+    rho_sys0 = partial_trace(rho0, keep=(0,))
+    h_full = model.h_total
+    out = []
+    for ham in (h_full, symmetrize_factorized(h_full, parity_generators(model))):
+        leaks, fids = [], []
+        for t in times:
+            rho_t = evolve(ham, rho0, t)
+            leaks.append(1.0 - float(np.real(np.trace(p_code @ rho_t.op.mat))))
+            fids.append(fidelity(rho_sys0, partial_trace(rho_t, keep=(0,))))
+        out.append((np.array(leaks), np.array(fids)))
+    return out
+
+
+def assert_matches_reference(model, code, rho0, times):
+    got = coherence_experiment(model, code, rho0, times)
+    for traj, (leaks, fids) in zip(got, reference_experiment(model, code, rho0, times)):
+        assert float(np.abs(traj.leakages - np.clip(leaks, 0.0, 1.0)).max()) < REFERENCE_TOL
+        assert float(np.abs(traj.fidelities - np.clip(fids, 0.0, 1.0)).max()) < REFERENCE_TOL
+    return got
 
 
 def test_zero_hamiltonian_is_identity_channel():
@@ -149,3 +186,37 @@ def test_experiment_rejects_foreign_code_basis():
     rho0 = coded_state(model, [1.0, 0.0])
     with pytest.raises(ShapeError):
         coherence_experiment(model, code, rho0, np.array([0.0]))
+
+
+def test_experiment_matches_density_matrix_path_two_modes_complex_w():
+    model = build_decoherence_model(
+        k_sys=np.array([[1.0]]),
+        lam_env=np.array([[1.2, 0.1], [0.1, 0.8]]),
+        w_int=np.array([[0.4 + 0.2j, 0.25 - 0.3j]]),
+        n_max=2,
+    )
+    code = level_code(model.system_space.dim)
+    # Equal moduli keep the reference root exactly rank one: fidelity() turns
+    # roundoff eigenvalues of a rank-deficient first argument into ~1e-8 noise.
+    rho0 = coded_state(model, [1.0, 1.0j])
+    full, _ = assert_matches_reference(model, code, rho0, np.linspace(0.0, 6.0, 13))
+    assert float(full.leakages.max()) > 1e-4
+
+
+def test_experiment_matches_density_matrix_path_rank_two_state():
+    model = small_model(w=0.45, n_max=3)
+    code = level_code(model.system_space.dim, levels=(0, 1, 2))
+    s = np.sqrt(0.5)
+    rho0 = mixed_coded_state(model, (0.7, 0.3), ([s, s * 1j, 0.0], [s, -s * 1j, 0.0]))
+    assert np.linalg.matrix_rank(rho0.op.mat) == 2
+    full, sym = assert_matches_reference(model, code, rho0, np.linspace(0.0, 8.0, 17))
+    assert float(full.leakages.max()) > 1e-4
+    assert float(sym.leakages.max()) <= 1e-10
+
+
+def test_experiment_rejects_mixed_state_leaking_out_of_the_code():
+    model = small_model()
+    code = level_code(model.system_space.dim, levels=(0, 1))
+    rho0 = mixed_coded_state(model, (0.9, 0.1), ([1.0, 0.0, 0.0], [0.0, 0.0, 1.0]))
+    with pytest.raises(UsageError):
+        coherence_experiment(model, code, rho0, np.array([0.0, 1.0]))

@@ -130,6 +130,17 @@ def test_factorized_rejects_non_involutive_generator():
         symmetrize_factorized(h, [theta])
 
 
+def test_factorized_rejects_non_commuting_generators():
+    """Two reflections pi |v><v| at 45 degrees are involutions that do not
+    commute; their sequential average is not the group average."""
+    v1 = np.array([1.0, 0.0, 0.0])
+    v2 = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
+    gens = [Operator(np.pi * np.outer(v, v)) for v in (v1, v2)]
+    h = Operator(np.array([[1.0, 0.5, 0.2], [0.5, -0.3, 0.7], [0.2, 0.7, 0.4]]))
+    with pytest.raises(DomainError):
+        symmetrize_factorized(h, gens)
+
+
 def test_invariant_subalgebra_of_zero_generator_is_everything():
     group = close_group([Operator(np.zeros((3, 3)))])
     basis = invariant_subalgebra(group)
