@@ -1,7 +1,7 @@
 """Numerical workbench for protected subspaces of finite operator algebras.
 
 Modules:
-    opcore     operators, subspace bases, tensor products, kernels, commutants
+    opcore     operators, subspace bases, tensor factors, kernels, commutants
     states     density matrices, expectations, two-point encodings, fidelity
     spectral   spectral triples and the metric distance solver
     symmetry   finite group closure, averaging, invariant subalgebras
@@ -25,6 +25,7 @@ from .opcore import (
     DIM_BUDGET,
     Operator,
     SubspaceBasis,
+    apply_on_factor,
     commutant_basis,
     commutator,
     eig_hermitian,
@@ -108,7 +109,6 @@ from .nctorus import (
     antisymmetrize_coupling,
     clock_shift_rep,
     landau_hamiltonian,
-    magnetic_translations,
     weyl_residual,
 )
 

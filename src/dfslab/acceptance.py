@@ -34,6 +34,7 @@ from .fock import (
     build_string_model,
     clifford_pair,
     duality_substitution,
+    env_vacuum_projector,
     hw_mode,
     interior_indices,
     parity_generators,
@@ -247,10 +248,7 @@ def criterion_5(tol_scale: float = 1.0) -> CriterionResult:
         idem = float(np.abs((proj.op @ proj.op - proj.op).mat).max())
         herm = float(np.abs(proj.op.mat - proj.op.mat.conj().T).max())
         kernel = joint_kernel(gens)
-        sys_dim = model.system_space.dim
-        vac = np.zeros((model.env_space.dim,) * 2, dtype=np.complex128)
-        vac[0, 0] = 1.0
-        expected = np.kron(np.eye(sys_dim), vac)
+        expected = env_vacuum_projector(model).mat
         kernel_err = float(np.abs(kernel.projector().mat - expected).max())
         good = (
             killed <= kill_tol
@@ -538,18 +536,22 @@ def criterion_13(tol_scale: float = 1.0) -> CriterionResult:
 
 
 def criterion_14(results_so_far: list[CriterionResult], elapsed: float, tol_scale: float = 1.0) -> CriterionResult:
-    """Canonical rendering is reproducible and the battery is quick."""
-    payload = battery_report(results_so_far)
-    first = canonical_json(payload)
-    second = canonical_json(battery_report(results_so_far))
-    identical = first == second
+    """Three seeded criteria, computed again, render to the same
+    canonical bytes as their first run, and the battery is quick."""
+    first = {r.number: r for r in results_so_far}
+    reruns = [criterion_4(tol_scale), criterion_7(tol_scale), criterion_12(tol_scale)]
+    identical = all(
+        canonical_json(battery_report([r])) == canonical_json(battery_report([first[r.number]]))
+        for r in reruns
+    )
     quick = elapsed < 300.0
     passed = identical and quick
     return CriterionResult(
         14,
         "determinism",
         passed,
-        f"canonical rendering identical: {identical}; battery under 300s: {quick}",
+        f"recomputed criteria 4, 7, 12 identical: {identical}; "
+        f"battery under 300s: {quick}",
         {"identical": identical, "under_time_cap": quick, "elapsed_seconds": round(elapsed, 3)},
     )
 

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from .duality import Background
 from .errors import BudgetError, DomainError, ShapeError, UsageError
-from .opcore import DIM_BUDGET, Operator, SubspaceBasis, kernel_basis
+from .opcore import DIM_BUDGET, Operator, SubspaceBasis, apply_on_factor, kernel_basis, tensor
 
 SQRT2 = math.sqrt(2.0)
 
@@ -83,18 +82,14 @@ def _single_ladder(n_max: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, n_max + 1.0)), 1).astype(np.complex128)
 
 
-def _embed(space: FockSpace, mode: int, mat: np.ndarray) -> np.ndarray:
-    before = space.levels ** mode
-    after = space.levels ** (space.n_modes - mode - 1)
-    return np.kron(np.kron(np.eye(before), mat), np.eye(after))
-
-
 def ladder(space: FockSpace, mode: int) -> tuple[Operator, Operator]:
     """Annihilation and creation operators for one mode of the space."""
     if not 0 <= mode < space.n_modes:
         raise UsageError(f"mode {mode} not in space with {space.n_modes} modes")
-    a = _embed(space, mode, _single_ladder(space.n_max))
-    return Operator(a), Operator(a.conj().T)
+    before = np.eye(space.levels ** mode)
+    after = np.eye(space.levels ** (space.n_modes - mode - 1))
+    a = tensor(before, _single_ladder(space.n_max), after)
+    return a, a.dag()
 
 
 def number_operator(space: FockSpace, mode: int) -> Operator:
@@ -217,9 +212,9 @@ def build_decoherence_model(k_sys, lam_env, w_int, n_max: int) -> DecoherenceMod
     h_int = np.zeros((sys_space.dim * env_space.dim,) * 2, dtype=np.complex128)
     for i in range(n_sys):
         for al in range(n_env):
-            term = np.kron(a_ops[i], e_ops[al].conj().T)
+            term = tensor(a_ops[i], e_ops[al].conj().T).mat
             h_int += w_int[i, al] * term + np.conj(w_int[i, al]) * term.conj().T
-    h_total = np.kron(h_sys, eye_e) + np.kron(eye_s, h_env) + h_int
+    h_total = tensor(h_sys, eye_e).mat + tensor(eye_s, h_env).mat + h_int
 
     return DecoherenceModel(
         coupling_sys=k_sys,
@@ -242,18 +237,17 @@ def parity_generators(model: DecoherenceModel) -> list[Operator]:
     generated group averages the exchange coupling to zero.
     """
     eye_s = np.eye(model.system_space.dim)
-    out = []
-    for al in range(model.env_space.n_modes):
-        n_op = number_operator(model.env_space, al).mat
-        out.append(Operator(np.kron(eye_s, math.pi * n_op)))
-    return out
+    return [
+        tensor(eye_s, math.pi * number_operator(model.env_space, al).mat)
+        for al in range(model.env_space.n_modes)
+    ]
 
 
 def env_vacuum_projector(model: DecoherenceModel) -> Operator:
     """Projector onto (everything) x (all environment modes in vacuum)."""
     vac = np.zeros((model.env_space.dim,) * 2, dtype=np.complex128)
     vac[0, 0] = 1.0
-    return Operator(np.kron(np.eye(model.system_space.dim), vac))
+    return tensor(np.eye(model.system_space.dim), vac)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +262,7 @@ def _jordan_wigner_gammas(n_dirs: int) -> list[np.ndarray]:
             mats = [_PAULI_Z] * k + [pauli] + [np.eye(2, dtype=np.complex128)] * (
                 n_dirs - k - 1
             )
-            gammas.append(reduce(np.kron, mats))
+            gammas.append(tensor(*mats).mat)
     return gammas
 
 
@@ -370,10 +364,6 @@ class StringModel:
         return self.d.dim
 
 
-def _kron4(a, b, c, d) -> np.ndarray:
-    return np.kron(np.kron(np.kron(a, b), c), d)
-
-
 def build_string_model(background: Background, n_max: int, levels: int) -> StringModel:
     """Assemble the register/tower/gamma model on its four tensor factors.
 
@@ -445,7 +435,7 @@ def build_string_model(background: Background, n_max: int, levels: int) -> Strin
             for j in range(n):
                 h_env_half += eta_l[i, j] * (ops[i].mat.conj().T @ ops[j].mat)
     eye_t = np.eye(tower_space.dim)
-    h_env = np.kron(h_env_half, eye_t) + np.kron(eye_t, h_env_half)
+    h_env = tensor(h_env_half, eye_t).mat + tensor(eye_t, h_env_half).mat
 
     cliff = clifford_pair(eta_l)
     eye_s = np.eye(system_space.dim)
@@ -454,10 +444,10 @@ def build_string_model(background: Background, n_max: int, levels: int) -> Strin
     for i in range(n):
         env_p = sum(op.mat + op.mat.conj().T for op in (lvl[i] for lvl in e_plus))
         env_m = sum(op.mat + op.mat.conj().T for op in (lvl[i] for lvl in e_minus))
-        d_plus += _kron4(cliff.gamma_plus[i].mat, a_plus[i].mat, eye_t, eye_t)
-        d_plus += _kron4(cliff.gamma_plus[i].mat, eye_s, env_p, eye_t)
-        d_minus += _kron4(cliff.gamma_minus[i].mat, a_minus[i].mat, eye_t, eye_t)
-        d_minus += _kron4(cliff.gamma_minus[i].mat, eye_s, eye_t, env_m)
+        d_plus += tensor(cliff.gamma_plus[i], a_plus[i], eye_t, eye_t).mat
+        d_plus += tensor(cliff.gamma_plus[i], eye_s, env_p, eye_t).mat
+        d_minus += tensor(cliff.gamma_minus[i], a_minus[i], eye_t, eye_t).mat
+        d_minus += tensor(cliff.gamma_minus[i], eye_s, eye_t, env_m).mat
 
     return StringModel(
         background=background,
@@ -607,43 +597,24 @@ def sector_residuals(model: StringModel, kernel: SubspaceBasis) -> list[dict]:
     n = model.background.n
     kp = model.background.k_plus
     km = model.background.k_minus
-    eye_s = np.eye(model.system_space.dim)
-    eye_t = np.eye(model.tower_space.dim)
-    eye_spin = np.eye(model.clifford.rep_dim)
+    gp = model.clifford.gamma_plus
+    gm = model.clifford.gamma_minus
+    dims = (model.clifford.rep_dim, model.system_space.dim) + (model.tower_space.dim,) * 2
+    psi = kernel.vectors
 
-    p_full = [
-        _kron4(eye_spin, model.p[i].mat, eye_t, eye_t) for i in range(n)
-    ]
-    x_full = [
-        _kron4(eye_spin, model.x[i].mat, eye_t, eye_t) for i in range(n)
-    ]
-    gplus_full = [
-        _kron4(model.clifford.gamma_plus[i].mat, eye_s, eye_t, eye_t)
-        for i in range(n)
-    ]
-    gminus_full = [
-        _kron4(model.clifford.gamma_minus[i].mat, eye_s, eye_t, eye_t)
-        for i in range(n)
-    ]
+    def norms(mat, slot: int) -> list[float]:
+        return np.linalg.norm(apply_on_factor(mat, slot, dims, psi), axis=1).tolist()
 
-    rows = []
-    for idx in range(kernel.size):
-        psi = kernel.vectors[idx]
-        row = {
-            "vector": idx,
-            "momentum_norms": [],
-            "position_norms": [],
-            "gamma_pair_residuals": [],
-            "gamma_coupled_residuals": [],
-        }
-        for i in range(n):
-            row["momentum_norms"].append(float(np.linalg.norm(p_full[i] @ psi)))
-            row["position_norms"].append(float(np.linalg.norm(x_full[i] @ psi)))
-            pair = (gplus_full[i] + gminus_full[i]) @ psi
-            row["gamma_pair_residuals"].append(float(np.linalg.norm(pair)))
-            coupled = np.zeros_like(psi)
-            for j in range(n):
-                coupled = coupled + (kp[j, i] * gplus_full[j] - km[j, i] * gminus_full[j]) @ psi
-            row["gamma_coupled_residuals"].append(float(np.linalg.norm(coupled)))
-        rows.append(row)
-    return rows
+    columns = {
+        "momentum_norms": [norms(model.p[i], 1) for i in range(n)],
+        "position_norms": [norms(model.x[i], 1) for i in range(n)],
+        "gamma_pair_residuals": [norms(gp[i].mat + gm[i].mat, 0) for i in range(n)],
+        "gamma_coupled_residuals": [
+            norms(sum(kp[j, i] * gp[j].mat - km[j, i] * gm[j].mat for j in range(n)), 0)
+            for i in range(n)
+        ],
+    }
+    return [
+        {"vector": idx, **{key: [col[idx] for col in cols] for key, cols in columns.items()}}
+        for idx in range(kernel.size)
+    ]

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError, UnsupportedFluxError
 from .fock import FockSpace, position_momentum
-from .opcore import UNITARITY_TOL, Operator, unitary_exp
+from .opcore import DIM_BUDGET, UNITARITY_TOL, Operator, tensor
 
 TWO_PI = 2.0 * math.pi
 RATIONAL_TOL = 1e-12
@@ -135,9 +135,9 @@ def clock_shift_rep(flux: FluxMatrix) -> MagneticRep:
     q, den = flux.rational_form
     numerators = _block_numerators(q)
     blocks = len(numerators)
-    if den ** blocks > 4096:
+    if den ** blocks > DIM_BUDGET:
         raise UnsupportedFluxError(
-            f"representation dimension {den}^{blocks} exceeds the workable budget"
+            f"representation dimension {den}^{blocks} exceeds the {DIM_BUDGET} budget"
         )
 
     shift = np.zeros((den, den), dtype=np.complex128)
@@ -148,8 +148,8 @@ def clock_shift_rep(flux: FluxMatrix) -> MagneticRep:
         clock = np.diag(np.exp(2.0j * np.pi * q_b * np.arange(den) / den))
         before = np.eye(den ** b)
         after = np.eye(den ** (blocks - b - 1))
-        unitaries.append(Operator(np.kron(np.kron(before, shift), after)))
-        unitaries.append(Operator(np.kron(np.kron(before, clock), after)))
+        unitaries.append(tensor(before, shift, after))
+        unitaries.append(tensor(before, clock, after))
     return MagneticRep(tuple(unitaries))
 
 
@@ -168,33 +168,19 @@ def weyl_residual(rep: MagneticRep, flux: FluxMatrix) -> float:
     return worst
 
 
-def _landau_terms(flux: FluxMatrix, n_max: int) -> list[Operator]:
+def landau_hamiltonian(flux: FluxMatrix, n_max: int) -> Operator:
+    """Half the sum of squared magnetic momenta p_i - (1/2) omega_ij x_j."""
     if flux.n != 2:
         raise UnsupportedFluxError(
             f"Landau Hamiltonian is built for two directions, got {flux.n}"
         )
     space = FockSpace(2, n_max)
     quads = [position_momentum(space, m) for m in range(2)]
-    terms = []
+    total = 0
     for i in range(2):
         kin = quads[i][1].mat.copy()
         for j in range(2):
             kin -= 0.5 * flux.omega[i, j] * quads[j][0].mat
-        terms.append(Operator(kin))
-    return terms
-
-
-def landau_hamiltonian(flux: FluxMatrix, n_max: int) -> Operator:
-    """Half the sum of squared magnetic momenta p_i - (1/2) omega_ij x_j."""
-    terms = _landau_terms(flux, n_max)
-    total = sum(t.mat @ t.mat for t in terms)
+        total = total + kin @ kin
     return Operator(0.5 * total)
 
-
-def magnetic_translations(flux: FluxMatrix, n_max: int) -> list[Operator]:
-    """Unitaries exp(i (p_j - (1/2) omega_jk x_k)) on the truncated space.
-
-    Diagnostic only: truncation breaks the exact Weyl relations, so use
-    clock_shift_rep when exactness matters.
-    """
-    return [unitary_exp(t) for t in _landau_terms(flux, n_max)]

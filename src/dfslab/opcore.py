@@ -6,14 +6,18 @@ Conventions used throughout the package:
 * operators are square complex matrices acting on a Hilbert space of
   dimension ``dim``;
 * tensor products are Kronecker products with the first factor varying
-  slowest, matching the row-major reshape of composite indices;
+  slowest, matching the row-major reshape of composite indices.  This module
+  is the only place that knows that layout: ``tensor`` densifies a product
+  of factors and ``apply_on_factor`` applies a local operator to one factor
+  of a stack of kets without forming the product;
 * kernels and commutants are computed from singular value decompositions
   with a relative cutoff, never from exact rank decisions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -142,7 +146,7 @@ class SubspaceBasis:
         """Orthogonal projector onto the span (vector-space kind only)."""
         if self.kind != VECTOR_SPACE:
             raise UsageError("projector() is defined for vector-space bases")
-        return Operator(self.vectors.conj().T @ self.vectors)
+        return Operator(self.vectors.T @ self.vectors.conj())
 
     def matrices(self) -> list[Operator]:
         """The basis as dim x dim matrices (operator-space kind only)."""
@@ -160,13 +164,46 @@ class SubspaceBasis:
         return float(np.linalg.norm(v - self.vectors.T @ coeffs))
 
 
-def tensor(a: Operator, b: Operator, budget: int | None = None) -> Operator:
-    """Kronecker product with the first factor varying slowest."""
-    cap = DIM_BUDGET if budget is None else int(budget)
-    out_dim = a.dim * b.dim
-    if out_dim > cap:
-        raise BudgetError(f"tensor product dimension {out_dim} exceeds budget {cap}")
-    return Operator(np.kron(a.mat, b.mat))
+def tensor(*factors) -> Operator:
+    """Kronecker product of Operators or square arrays, first factor slowest.
+
+    The product dimension is checked against ``DIM_BUDGET`` before anything
+    is allocated; finiteness is checked once, on the product.
+    """
+    if not factors:
+        raise UsageError("tensor needs at least one factor")
+    mats = [np.asarray(f.mat if isinstance(f, Operator) else f) for f in factors]
+    if any(m.ndim != 2 or m.shape[0] != m.shape[1] for m in mats):
+        raise ShapeError("tensor factors must be square matrices")
+    out_dim = math.prod(m.shape[0] for m in mats)
+    if out_dim > DIM_BUDGET:
+        raise BudgetError(f"tensor product dimension {out_dim} exceeds budget {DIM_BUDGET}")
+    out = mats[0]
+    for m in mats[1:]:
+        # the products np.kron forms, without its n-dimensional bookkeeping
+        side = out.shape[0] * m.shape[0]
+        out = (out[:, None, :, None] * m[None, :, None, :]).reshape(side, side)
+    return Operator(out)
+
+
+def apply_on_factor(mat, slot: int, dims, vectors) -> np.ndarray:
+    """Apply a local operator to factor ``slot`` of a stack of row-kets.
+
+    ``vectors`` has shape (k, prod(dims)) in the first-factor-slowest layout;
+    the result has the same shape and equals ``vectors @ tensor(I, .., mat,
+    .., I).mat.T`` without forming the product operator.
+    """
+    m = mat.mat if isinstance(mat, Operator) else _square_complex(mat)
+    if not 0 <= slot < len(dims):
+        raise UsageError(f"slot {slot} outside {len(dims)} factors")
+    if m.shape[0] != dims[slot]:
+        raise ShapeError(f"operator dimension {m.shape[0]} does not match factor {dims[slot]}")
+    vecs = np.asarray(vectors, dtype=np.complex128)
+    if vecs.ndim != 2 or vecs.shape[1] != math.prod(dims):
+        raise ShapeError(f"expected rows of length {math.prod(dims)}, got shape {vecs.shape}")
+    stacked = vecs.reshape(vecs.shape[0], *dims)
+    out = np.moveaxis(np.tensordot(m, stacked, axes=(1, slot + 1)), 0, slot + 1)
+    return out.reshape(vecs.shape)
 
 
 def commutator(a: Operator, b: Operator) -> Operator:

@@ -4,12 +4,14 @@ checks one criterion, printing its pass/fail line.  Run with ``-s`` to see
 the lines inline; without it they are echoed in the terminal summary.
 """
 
+import itertools
 import subprocess
 import sys
 
 import pytest
 
-from dfslab.acceptance import run_all
+from dfslab import acceptance
+from dfslab.acceptance import CriterionResult, run_all
 
 
 def format_line(r):
@@ -87,6 +89,19 @@ def test_criterion_13_substitution_match(battery):
 
 def test_criterion_14_determinism(battery):
     check(battery, 14)
+
+
+def test_criterion_14_fails_when_a_recomputed_criterion_changes(battery, monkeypatch):
+    calls = itertools.count()
+
+    def drifting(tol_scale=1.0):
+        return CriterionResult(12, "clock-shift-weyl", True, "drifting", {"call": next(calls)})
+
+    monkeypatch.setattr(acceptance, "criterion_12", drifting)
+    first = [battery[n] for n in range(1, 12)] + [drifting()]
+    result = acceptance.criterion_14(first, 1.0)
+    assert not result.passed
+    assert result.values["identical"] is False
 
 
 def test_selftest_output_is_byte_identical():

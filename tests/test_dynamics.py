@@ -172,6 +172,17 @@ def test_experiment_rejects_unsupported_initial_state():
         coherence_experiment(model, code, rho0, np.array([0.0, 1.0]))
 
 
+def test_experiment_accepts_a_state_in_a_complex_code_basis():
+    model = small_model(n_max=1)
+    row = np.array([1.0, 1.0j]) / np.sqrt(2.0)
+    code = SubspaceBasis(model.system_space.dim, row[None, :])
+    assert code.residual(row) < 1e-15
+    full, sym = coherence_experiment(model, code, coded_state(model, row), np.array([0.0, 1.0]))
+    assert full.leakages[0] < 1e-12 and sym.leakages[0] < 1e-12
+    with pytest.raises(UsageError):
+        coherence_experiment(model, code, coded_state(model, row.conj()), np.array([0.0, 1.0]))
+
+
 def test_experiment_rejects_empty_times():
     model = small_model()
     code = level_code(model.system_space.dim)

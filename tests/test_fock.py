@@ -23,6 +23,7 @@ from dfslab import (
     parity_generators,
     position_momentum,
     sector_residuals,
+    SubspaceBasis,
     unitary_exp,
 )
 
@@ -313,19 +314,65 @@ def test_substitution_two_directions_gauge_invariant_match():
     assert set(report.substituted) == set(report.dual)
 
 
+SECTOR_KEYS = ("momentum_norms", "position_norms", "gamma_pair_residuals", "gamma_coupled_residuals")
+
+
+def dense_sector_rows(model, kernel):
+    """The table from full-space Kronecker products, one vector at a time."""
+
+    def kron4(a, b, c, d):
+        return np.kron(np.kron(np.kron(a, b), c), d)
+
+    n = model.background.n
+    kp, km = model.background.k_plus, model.background.k_minus
+    eye_spin = np.eye(model.clifford.rep_dim)
+    eye_s = np.eye(model.system_space.dim)
+    eye_t = np.eye(model.tower_space.dim)
+    p_full = [kron4(eye_spin, model.p[i].mat, eye_t, eye_t) for i in range(n)]
+    x_full = [kron4(eye_spin, model.x[i].mat, eye_t, eye_t) for i in range(n)]
+    gp = [kron4(model.clifford.gamma_plus[i].mat, eye_s, eye_t, eye_t) for i in range(n)]
+    gm = [kron4(model.clifford.gamma_minus[i].mat, eye_s, eye_t, eye_t) for i in range(n)]
+    rows = []
+    for psi in kernel.vectors:
+        coupled = [
+            sum((kp[j, i] * gp[j] - km[j, i] * gm[j]) @ psi for j in range(n)) for i in range(n)
+        ]
+        rows.append(
+            {
+                "momentum_norms": [np.linalg.norm(p_full[i] @ psi) for i in range(n)],
+                "position_norms": [np.linalg.norm(x_full[i] @ psi) for i in range(n)],
+                "gamma_pair_residuals": [np.linalg.norm((gp[i] + gm[i]) @ psi) for i in range(n)],
+                "gamma_coupled_residuals": [np.linalg.norm(c) for c in coupled],
+            }
+        )
+    return rows
+
+
 def test_sector_residuals_table():
-    model = build_string_model(string_background(2.25), n_max=2, levels=1)
-    kernel = dfs_from_dirac(model.d_bar, tol=1e-9)
-    rows = sector_residuals(model, kernel)
-    assert len(rows) == kernel.vectors.shape[0]
-    for row in rows:
-        assert set(row) >= {
-            "momentum_norms",
-            "position_norms",
-            "gamma_pair_residuals",
-            "gamma_coupled_residuals",
-        }
-        assert all(v >= 0.0 for v in row["momentum_norms"])
+    coupled = Background(np.array([[1.0, 0.3], [0.3, 2.0]]), np.array([[0.0, 0.4], [-0.4, 0.0]]))
+    rng = np.random.Generator(np.random.Philox(91))
+    for model in (
+        build_string_model(string_background(2.25), n_max=2, levels=1),
+        build_string_model(coupled, n_max=1, levels=1),
+    ):
+        # A random orthonormal family makes every column nonzero, even where
+        # a kernel is empty or annihilated by some of the local factors.
+        raw = rng.normal(size=(model.dim, 4)) + 1j * rng.normal(size=(model.dim, 4))
+        bases = [
+            dfs_from_dirac(model.d, tol=1e-9),
+            dfs_from_dirac(model.d_bar, tol=1e-9),
+            SubspaceBasis(model.dim, np.linalg.qr(raw)[0].T),
+        ]
+        for kernel in bases:
+            rows = sector_residuals(model, kernel)
+            assert len(rows) == kernel.size
+            for idx, (row, ref) in enumerate(zip(rows, dense_sector_rows(model, kernel))):
+                assert row["vector"] == idx
+                assert set(row) == {"vector", *SECTOR_KEYS}
+                for key in SECTOR_KEYS:
+                    assert len(row[key]) == model.background.n
+                    assert all(v >= 0.0 for v in row[key])
+                    assert np.abs(np.array(row[key]) - np.array(ref[key])).max() < 1e-12
 
 
 def test_sector_residuals_rejects_foreign_kernel():

@@ -13,7 +13,6 @@ from dfslab import (
     antisymmetrize_coupling,
     clock_shift_rep,
     landau_hamiltonian,
-    magnetic_translations,
     weyl_residual,
 )
 
@@ -147,10 +146,3 @@ def test_landau_needs_two_directions():
     flux = FluxMatrix(np.zeros((4, 4)))
     with pytest.raises(UnsupportedFluxError):
         landau_hamiltonian(flux, 4)
-
-
-def test_magnetic_translations_are_unitary():
-    flux = FluxMatrix(two_by_two(0.5))
-    for t in magnetic_translations(flux, 5):
-        prod = t.mat @ t.mat.conj().T
-        assert float(np.abs(prod - np.eye(t.dim)).max()) < 1e-10

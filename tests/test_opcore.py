@@ -8,6 +8,7 @@ from dfslab import (
     ShapeError,
     SubspaceBasis,
     UsageError,
+    apply_on_factor,
     commutant_basis,
     commutator,
     eig_hermitian,
@@ -83,6 +84,47 @@ def test_tensor_budget():
     tensor(big, Operator.identity(64))  # exactly at the cap
     with pytest.raises(BudgetError):
         tensor(big, Operator.identity(65))
+
+
+def random_matrix(rng, d):
+    return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+
+def test_tensor_three_factors_matches_nested_kron():
+    rng = np.random.Generator(np.random.Philox(12))
+    a, b, c = (random_matrix(rng, d) for d in (2, 3, 4))
+    expected = np.kron(np.kron(a, b), c)
+    assert np.array_equal(tensor(a, b, c).mat, expected)
+    assert np.array_equal(tensor(Operator(a), b, Operator(c)).mat, expected)
+    with pytest.raises(UsageError):
+        tensor()
+    with pytest.raises(ShapeError):
+        tensor(np.zeros((2, 3)), np.zeros((3, 2)))
+
+
+def test_apply_on_factor_matches_dense_product_on_every_slot():
+    dims = (2, 3, 4)
+    rng = np.random.Generator(np.random.Philox(13))
+    vectors = rng.normal(size=(5, 24)) + 1j * rng.normal(size=(5, 24))
+    for slot, d in enumerate(dims):
+        local = random_matrix(rng, d)
+        factors = [np.eye(k) for k in dims]
+        factors[slot] = local
+        dense = tensor(*factors).mat
+        out = apply_on_factor(local, slot, dims, vectors)
+        assert out.shape == vectors.shape
+        assert np.abs(out - vectors @ dense.T).max() < TOL
+        assert np.abs(apply_on_factor(Operator(local), slot, dims, vectors) - out).max() == 0.0
+
+
+def test_apply_on_factor_validation():
+    vectors = np.zeros((1, 24))
+    with pytest.raises(UsageError):
+        apply_on_factor(np.eye(2), 3, (2, 3, 4), vectors)
+    with pytest.raises(ShapeError):
+        apply_on_factor(np.eye(3), 0, (2, 3, 4), vectors)
+    with pytest.raises(ShapeError):
+        apply_on_factor(np.eye(2), 0, (2, 3, 4), np.zeros((1, 23)))
 
 
 def test_commutator_paulis():
@@ -224,6 +266,13 @@ def test_subspace_basis_projector_idempotent():
     basis = SubspaceBasis(3, rows, "vector-space")
     p = basis.projector().mat
     assert np.abs(p @ p - p).max() < TOL
+
+
+def test_subspace_basis_projector_of_complex_row_fixes_the_row():
+    row = np.array([1.0, 1.0j]) / np.sqrt(2.0)
+    p = SubspaceBasis(2, row[None, :]).projector().mat
+    assert np.abs(p @ row - row).max() < TOL
+    assert np.abs(p @ row.conj()).max() < TOL
 
 
 def test_subspace_basis_residual_split():
