@@ -94,6 +94,7 @@ from .fock import (
     dfs_from_dirac,
     duality_substitution,
     env_vacuum_projector,
+    gamma_pair_norm,
     hw_mode,
     interior_indices,
     ladder,

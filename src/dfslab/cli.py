@@ -26,7 +26,7 @@ from . import acceptance
 from .duality import Background, ChargeVector, basis_change, coupling_shift, coupling_swap, dual_metric, factorized_inversion, narain_energy, onn_apply, transform_charges
 from .dynamics import coherence_experiment
 from .errors import DfsLabError, UsageError
-from .fock import build_decoherence_model, build_string_model, dfs_from_dirac, duality_substitution, parity_generators, sector_residuals
+from .fock import build_decoherence_model, build_string_model, dfs_from_dirac, duality_substitution, gamma_pair_norm, parity_generators
 from .nctorus import FluxMatrix, clock_shift_rep, landau_hamiltonian, weyl_residual
 from .opcore import Operator, SubspaceBasis, operator_norm
 from .reporting import canonical_json
@@ -47,6 +47,13 @@ def _number(obj, name: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         _fail(f"{name} must be a number")
     return float(obj)
+
+
+def _int_param(obj, name: str) -> int:
+    """A size or count: a JSON integer, never a bool, float or string."""
+    if isinstance(obj, bool) or not isinstance(obj, int):
+        _fail(f"{name} must be an integer")
+    return obj
 
 
 def _complex_entry(obj, name: str) -> complex:
@@ -146,7 +153,7 @@ def _run_distance(params: dict, tol_scale: float):
 
 
 def _model_from_params(params: dict):
-    n_max = int(params.get("n_max", 3))
+    n_max = _int_param(params.get("n_max", 3), "n_max")
     k = _matrix(params.get("K", [[1.0]]), "K")
     lam = _matrix(params.get("Lambda", [[1.0]]), "Lambda")
     w = _matrix(params.get("w", [[0.3]]), "w")
@@ -180,8 +187,8 @@ def _run_dfs(params: dict, tol_scale: float):
     n = metric.shape[0]
     coupling = _real_matrix(params.get("coupling", np.zeros((n, n)).tolist()), "coupling")
     bg = Background(metric, coupling)
-    n_max = int(params.get("n_max", 2))
-    levels = int(params.get("levels", 1))
+    n_max = _int_param(params.get("n_max", 2), "n_max")
+    levels = _int_param(params.get("levels", 1), "levels")
     which = params.get("operator", "relative")
     if which not in ("relative", "total"):
         _fail("operator must be 'relative' or 'total'")
@@ -191,13 +198,8 @@ def _run_dfs(params: dict, tol_scale: float):
     kernel = dfs_from_dirac(dirac, tol=tol)
     bound = tol * operator_norm(dirac) * tol_scale
     if kernel.size:
-        residual = float(
-            max(np.linalg.norm(dirac.mat @ v) for v in kernel.vectors)
-        )
-        sectors = sector_residuals(model, kernel)
-        gamma_worst = float(
-            max(max(row["gamma_pair_residuals"]) for row in sectors)
-        )
+        residual = float(np.linalg.norm(dirac.mat @ kernel.vectors.T, axis=0).max())
+        gamma_worst = gamma_pair_norm(model, kernel)
     else:
         residual = 0.0
         gamma_worst = None
@@ -273,7 +275,7 @@ def _parse_generator(entry: dict, n: int):
         dirs = entry.get("directions", list(range(n)))
         if not (isinstance(dirs, list) and dirs):
             _fail("inversion needs a non-empty directions list")
-        return factorized_inversion(n, [int(d) for d in dirs])
+        return factorized_inversion(n, [_int_param(d, "directions[]") for d in dirs])
     if kind == "shift":
         return coupling_shift(_int_matrix(entry.get("theta") or _fail("shift needs theta"), "theta"))
     if kind == "basis":
@@ -286,7 +288,7 @@ def _run_duality(params: dict, tol_scale: float):
     n = metric.shape[0]
     coupling = _real_matrix(params.get("coupling", np.zeros((n, n)).tolist()), "coupling")
     bg = Background(metric, coupling)
-    box = int(params.get("box", 3))
+    box = _int_param(params.get("box", 3), "box")
     if box < 1:
         _fail("box must be a positive integer")
     word_arg = params.get("word") or [params.get("generator") or _fail("need generator or word")]
@@ -321,7 +323,9 @@ def _run_duality(params: dict, tol_scale: float):
         if not isinstance(sub_arg, dict):
             _fail("substitution must be an object")
         model = build_string_model(
-            bg, int(sub_arg.get("n_max", 1)), int(sub_arg.get("levels", 1))
+            bg,
+            _int_param(sub_arg.get("n_max", 1), "substitution.n_max"),
+            _int_param(sub_arg.get("levels", 1), "substitution.levels"),
         )
         sub = duality_substitution(model)
         results["substitution_max_residual"] = sub.max_residual
@@ -336,8 +340,8 @@ def _run_duality(params: dict, tol_scale: float):
 
 def _run_nctorus(params: dict, tol_scale: float):
     q = _int_matrix(params.get("numerator") or _fail("need numerator"), "numerator")
-    den = params.get("denominator")
-    if not isinstance(den, int) or isinstance(den, bool) or den < 1:
+    den = _int_param(params.get("denominator"), "denominator")
+    if den < 1:
         _fail("denominator must be a positive integer")
     flux = FluxMatrix.from_rational(q, den)
     rep = clock_shift_rep(flux)
@@ -351,7 +355,7 @@ def _run_nctorus(params: dict, tol_scale: float):
     checks = [_check("weyl-relation", residual, tol, residual <= tol)]
     landau_n_max = params.get("landau_n_max")
     if landau_n_max is not None:
-        landau_n_max = int(landau_n_max)
+        landau_n_max = _int_param(landau_n_max, "landau_n_max")
         h = landau_hamiltonian(flux, landau_n_max)
         vals = np.linalg.eigvalsh(h.mat)
         ground = float(vals[0])

@@ -582,6 +582,35 @@ def duality_substitution(model: StringModel) -> SubstitutionReport:
     )
 
 
+def _kernel_factor_dims(model: StringModel, kernel: SubspaceBasis) -> tuple:
+    """Factor dimensions (spinor, register, tower, tower) of the model space,
+    after checking that ``kernel`` holds kets on it."""
+    if kernel.kind != "vector-space":
+        raise UsageError("kernel must be a vector-space basis")
+    if kernel.ambient_dim != model.dim:
+        raise ShapeError("kernel vectors do not live on the model space")
+    return (model.clifford.rep_dim, model.system_space.dim) + (model.tower_space.dim,) * 2
+
+
+def gamma_pair_norm(model: StringModel, kernel: SubspaceBasis) -> float:
+    """max_i of the spectral norm of G+_i + G-_i restricted to the kernel.
+
+    The restriction is the stack ``apply_on_factor(G+_i + G-_i, 0, dims,
+    kernel.vectors)``; its norm does not change when the kernel basis is
+    rotated, unlike a maximum over the per-vector norms of
+    ``sector_residuals``.
+    """
+    dims = _kernel_factor_dims(model, kernel)
+    if not kernel.size:
+        raise UsageError("the kernel is empty")
+    gp = model.clifford.gamma_plus
+    gm = model.clifford.gamma_minus
+    return max(
+        float(np.linalg.norm(apply_on_factor(gp[i].mat + gm[i].mat, 0, dims, kernel.vectors), 2))
+        for i in range(model.background.n)
+    )
+
+
 def sector_residuals(model: StringModel, kernel: SubspaceBasis) -> list[dict]:
     """Per-vector diagnostics classifying kernel states into sectors.
 
@@ -590,16 +619,12 @@ def sector_residuals(model: StringModel, kernel: SubspaceBasis) -> list[dict]:
     conditions (plus family equal to minus the minus family, and the coupled
     combination through K_plus and K_minus).  No thresholds are enforced.
     """
-    if kernel.kind != "vector-space":
-        raise UsageError("kernel must be a vector-space basis")
-    if kernel.ambient_dim != model.dim:
-        raise ShapeError("kernel vectors do not live on the model space")
+    dims = _kernel_factor_dims(model, kernel)
     n = model.background.n
     kp = model.background.k_plus
     km = model.background.k_minus
     gp = model.clifford.gamma_plus
     gm = model.clifford.gamma_minus
-    dims = (model.clifford.rep_dim, model.system_space.dim) + (model.tower_space.dim,) * 2
     psi = kernel.vectors
 
     def norms(mat, slot: int) -> list[float]:

@@ -10,8 +10,12 @@ Conventions used throughout the package:
   is the only place that knows that layout: ``tensor`` densifies a product
   of factors and ``apply_on_factor`` applies a local operator to one factor
   of a stack of kets without forming the product;
-* kernels and commutants are computed from singular value decompositions
-  with a relative cutoff, never from exact rank decisions.
+* kernels, commutants and operator norms are computed from singular value
+  decompositions with a relative cutoff, never from exact rank decisions.
+  Each matrix is first split into the connected blocks of its nonzero
+  pattern (an exact split, no tolerance), and every block gets its own SVD;
+  the cutoff stays relative to the largest singular value of the whole
+  matrix.
 """
 
 from __future__ import annotations
@@ -211,8 +215,16 @@ def commutator(a: Operator, b: Operator) -> Operator:
 
 
 def operator_norm(a: Operator) -> float:
-    """Largest singular value."""
-    return float(np.linalg.norm(a.mat, 2))
+    """Largest singular value: the maximum over the blocks of the nonzero
+    pattern of each block's singular values."""
+    sectors = _sectors(a.mat)
+    if sectors is None:
+        return float(np.linalg.norm(a.mat, 2))
+    return max(
+        (float(np.linalg.svd(_gather(a.mat, rows, cols), compute_uv=False).max())
+         for rows, cols in sectors if rows.shape[1] and cols.shape[1]),
+        default=0.0,
+    )
 
 
 def eig_hermitian(a: Operator, tol: float = HERMITICITY_TOL) -> tuple[np.ndarray, SubspaceBasis]:
@@ -237,36 +249,127 @@ def eig_hermitian(a: Operator, tol: float = HERMITICITY_TOL) -> tuple[np.ndarray
     return vals, SubspaceBasis(a.dim, vecs.T, VECTOR_SPACE)
 
 
+def _sectors(arr: np.ndarray):
+    """Connected blocks of the bipartite nonzero pattern of ``arr``.
+
+    Rows and columns are separate nodes and row r is joined to column c when
+    ``arr[r, c] != 0``, so the split is exact.  Returns None when one block
+    holds every row and column.  Otherwise returns one ``(rows, cols)`` pair
+    per distinct block shape (m_b, n_b): index arrays of shapes (k, m_b) and
+    (k, n_b) for the k blocks of that shape, ascending within each block.  A
+    row with no nonzero entry is a (1, 0) block, such a column a (0, 1) one.
+    """
+    m, n = arr.shape
+    pattern = arr != 0
+    if pattern.all():
+        return None
+    r, c = np.nonzero(pattern)
+    c = c + m
+    # label propagation over the edge list: hook the larger root of every
+    # edge onto the smaller one, then jump pointers until each label is a
+    # root; every round at least halves the number of trees in a block
+    label = np.arange(m + n)
+    while True:
+        lr, lc = label[r], label[c]
+        if np.array_equal(lr, lc):
+            break
+        np.minimum.at(label, np.maximum(lr, lc), np.minimum(lr, lc))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+    roots, comp = np.unique(label, return_inverse=True)
+    if roots.size == 1:
+        return None
+    comp_r, comp_c = comp[:m], comp[m:]
+    nr = np.bincount(comp_r, minlength=roots.size)
+    nc = np.bincount(comp_c, minlength=roots.size)
+    row_order = np.argsort(comp_r, kind="stable")
+    col_order = np.argsort(comp_c, kind="stable")
+    row_start = np.cumsum(nr) - nr
+    col_start = np.cumsum(nc) - nc
+    keys, shape_of = np.unique(nr * (n + 1) + nc, return_inverse=True)
+    out = []
+    for g, key in enumerate(keys):
+        mb, nb = divmod(int(key), n + 1)
+        ids = np.flatnonzero(shape_of == g)
+        out.append((
+            row_order[row_start[ids, None] + np.arange(mb)],
+            col_order[col_start[ids, None] + np.arange(nb)],
+        ))
+    return out
+
+
+def _gather(arr: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The stack of blocks ``arr[rows[j]][:, cols[j]]``, shape (k, m_b, n_b)."""
+    return arr[rows[:, :, None], cols[:, None, :]]
+
+
+def _nullspace_and_norm(arr: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
+    """``nullspace`` rows together with sigma_max, the largest singular value."""
+    ncols = arr.shape[1]
+    if arr.size == 0:
+        return np.eye(ncols, dtype=np.complex128), 0.0
+    sectors = _sectors(arr)
+    if sectors is None:
+        _, sigma, vh = np.linalg.svd(arr)
+        smax = float(sigma[0])
+        cutoff = tol * smax if smax > 0 else 1e-12
+        # columns beyond the number of singular values are exact kernel directions
+        keep = np.concatenate([sigma <= cutoff, np.ones(ncols - sigma.size, dtype=bool)])
+        return vh[keep].conj(), smax
+    svds = []
+    for rows, cols in sectors:
+        k, nb = cols.shape
+        if not nb:
+            continue  # zero rows
+        if rows.shape[1]:
+            _, sigma, vh = np.linalg.svd(_gather(arr, rows, cols))
+        else:
+            # zero columns: each is an exact kernel direction, vh = [[1]]
+            sigma = np.zeros((k, 0))
+            vh = np.ones((k, 1, 1), dtype=np.complex128)
+        svds.append((cols, sigma, vh))
+    smax = max(float(sigma.max(initial=0.0)) for _, sigma, _ in svds)
+    cutoff = tol * smax if smax > 0 else 1e-12
+    pieces = []
+    for cols, sigma, vh in svds:
+        keep = np.ones(cols.shape, dtype=bool)
+        keep[:, : sigma.shape[1]] = sigma <= cutoff
+        block, row = np.nonzero(keep)
+        piece = np.zeros((block.size, ncols), dtype=np.complex128)
+        piece[np.arange(block.size)[:, None], cols[block]] = vh[block, row].conj()
+        pieces.append(piece)
+    return np.concatenate(pieces), smax
+
+
 def nullspace(mat: np.ndarray, tol: float = KERNEL_TOL) -> np.ndarray:
     """Orthonormal rows spanning the numerical right nullspace of ``mat``.
 
     Keeps right-singular directions with singular value <= tol * sigma_max,
-    with an absolute floor of 1e-12 when sigma_max vanishes.
+    with an absolute floor of 1e-12 when sigma_max vanishes.  The matrix is
+    split into the connected blocks of its nonzero pattern first; each block
+    gets its own SVD (blocks of one shape in one stacked call), sigma_max is
+    the largest singular value over all blocks, and each block's kernel
+    directions are scattered back to its columns.  A block with more columns
+    than rows and a column with no nonzero entry contribute their exact
+    kernel directions.  A matrix that is one block goes through one SVD of
+    the matrix as given.
     """
-    arr = np.asarray(mat, dtype=np.complex128)
-    if arr.size == 0:
-        return np.eye(arr.shape[1], dtype=np.complex128)
-    _, sigma, vh = np.linalg.svd(arr)
-    smax = float(sigma[0]) if sigma.size else 0.0
-    cutoff = tol * smax if smax > 0 else 1e-12
-    ncols = arr.shape[1]
-    nsing = sigma.size
-    keep = [i for i in range(nsing) if sigma[i] <= cutoff]
-    rows = [vh[i].conj() for i in keep]
-    # columns beyond the number of singular values are exact kernel directions
-    for i in range(nsing, ncols):
-        rows.append(vh[i].conj())
-    if not rows:
-        return np.zeros((0, ncols), dtype=np.complex128)
-    return np.array(rows)
+    return _nullspace_and_norm(np.asarray(mat, dtype=np.complex128), tol)[0]
 
 
 def kernel_basis(a: Operator, tol: float = KERNEL_TOL) -> SubspaceBasis:
-    """Orthonormal basis of the numerical kernel of ``a`` (SVD cutoff)."""
-    rows = nullspace(a.mat, tol)
+    """Orthonormal basis of the numerical kernel of ``a`` (``nullspace``).
+
+    Certified: every basis vector's residual must stay within
+    tol * sigma_max * sqrt(dim), with sigma_max read off the singular values
+    the kernel computation already has.
+    """
+    rows, smax = _nullspace_and_norm(a.mat, tol)
     basis = SubspaceBasis(a.dim, rows, VECTOR_SPACE)
     if basis.size:
-        smax = operator_norm(a)
         resid = float(np.linalg.norm(a.mat @ basis.vectors.T, axis=0).max())
         bound = tol * smax * np.sqrt(a.dim) if smax > 0 else 1e-10
         if resid > max(bound, 1e-12):

@@ -66,6 +66,39 @@ def test_schema_validation():
         run_scenario({"schema_version": 1, "kind": "distance", "params": {}, "seed": "x"})
 
 
+@pytest.mark.parametrize("value", ["abc", 2.7, True])
+def test_non_integer_size_exits_1(value, tmp_path, capsys):
+    scenario = load("dfs.json")
+    scenario["params"]["n_max"] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(scenario))
+    assert entry(["run", str(path)]) == 1
+    assert "n_max must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, path",
+    [
+        ("dfs.json", ("levels",)),
+        ("symmetrize.json", ("n_max",)),
+        ("duality.json", ("box",)),
+        ("duality.json", ("substitution", "n_max")),
+        ("duality.json", ("substitution", "levels")),
+        ("duality.json", ("generator", "directions")),
+        ("nctorus.json", ("landau_n_max",)),
+        ("nctorus.json", ("denominator",)),
+    ],
+)
+def test_every_size_rejects_a_float(name, path):
+    scenario = load(name)
+    target = scenario["params"]
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = [1.0] if path[-1] == "directions" else 2.0
+    with pytest.raises(UsageError, match="must be an integer"):
+        run_scenario(scenario)
+
+
 def test_tol_scale_must_be_positive():
     with pytest.raises(UsageError):
         run_scenario(load("distance.json"), tol_scale=0.0)

@@ -15,6 +15,7 @@ from dfslab import (
     dfs_from_dirac,
     duality_substitution,
     env_vacuum_projector,
+    gamma_pair_norm,
     hw_mode,
     interior_indices,
     ladder,
@@ -288,6 +289,35 @@ def test_dbar_kernel_dimension_frozen():
     # residual actually certifies the kernel, not just the count
     worst = float(np.abs(model.d_bar.mat @ kernel.vectors.T).max())
     assert worst < 1e-9
+
+
+@pytest.mark.parametrize("n_max, levels", [(4, 1), (2, 2)])
+def test_sector_kernel_matches_dense_svd(n_max, levels):
+    model = build_string_model(string_background(1.7), n_max=n_max, levels=levels)
+    assert model.dim in (250, 486)
+    for dirac in (model.d, model.d_bar):
+        kernel = dfs_from_dirac(dirac, tol=1e-9)
+        _, sigma, vh = np.linalg.svd(dirac.mat)
+        oracle = vh[sigma <= 1e-9 * sigma[0]].conj()
+        assert kernel.size == oracle.shape[0]
+        proj = kernel.vectors.T @ kernel.vectors.conj()
+        assert np.abs(proj - oracle.T @ oracle.conj()).max() < 1e-10
+
+
+def test_gamma_pair_norm_is_basis_invariant():
+    model = build_string_model(string_background(2.25), n_max=2, levels=1)
+    kernel = dfs_from_dirac(model.d_bar, tol=1e-9)
+    rng = np.random.Generator(np.random.Philox(92))
+    raw = rng.normal(size=(kernel.size,) * 2) + 1j * rng.normal(size=(kernel.size,) * 2)
+    rotated = SubspaceBasis(model.dim, np.linalg.qr(raw)[0] @ kernel.vectors)
+    eye_rest = np.eye(model.dim // model.clifford.rep_dim)
+    pair = model.clifford.gamma_plus[0].mat + model.clifford.gamma_minus[0].mat
+    dense = np.linalg.norm(np.kron(pair, eye_rest) @ kernel.vectors.T, 2)
+    for basis in (kernel, rotated):
+        assert abs(gamma_pair_norm(model, basis) - dense) < 1e-12
+    assert abs(dense - 4.0 / 3.0) < 1e-12
+    with pytest.raises(UsageError):
+        gamma_pair_norm(model, SubspaceBasis(model.dim, np.zeros((0, model.dim))))
 
 
 def test_substitution_exact_for_single_direction():

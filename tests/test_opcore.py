@@ -17,6 +17,7 @@ from dfslab import (
     tensor,
     unitary_exp,
 )
+from dfslab.opcore import nullspace
 
 TOL = 1e-12
 
@@ -201,6 +202,91 @@ def test_kernel_basis_rank_deficient_product():
     sigma_max = operator_norm(op)
     for vec in basis.vectors:
         assert np.linalg.norm(op.mat @ vec) <= 1e-10 * sigma_max * np.sqrt(5)
+
+
+def dense_nullspace(a, tol=1e-10):
+    """The kernel rule on one SVD of the whole matrix."""
+    _, sigma, vh = np.linalg.svd(a)
+    smax = float(sigma[0]) if sigma.size else 0.0
+    cutoff = tol * smax if smax > 0 else 1e-12
+    keep = np.concatenate([sigma <= cutoff, np.ones(a.shape[1] - sigma.size, dtype=bool)])
+    return vh[keep].conj()
+
+
+def permuted_blocks(rng, blocks, zero_rows=0, zero_cols=0):
+    """Block-diagonal matrix of (rows, cols, rank) blocks of exact rank, plus
+    zero rows and columns, under random row and column permutations."""
+    m = sum(b[0] for b in blocks) + zero_rows
+    n = sum(b[1] for b in blocks) + zero_cols
+    out = np.zeros((m, n), dtype=complex)
+    i = j = 0
+    for rows, cols, rank in blocks:
+        left = rng.normal(size=(rows, rank)) + 1j * rng.normal(size=(rows, rank))
+        out[i : i + rows, j : j + cols] = left @ rng.normal(size=(rank, cols))
+        i, j = i + rows, j + cols
+    kernel_dim = n - sum(b[2] for b in blocks)
+    return out[rng.permutation(m)][:, rng.permutation(n)], kernel_dim
+
+
+@pytest.mark.parametrize(
+    "blocks, zero_rows, zero_cols",
+    [
+        ([(3, 3, 2), (3, 3, 2), (3, 3, 3)], 0, 0),
+        ([(2, 5, 2), (5, 2, 1), (4, 4, 3), (1, 3, 1)], 2, 3),
+        ([(1, 1, 1)] * 7 + [(2, 1, 1)] * 4 + [(1, 2, 1)] * 3, 3, 0),
+        ([(6, 4, 4)], 0, 2),
+        ([], 4, 5),
+    ],
+)
+def test_nullspace_of_permuted_blocks(blocks, zero_rows, zero_cols):
+    rng = np.random.Generator(np.random.Philox(len(blocks) + 10 * zero_rows + zero_cols))
+    a, kernel_dim = permuted_blocks(rng, blocks, zero_rows, zero_cols)
+    rows = nullspace(a)
+    assert rows.shape == (kernel_dim, a.shape[1])
+    assert np.abs(rows @ rows.conj().T - np.eye(kernel_dim)).max() < TOL
+    assert np.abs(a @ rows.T).max(initial=0.0) < 1e-12 * max(1.0, np.abs(a).max(initial=0.0))
+    oracle = dense_nullspace(a)
+    assert np.abs(rows.T @ rows.conj() - oracle.T @ oracle.conj()).max() < 1e-10
+
+
+def test_nullspace_sends_a_block_below_the_global_cutoff_to_the_kernel():
+    rng = np.random.Generator(np.random.Philox(16))
+    big = rng.normal(size=(3, 3))
+    small = 1e-12 * rng.normal(size=(2, 2))
+    a = np.zeros((5, 5))
+    a[:3, :3] = big
+    a[3:, 3:] = small
+    perm = rng.permutation(5)
+    rows = nullspace(a[perm][:, perm])
+    # a cutoff relative to each block's own largest value would keep none
+    assert rows.shape[0] == 2
+    assert np.abs(rows.T @ rows.conj() - np.diag((perm >= 3).astype(float))).max() < TOL
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_nullspace_of_one_block_is_the_direct_svd(sparse):
+    rng = np.random.Generator(np.random.Philox(17))
+    a = (rng.normal(size=(7, 3)) + 1j * rng.normal(size=(7, 3))) @ rng.normal(size=(3, 6))
+    if sparse:
+        # a path through every row and column, with zeros elsewhere
+        a = np.triu(np.tril(a, 1), -1)
+    assert np.array_equal(nullspace(a), dense_nullspace(a))
+
+
+def test_operator_norm_of_permuted_blocks():
+    rng = np.random.Generator(np.random.Philox(18))
+    a, _ = permuted_blocks(rng, [(4, 3, 3), (2, 4, 2), (3, 3, 2), (1, 1, 1)], 1, 0)
+    assert a.shape[0] == a.shape[1]
+    assert abs(operator_norm(Operator(a)) - np.linalg.norm(a, 2)) < 1e-12
+    assert operator_norm(Operator.zeros(3)) == 0.0
+
+
+def test_kernel_basis_of_permuted_blocks_is_certified():
+    rng = np.random.Generator(np.random.Philox(19))
+    a, kernel_dim = permuted_blocks(rng, [(5, 5, 3), (5, 5, 4), (2, 2, 2)], 1, 1)
+    basis = kernel_basis(Operator(a))
+    assert basis.size == kernel_dim
+    assert np.linalg.norm(a @ basis.vectors.T, axis=0).max() < 1e-10 * np.linalg.norm(a, 2)
 
 
 def test_commutant_of_identity_is_everything():
