@@ -64,22 +64,27 @@ from .symmetry import (
     symmetrize_operator,
 )
 from .duality import (
+    CHARGE_BUDGET,
     Background,
     ChargeVector,
     ONNElement,
     basis_change,
+    charge_box,
     charge_matrix,
     coupling_shift,
     coupling_swap,
     dual_metric,
     factorized_inversion,
     identity_element,
+    max_energy_shift,
+    narain_energies,
     narain_energy,
     narain_spectrum,
     normal_modes,
     onn_apply,
     onn_generators,
     pairing_matrix,
+    transform_charge_stack,
     transform_charges,
 )
 from .fock import (

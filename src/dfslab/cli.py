@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 import traceback
@@ -23,7 +24,7 @@ import traceback
 import numpy as np
 
 from . import acceptance
-from .duality import Background, ChargeVector, basis_change, coupling_shift, coupling_swap, dual_metric, factorized_inversion, narain_energy, onn_apply, transform_charges
+from .duality import Background, basis_change, charge_box, coupling_shift, coupling_swap, dual_metric, factorized_inversion, max_energy_shift, onn_apply
 from .dynamics import coherence_experiment
 from .errors import DfsLabError, UsageError
 from .fock import build_decoherence_model, build_string_model, dfs_from_dirac, duality_substitution, gamma_pair_norm, parity_generators
@@ -43,10 +44,32 @@ def _fail(msg: str):
     raise UsageError(msg)
 
 
+def _is_number(obj) -> bool:
+    return isinstance(obj, (int, float)) and not isinstance(obj, bool)
+
+
+def _finite(obj, name: str) -> float:
+    """A JSON number as a float; NaN, the infinities and integers too large
+    for a float are rejected here rather than reaching the renderer."""
+    try:
+        value = float(obj)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        _fail(f"{name} must be finite")
+    return value
+
+
 def _number(obj, name: str) -> float:
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
+    if not _is_number(obj):
         _fail(f"{name} must be a number")
-    return float(obj)
+    return _finite(obj, name)
+
+
+def _known_keys(obj: dict, allowed, name: str) -> None:
+    unknown = sorted(str(k) for k in obj if k not in allowed)
+    if unknown:
+        _fail(f"unknown {name} key(s): {', '.join(unknown)}")
 
 
 def _int_param(obj, name: str) -> int:
@@ -57,14 +80,10 @@ def _int_param(obj, name: str) -> int:
 
 
 def _complex_entry(obj, name: str) -> complex:
-    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        return complex(obj)
-    if (
-        isinstance(obj, list)
-        and len(obj) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj)
-    ):
-        return complex(obj[0], obj[1])
+    if _is_number(obj):
+        return complex(_finite(obj, name))
+    if isinstance(obj, list) and len(obj) == 2 and all(_is_number(v) for v in obj):
+        return complex(_finite(obj[0], name), _finite(obj[1], name))
     _fail(f"{name} must be a number or a [re, im] pair")
 
 
@@ -117,7 +136,7 @@ def _run_distance(params: dict, tol_scale: float):
         triple = make_two_point_triple(lam)
         p = np.array([1.0, 0.0])
         q = np.array([0.0, 1.0])
-        expected = params.get("expected", 1.0 / abs(lam))
+        expected = _number(params.get("expected", 1.0 / abs(lam)), "expected")
         tol = _number(params.get("tolerance", 1e-6), "tolerance") * tol_scale
     else:
         dirac = _matrix(params.get("dirac") or _fail("need lambda or dirac"), "dirac")
@@ -128,6 +147,8 @@ def _run_distance(params: dict, tol_scale: float):
         if p.size != n or q.size != n:
             _fail("states must have one weight per point")
         expected = params.get("expected")
+        if expected is not None:
+            expected = _number(expected, "expected")
         tol = _number(params.get("tolerance", 1e-6), "tolerance") * tol_scale
     psi = StateFunctional(DensityMatrix(Operator(np.diag(p.astype(np.complex128)))))
     psi_prime = StateFunctional(DensityMatrix(Operator(np.diag(q.astype(np.complex128)))))
@@ -146,7 +167,6 @@ def _run_distance(params: dict, tol_scale: float):
             )
         )
     if expected is not None:
-        expected = _number(expected, "expected")
         err = abs(res.value - expected) if not res.unbounded else float("inf")
         checks.append(_check("distance-matches-expected", None if res.unbounded else err, tol, err <= tol))
     return results, checks
@@ -219,6 +239,7 @@ def _run_decohere(params: dict, tol_scale: float):
     env_dim = model.env_space.dim
     times_arg = params.get("times", {"start": 0.0, "stop": 20.0, "step": 0.5})
     if isinstance(times_arg, dict):
+        _known_keys(times_arg, ("start", "stop", "step"), "times")
         start = _number(times_arg.get("start", 0.0), "times.start")
         stop = _number(times_arg.get("stop") if times_arg.get("stop") is not None else _fail("times needs stop"), "times.stop")
         step = _number(times_arg.get("step", 0.5), "times.step")
@@ -264,13 +285,21 @@ def _run_decohere(params: dict, tol_scale: float):
     return results, checks
 
 
-_GEN_KINDS = ("inversion", "shift", "basis", "swap")
+# Each generator kind and the keys its object may carry besides "kind".
+_GEN_KEYS = {
+    "inversion": ("directions",),
+    "shift": ("theta",),
+    "basis": ("matrix",),
+    "swap": (),
+}
+_GEN_KINDS = tuple(_GEN_KEYS)
 
 
 def _parse_generator(entry: dict, n: int):
     if not isinstance(entry, dict) or entry.get("kind") not in _GEN_KINDS:
         _fail(f"generator kind must be one of {_GEN_KINDS}")
     kind = entry["kind"]
+    _known_keys(entry, ("kind",) + _GEN_KEYS[kind], f"{kind} generator")
     if kind == "inversion":
         dirs = entry.get("directions", list(range(n)))
         if not (isinstance(dirs, list) and dirs):
@@ -297,16 +326,9 @@ def _run_duality(params: dict, tol_scale: float):
     element = _parse_generator(word_arg[0], n)
     for entry in word_arg[1:]:
         element = element.compose(_parse_generator(entry, n))
+    charges = charge_box(n, box)
     bg_new = onn_apply(element, bg)
-    grid = np.arange(-box, box + 1)
-    mesh = np.meshgrid(*([grid] * (2 * n)), indexing="ij")
-    charges = np.stack([m.ravel() for m in mesh], axis=1)
-    worst = 0.0
-    for row in charges:
-        cv = ChargeVector(row[:n], row[n:])
-        e_old = narain_energy(bg, cv.m, cv.w)
-        cv_new = transform_charges(element, cv)
-        worst = max(worst, abs(e_old - narain_energy(bg_new, cv_new.m, cv_new.w)))
+    worst = max_energy_shift(element, bg, charges)
     tol = 1e-10 * tol_scale
     results = {
         "element_matrix": element.matrix.tolist(),
@@ -322,6 +344,7 @@ def _run_duality(params: dict, tol_scale: float):
     if sub_arg is not None:
         if not isinstance(sub_arg, dict):
             _fail("substitution must be an object")
+        _known_keys(sub_arg, ("n_max", "levels"), "substitution")
         model = build_string_model(
             bg,
             _int_param(sub_arg.get("n_max", 1), "substitution.n_max"),
@@ -378,6 +401,23 @@ _HANDLERS = {
     "nctorus": _run_nctorus,
 }
 
+# The params keys each kind reads; any other key is a usage error, so a
+# misspelled option cannot silently skip the check it asked for.
+_MODEL_PARAMS = ("n_max", "K", "Lambda", "w")
+_PARAMS = {
+    "distance": ("lambda", "dirac", "state", "state_prime", "expected", "tolerance"),
+    "symmetrize": _MODEL_PARAMS,
+    "dfs": ("metric", "coupling", "n_max", "levels", "operator", "tol"),
+    "decohere": _MODEL_PARAMS + ("times", "superposition", "leakage_cap", "min_full_leakage"),
+    "duality": ("metric", "coupling", "box", "word", "generator", "substitution"),
+    "nctorus": ("numerator", "denominator", "landau_n_max", "landau_expect", "landau_tol"),
+}
+
+
+def _check_tol_scale(tol_scale: float) -> None:
+    if not (math.isfinite(tol_scale) and tol_scale > 0):
+        _fail("tol-scale must be positive and finite")
+
 
 def run_scenario(scenario: dict, seed: int | None = None, tol_scale: float = 1.0) -> dict:
     """Validate and execute one scenario, returning the report dict.
@@ -394,12 +434,12 @@ def run_scenario(scenario: dict, seed: int | None = None, tol_scale: float = 1.0
     params = scenario.get("params", {})
     if not isinstance(params, dict):
         _fail("params must be an object")
+    _known_keys(params, _PARAMS[kind], f"{kind} parameter")
     if seed is None:
         seed = scenario.get("seed")
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         _fail("seed must be an integer")
-    if tol_scale <= 0:
-        _fail("tol-scale must be positive")
+    _check_tol_scale(tol_scale)
     results, checks = _HANDLERS[kind](params, tol_scale)
     return {
         "schema_version": SCHEMA_VERSION,
@@ -495,6 +535,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    try:
+        _check_tol_scale(args.tol_scale)
+    except UsageError as exc:
+        print(f"invalid option: {exc}", file=sys.stderr)
+        return 1
     t0 = time.perf_counter()
     try:
         results = acceptance.run_all(tol_scale=args.tol_scale)

@@ -18,13 +18,18 @@ together with a swap flag and compose semidirectly.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, UsageError
+from .errors import BudgetError, DomainError, ShapeError, UsageError
 
 SYMMETRY_TOL = 1e-12
+# Largest number of charges one lattice sweep may hold.  A sweep keeps a few
+# (count, 2n) arrays alive at once: at n = 2 and box 15 (923,521 charges)
+# max_energy_shift peaks at about 150 MB.
+CHARGE_BUDGET = 2**20
 
 
 def _check_square(arr: np.ndarray, name: str) -> np.ndarray:
@@ -285,11 +290,54 @@ def charge_matrix(element: ONNElement) -> np.ndarray:
     return rho
 
 
+def transform_charge_stack(element: ONNElement, charges) -> np.ndarray:
+    """Apply the charge map to a (k, 2n) integer stack, one charge per row;
+    exact integer arithmetic."""
+    return np.asarray(charges) @ charge_matrix(element).T
+
+
 def transform_charges(element: ONNElement, charges: ChargeVector) -> ChargeVector:
     if charges.n != element.n:
         raise ShapeError("charge vectors must have one entry per direction")
-    out = charge_matrix(element) @ np.concatenate([charges.m, charges.w])
+    out = transform_charge_stack(element, np.concatenate([charges.m, charges.w])[None, :])[0]
     return ChargeVector(out[: element.n], out[element.n :])
+
+
+def charge_box(n: int, box: int) -> np.ndarray:
+    """Every charge with entries in [-box, box] as one (count, 2n) int64
+    stack, momenta first, rows in lexicographic order.
+
+    The count (2 box + 1)^(2n) is checked against CHARGE_BUDGET before
+    anything is allocated.
+    """
+    box = operator.index(box)
+    if box < 0:
+        raise DomainError("box must be nonnegative")
+    count = (2 * box + 1) ** (2 * n)
+    if count > CHARGE_BUDGET:
+        raise BudgetError(
+            f"a charge box of {count} charges exceeds the budget of {CHARGE_BUDGET}"
+        )
+    grid = np.arange(-box, box + 1, dtype=np.int64)
+    mesh = np.meshgrid(*([grid] * (2 * n)), indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+def narain_energies(background: Background, charges) -> np.ndarray:
+    """Lattice energies H(m, w) of a (k, 2n) charge stack, momenta above
+    windings as in charge_matrix."""
+    n = background.n
+    q = np.asarray(charges)
+    if q.ndim != 2 or q.shape[1] != 2 * n:
+        raise ShapeError(f"charges must be a stack of rows of length {2 * n}")
+    m = q[:, :n].astype(float)
+    w = q[:, n:].astype(float)
+    eta = background.metric
+    shifted = m + w @ background.coupling.T
+    solved = np.linalg.solve(eta, shifted.T)
+    return 0.5 * np.einsum("ki,ik->k", shifted, solved) + 0.5 * np.einsum(
+        "ki,ki->k", w @ eta, w
+    )
 
 
 def narain_energy(background: Background, momenta, windings) -> float:
@@ -297,28 +345,32 @@ def narain_energy(background: Background, momenta, windings) -> float:
     w = np.asarray(windings, dtype=float).reshape(-1)
     if m.size != background.n or w.size != background.n:
         raise ShapeError("charge vectors must have one entry per direction")
-    eta = background.metric
-    shifted = m + background.coupling @ w
-    return float(
-        0.5 * shifted @ np.linalg.solve(eta, shifted) + 0.5 * w @ eta @ w
+    return float(narain_energies(background, np.concatenate([m, w])[None, :])[0])
+
+
+def max_energy_shift(element: ONNElement, background: Background, charges) -> float:
+    """Largest change of the lattice energy over a (k, 2n) charge stack when
+    the background and the charges move together under ``element``; zero up
+    to roundoff for a duality."""
+    before = narain_energies(background, charges)
+    after = narain_energies(
+        onn_apply(element, background), transform_charge_stack(element, charges)
     )
+    return float(np.abs(before - after).max(initial=0.0))
 
 
 def narain_spectrum(background: Background, box: int):
     """Energies of all integer charges with entries in [-box, box], sorted by
     energy with charge tuples breaking ties."""
-    if box < 0:
-        raise DomainError("box must be nonnegative")
     n = background.n
-    rng = range(-box, box + 1)
-    grids = np.meshgrid(*([list(rng)] * (2 * n)), indexing="ij")
-    charges = np.stack([g.reshape(-1) for g in grids], axis=1)
-    rows = []
-    for row in charges:
-        m, w = row[:n], row[n:]
-        rows.append((narain_energy(background, m, w), tuple(m), tuple(w)))
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    return rows
+    charges = charge_box(n, box)
+    energies = narain_energies(background, charges)
+    # lexsort's last key is the primary one: energy, then m, then w.
+    order = np.lexsort(tuple(charges[:, ::-1].T) + (energies,))
+    return [
+        (float(energies[i]), tuple(charges[i, :n].tolist()), tuple(charges[i, n:].tolist()))
+        for i in order
+    ]
 
 
 def dual_metric(background: Background) -> np.ndarray:

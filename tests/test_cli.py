@@ -1,5 +1,6 @@
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -185,3 +186,85 @@ def test_parser_knows_both_commands():
     assert args.format == "csv"
     args = parser.parse_args(["selftest", "--tol-scale", "2.0"])
     assert args.tol_scale == 2.0
+
+
+def test_large_charge_box_exits_1_quickly(tmp_path, capsys):
+    scenario = load("duality.json")
+    scenario["params"]["box"] = 1000
+    scenario["params"]["metric"] = [[1.0, 0.0], [0.0, 1.0]]
+    scenario["params"]["coupling"] = [[0.0, 0.0], [0.0, 0.0]]
+    scenario["params"]["generator"] = {"kind": "swap"}
+    del scenario["params"]["substitution"]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(scenario))
+    start = time.perf_counter()
+    assert entry(["run", str(path)]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "exceeds the budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, path, value",
+    [
+        ("distance.json", ("expected",), float("nan")),
+        ("distance.json", ("tolerance",), float("inf")),
+        ("distance.json", ("lambda",), [float("-inf"), 0.0]),
+        ("duality.json", ("metric",), [[float("nan")]]),
+        ("nctorus.json", ("landau_expect",), float("nan")),
+        ("decohere.json", ("times", "stop"), float("inf")),
+        ("decohere.json", ("leakage_cap",), 10**400),
+    ],
+)
+def test_non_finite_number_exits_1(name, path, value, tmp_path, capsys):
+    scenario = load(name)
+    target = scenario["params"]
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(scenario))
+    assert entry(["run", str(bad)]) == 1
+    assert "must be finite" in capsys.readouterr().err
+
+
+def test_non_finite_tol_scale_exits_1(tmp_path, capsys):
+    good = tmp_path / "scenario.json"
+    good.write_text(json.dumps(load("distance.json")))
+    assert entry(["run", str(good), "--tol-scale", "nan"]) == 1
+    assert entry(["selftest", "--tol-scale", "inf"]) == 1
+    assert "must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, path",
+    [
+        ("distance.json", ("expectd",)),
+        ("symmetrize.json", ("Lamda",)),
+        ("dfs.json", ("level",)),
+        ("decohere.json", ("leakage_cpa",)),
+        ("duality.json", ("boxx",)),
+        ("nctorus.json", ("landau_exp",)),
+        ("decohere.json", ("times", "stpe")),
+        ("duality.json", ("substitution", "nmax")),
+        ("duality.json", ("generator", "direction")),
+    ],
+)
+def test_unknown_key_is_rejected(name, path, tmp_path, capsys):
+    scenario = load(name)
+    target = scenario["params"]
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = 1
+    with pytest.raises(UsageError, match=f"unknown .*key\\(s\\): {path[-1]}$"):
+        run_scenario(scenario)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(scenario))
+    assert entry(["run", str(bad)]) == 1
+    assert path[-1] in capsys.readouterr().err
+
+
+def test_generator_keys_depend_on_the_kind():
+    scenario = load("duality.json")
+    scenario["params"]["generator"] = {"kind": "swap", "theta": [[0]]}
+    with pytest.raises(UsageError, match="unknown swap generator key"):
+        run_scenario(scenario)

@@ -2,27 +2,34 @@ import numpy as np
 import pytest
 
 from dfslab import (
+    CHARGE_BUDGET,
     Background,
+    BudgetError,
     ChargeVector,
     DomainError,
     ONNElement,
     ShapeError,
     UsageError,
     basis_change,
+    charge_box,
     charge_matrix,
     coupling_shift,
     coupling_swap,
     dual_metric,
     factorized_inversion,
     identity_element,
+    max_energy_shift,
+    narain_energies,
     narain_energy,
     narain_spectrum,
     normal_modes,
     onn_apply,
     onn_generators,
     pairing_matrix,
+    transform_charge_stack,
     transform_charges,
 )
+from dfslab import acceptance, cli, duality
 
 ACTION_TOL = 1e-12
 
@@ -212,6 +219,129 @@ def test_narain_spectrum_shape_and_order():
     energies = [r[0] for r in rows]
     assert energies == sorted(energies)
     assert rows[0] == (0.0, (0,), (0,))
+
+
+def _random_background(rng, n):
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    eta = (q * rng.uniform(0.3, 3.0, size=n)) @ q.T
+    u = np.triu(rng.normal(size=(n, n)), k=1)
+    return Background(0.5 * (eta + eta.T), u - u.T)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_narain_energies_match_the_closed_form(n):
+    """1/2 s^T eta^-1 s + 1/2 w^T eta w with s = m + xi w, row by row with
+    an explicit inverse, on random backgrounds."""
+    rng = np.random.default_rng(50 + n)
+    for _ in range(5):
+        bg = _random_background(rng, n)
+        charges = rng.integers(-4, 5, size=(40, 2 * n))
+        charges[0] = 0
+        got = narain_energies(bg, charges)
+        eta_inv = np.linalg.inv(bg.metric)
+        for row, value in zip(charges, got):
+            m, w = row[:n].astype(float), row[n:].astype(float)
+            s = m + bg.coupling @ w
+            expected = 0.5 * s @ eta_inv @ s + 0.5 * w @ bg.metric @ w
+            assert abs(value - expected) <= 1e-12 * abs(expected)
+        assert got[0] == 0.0
+
+
+def test_narain_energy_is_one_row_of_the_stack():
+    bg = Background(np.array([[1.0, 0.3], [0.3, 2.0]]), np.array([[0.0, 0.7], [-0.7, 0.0]]))
+    charges = charge_box(2, 1)
+    stacked = narain_energies(bg, charges)
+    single = [narain_energy(bg, row[:2], row[2:]) for row in charges]
+    # Same formula; LAPACK may round a one-column solve differently.
+    assert np.allclose(stacked, single, rtol=1e-14, atol=0.0)
+
+
+def test_narain_energies_rejects_a_wrong_width():
+    bg = Background(np.eye(2), np.zeros((2, 2)))
+    with pytest.raises(ShapeError):
+        narain_energies(bg, np.zeros((3, 3), dtype=np.int64))
+    with pytest.raises(ShapeError):
+        narain_energies(bg, np.zeros(4, dtype=np.int64))
+
+
+@pytest.mark.parametrize("n, box", [(1, 0), (1, 3), (2, 1), (2, 2), (3, 1)])
+def test_charge_box_holds_every_charge_once(n, box):
+    charges = charge_box(n, box)
+    assert charges.shape == ((2 * box + 1) ** (2 * n), 2 * n)
+    assert charges.dtype == np.int64
+    assert len(np.unique(charges, axis=0)) == charges.shape[0]
+    assert charges.min(initial=0) >= -box and charges.max(initial=0) <= box
+
+
+def test_charge_box_budget_is_checked_before_allocating():
+    with pytest.raises(BudgetError):
+        charge_box(2, 1000)
+    with pytest.raises(BudgetError):
+        charge_box(4, 10**12)
+    side = int(CHARGE_BUDGET ** 0.25)
+    assert charge_box(2, (side - 1) // 2).shape[0] <= CHARGE_BUDGET
+    with pytest.raises(DomainError):
+        charge_box(1, -1)
+    with pytest.raises(TypeError):
+        charge_box(1, 1.5)
+
+
+def test_charge_stack_map_matches_the_single_charge_map():
+    charges = charge_box(2, 2)
+    for gen in onn_generators(2) + [coupling_shift(np.array([[0, 3], [-3, 0]]))]:
+        moved = transform_charge_stack(gen, charges)
+        rho = charge_matrix(gen)
+        assert np.array_equal(moved, np.array([rho @ row for row in charges]))
+        out = transform_charges(gen, ChargeVector(charges[7, :2], charges[7, 2:]))
+        assert np.array_equal(np.concatenate([out.m, out.w]), moved[7])
+
+
+def test_narain_spectrum_order_is_energy_then_charges():
+    bg = Background(np.array([[1.0, 0.0], [0.0, 1.0]]), np.zeros((2, 2)))
+    rows = narain_spectrum(bg, 1)
+    assert rows == sorted(rows, key=lambda r: (r[0], r[1], r[2]))
+    assert rows[0] == (0.0, (0, 0), (0, 0))
+    # Degenerate energies: the tie-break by charge tuples decides.
+    first_level = [r for r in rows if r[0] == rows[1][0]]
+    assert [r[1:] for r in first_level] == sorted(r[1:] for r in first_level)
+    assert len(first_level) > 1
+    assert all(isinstance(r[0], float) for r in rows)
+
+
+def _transposed_charge_map(monkeypatch):
+    original = duality.charge_matrix
+    monkeypatch.setattr(duality, "charge_matrix", lambda element: original(element).T)
+
+
+def test_criterion_11_catches_a_wrong_charge_map(monkeypatch):
+    assert acceptance.criterion_11().passed
+    _transposed_charge_map(monkeypatch)
+    assert not acceptance.criterion_11().passed
+
+
+def test_duality_scenario_catches_a_wrong_charge_map(monkeypatch):
+    scenario = {
+        "schema_version": 1,
+        "kind": "duality",
+        "params": {
+            "metric": [[1.0, 0.3], [0.3, 2.0]],
+            "coupling": [[0.0, 0.7], [-0.7, 0.0]],
+            "box": 2,
+            "generator": {"kind": "shift", "theta": [[0, 1], [-1, 0]]},
+        },
+    }
+    assert cli.run_scenario(scenario)["pass"]
+    _transposed_charge_map(monkeypatch)
+    report = cli.run_scenario(scenario)
+    (check,) = report["checks"]
+    assert check["name"] == "narain-energy-invariance" and not check["pass"]
+
+
+def test_max_energy_shift_is_roundoff_for_every_generator():
+    bg = Background(np.array([[1.0, 0.3], [0.3, 2.0]]), np.array([[0.0, 0.7], [-0.7, 0.0]]))
+    charges = charge_box(2, 2)
+    for gen in onn_generators(2):
+        assert max_energy_shift(gen, bg, charges) < 1e-12
 
 
 def test_spectrum_invariant_under_box_preserving_generators():
