@@ -45,7 +45,6 @@ from .states import (
 )
 from .spectral import (
     DistanceResult,
-    SolverOptions,
     SpectralTriple,
     connes_distance,
     make_diagonal_triple,

@@ -40,7 +40,7 @@ from .fock import (
 from .nctorus import FluxMatrix, antisymmetrize_coupling, clock_shift_rep, weyl_residual
 from .opcore import Operator, SubspaceBasis, commutant_basis, commutator, operator_norm
 from .reporting import canonical_json
-from .spectral import connes_distance, make_diagonal_triple, make_two_point_triple
+from .spectral import GAP_TOL, connes_distance, make_diagonal_triple, make_two_point_triple
 from .states import DensityMatrix, StateFunctional, encode_two_point, pure_state
 from .symmetry import close_group, invariant_projector, joint_kernel, symmetrize_operator
 
@@ -74,9 +74,12 @@ def _diag_state(p: np.ndarray) -> StateFunctional:
 
 
 def criterion_1(tol_scale: float = 1.0) -> CriterionResult:
-    """Two-point distances against the closed form 1/|lambda|."""
+    """Two-point distances against the closed form 1/|lambda|, each with a
+    certified duality gap."""
     tol = 1e-6 * tol_scale
     worst = 0.0
+    worst_gap = -math.inf
+    certified = True
     slowest = 0.0
     rows = []
     for lam in (1.0, 2.0j, 0.5 + 0.5j):
@@ -88,18 +91,36 @@ def criterion_1(tol_scale: float = 1.0) -> CriterionResult:
         elapsed = time.perf_counter() - t0
         err = abs(res.value - 1.0 / abs(lam))
         worst = max(worst, err)
+        worst_gap = max(worst_gap, res.gap)
+        certified = certified and res.certified
         slowest = max(slowest, elapsed)
-        rows.append({"lambda": complex(lam), "distance": res.value, "error": err, "seconds": elapsed})
+        rows.append(
+            {
+                "lambda": complex(lam),
+                "distance": res.value,
+                "upper_bound": res.upper_bound,
+                "error": err,
+                "seconds": elapsed,
+            }
+        )
     quick = slowest < 1.0
-    passed = worst <= tol and quick
+    passed = worst <= tol and certified and quick
     # Details must not carry wall-clock numbers: they land in the canonical
     # selftest output, which has to be byte-stable across runs.
     return CriterionResult(
         1,
         "two-point-distance",
         passed,
-        f"max error {worst:.3e} (tol {tol:.1e}); every solve under 1s: {quick}",
-        {"max_error": worst, "tolerance": tol, "slowest_seconds": slowest, "cases": rows},
+        f"max error {worst:.3e} (tol {tol:.1e}); max relative duality gap {worst_gap:.1e} "
+        f"(tol {GAP_TOL:.0e}), certified: {certified}; every solve under 1s: {quick}",
+        {
+            "max_error": worst,
+            "tolerance": tol,
+            "max_duality_gap": worst_gap,
+            "gap_tolerance": GAP_TOL,
+            "slowest_seconds": slowest,
+            "cases": rows,
+        },
     )
 
 
@@ -124,15 +145,15 @@ def _oracle_distance(g: np.ndarray, comms: np.ndarray, rng: np.random.Generator)
     k = g.shape[0]
     samples = rng.normal(size=(ORACLE_SAMPLES, k))
     mats = np.tensordot(samples, comms, axes=(1, 0))
-    norms = np.linalg.svd(mats, compute_uv=False)[:, 0]
+    # Each commutator is anti-Hermitian, so its norm is the largest |eigenvalue| of i M.
+    norms = np.abs(np.linalg.eigvalsh(1j * mats)).max(axis=-1)
     ok = norms > 1e-12
     objective = np.abs(samples[ok] @ g) / norms[ok]
     best = samples[ok][int(np.argmax(objective))].copy()
 
     def value(c: np.ndarray) -> float:
         m = np.tensordot(c, comms, axes=(1 if c.ndim > 1 else 0, 0))
-        h = np.linalg.svd(m, compute_uv=False)
-        h = h[0] if c.ndim == 1 else h[..., 0]
+        h = np.abs(np.linalg.eigvalsh(1j * m)).max(axis=-1)
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.abs(c @ g) / h if c.ndim == 1 else np.where(h > 1e-12, np.abs(c @ g) / h, 0.0)
 
@@ -152,16 +173,21 @@ def _oracle_distance(g: np.ndarray, comms: np.ndarray, rng: np.random.Generator)
 
 
 def criterion_2(tol_scale: float = 1.0) -> CriterionResult:
-    """Solver against a random-search oracle on three-point triples."""
+    """Solver against a random-search oracle on three-point triples, each
+    solve with a certified duality gap."""
     tol = 1e-3 * tol_scale
     rng = _rng(2002)
     worst = 0.0
+    worst_gap = -math.inf
+    certified = True
     for _ in range(25):
         dirac = _random_offdiag_dirac(rng, 3)
         triple = make_diagonal_triple(3, Operator(dirac))
         p = rng.dirichlet(np.ones(3))
         q = rng.dirichlet(np.ones(3))
         res = connes_distance(triple, _diag_state(p), _diag_state(q))
+        worst_gap = max(worst_gap, res.gap)
+        certified = certified and res.certified
 
         basis_mats = [b.mat for b in triple.algebra_basis.matrices()]
         g = np.array(
@@ -170,13 +196,20 @@ def criterion_2(tol_scale: float = 1.0) -> CriterionResult:
         comms = np.stack([(dirac @ b - b @ dirac) for b in basis_mats])
         oracle = _oracle_distance(g, comms, rng)
         worst = max(worst, abs(res.value - oracle))
-    passed = worst <= tol
+    passed = worst <= tol and certified
     return CriterionResult(
         2,
         "three-point-oracle",
         passed,
-        f"max solver/oracle gap {worst:.3e} over 25 triples (tol {tol:.1e})",
-        {"max_gap": worst, "tolerance": tol, "triples": 25},
+        f"max solver/oracle gap {worst:.3e} over 25 triples (tol {tol:.1e}); "
+        f"max relative duality gap {worst_gap:.1e} (tol {GAP_TOL:.0e}), certified: {certified}",
+        {
+            "max_gap": worst,
+            "tolerance": tol,
+            "max_duality_gap": worst_gap,
+            "gap_tolerance": GAP_TOL,
+            "triples": 25,
+        },
     )
 
 

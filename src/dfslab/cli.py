@@ -31,13 +31,16 @@ from .fock import build_decoherence_model, build_string_model, dfs_from_dirac, d
 from .nctorus import FluxMatrix, clock_shift_rep, landau_hamiltonian, weyl_residual
 from .opcore import Operator, SubspaceBasis, operator_norm
 from .reporting import canonical_json
-from .spectral import connes_distance, make_diagonal_triple, make_two_point_triple
+from .spectral import GAP_TOL, connes_distance, make_diagonal_triple, make_two_point_triple
 from .states import DensityMatrix, StateFunctional, pure_state
 from .symmetry import close_group, invariant_projector, joint_kernel, symmetrize_operator
 
 SCHEMA_VERSION = 1
 KINDS = ("distance", "symmetrize", "dfs", "decohere", "duality", "nctorus")
 BOUNDARY_SLACK = 1e-8
+# Most time samples a decohere scenario may ask for; each costs a bare and a
+# symmetrized propagation of the state and five floats in the report.
+TIME_SAMPLE_BUDGET = 10_000
 
 
 def _fail(msg: str):
@@ -155,6 +158,7 @@ def _run_distance(params: dict, tol_scale: float):
     res = connes_distance(triple, psi, psi_prime)
     results["unbounded"] = bool(res.unbounded)
     results["distance"] = None if res.unbounded else res.value
+    results["upper_bound"] = None if res.unbounded else res.upper_bound
     results["constraint_norm"] = res.constraint_norm
     results["iterations"] = res.iterations
     if not res.unbounded:
@@ -166,6 +170,7 @@ def _run_distance(params: dict, tol_scale: float):
                 res.constraint_norm <= 1.0 + BOUNDARY_SLACK,
             )
         )
+        checks.append(_check("certified-gap", res.gap, GAP_TOL, res.certified))
     if expected is not None:
         err = abs(res.value - expected) if not res.unbounded else float("inf")
         checks.append(_check("distance-matches-expected", None if res.unbounded else err, tol, err <= tol))
@@ -234,9 +239,6 @@ def _run_dfs(params: dict, tol_scale: float):
 
 
 def _run_decohere(params: dict, tol_scale: float):
-    model = _model_from_params(params)
-    sys_dim = model.system_space.dim
-    env_dim = model.env_space.dim
     times_arg = params.get("times", {"start": 0.0, "stop": 20.0, "step": 0.5})
     if isinstance(times_arg, dict):
         _known_keys(times_arg, ("start", "stop", "step"), "times")
@@ -245,11 +247,18 @@ def _run_decohere(params: dict, tol_scale: float):
         step = _number(times_arg.get("step", 0.5), "times.step")
         if step <= 0 or stop < start:
             _fail("times must advance forward")
+        if (stop + step / 2.0 - start) / step > TIME_SAMPLE_BUDGET:
+            _fail(f"times would give more than {TIME_SAMPLE_BUDGET} samples, which exceeds the budget")
         times = np.arange(start, stop + step / 2.0, step)
     elif isinstance(times_arg, list) and times_arg:
+        if len(times_arg) > TIME_SAMPLE_BUDGET:
+            _fail(f"times lists {len(times_arg)} samples, which exceeds the budget of {TIME_SAMPLE_BUDGET}")
         times = np.array([_number(t, "times[]") for t in times_arg])
     else:
         _fail("times must be a {start, stop, step} object or a list")
+    model = _model_from_params(params)
+    sys_dim = model.system_space.dim
+    env_dim = model.env_space.dim
     amps = params.get("superposition", [1.0, 1.0])
     if not (isinstance(amps, list) and 0 < len(amps) <= sys_dim):
         _fail("superposition must list at most one amplitude per system level")

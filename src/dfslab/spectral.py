@@ -15,13 +15,16 @@ Hermitian algebra basis {B_k} and real coefficients c the problem becomes
 
 a linear objective over a convex set.  h is a seminorm; directions in its
 kernel with nonzero objective make the distance unbounded and are reported as
-such rather than raised.
+such rather than raised.  With D Hermitian, H_k = i [D, B_k] is Hermitian and
+the constraint is -I <= M(c) = sum_k c_k H_k <= I.  Every Z with
+Re Tr(H_k Z) = g_k bounds the distance: g . c = Re Tr(M(c) Z) <= ||M(c)|| ||Z||_*
+(Iochum, Krajewski & Martinetti, J. Geom. Phys. 37 (2001)).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,13 +43,21 @@ from .states import StateFunctional
 # this fraction of ||D||.
 COMMUTANT_FRACTION = 1e-10
 UNBOUNDED_OBJECTIVE_TOL = 1e-9
-RELATIVE_STOP = 1e-10
+# The solve stops once (upper_bound - value) <= GAP_TOL * value.  Weak
+# duality gives upper_bound >= value; at an exact optimum roundoff in the two
+# norms can put the computed bound up to DUALITY_ROUNDOFF (relative) below.
+GAP_TOL = 1e-9
+DUALITY_ROUNDOFF = 1e-14
+# Interior-point steps: the share of the way to the cone boundary a step may
+# go, and the number of Newton steps before the solve gives up certifying.
+STEP_FRACTION = 0.95
+MAX_NEWTON = 100
 
 
 @dataclass(frozen=True)
 class SpectralTriple:
     """Finite-dimensional spectral data: a Hermitian operator algebra spanned
-    by ``algebra_basis`` and a Dirac operator on the same space."""
+    by ``algebra_basis`` and a Hermitian Dirac operator on the same space."""
 
     hilbert_dim: int
     algebra_basis: SubspaceBasis
@@ -55,6 +66,8 @@ class SpectralTriple:
     def __post_init__(self):
         if self.dirac.dim != self.hilbert_dim:
             raise ShapeError("Dirac operator does not act on the stated space")
+        if not self.dirac.is_hermitian():
+            raise DomainError("Dirac operator must be Hermitian")
         if self.algebra_basis.kind != OPERATOR_SPACE:
             raise UsageError("algebra basis must be an operator-space basis")
         if self.algebra_basis.ambient_dim != self.hilbert_dim ** 2:
@@ -65,26 +78,31 @@ class SpectralTriple:
 
 
 @dataclass(frozen=True)
-class SolverOptions:
-    tol: float = 1e-6
-    restarts: int = 8
-    max_iter: int = 400
-    polish_iter: int = 3000
-    armijo_shrink: float = 0.5
-    armijo_slope: float = 1e-4
-
-
-@dataclass(frozen=True)
 class DistanceResult:
+    """``value`` is attained by ``maximizer``; ``dual`` is a matrix Z with
+    Re Tr(i [D, B_k] Z) = g_k, so ``upper_bound`` = ||Z||_* bounds the
+    distance from above.  ``iterations`` counts Newton steps."""
+
     value: float
     maximizer: Operator
     constraint_norm: float
     unbounded: bool = False
     iterations: int = 0
+    upper_bound: float = 0.0
+    dual: Operator | None = None
 
     def __post_init__(self):
         if not self.unbounded and self.constraint_norm > 1.0 + 1e-8:
             raise DomainError("maximizer violates the commutator constraint")
+
+    @property
+    def gap(self) -> float:
+        """Relative duality gap (upper_bound - value) / value; 0 for distance 0."""
+        return (self.upper_bound - self.value) / self.value if self.value else self.upper_bound
+
+    @property
+    def certified(self) -> bool:
+        return -DUALITY_ROUNDOFF <= self.gap <= GAP_TOL
 
 
 def make_two_point_triple(lam: complex) -> SpectralTriple:
@@ -103,8 +121,6 @@ def make_diagonal_triple(n: int, dirac: Operator) -> SpectralTriple:
     """n-point space: real diagonal algebra with a supplied Hermitian Dirac."""
     if dirac.dim != n:
         raise ShapeError(f"Dirac dimension {dirac.dim} does not match {n} points")
-    if not dirac.is_hermitian():
-        raise DomainError("Dirac operator must be Hermitian here")
     rows = np.zeros((n, n * n), dtype=np.complex128)
     for i in range(n):
         rows[i, i * n + i] = 1.0
@@ -117,51 +133,94 @@ def _seminorm_data(triple: SpectralTriple):
     return basis_mats, commutators
 
 
-def _sigma_max_with_vectors(m: np.ndarray):
-    u, s, vh = np.linalg.svd(m)
-    return float(s[0]), u[:, 0], vh[0].conj()
-
-
 def _h(commutators: np.ndarray, c: np.ndarray) -> float:
     return float(np.linalg.norm(np.tensordot(c, commutators, axes=1), 2))
 
 
-def _h_grad(commutators: np.ndarray, c: np.ndarray):
-    m = np.tensordot(c, commutators, axes=1)
-    val, u, v = _sigma_max_with_vectors(m)
-    grad = np.real(np.einsum("i,kij,j->k", u.conj(), commutators, v))
-    return val, grad
+def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
+    """Largest alpha in (0, 1] with every block of x + alpha dx positive
+    semidefinite, for a stack x of positive definite blocks."""
+    li = np.linalg.inv(np.linalg.cholesky(x))
+    low = float(np.linalg.eigvalsh(li @ dx @ li.conj().transpose(0, 2, 1)).min())
+    return min(1.0, -1.0 / low) if low < 0 else 1.0
+
+
+def _newton_steps(hs: np.ndarray, b: np.ndarray):
+    """Primal-dual interior-point iterates (Mehrotra predictor-corrector on
+    the HKM direction; Helmberg, Rendl, Vanderbei & Wolkowicz, SIAM J. Optim.
+    6 (1996)) for the pair, with Frobenius-orthonormal Hermitian ``hs``,
+
+        max b . w   s.t.  S = (I - M(w), I + M(w)) >= 0,  M(w) = sum_j w_j hs[j]
+        min Tr(X1 + X2)   s.t.  Tr(hs[j] (X1 - X2)) = b_j,  X1, X2 >= 0.
+
+    Yields (w, X1 - X2): first the feasible pair (b, z0 = sum_j b_j hs[j]),
+    then the iterate after each Newton step from w = 0, X1 - X2 = z0.
+    """
+    n = hs.shape[1]
+    eye = np.eye(n)
+    # A_j = diag(hs[j], -hs[j]) as a stack of its two blocks, shape (2, m, n, n).
+    ahs = np.stack([hs, -hs])
+    z0 = np.tensordot(b, hs, axes=1)
+    yield b, z0
+    ev, vec = np.linalg.eigh(z0)
+    x = np.stack([(vec * (np.maximum(sign * ev, 0.0) + 1.0)) @ vec.conj().T for sign in (1.0, -1.0)])
+    w = np.zeros(b.size)
+
+    def inner(y):  # <A_j, y> for a block stack y
+        return np.einsum("bjac,bca->j", ahs, y).real
+
+    for _ in range(MAX_NEWTON):
+        s = eye - np.tensordot(w, ahs, axes=(0, 1))
+        try:
+            sinv = np.linalg.inv(s)
+            xs = x @ s
+            mu = np.vdot(s, x).real / (2 * n)
+            schur = np.einsum("biac,bjca->ij", ahs, x[:, None] @ ahs @ sinv[:, None]).real
+            rp = b - inner(x)
+
+            def direction(rc):
+                dw = np.linalg.solve(schur, rp - inner(rc @ sinv))
+                ds = -np.tensordot(dw, ahs, axes=(0, 1))
+                dx = (rc - x @ ds) @ sinv
+                return dw, ds, 0.5 * (dx + dx.conj().transpose(0, 2, 1))
+
+            _, ds, dx = direction(-xs)
+            ap, ad = _max_step(x, dx), _max_step(s, ds)
+            sigma = (np.vdot(s + ad * ds, x + ap * dx).real / (2 * n * mu)) ** 3
+            dw, ds, dx = direction(sigma * mu * eye - xs - dx @ ds)
+            ap = STEP_FRACTION * _max_step(x, dx)
+            ad = STEP_FRACTION * _max_step(s, ds)
+        except np.linalg.LinAlgError:
+            return
+        x = x + ap * dx
+        w = w + ad * dw
+        yield w, x[0] - x[1]
 
 
 def connes_distance(
     triple: SpectralTriple,
     psi: StateFunctional,
     psi_prime: StateFunctional,
-    opts: SolverOptions = SolverOptions(),
 ) -> DistanceResult:
-    """Distance between two states by projected supergradient ascent.
+    """Distance between two states, certified by a dual bound.
 
-    Deterministic multi-restart: seeds are the objective direction followed by
-    coordinate directions, ties between restarts resolved by lowest index.
-    After the ascent phase the best point is polished by a diminishing-step
-    subgradient pass on the equivalent convex program
-    minimize h(c) over {g . c = 1}.
+    On the orthogonal complement of the seminorm kernel the coefficients are
+    changed so that the H_j are Frobenius-orthonormal, and the interior-point
+    method runs until the attained value and ||Z||_* agree to ``GAP_TOL``.
     """
     if psi.rho.dim != triple.hilbert_dim or psi_prime.rho.dim != triple.hilbert_dim:
         raise ShapeError("states do not act on the triple's Hilbert space")
     basis_mats, commutators = _seminorm_data(triple)
     k = len(basis_mats)
+    zero = Operator.zeros(triple.hilbert_dim)
     delta = psi.rho.op.mat - psi_prime.rho.op.mat
     g = np.array([np.real(np.trace(b @ delta)) for b in basis_mats])
 
     def build(c: np.ndarray) -> Operator:
-        total = np.zeros((triple.hilbert_dim,) * 2, dtype=np.complex128)
-        for ck, b in zip(c, basis_mats):
-            total += ck * b
-        return Operator(total)
+        return Operator(np.tensordot(c, basis_mats, axes=1))
 
     if float(np.abs(g).max(initial=0.0)) == 0.0:
-        return DistanceResult(0.0, Operator.zeros(triple.hilbert_dim), 0.0)
+        return DistanceResult(0.0, zero, 0.0, dual=zero)
 
     # Split off the seminorm kernel: flatten the real-linear map c -> [D, A(c)].
     dnorm = operator_norm(triple.dirac)
@@ -176,112 +235,38 @@ def connes_distance(
         if abs(float(g @ row)) > UNBOUNDED_OBJECTIVE_TOL:
             direction = build(row if g @ row > 0 else -row)
             return DistanceResult(
-                math.inf,
-                direction,
-                _h(commutators, row),
-                unbounded=True,
+                math.inf, direction, _h(commutators, row), unbounded=True, upper_bound=math.inf
             )
+    complement = np.eye(k)
     if genuine:
         kermat = np.array(genuine)
-        proj = np.eye(k) - kermat.T @ kermat
-
-        def feasible(c):
-            return proj @ c
-    else:
-        def feasible(c):
-            return c
-
-    g = feasible(g)
+        g = g - kermat.T @ (kermat @ g)
+        complement = np.linalg.svd(kermat)[2][len(genuine):]
     if float(np.linalg.norm(g)) <= 1e-14:
-        return DistanceResult(0.0, Operator.zeros(triple.hilbert_dim), 0.0)
+        return DistanceResult(0.0, zero, 0.0, dual=zero)
 
-    seeds = [g / np.linalg.norm(g)]
-    for i in range(k):
-        e = np.zeros(k)
-        e[i] = 1.0
-        seeds.append(e)
-    seeds = seeds[: opts.restarts]
+    # Coefficients c = T w make the H_j = sum_k T_kj H_k Frobenius-orthonormal.
+    _, sigma, vt = np.linalg.svd(stacked @ complement.T, full_matrices=False)
+    t = complement.T @ (vt.T / sigma)
+    herm = 1j * commutators
+    hs = np.tensordot(t.T, herm, axes=1)
+    hs = 0.5 * (hs + hs.conj().transpose(0, 2, 1))  # D is Hermitian only to HERMITICITY_TOL
+    b = t.T @ g
+    scale = float(np.linalg.norm(b))
 
-    best_val = 0.0
-    best_c = None
-    total_iters = 0
-
-    def ratio(c):
-        h = _h(commutators, c)
-        return (float(g @ c) / h, h) if h > 1e-14 else (-math.inf, h)
-
-    for seed in seeds:
-        c = feasible(seed.astype(float))
-        if float(np.linalg.norm(c)) < 1e-12:
-            continue
-        if g @ c < 0:
-            c = -c
-        if abs(g @ c) < 1e-14:
-            c = c + 1e-3 * g
-        val, h = ratio(c)
-        if not math.isfinite(val):
-            continue
-        step = 1.0
-        for _ in range(opts.max_iter):
-            total_iters += 1
-            hval, hgrad = _h_grad(commutators, c)
-            grad = feasible((g - val * hgrad) / hval)
-            gn2 = float(grad @ grad)
-            if gn2 <= 1e-24:
-                break
-            t = step
-            improved = False
-            while t > 1e-12:
-                cand = c + t * grad
-                cand_val, _ = ratio(cand)
-                if cand_val >= val + opts.armijo_slope * t * gn2:
-                    improved = True
-                    break
-                t *= opts.armijo_shrink
-            if not improved:
-                break
-            step = min(1.0, t / opts.armijo_shrink)
-            new_val, _ = ratio(cand)
-            c = cand
-            if new_val <= val * (1 + RELATIVE_STOP) and new_val >= val:
-                val = new_val
-                break
-            val = new_val
-        if val > best_val:
-            best_val = val
-            best_c = c
-
-    if best_c is None or best_val <= 0:
-        return DistanceResult(0.0, Operator.zeros(triple.hilbert_dim), 0.0)
-
-    # Polish on the convex form: minimize h over the affine slice g.c = 1.
-    c = best_c / float(g @ best_c)
-    gunit = g / float(np.linalg.norm(g))
-    h_best = _h(commutators, c)
-    c_best = c.copy()
-    radius = 0.5 * float(np.linalg.norm(c))
-    for it in range(opts.polish_iter):
-        hval, hgrad = _h_grad(commutators, c)
-        if hval < h_best:
-            h_best, c_best = hval, c.copy()
-        s = feasible(hgrad)
-        s = s - (s @ gunit) * gunit
-        ns = float(np.linalg.norm(s))
-        if ns <= 1e-14:
+    for iterations, (w, zhat) in enumerate(_newton_steps(hs, b / scale)):
+        c = t @ w
+        hval = _h(commutators, c)
+        value = float(g @ c) / hval
+        # Least-norm correction along the H_k^dagger makes Re Tr(H_k Z) = g_k.
+        z = scale * zhat
+        resid = g - np.einsum("kab,ba->k", herm, z).real
+        z = z + np.tensordot(t @ (t.T @ resid), herm.conj().transpose(0, 2, 1), axes=1)
+        upper = float(np.linalg.svd(z, compute_uv=False).sum())
+        if upper - value <= GAP_TOL * value:
             break
-        c = c - (radius / math.sqrt(it + 1.0)) * s / ns
-        total_iters += 1
-    hval = _h(commutators, c)
-    if hval < h_best:
-        h_best, c_best = hval, c
-
-    value = 1.0 / h_best
-    c_star = c_best / h_best
-    maximizer = build(c_star)
+    maximizer = build(c / hval)
     final_norm = float(operator_norm(commutator(triple.dirac, maximizer)))
-    if final_norm > 1.0 + 1e-10:
-        c_star = c_star / final_norm
-        maximizer = build(c_star)
-        value = float(g @ c_star)
-        final_norm = float(operator_norm(commutator(triple.dirac, maximizer)))
-    return DistanceResult(value, maximizer, final_norm, iterations=total_iters)
+    return DistanceResult(
+        value, maximizer, final_norm, iterations=iterations, upper_bound=upper, dual=Operator(z)
+    )

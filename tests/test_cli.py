@@ -203,6 +203,26 @@ def test_large_charge_box_exits_1_quickly(tmp_path, capsys):
     assert "exceeds the budget" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize(
+    "times",
+    [
+        {"start": 0, "stop": 1e30, "step": 0.5},
+        {"start": 0, "stop": 1.0, "step": 1e-300},
+        {"start": -1e308, "stop": 1e308, "step": 1.0},
+        [0.0] * 10_001,
+    ],
+)
+def test_time_sample_budget_exits_1_quickly(tmp_path, capsys, times):
+    scenario = load("decohere.json")
+    scenario["params"]["times"] = times
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps(scenario))
+    start = time.perf_counter()
+    assert entry(["run", str(path)]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "exceeds the budget" in capsys.readouterr().err
+
 @pytest.mark.parametrize(
     "name, path, value",
     [

@@ -7,12 +7,13 @@ from dfslab import (
     DensityMatrix,
     DomainError,
     Operator,
-    SolverOptions,
+    SpectralTriple,
     StateFunctional,
     connes_distance,
     make_diagonal_triple,
     make_two_point_triple,
 )
+from dfslab.spectral import DUALITY_ROUNDOFF, GAP_TOL
 
 DIST_TOL = 1e-6
 
@@ -150,8 +151,111 @@ def test_maximizer_achieves_value():
     assert attained == pytest.approx(res.value, abs=1e-8)
 
 
-def test_solver_options_tighten_iterations():
-    opts = SolverOptions(restarts=2, max_iter=50, polish_iter=100)
-    triple = make_two_point_triple(1.0)
-    res = connes_distance(triple, point_state(2, 0), point_state(2, 1), opts)
-    assert abs(res.value - 1.0) < 1e-4
+def offdiag_dirac(rng, n):
+    """Dense Hermitian Dirac with off-diagonal magnitudes in [0.3, 1.3), drawn
+    as perfbench/workloads.npoint_op draws it."""
+    mag = rng.uniform(0.3, 1.3, size=(n, n))
+    phase = np.exp(2j * np.pi * rng.uniform(size=(n, n)))
+    d = np.triu(mag * phase, k=1)
+    return d + d.conj().T
+
+
+def path_dirac(rng, n):
+    d = np.zeros((n, n), dtype=complex)
+    for i in range(n - 1):
+        d[i, i + 1] = rng.uniform(0.3, 1.3) * np.exp(2j * np.pi * rng.uniform())
+        d[i + 1, i] = np.conj(d[i, i + 1])
+    return d
+
+
+def attained(dirac, p, q, res):
+    """g . A / ||[D, A]|| for the returned maximizer A, computed here."""
+    a = res.maximizer.mat
+    objective = float(np.real(np.trace(a @ np.diag(p - q))))
+    return objective / float(np.linalg.norm(dirac @ a - a @ dirac, 2))
+
+
+def assert_certified(dirac, p, q, res):
+    assert not res.unbounded
+    assert res.value == pytest.approx(attained(dirac, p, q, res), rel=1e-12)
+    assert res.upper_bound - res.value >= -DUALITY_ROUNDOFF * res.value
+    assert res.upper_bound - res.value <= GAP_TOL * res.value
+    assert res.certified
+
+
+def test_value_is_attained_on_npoint_draws():
+    """The n = 3..6 draws of the benchmark's n-point ops.  On some n = 3
+    draws (the first and the ninth) a heuristic ascent reported a value up to
+    1.2e-5 above what its own maximizer attains."""
+    rng = np.random.default_rng(7)
+    for n in range(3, 7):
+        for _ in range(20):
+            dirac = offdiag_dirac(rng, n)
+            p = rng.dirichlet(np.ones(n))
+            q = rng.dirichlet(np.ones(n))
+            res = connes_distance(make_diagonal_triple(n, Operator(dirac)), mixture(p), mixture(q))
+            assert res.value == pytest.approx(attained(dirac, p, q, res), rel=1e-12)
+
+
+def test_dual_certificate_checks_independently():
+    """Re Tr(i [D, B_k] Z) = g_k for the returned Z, and ||Z||_* is the bound."""
+    rng = np.random.default_rng(11)
+    for n, make in ((3, offdiag_dirac), (5, offdiag_dirac), (6, path_dirac)):
+        dirac = make(rng, n)
+        p = rng.dirichlet(np.ones(n))
+        q = rng.dirichlet(np.ones(n))
+        res = connes_distance(make_diagonal_triple(n, Operator(dirac)), mixture(p), mixture(q))
+        z = res.dual.mat
+        for k in range(n):
+            b = np.zeros((n, n))
+            b[k, k] = 1.0
+            h = 1j * (dirac @ b - b @ dirac)
+            assert np.real(np.trace(h @ z)) == pytest.approx(p[k] - q[k], abs=1e-12)
+        nuclear = float(np.linalg.svd(z, compute_uv=False).sum())
+        assert nuclear == pytest.approx(res.upper_bound, rel=1e-12)
+        assert res.value <= nuclear * (1 + DUALITY_ROUNDOFF)
+
+
+def test_robust_on_complete_and_path_graphs():
+    """Complete and path graphs on 2..8 points, D scaled by 1, 1e-2 and 1e2,
+    random and near-equal states: every solve is certified."""
+    rng = np.random.default_rng(2024)
+    for make in (offdiag_dirac, path_dirac):
+        for n in range(2, 9):
+            for scale in (1.0, 1e-2, 1e2):
+                dirac = scale * make(rng, n)
+                triple = make_diagonal_triple(n, Operator(dirac))
+                p = rng.dirichlet(np.ones(n))
+                r = rng.dirichlet(np.ones(n))
+                for q in (r, p + 1e-7 * (r - p)):
+                    res = connes_distance(triple, mixture(p), mixture(q))
+                    assert_certified(dirac, p, q, res)
+                    assert res.iterations <= 100
+                same = connes_distance(triple, mixture(p), mixture(p))
+                assert same.value == 0.0 and not same.unbounded
+
+
+def test_disconnected_graph_is_unbounded_at_every_scale():
+    rng = np.random.default_rng(5)
+    dirac = np.zeros((5, 5), dtype=complex)
+    dirac[:3, :3] = offdiag_dirac(rng, 3)
+    dirac[3, 4] = dirac[4, 3] = 0.7
+    for scale in (1.0, 1e-2, 1e2):
+        triple = make_diagonal_triple(5, Operator(scale * dirac))
+        res = connes_distance(triple, point_state(5, 0), point_state(5, 4))
+        assert res.unbounded and res.value == math.inf
+
+
+def test_two_point_random_lambda():
+    rng = np.random.default_rng(3)
+    for _ in range(100):
+        lam = complex(*rng.normal(size=2)) * 10.0 ** rng.uniform(-2, 2)
+        res = connes_distance(make_two_point_triple(lam), point_state(2, 0), point_state(2, 1))
+        assert abs(res.value - 1.0 / abs(lam)) <= 1e-9
+        assert res.certified
+
+
+def test_spectral_triple_rejects_non_hermitian_dirac():
+    basis = make_diagonal_triple(2, Operator(np.eye(2))).algebra_basis
+    with pytest.raises(DomainError):
+        SpectralTriple(2, basis, Operator(np.array([[0.0, 1.0], [0.0, 0.0]])))
