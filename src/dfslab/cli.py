@@ -29,7 +29,7 @@ from .dynamics import coherence_experiment
 from .errors import DfsLabError, UsageError
 from .fock import build_decoherence_model, build_string_model, dfs_from_dirac, duality_substitution, gamma_pair_norm, parity_generators
 from .nctorus import FluxMatrix, clock_shift_rep, landau_hamiltonian, weyl_residual
-from .opcore import Operator, SubspaceBasis, operator_norm
+from .opcore import Operator, SubspaceBasis, operator_norm, sector_eigh
 from .reporting import canonical_json
 from .spectral import GAP_TOL, connes_distance, make_diagonal_triple, make_two_point_triple
 from .states import DensityMatrix, StateFunctional, pure_state
@@ -389,8 +389,7 @@ def _run_nctorus(params: dict, tol_scale: float):
     if landau_n_max is not None:
         landau_n_max = _int_param(landau_n_max, "landau_n_max")
         h = landau_hamiltonian(flux, landau_n_max)
-        vals = np.linalg.eigvalsh(h.mat)
-        ground = float(vals[0])
+        ground = float(sector_eigh(h.mat, vectors=False)[0])
         results["landau_ground_level"] = ground
         expect = params.get("landau_expect")
         if expect is not None:

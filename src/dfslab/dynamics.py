@@ -1,12 +1,15 @@
 """Closed-system evolution and the coherence experiment.
 
-Evolution is exact diagonalization of the Hamiltonian, H = V diag(lambda) V^dag.
+Evolution is exact diagonalization of the Hamiltonian, H = V diag(lambda) V^dag,
+one block of its nonzero pattern at a time (``opcore.sector_eigh``).
 ``evolve`` returns the density matrix rho_t = U rho U^dag with
 U = V exp(-i lambda t) V^dag.  The coherence experiment never forms a d x d
 state: it factors rho0 = W W^dag once, moves W into each Hamiltonian's
-eigenbasis, C = V^dag W, and at every sample time takes the d x r block
-psi(t) = V (exp(-i lambda t) C), so rho_t = psi psi^dag.  Leakage and the
-reduced system state are read off psi directly.
+eigenbasis, C = V^dag W, and takes the d x r blocks
+psi(t) = V (exp(-i lambda t) C), so rho_t = psi psi^dag, for a whole chunk of
+sample times as one (n, d, r) stack.  Leakages, reduced system states, their
+density-matrix checks and their fidelities are computed on that stack, each
+as one array operation.
 """
 
 from __future__ import annotations
@@ -17,12 +20,15 @@ import numpy as np
 
 from .errors import DomainError, ShapeError, UsageError
 from .fock import DecoherenceModel, parity_generators
-from .opcore import HERMITICITY_TOL, Operator, SubspaceBasis
-from .states import DensityMatrix, _fidelity_from_root, _psd_sqrt, partial_trace
+from .opcore import HERMITICITY_TOL, Operator, SubspaceBasis, sector_eigh
+from .states import DensityMatrix, _check_states, _factor, _fidelities, partial_trace
 from .symmetry import symmetrize_factorized
 
 BOUNDS_SLACK = 1e-9
 SUPPORT_TOL = 1e-10
+# Most complex entries in one chunk of the coherence experiment's stacks:
+# the evolved blocks psi(t) and the reduced system states.
+CHUNK_ELEMENTS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -55,7 +61,7 @@ class _Propagator:
     def __init__(self, h: Operator):
         if not h.is_hermitian(HERMITICITY_TOL):
             raise DomainError("Hamiltonian must be Hermitian")
-        self.vals, self.vecs = np.linalg.eigh(h.mat)
+        self.vals, self.vecs = sector_eigh(h.mat)
 
     def advance(self, rho: np.ndarray, t: float) -> np.ndarray:
         phases = np.exp(-1.0j * self.vals * t)
@@ -100,21 +106,18 @@ def coherence_experiment(
     elif tuple(rho0.dims) != (sys_dim, env_dim):
         raise UsageError(f"initial state dims {rho0.dims} do not match ({sys_dim}, {env_dim})")
 
-    # rho0 = W W^dag over the eigenpairs above numpy's matrix_rank cutoff;
-    # a pure state gives a single column.
-    vals, vecs = np.linalg.eigh(rho0.op.mat)
-    keep = vals > vals[-1] * vals.size * np.finfo(float).eps
-    w = vecs[:, keep] * np.sqrt(vals[keep])
+    w = _factor(rho0.op.mat)
     rank = w.shape[1]
 
     p_code = code.projector().mat
 
-    def code_weight(psi: np.ndarray) -> float:
-        """Tr(P psi psi^dag) for P the projector onto code x environment vacuum."""
-        in_vacuum = psi.reshape(sys_dim, env_dim, rank)[:, 0, :]
-        return float(np.sum(np.abs(p_code @ in_vacuum) ** 2))
+    def code_weights(psi: np.ndarray) -> np.ndarray:
+        """Tr(P psi psi^dag) for each psi in the stack (n, d, r), P the
+        projector onto code x environment vacuum."""
+        in_vacuum = psi.reshape(-1, sys_dim, env_dim, rank)[:, :, 0, :]
+        return np.sum(np.abs(p_code @ in_vacuum) ** 2, axis=(1, 2))
 
-    support = code_weight(w)
+    support = float(code_weights(w[None])[0])
     if abs(support - 1.0) > SUPPORT_TOL:
         raise UsageError(
             f"initial state has weight {support:.6f} inside the protected subspace, need 1"
@@ -123,18 +126,22 @@ def coherence_experiment(
     h_full = model.h_total
     h_sym = symmetrize_factorized(h_full, parity_generators(model))
 
-    root0 = _psd_sqrt(partial_trace(rho0, keep=(0,)).op.mat)
+    w_sys = _factor(partial_trace(rho0, keep=(0,)).op.mat)
+    chunk = max(1, CHUNK_ELEMENTS // max(rho0.dim * rank, sys_dim * sys_dim))
     results = []
     for ham in (h_full, h_sym):
         prop = _Propagator(ham)
-        coeffs = prop.vecs.conj().T @ w
+        # V^dag W, without a conjugated copy of the d x d eigenvector matrix
+        coeffs = (w.conj().T @ prop.vecs).conj().T
         fids = np.empty(times.size)
         leaks = np.empty(times.size)
-        for k, t in enumerate(times):
-            psi = prop.vecs @ (np.exp(-1.0j * prop.vals * t)[:, None] * coeffs)
-            leaks[k] = 1.0 - code_weight(psi)
-            m = psi.reshape(sys_dim, env_dim * rank)
-            reduced = DensityMatrix(Operator(m @ m.conj().T), dims=(sys_dim,))
-            fids[k] = _fidelity_from_root(root0, reduced)
+        for lo in range(0, times.size, chunk):
+            ts = times[lo : lo + chunk]
+            psi = prop.vecs @ (np.exp(-1.0j * prop.vals * ts[:, None])[:, :, None] * coeffs)
+            leaks[lo : lo + chunk] = 1.0 - code_weights(psi)
+            m = psi.reshape(ts.size, sys_dim, env_dim * rank)
+            reduced = m @ m.conj().swapaxes(1, 2)
+            _check_states(reduced)
+            fids[lo : lo + chunk] = _fidelities(w_sys, reduced)
         results.append(Trajectory(times, fids, leaks))
     return results[0], results[1]

@@ -15,7 +15,13 @@ Conventions used throughout the package:
   Each matrix is first split into the connected blocks of its nonzero
   pattern (an exact split, no tolerance), and every block gets its own SVD;
   the cutoff stays relative to the largest singular value of the whole
-  matrix.
+  matrix;
+* Hermitian eigenproblems go through ``sector_eigh`` the same way: the
+  indices are split into the connected blocks of the nonzero pattern, read
+  as an undirected graph on the indices, and each block is diagonalized on
+  its own (blocks of one size in one stacked call), so a Hamiltonian that
+  conserves a quantum number costs the cube of its largest block, not of
+  its dimension.
 """
 
 from __future__ import annotations
@@ -227,26 +233,105 @@ def operator_norm(a: Operator) -> float:
     )
 
 
+def sector_eigh(mat, vectors: bool = True):
+    """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix, or of
+    a stack of them with shape (..., d, d), computed block by block.
+
+    The indices are split into the connected blocks of the nonzero pattern,
+    taken over the whole stack (an exact split, no tolerance), and the
+    blocks of one size go through one stacked ``np.linalg.eigh``
+    (``eigvalsh`` when ``vectors`` is false).  The eigenvalues are merged by
+    a stable sort, blocks laid out in the order of their smallest index;
+    eigenvector k is column k, zero outside its block.  A matrix that is one
+    block goes through the plain dense call.  Each block's eigenpairs must
+    reconstruct it to 1e-10 relative to the largest entry of its matrix.
+    Returns ``(vals, vecs)``, or ``vals`` alone when ``vectors`` is false.
+    Only the lower triangle is read, as in ``np.linalg.eigh``.
+    """
+    arr = np.asarray(mat)
+    blocks = _hermitian_blocks(np.any(arr != 0, axis=tuple(range(arr.ndim - 2))))
+    if blocks is None:
+        if not vectors:
+            return np.linalg.eigvalsh(arr)
+        vals, vecs = np.linalg.eigh(arr)
+        _check_reconstruction(arr, vals, vecs, _entry_scale(arr))
+        return vals, vecs
+    d = arr.shape[-1]
+    flat = arr.reshape(-1, d, d)
+    scale = _entry_scale(flat)[:, None]
+    vals = np.empty(flat.shape[:2])
+    solved = []
+    for slots, idx in blocks:
+        blk = flat[:, idx[:, :, None], idx[:, None, :]]
+        if vectors:
+            w, v = np.linalg.eigh(blk)
+            _check_reconstruction(blk, w, v, scale)
+            solved.append((slots, idx, v))
+        else:
+            w = np.linalg.eigvalsh(blk)
+        vals[:, slots] = w
+    order = np.argsort(vals, axis=-1, kind="stable")
+    sorted_vals = np.take_along_axis(vals, order, axis=-1).reshape(arr.shape[:-1])
+    if not vectors:
+        return sorted_vals
+    # scatter each block's eigenvectors straight into their sorted columns
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(d), axis=-1)
+    member = np.arange(flat.shape[0])[:, None, None, None]
+    vecs = np.zeros(flat.shape, dtype=np.promote_types(arr.dtype, np.float64))
+    for slots, idx, v in solved:
+        vecs[member, idx[:, :, None], rank[:, slots][:, :, None, :]] = v
+    return sorted_vals, vecs.reshape(arr.shape)
+
+
+def _entry_scale(arr: np.ndarray) -> np.ndarray:
+    """max(1, largest entry modulus) of each matrix in a stack."""
+    return np.maximum(1.0, np.abs(arr).max(axis=(-2, -1), initial=0.0))
+
+
+def _check_reconstruction(blk, vals, vecs, scale) -> None:
+    """Raise unless V diag(vals) V^dag reproduces every matrix of ``blk`` to
+    1e-10 times ``scale``, which broadcasts against the stack axes."""
+    recon = (vecs * vals[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    if np.any(np.abs(recon - blk).max(axis=(-2, -1), initial=0.0) > 1e-10 * scale):
+        raise DomainError("eigendecomposition failed to reconstruct the operator")
+
+
 def eig_hermitian(a: Operator, tol: float = HERMITICITY_TOL) -> tuple[np.ndarray, SubspaceBasis]:
-    """Eigenvalues (ascending) and eigenvectors of a Hermitian operator.
+    """Eigenvalues (ascending) and eigenvectors of a Hermitian operator,
+    block by block (``sector_eigh``).
 
     Eigenvector phases are fixed by making the first component of largest
     modulus real and positive, so repeated calls agree on one build.
     """
     if not a.is_hermitian(tol):
         raise DomainError("operator is not Hermitian within tolerance")
-    vals, vecs = np.linalg.eigh(a.mat)
-    for k in range(vecs.shape[1]):
-        col = vecs[:, k]
-        idx = int(np.argmax(np.abs(col)))
-        pivot = col[idx]
-        if np.abs(pivot) > 0:
-            vecs[:, k] = col * (np.abs(pivot) / pivot)
-    recon = (vecs * vals) @ vecs.conj().T
-    scale = max(1.0, float(np.abs(a.mat).max()))
-    if float(np.abs(recon - a.mat).max()) > 1e-10 * scale:
-        raise DomainError("eigendecomposition failed to reconstruct the operator")
+    vals, vecs = sector_eigh(a.mat)
+    pivot = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    pivot = np.where(pivot == 0, 1.0, pivot)
+    vecs *= np.abs(pivot) / pivot
     return vals, SubspaceBasis(a.dim, vecs.T, VECTOR_SPACE)
+
+
+def _components(n: int, r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Connected-component label of each of ``n`` nodes joined by the edges
+    r[k] -- c[k]; labels count from 0 in the order of each component's
+    smallest node."""
+    # label propagation over the edge list: hook the larger root of every
+    # edge onto the smaller one, then jump pointers until each label is a
+    # root; every round at least halves the number of trees in a block
+    label = np.arange(n)
+    while True:
+        lr, lc = label[r], label[c]
+        if np.array_equal(lr, lc):
+            break
+        np.minimum.at(label, np.maximum(lr, lc), np.minimum(lr, lc))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+    return np.unique(label, return_inverse=True)[1].reshape(n)
 
 
 def _sectors(arr: np.ndarray):
@@ -264,27 +349,14 @@ def _sectors(arr: np.ndarray):
     if pattern.all():
         return None
     r, c = np.nonzero(pattern)
-    c = c + m
-    # label propagation over the edge list: hook the larger root of every
-    # edge onto the smaller one, then jump pointers until each label is a
-    # root; every round at least halves the number of trees in a block
-    label = np.arange(m + n)
-    while True:
-        lr, lc = label[r], label[c]
-        if np.array_equal(lr, lc):
-            break
-        np.minimum.at(label, np.maximum(lr, lc), np.minimum(lr, lc))
-        while True:
-            jumped = label[label]
-            if np.array_equal(jumped, label):
-                break
-            label = jumped
-    roots, comp = np.unique(label, return_inverse=True)
-    if roots.size == 1:
+    c += m
+    comp = _components(m + n, r, c)
+    n_blocks = int(comp.max(initial=0)) + 1
+    if n_blocks == 1:
         return None
     comp_r, comp_c = comp[:m], comp[m:]
-    nr = np.bincount(comp_r, minlength=roots.size)
-    nc = np.bincount(comp_c, minlength=roots.size)
+    nr = np.bincount(comp_r, minlength=n_blocks)
+    nc = np.bincount(comp_c, minlength=n_blocks)
     row_order = np.argsort(comp_r, kind="stable")
     col_order = np.argsort(comp_c, kind="stable")
     row_start = np.cumsum(nr) - nr
@@ -298,6 +370,34 @@ def _sectors(arr: np.ndarray):
             row_order[row_start[ids, None] + np.arange(mb)],
             col_order[col_start[ids, None] + np.arange(nb)],
         ))
+    return out
+
+
+def _hermitian_blocks(pattern: np.ndarray):
+    """Connected blocks of a square nonzero pattern, read as an undirected
+    graph on the indices: i -- j when ``pattern[i, j]`` or ``pattern[j, i]``.
+
+    Returns None when one block holds every index.  Otherwise returns one
+    ``(slots, idx)`` pair per distinct block size s: for the k blocks of that
+    size, ``idx`` (k, s) holds their indices, ascending, and ``slots`` (k, s)
+    the positions their eigenpairs take when the blocks are laid out in the
+    order of their smallest index.  An index with no nonzero entry is a
+    block of size 1.
+    """
+    d = pattern.shape[0]
+    if pattern.all():
+        return None
+    r, c = np.nonzero(pattern)
+    comp = _components(d, r, c)
+    sizes = np.bincount(comp)
+    if sizes.size == 1:
+        return None
+    order = np.argsort(comp, kind="stable")
+    start = np.cumsum(sizes) - sizes
+    out = []
+    for s in np.unique(sizes):
+        slots = start[np.flatnonzero(sizes == s), None] + np.arange(s)
+        out.append((slots, order[slots]))
     return out
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError, UsageError
-from .opcore import Operator
+from .opcore import HERMITICITY_TOL, Operator, _entry_scale, sector_eigh
 
 TRACE_TOL = 1e-10
 POSITIVITY_FLOOR = -1e-10
@@ -20,6 +20,21 @@ def _clip_spectrum(vals: np.ndarray) -> np.ndarray:
     return np.where(vals < 0.0, 0.0, vals)
 
 
+def _check_states(mats: np.ndarray) -> None:
+    """The density-matrix checks on one matrix or a stack (..., d, d): each
+    must be Hermitian within HERMITICITY_TOL (relative to its largest entry,
+    as ``Operator.is_hermitian``), have trace 1 within TRACE_TOL and no
+    eigenvalue below POSITIVITY_FLOOR."""
+    skew = np.abs(mats - mats.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    if np.any(skew > HERMITICITY_TOL * _entry_scale(mats)):
+        raise DomainError("density matrix is not Hermitian within tolerance")
+    traces = np.trace(mats, axis1=-2, axis2=-1)
+    off = np.abs(traces - 1.0) > TRACE_TOL
+    if np.any(off):
+        raise DomainError(f"density matrix trace {complex(traces[off][0])} is not 1")
+    _clip_spectrum(sector_eigh(mats, vectors=False))
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Unit-trace positive semidefinite operator, optionally with a tensor
@@ -29,13 +44,7 @@ class DensityMatrix:
     dims: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        mat = self.op.mat
-        if not self.op.is_hermitian():
-            raise DomainError("density matrix is not Hermitian within tolerance")
-        if abs(self.op.trace() - 1.0) > TRACE_TOL:
-            raise DomainError(f"density matrix trace {self.op.trace()} is not 1")
-        vals = np.linalg.eigvalsh(mat)
-        _clip_spectrum(vals)
+        _check_states(self.op.mat)
         if self.dims is not None:
             dims = tuple(int(d) for d in self.dims)
             if int(np.prod(dims)) != self.op.dim:
@@ -106,23 +115,28 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     return DensityMatrix(Operator(out), kept_dims)
 
 
-def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(mat)
-    vals = _clip_spectrum(vals)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+def _factor(mat: np.ndarray) -> np.ndarray:
+    """W with mat = W W^dag for a density matrix, from its eigenpairs above
+    numpy's matrix_rank cutoff (largest eigenvalue * dim * eps); a pure
+    state gives one column."""
+    vals, vecs = sector_eigh(mat)
+    keep = vals > vals[-1] * vals.size * np.finfo(float).eps
+    return vecs[:, keep] * np.sqrt(vals[keep])
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Uhlmann fidelity (squared-overlap convention), clipped to [0, 1]."""
     if rho.dim != sigma.dim:
         raise ShapeError("fidelity needs states of equal dimension")
-    return _fidelity_from_root(_psd_sqrt(rho.op.mat), sigma)
+    return float(_fidelities(_factor(rho.op.mat), sigma.op.mat))
 
 
-def _fidelity_from_root(root: np.ndarray, sigma: DensityMatrix) -> float:
-    """Fidelity of sigma against the state whose PSD square root is ``root``."""
-    inner = root @ sigma.op.mat @ root
-    vals = np.linalg.eigvalsh(inner)
-    vals = _clip_spectrum(vals)
-    f = float(np.sum(np.sqrt(vals)) ** 2)
-    return min(max(f, 0.0), 1.0)
+def _fidelities(w: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """Fidelity of each state in the stack ``sigmas`` (..., d, d) against
+    rho = W W^dag: F = (sum sqrt eig(W^dag sigma W))^2, which is the
+    expectation w^dag sigma w itself when W is one column w."""
+    inner = w.conj().T @ sigmas @ w
+    if w.shape[1] == 1:
+        return np.clip(_clip_spectrum(inner[..., 0, 0].real), 0.0, 1.0)
+    vals = _clip_spectrum(np.linalg.eigvalsh(inner))
+    return np.clip(np.sum(np.sqrt(vals), axis=-1) ** 2, 0.0, 1.0)

@@ -145,18 +145,30 @@ def symmetrize_factorized(h: Operator, generators: list[Operator]) -> Operator:
     one generator at a time reproduces the group average at a fraction of the
     cost.  Each generator must satisfy exp(i Theta)^2 = 1 and every pair of
     unitaries must commute; violations raise.
+
+    When every generator is diagonal, each exp(i Theta) is a diagonal of
+    signs s = sign(Re exp(i theta_jj)) and the average is the exact mask
+    that keeps h_ij where s_i = s_j for every generator and sets the rest to
+    zero: no matrix exponential and no product.
     """
-    acc = h.mat
-    unitaries = []
     for th in generators:
         if th.dim != h.dim:
             raise ShapeError("generator does not act on the operator's space")
+    if generators and all(_is_diagonal(th.mat) for th in generators):
+        keep = np.ones(h.mat.shape, dtype=bool)
+        for th in generators:
+            if not th.is_hermitian():
+                raise DomainError("operator is not Hermitian within tolerance")
+            u = np.exp(1j * np.diagonal(th.mat))
+            _check_involution(float(np.abs(u * u - 1.0).max()))
+            s = u.real > 0
+            keep &= s[:, None] == s[None, :]
+        return Operator(np.where(keep, h.mat, 0.0))
+    acc = h.mat
+    unitaries = []
+    for th in generators:
         u = unitary_exp(th).mat
-        sq_residual = float(np.abs(u @ u - np.eye(h.dim)).max())
-        if sq_residual > FACTORIZATION_TOL:
-            raise DomainError(
-                f"factorized path needs involutive unitaries (residual {sq_residual:.2e})"
-            )
+        _check_involution(float(np.abs(u @ u - np.eye(h.dim)).max()))
         for prev in unitaries:
             comm_residual = float(np.abs(u @ prev - prev @ u).max())
             if comm_residual > FACTORIZATION_TOL:
@@ -166,6 +178,18 @@ def symmetrize_factorized(h: Operator, generators: list[Operator]) -> Operator:
         unitaries.append(u)
         acc = 0.5 * (acc + u.conj().T @ acc @ u)
     return Operator(acc)
+
+
+def _is_diagonal(mat: np.ndarray) -> bool:
+    return np.count_nonzero(mat) == np.count_nonzero(np.diagonal(mat))
+
+
+def _check_involution(sq_residual: float) -> None:
+    """Raise unless the largest entry of U^2 - 1 is within FACTORIZATION_TOL."""
+    if sq_residual > FACTORIZATION_TOL:
+        raise DomainError(
+            f"factorized path needs involutive unitaries (residual {sq_residual:.2e})"
+        )
 
 
 def invariant_subalgebra(group: GroupRep, tol: float = 1e-10) -> SubspaceBasis:

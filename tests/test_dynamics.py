@@ -19,6 +19,7 @@ from dfslab import (
     pure_state,
     symmetrize_factorized,
 )
+from dfslab.states import _check_states
 
 EVOLVE_TOL = 1e-12
 REFERENCE_TOL = 1e-12
@@ -199,17 +200,29 @@ def test_experiment_rejects_foreign_code_basis():
         coherence_experiment(model, code, rho0, np.array([0.0]))
 
 
-def test_experiment_matches_density_matrix_path_two_modes_complex_w():
-    model = build_decoherence_model(
+def two_mode_complex_w_model():
+    return build_decoherence_model(
         k_sys=np.array([[1.0]]),
         lam_env=np.array([[1.2, 0.1], [0.1, 0.8]]),
         w_int=np.array([[0.4 + 0.2j, 0.25 - 0.3j]]),
         n_max=2,
     )
+
+
+def test_experiment_matches_density_matrix_path_two_modes_complex_w():
+    model = two_mode_complex_w_model()
     code = level_code(model.system_space.dim)
-    # Equal moduli keep the reference root exactly rank one: fidelity() turns
-    # roundoff eigenvalues of a rank-deficient first argument into ~1e-8 noise.
     rho0 = coded_state(model, [1.0, 1.0j])
+    full, _ = assert_matches_reference(model, code, rho0, np.linspace(0.0, 6.0, 13))
+    assert float(full.leakages.max()) > 1e-4
+
+
+def test_experiment_matches_density_matrix_path_unequal_moduli():
+    """Unequal moduli used to leave ~1e-8 roundoff in the reference's
+    fidelities, whose pure first argument went through a matrix square root."""
+    model = two_mode_complex_w_model()
+    code = level_code(model.system_space.dim)
+    rho0 = coded_state(model, [1.0, 0.6 - 0.8j])
     full, _ = assert_matches_reference(model, code, rho0, np.linspace(0.0, 6.0, 13))
     assert float(full.leakages.max()) > 1e-4
 
@@ -231,3 +244,60 @@ def test_experiment_rejects_mixed_state_leaking_out_of_the_code():
     rho0 = mixed_coded_state(model, (0.9, 0.1), ([1.0, 0.0, 0.0], [0.0, 0.0, 1.0]))
     with pytest.raises(UsageError):
         coherence_experiment(model, code, rho0, np.array([0.0, 1.0]))
+
+
+def density_stack(rng, n, d):
+    mats = []
+    for _ in range(n):
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        rho = a @ a.conj().T
+        mats.append(rho / np.trace(rho).real)
+    return np.stack(mats)
+
+
+def test_state_checks_cover_every_member_of_a_stack():
+    rng = np.random.Generator(np.random.Philox(51))
+    good = density_stack(rng, 5, 4)
+    _check_states(good)
+    skewed = good.copy()
+    skewed[3, 0, 1] += 1e-6
+    heavy = good.copy()
+    heavy[2] *= 1.1
+    negative = good.copy()
+    vals, vecs = np.linalg.eigh(good[4])
+    vals[0] = -1e-9
+    vals[1:] += (1.0 - vals.sum()) / 3
+    negative[4] = (vecs * vals) @ vecs.conj().T
+    for bad, message in ((skewed, "Hermitian"), (heavy, "trace"), (negative, "positivity")):
+        with pytest.raises(DomainError, match=message):
+            _check_states(bad)
+
+
+def test_experiment_at_dim_1296_diagonalizes_only_blocks(monkeypatch):
+    """Every eigenproblem on the experiment's path is at most the largest
+    block of the Hamiltonian's nonzero pattern (146 of 1296), never the full
+    space.  Checks shapes, not time."""
+    rng = np.random.Generator(np.random.Philox(52))
+    w = rng.uniform(0.2, 1.0, size=(2, 2)) * np.exp(2j * np.pi * rng.uniform(size=(2, 2)))
+    model = build_decoherence_model(
+        k_sys=np.array([[1.0, 0.3], [0.3, 0.7]]),
+        lam_env=np.array([[1.1, 0.2j], [-0.2j, 0.9]]),
+        w_int=w,
+        n_max=5,
+    )
+    assert model.h_total.dim == 1296
+    sys_dim = model.system_space.dim
+    code = level_code(sys_dim, levels=range(sys_dim))
+    rho0 = coded_state(model, [1.0, 1.0])
+    sizes = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def recording(a, *args, _original=original, **kwargs):
+            sizes.append(np.shape(a)[-1])
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    full, sym = coherence_experiment(model, code, rho0, np.linspace(0.0, 5.0, 11))
+    assert sizes and max(sizes) <= 146
+    assert float(sym.leakages.max()) <= 1e-10

@@ -17,7 +17,7 @@ from dfslab import (
     tensor,
     unitary_exp,
 )
-from dfslab.opcore import nullspace
+from dfslab.opcore import nullspace, sector_eigh
 
 TOL = 1e-12
 
@@ -179,6 +179,106 @@ def test_eig_hermitian_reconstruction_and_phase():
 def test_eig_hermitian_rejects_non_hermitian():
     with pytest.raises(DomainError):
         eig_hermitian(Operator(np.array([[0.0, 1.0], [0.0, 0.0]])))
+
+
+def permuted_hermitian_blocks(rng, sizes, zero_pairs=0, zero_rows=0):
+    """Block-diagonal Hermitian matrix of random blocks of the given sizes,
+    plus [[0, b], [conj b, 0]] pairs and zero rows and columns, under one
+    random symmetric permutation; also returns each index's block number."""
+    blocks = []
+    for n in sizes:
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        blocks.append(a + a.conj().T)
+    for _ in range(zero_pairs):
+        b = complex(rng.normal(), rng.normal())
+        blocks.append(np.array([[0.0, b], [np.conj(b), 0.0]]))
+    blocks += [np.zeros((1, 1))] * zero_rows
+    d = sum(blk.shape[0] for blk in blocks)
+    out = np.zeros((d, d), dtype=complex)
+    labels = np.repeat(np.arange(len(blocks)), [blk.shape[0] for blk in blocks])
+    i = 0
+    for blk in blocks:
+        out[i : i + blk.shape[0], i : i + blk.shape[0]] = blk
+        i += blk.shape[0]
+    perm = rng.permutation(d)
+    return out[perm][:, perm], labels[perm]
+
+
+def assert_matches_dense_eigh(mat, vals, vecs):
+    oracle = np.linalg.eigvalsh(mat)
+    scale = max(1.0, float(np.abs(oracle).max(initial=0.0)))
+    assert np.abs(vals - oracle).max(initial=0.0) <= 1e-13 * scale
+    assert np.all(np.diff(vals, axis=-1) >= 0)
+    recon = (vecs * vals[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    assert np.abs(recon - mat).max() < 1e-12 * scale
+    eye = np.eye(mat.shape[-1])
+    assert np.abs(vecs.conj().swapaxes(-1, -2) @ vecs - eye).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "sizes, zero_pairs, zero_rows",
+    [
+        ([3, 3, 4], 0, 0),
+        ([5, 1, 2, 2], 3, 2),
+        ([1] * 6, 2, 3),
+        ([], 4, 0),
+        ([], 0, 5),
+    ],
+)
+def test_sector_eigh_of_permuted_blocks(sizes, zero_pairs, zero_rows):
+    rng = np.random.Generator(np.random.Philox(sum(sizes) + 10 * zero_pairs + zero_rows))
+    mat, labels = permuted_hermitian_blocks(rng, sizes, zero_pairs, zero_rows)
+    vals, vecs = sector_eigh(mat)
+    assert_matches_dense_eigh(mat, vals, vecs)
+    assert np.abs(sector_eigh(mat, vectors=False) - vals).max() <= 1e-13 * max(1.0, np.abs(vals).max())
+    for col in vecs.T:
+        assert np.unique(labels[col != 0]).size == 1
+
+
+def test_sector_eigh_of_a_stack_uses_the_union_pattern():
+    rng = np.random.Generator(np.random.Philox(31))
+    first, _ = permuted_hermitian_blocks(rng, [4, 2], zero_pairs=1, zero_rows=1)
+    second = np.zeros_like(first)
+    second[0, 0] = 2.0
+    second[1, 2] = 1.0 - 0.5j
+    second[2, 1] = 1.0 + 0.5j
+    stack = np.stack([first, second, first + second])
+    vals, vecs = sector_eigh(stack)
+    assert vals.shape == (3, 9) and vecs.shape == (3, 9, 9)
+    for k in range(3):
+        assert_matches_dense_eigh(stack[k], vals[k], vecs[k])
+    assert np.abs(sector_eigh(stack, vectors=False) - vals).max() <= 1e-13 * np.abs(vals).max()
+
+
+@pytest.mark.parametrize("mat", [SX, SY, np.ones((4, 4)), np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 2.0, 0.0]])])
+def test_sector_eigh_of_one_block_is_the_dense_eigh(mat):
+    """[[0, 1], [1, 0]] is one block: a bipartite row/column split would
+    cut it in two."""
+    vals, vecs = sector_eigh(mat)
+    oracle_vals, oracle_vecs = np.linalg.eigh(mat)
+    assert np.array_equal(vals, oracle_vals) and np.array_equal(vecs, oracle_vecs)
+    assert np.array_equal(sector_eigh(mat, vectors=False), np.linalg.eigvalsh(mat))
+
+
+def test_sector_eigh_orders_equal_eigenvalues_by_block():
+    """Eigenvalues are merged by a stable sort, blocks in the order of their
+    smallest index."""
+    mat = np.zeros((4, 4))
+    mat[1, 1] = mat[3, 3] = 1.0
+    mat[0, 2] = mat[2, 0] = 1.0
+    vals, vecs = sector_eigh(mat)
+    assert np.allclose(vals, [-1.0, 1.0, 1.0, 1.0], rtol=0.0, atol=1e-15)
+    assert np.array_equal(vecs[[1, 3], 1], [0.0, 0.0])
+    assert np.array_equal(np.abs(vecs[:, 2:]), [[0, 0], [1, 0], [0, 0], [0, 1]])
+
+
+def test_eig_hermitian_of_permuted_blocks_fixes_each_phase():
+    rng = np.random.Generator(np.random.Philox(32))
+    mat, _ = permuted_hermitian_blocks(rng, [3, 2, 2], zero_pairs=2, zero_rows=1)
+    vals, basis = eig_hermitian(Operator(mat))
+    assert_matches_dense_eigh(mat, vals, basis.vectors.T)
+    lead = basis.vectors[np.arange(basis.size), np.argmax(np.abs(basis.vectors), axis=1)]
+    assert np.abs(lead.imag).max() < 1e-15 and np.all(lead.real > 0)
 
 
 def test_kernel_basis_diagonal():

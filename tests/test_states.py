@@ -137,7 +137,21 @@ def test_fidelity_pure_vs_mixed_closed_form():
     rho /= np.trace(rho)
     expected = np.real(v.conj() @ rho @ v)
     got = fidelity(pure_state(v), DensityMatrix(Operator(rho)))
-    assert got == pytest.approx(expected, abs=1e-7)
+    assert got == pytest.approx(expected, abs=1e-14)
+
+
+def test_fidelity_of_a_pure_first_argument_has_no_roundoff_floor():
+    """A rank-deficient first argument must not turn roundoff eigenvalues
+    into sqrt-sized errors: against [1, 0.6-0.8i] a matrix square root of
+    the pure state was off by up to ~1e-8."""
+    rng = np.random.Generator(np.random.Philox(25))
+    v = np.array([1.0, 0.6 - 0.8j]) / np.sqrt(2.0)
+    for _ in range(50):
+        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        rho = a @ a.conj().T
+        rho /= np.trace(rho)
+        expected = np.real(v.conj() @ rho @ v)
+        assert abs(fidelity(pure_state(v), DensityMatrix(Operator(rho))) - expected) < 1e-14
 
 
 def test_fidelity_symmetric_and_unitary_invariant():

@@ -120,7 +120,41 @@ def test_factorized_average_kills_interaction():
         n_max=3,
     )
     sym = symmetrize_factorized(model.h_int, parity_generators(model))
-    assert float(np.abs(sym.mat).max()) < 1e-12
+    assert np.count_nonzero(sym.mat) == 0
+
+
+def random_model(rng, n_sys, n_env, n_max):
+    def hermitian(n):
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        return 0.5 * (a + a.conj().T)
+
+    w = rng.uniform(0.2, 1.0, size=(n_sys, n_env)) * np.exp(2j * np.pi * rng.uniform(size=(n_sys, n_env)))
+    return build_decoherence_model(
+        k_sys=hermitian(n_sys), lam_env=hermitian(n_env), w_int=w, n_max=n_max
+    )
+
+
+# (system modes, environment modes, n_max) of the benchmark's coherence mix, dims 64-216
+PROTECT_SIZES = [(1, 2, 3), (1, 1, 7), (2, 1, 4), (1, 1, 11), (2, 1, 5)]
+
+
+@pytest.mark.parametrize("n_sys, n_env, n_max", PROTECT_SIZES)
+def test_parity_mask_matches_the_group_average(n_sys, n_env, n_max):
+    """Diagonal parity generators take the exact mask; the group average of
+    the unitaries they generate is the reference.  Its unitaries carry the
+    roundoff of exp(i pi n), about n * 1e-16, so the bound is relative to
+    the largest entry."""
+    model = random_model(np.random.Generator(np.random.Philox(n_max)), n_sys, n_env, n_max)
+    gens = parity_generators(model)
+    h = model.h_total.mat
+    direct = symmetrize_operator(close_group(gens), model.h_total).mat
+    fast = symmetrize_factorized(model.h_total, gens).mat
+    tol = 1e-14 * np.abs(h).max()
+    assert float(np.abs(direct - fast).max()) < tol
+    # killed entries are exact zeros, kept entries the Hamiltonian's own
+    kept = fast != 0
+    assert np.array_equal(fast[kept], h[kept])
+    assert np.abs(direct[~kept]).max() < tol
 
 
 def test_factorized_rejects_non_involutive_generator():
@@ -128,6 +162,9 @@ def test_factorized_rejects_non_involutive_generator():
     h = Operator(np.eye(2, dtype=complex))
     with pytest.raises(DomainError):
         symmetrize_factorized(h, [theta])
+    quarter_turn = Operator(0.5 * np.pi * np.diag(np.arange(6.0)))
+    with pytest.raises(DomainError):
+        symmetrize_factorized(Operator(np.eye(6, dtype=complex)), [quarter_turn])
 
 
 def test_factorized_rejects_non_commuting_generators():
