@@ -57,15 +57,12 @@ from .symmetry import (
     invariant_projector,
     invariant_subalgebra,
     joint_kernel,
-    leakage_norm,
-    restrict_to_kernel,
     symmetrize_factorized,
     symmetrize_operator,
 )
 from .duality import (
     CHARGE_BUDGET,
     Background,
-    ChargeVector,
     ONNElement,
     basis_change,
     charge_box,
@@ -74,17 +71,13 @@ from .duality import (
     coupling_swap,
     dual_metric,
     factorized_inversion,
-    identity_element,
     max_energy_shift,
     narain_energies,
-    narain_energy,
-    narain_spectrum,
     normal_modes,
     onn_apply,
     onn_generators,
     pairing_matrix,
     transform_charge_stack,
-    transform_charges,
 )
 from .fock import (
     CliffordPair,
@@ -105,7 +98,6 @@ from .fock import (
     number_operator,
     parity_generators,
     position_momentum,
-    sector_residuals,
 )
 from .dynamics import Trajectory, coherence_experiment, evolve
 from .nctorus import (

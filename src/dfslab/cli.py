@@ -221,7 +221,7 @@ def _run_dfs(params: dict, tol_scale: float):
     model = build_string_model(bg, n_max, levels)
     dirac = model.d_bar if which == "relative" else model.d
     kernel = dfs_from_dirac(dirac, tol=tol)
-    bound = tol * operator_norm(dirac) * tol_scale
+    bound = tol * kernel.sigma_max * tol_scale
     if kernel.size:
         residual = float(np.linalg.norm(dirac.mat @ kernel.vectors.T, axis=0).max())
         gamma_worst = gamma_pair_norm(model, kernel)
@@ -434,6 +434,7 @@ def run_scenario(scenario: dict, seed: int | None = None, tol_scale: float = 1.0
     """
     if not isinstance(scenario, dict):
         _fail("scenario must be a JSON object")
+    _known_keys(scenario, ("schema_version", "kind", "params", "seed"), "scenario")
     if scenario.get("schema_version") != SCHEMA_VERSION:
         _fail(f"schema_version must be {SCHEMA_VERSION}")
     kind = scenario.get("kind")

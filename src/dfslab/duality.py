@@ -122,28 +122,6 @@ class Background:
 
 
 @dataclass(frozen=True)
-class ChargeVector:
-    """Integer momentum and winding numbers on the charge lattice."""
-
-    m: np.ndarray
-    w: np.ndarray
-
-    def __post_init__(self):
-        m = _int_matrix(self.m).reshape(-1).copy()
-        w = _int_matrix(self.w).reshape(-1).copy()
-        if m.size != w.size:
-            raise ShapeError("momentum and winding vectors must have equal length")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "w", w)
-        m.setflags(write=False)
-        w.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self.m.size
-
-
-@dataclass(frozen=True)
 class ONNElement:
     """An integer matrix with g^T J g = J, plus a coupling-sign swap flag."""
 
@@ -187,10 +165,6 @@ class ONNElement:
 
     def det(self) -> int:
         return _int_det(self.matrix)
-
-
-def identity_element(n: int) -> ONNElement:
-    return ONNElement(np.eye(2 * n, dtype=np.int64))
 
 
 def factorized_inversion(n: int, directions) -> ONNElement:
@@ -257,13 +231,12 @@ def onn_generators(n: int) -> list[ONNElement]:
     return gens
 
 
-def onn_apply(element: ONNElement, background: Background, charges: ChargeVector | None = None):
-    """Fractional-linear action on E = metric + coupling, with the matching
-    integer charge map when charges are supplied.
+def onn_apply(element: ONNElement, background: Background) -> Background:
+    """Fractional-linear action on E = metric + coupling.
 
-    Returns the transformed Background, or a (Background, ChargeVector) pair.
-    The charge map is chosen so the Narain energy of (background, charges)
-    equals that of the transformed pair for every group element.
+    ``charge_matrix`` gives the matching integer charge map: the Narain
+    energy of (background, charges) equals that of the transformed pair for
+    every group element.
     """
     if element.n != background.n:
         raise ShapeError("element rank does not match the background")
@@ -275,10 +248,7 @@ def onn_apply(element: ONNElement, background: Background, charges: ChargeVector
     if abs(np.linalg.det(denom)) < 1e-12:
         raise DomainError("duality action is singular on this background")
     new_e = (a.astype(float) @ e + b.astype(float)) @ np.linalg.inv(denom)
-    moved = Background(0.5 * (new_e + new_e.T), 0.5 * (new_e - new_e.T))
-    if charges is None:
-        return moved
-    return moved, transform_charges(element, charges)
+    return Background(0.5 * (new_e + new_e.T), 0.5 * (new_e - new_e.T))
 
 
 def charge_matrix(element: ONNElement) -> np.ndarray:
@@ -294,13 +264,6 @@ def transform_charge_stack(element: ONNElement, charges) -> np.ndarray:
     """Apply the charge map to a (k, 2n) integer stack, one charge per row;
     exact integer arithmetic."""
     return np.asarray(charges) @ charge_matrix(element).T
-
-
-def transform_charges(element: ONNElement, charges: ChargeVector) -> ChargeVector:
-    if charges.n != element.n:
-        raise ShapeError("charge vectors must have one entry per direction")
-    out = transform_charge_stack(element, np.concatenate([charges.m, charges.w])[None, :])[0]
-    return ChargeVector(out[: element.n], out[element.n :])
 
 
 def charge_box(n: int, box: int) -> np.ndarray:
@@ -340,14 +303,6 @@ def narain_energies(background: Background, charges) -> np.ndarray:
     )
 
 
-def narain_energy(background: Background, momenta, windings) -> float:
-    m = np.asarray(momenta, dtype=float).reshape(-1)
-    w = np.asarray(windings, dtype=float).reshape(-1)
-    if m.size != background.n or w.size != background.n:
-        raise ShapeError("charge vectors must have one entry per direction")
-    return float(narain_energies(background, np.concatenate([m, w])[None, :])[0])
-
-
 def max_energy_shift(element: ONNElement, background: Background, charges) -> float:
     """Largest change of the lattice energy over a (k, 2n) charge stack when
     the background and the charges move together under ``element``; zero up
@@ -357,20 +312,6 @@ def max_energy_shift(element: ONNElement, background: Background, charges) -> fl
         onn_apply(element, background), transform_charge_stack(element, charges)
     )
     return float(np.abs(before - after).max(initial=0.0))
-
-
-def narain_spectrum(background: Background, box: int):
-    """Energies of all integer charges with entries in [-box, box], sorted by
-    energy with charge tuples breaking ties."""
-    n = background.n
-    charges = charge_box(n, box)
-    energies = narain_energies(background, charges)
-    # lexsort's last key is the primary one: energy, then m, then w.
-    order = np.lexsort(tuple(charges[:, ::-1].T) + (energies,))
-    return [
-        (float(energies[i]), tuple(charges[i, :n].tolist()), tuple(charges[i, n:].tolist()))
-        for i in order
-    ]
 
 
 def dual_metric(background: Background) -> np.ndarray:

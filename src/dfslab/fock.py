@@ -7,8 +7,9 @@ tests therefore restrict to interior entries via interior_indices.
 
 Two models live here: linear oscillators coupled to a decohering environment
 through ladder exchange terms, and a register of quadrature oscillators paired
-with towers of environment modes and a gamma-matrix sector, whose two Dirac
-operators cut out protected subspaces as numerical kernels.
+with towers of environment modes and a gamma-matrix sector, whose Dirac
+operator d and its adjoint d_bar (the relative operator) cut out protected
+subspaces as numerical kernels.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .duality import Background
 from .errors import BudgetError, DomainError, ShapeError, UsageError
-from .opcore import DIM_BUDGET, Operator, SubspaceBasis, apply_on_factor, kernel_basis, tensor
+from .opcore import DIM_BUDGET, KernelBasis, Operator, SubspaceBasis, apply_on_factor, kernel_basis, tensor
 
 SQRT2 = math.sqrt(2.0)
 
@@ -332,12 +333,15 @@ def clifford_pair(eta) -> CliffordPair:
 
 @dataclass(frozen=True)
 class StringModel:
-    """Quadrature register, environment towers, gamma sector, Dirac operators.
+    """Quadrature register, environment towers, gamma sector, Dirac operator.
 
     The full space factors as (spinor) x (system) x (plus tower) x (minus
     tower), first factor slowest.  x, p, a_plus, a_minus and h_sys live on the
-    system factor; e_plus/e_minus and h_env on their tower factors; the Dirac
-    operators on the full space.
+    system factor; e_plus/e_minus (the same operators, one copy on each tower
+    factor) and h_env on their tower factors; the Dirac operator d on the
+    full space.  d = D+ + D-, with D+ Hermitian and D- anti-Hermitian entry
+    by entry, so the relative operator D+ - D- is exactly d's adjoint:
+    ``d_bar`` returns it and only d is stored.
     """
 
     background: Background
@@ -354,14 +358,15 @@ class StringModel:
     e_minus: tuple[tuple[Operator, ...], ...]
     h_sys: Operator
     h_env: Operator
-    d_plus: Operator
-    d_minus: Operator
     d: Operator
-    d_bar: Operator
 
     @property
     def dim(self) -> int:
         return self.d.dim
+
+    @property
+    def d_bar(self) -> Operator:
+        return self.d.dag()
 
 
 def build_string_model(background: Background, n_max: int, levels: int) -> StringModel:
@@ -412,25 +417,14 @@ def build_string_model(background: Background, n_max: int, levels: int) -> Strin
                 a_plus[i].mat @ a_plus[j].mat + a_minus[i].mat @ a_minus[j].mat
             )
 
-    # Environment towers: level block m occupies modes m*n .. m*n + n - 1.
-    def tower_ops() -> list[list[Operator]]:
-        per_level = []
-        for m in range(1, levels + 1):
-            ell = math.sqrt(m) * np.linalg.cholesky(eta_u)
-            ops = []
-            for i in range(n):
-                acc = np.zeros((tower_space.dim,) * 2, dtype=np.complex128)
-                for a in range(n):
-                    acc += ell[i, a] * ladder(tower_space, (m - 1) * n + a)[0].mat
-                ops.append(Operator(acc))
-            per_level.append(ops)
-        return per_level
-
-    e_plus = tower_ops()
-    e_minus = tower_ops()
+    # Environment towers: level m occupies modes (m-1)*n .. m*n - 1.
+    towers = tuple(
+        tuple(hw_mode(tower_space, m, eta_u, modes=range((m - 1) * n, m * n)))
+        for m in range(1, levels + 1)
+    )
 
     h_env_half = np.zeros((tower_space.dim,) * 2, dtype=np.complex128)
-    for ops in e_plus:
+    for ops in towers:
         for i in range(n):
             for j in range(n):
                 h_env_half += eta_l[i, j] * (ops[i].mat.conj().T @ ops[j].mat)
@@ -439,15 +433,14 @@ def build_string_model(background: Background, n_max: int, levels: int) -> Strin
 
     cliff = clifford_pair(eta_l)
     eye_s = np.eye(system_space.dim)
-    d_plus = np.zeros((total,) * 2, dtype=np.complex128)
-    d_minus = np.zeros((total,) * 2, dtype=np.complex128)
+    # D+ (gamma_plus terms) and D- (gamma_minus terms) summed in one array.
+    d = np.zeros((total,) * 2, dtype=np.complex128)
     for i in range(n):
-        env_p = sum(op.mat + op.mat.conj().T for op in (lvl[i] for lvl in e_plus))
-        env_m = sum(op.mat + op.mat.conj().T for op in (lvl[i] for lvl in e_minus))
-        d_plus += tensor(cliff.gamma_plus[i], a_plus[i], eye_t, eye_t).mat
-        d_plus += tensor(cliff.gamma_plus[i], eye_s, env_p, eye_t).mat
-        d_minus += tensor(cliff.gamma_minus[i], a_minus[i], eye_t, eye_t).mat
-        d_minus += tensor(cliff.gamma_minus[i], eye_s, eye_t, env_m).mat
+        env = sum(op.mat + op.mat.conj().T for op in (lvl[i] for lvl in towers))
+        d += tensor(cliff.gamma_plus[i], a_plus[i], eye_t, eye_t).mat
+        d += tensor(cliff.gamma_plus[i], eye_s, env, eye_t).mat
+        d += tensor(cliff.gamma_minus[i], a_minus[i], eye_t, eye_t).mat
+        d += tensor(cliff.gamma_minus[i], eye_s, eye_t, env).mat
 
     return StringModel(
         background=background,
@@ -460,21 +453,19 @@ def build_string_model(background: Background, n_max: int, levels: int) -> Strin
         p=tuple(ps),
         a_plus=tuple(a_plus),
         a_minus=tuple(a_minus),
-        e_plus=tuple(tuple(ops) for ops in e_plus),
-        e_minus=tuple(tuple(ops) for ops in e_minus),
+        e_plus=towers,
+        e_minus=towers,
         h_sys=Operator(h_sys),
         h_env=Operator(h_env),
-        d_plus=Operator(d_plus),
-        d_minus=Operator(d_minus),
-        d=Operator(d_plus + d_minus),
-        d_bar=Operator(d_plus - d_minus),
+        d=Operator(d),
     )
 
 
-def dfs_from_dirac(d: Operator, tol: float = 1e-10) -> SubspaceBasis:
+def dfs_from_dirac(d: Operator, tol: float = 1e-10) -> KernelBasis:
     """Numerical kernel of a Dirac operator: the protected subspace.
 
-    Works for non-normal inputs since the kernel comes from an SVD.
+    Works for non-normal inputs since the kernel comes from an SVD; the
+    returned basis carries d's largest singular value as ``sigma_max``.
     """
     return kernel_basis(d, tol=tol)
 
@@ -582,64 +573,23 @@ def duality_substitution(model: StringModel) -> SubstitutionReport:
     )
 
 
-def _kernel_factor_dims(model: StringModel, kernel: SubspaceBasis) -> tuple:
-    """Factor dimensions (spinor, register, tower, tower) of the model space,
-    after checking that ``kernel`` holds kets on it."""
-    if kernel.kind != "vector-space":
-        raise UsageError("kernel must be a vector-space basis")
-    if kernel.ambient_dim != model.dim:
-        raise ShapeError("kernel vectors do not live on the model space")
-    return (model.clifford.rep_dim, model.system_space.dim) + (model.tower_space.dim,) * 2
-
-
 def gamma_pair_norm(model: StringModel, kernel: SubspaceBasis) -> float:
     """max_i of the spectral norm of G+_i + G-_i restricted to the kernel.
 
     The restriction is the stack ``apply_on_factor(G+_i + G-_i, 0, dims,
-    kernel.vectors)``; its norm does not change when the kernel basis is
-    rotated, unlike a maximum over the per-vector norms of
-    ``sector_residuals``.
+    kernel.vectors)`` over the factors (spinor, register, tower, tower); its
+    norm does not change when the kernel basis is rotated.
     """
-    dims = _kernel_factor_dims(model, kernel)
+    if kernel.kind != "vector-space":
+        raise UsageError("kernel must be a vector-space basis")
+    if kernel.ambient_dim != model.dim:
+        raise ShapeError("kernel vectors do not live on the model space")
     if not kernel.size:
         raise UsageError("the kernel is empty")
+    dims = (model.clifford.rep_dim, model.system_space.dim) + (model.tower_space.dim,) * 2
     gp = model.clifford.gamma_plus
     gm = model.clifford.gamma_minus
     return max(
         float(np.linalg.norm(apply_on_factor(gp[i].mat + gm[i].mat, 0, dims, kernel.vectors), 2))
         for i in range(model.background.n)
     )
-
-
-def sector_residuals(model: StringModel, kernel: SubspaceBasis) -> list[dict]:
-    """Per-vector diagnostics classifying kernel states into sectors.
-
-    For each kernel vector and direction the table reports the norms of the
-    momentum and position actions and the residuals of the two gamma-locking
-    conditions (plus family equal to minus the minus family, and the coupled
-    combination through K_plus and K_minus).  No thresholds are enforced.
-    """
-    dims = _kernel_factor_dims(model, kernel)
-    n = model.background.n
-    kp = model.background.k_plus
-    km = model.background.k_minus
-    gp = model.clifford.gamma_plus
-    gm = model.clifford.gamma_minus
-    psi = kernel.vectors
-
-    def norms(mat, slot: int) -> list[float]:
-        return np.linalg.norm(apply_on_factor(mat, slot, dims, psi), axis=1).tolist()
-
-    columns = {
-        "momentum_norms": [norms(model.p[i], 1) for i in range(n)],
-        "position_norms": [norms(model.x[i], 1) for i in range(n)],
-        "gamma_pair_residuals": [norms(gp[i].mat + gm[i].mat, 0) for i in range(n)],
-        "gamma_coupled_residuals": [
-            norms(sum(kp[j, i] * gp[j].mat - km[j, i] * gm[j].mat for j in range(n)), 0)
-            for i in range(n)
-        ],
-    }
-    return [
-        {"vector": idx, **{key: [col[idx] for col in cols] for key, cols in columns.items()}}
-        for idx in range(kernel.size)
-    ]

@@ -174,6 +174,14 @@ class SubspaceBasis:
         return float(np.linalg.norm(v - self.vectors.T @ coeffs))
 
 
+@dataclass(frozen=True, kw_only=True)
+class KernelBasis(SubspaceBasis):
+    """The numerical kernel of an operator, with ``sigma_max``, the largest
+    singular value of that operator, read off the SVDs that found it."""
+
+    sigma_max: float
+
+
 def tensor(*factors) -> Operator:
     """Kronecker product of Operators or square arrays, first factor slowest.
 
@@ -460,15 +468,15 @@ def nullspace(mat: np.ndarray, tol: float = KERNEL_TOL) -> np.ndarray:
     return _nullspace_and_norm(np.asarray(mat, dtype=np.complex128), tol)[0]
 
 
-def kernel_basis(a: Operator, tol: float = KERNEL_TOL) -> SubspaceBasis:
+def kernel_basis(a: Operator, tol: float = KERNEL_TOL) -> KernelBasis:
     """Orthonormal basis of the numerical kernel of ``a`` (``nullspace``).
 
     Certified: every basis vector's residual must stay within
     tol * sigma_max * sqrt(dim), with sigma_max read off the singular values
-    the kernel computation already has.
+    the kernel computation already has and returned on the basis.
     """
     rows, smax = _nullspace_and_norm(a.mat, tol)
-    basis = SubspaceBasis(a.dim, rows, VECTOR_SPACE)
+    basis = KernelBasis(a.dim, rows, VECTOR_SPACE, sigma_max=smax)
     if basis.size:
         resid = float(np.linalg.norm(a.mat @ basis.vectors.T, axis=0).max())
         bound = tol * smax * np.sqrt(a.dim) if smax > 0 else 1e-10

@@ -24,7 +24,6 @@ from .opcore import (
 
 MAX_GROUP_ORDER = 10_000
 DEDUP_DECIMALS = 8
-CLOSURE_TOL = 1e-10
 # Largest entry of U^2 - 1 or [U_a, U_b] that symmetrize_factorized accepts.
 FACTORIZATION_TOL = 1e-8
 
@@ -201,21 +200,3 @@ def invariant_subalgebra(group: GroupRep, tol: float = 1e-10) -> SubspaceBasis:
     if not group.generators:
         raise UsageError("group carries no generators")
     return commutant_basis(list(group.generators), group.dim, tol=tol)
-
-
-def restrict_to_kernel(h: Operator, kernel: SubspaceBasis) -> Operator:
-    """Compress an operator to the protected subspace, V H V^dag."""
-    if kernel.kind != "vector-space":
-        raise UsageError("kernel must be a vector-space basis")
-    if kernel.ambient_dim != h.dim:
-        raise ShapeError("kernel basis does not match the operator")
-    v = kernel.vectors
-    return Operator(v.conj() @ h.mat @ v.T)
-
-
-def leakage_norm(h: Operator, kernel: SubspaceBasis) -> float:
-    """Operator norm of the block of H mapping the kernel out of itself."""
-    v = kernel.vectors
-    p = v.T @ v.conj()
-    q = np.eye(h.dim) - p
-    return float(np.linalg.norm(q @ h.mat @ p, 2))

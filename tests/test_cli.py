@@ -258,20 +258,21 @@ def test_non_finite_tol_scale_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize(
     "name, path",
     [
-        ("distance.json", ("expectd",)),
-        ("symmetrize.json", ("Lamda",)),
-        ("dfs.json", ("level",)),
-        ("decohere.json", ("leakage_cpa",)),
-        ("duality.json", ("boxx",)),
-        ("nctorus.json", ("landau_exp",)),
-        ("decohere.json", ("times", "stpe")),
-        ("duality.json", ("substitution", "nmax")),
-        ("duality.json", ("generator", "direction")),
+        ("distance.json", ("params", "expectd")),
+        ("symmetrize.json", ("params", "Lamda")),
+        ("dfs.json", ("params", "level")),
+        ("decohere.json", ("params", "leakage_cpa")),
+        ("duality.json", ("params", "boxx")),
+        ("nctorus.json", ("params", "landau_exp")),
+        ("decohere.json", ("params", "times", "stpe")),
+        ("duality.json", ("params", "substitution", "nmax")),
+        ("duality.json", ("params", "generator", "direction")),
+        ("dfs.json", ("sead",)),
     ],
 )
 def test_unknown_key_is_rejected(name, path, tmp_path, capsys):
     scenario = load(name)
-    target = scenario["params"]
+    target = scenario
     for key in path[:-1]:
         target = target[key]
     target[path[-1]] = 1

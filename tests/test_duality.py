@@ -5,7 +5,6 @@ from dfslab import (
     CHARGE_BUDGET,
     Background,
     BudgetError,
-    ChargeVector,
     DomainError,
     ONNElement,
     ShapeError,
@@ -17,17 +16,13 @@ from dfslab import (
     coupling_swap,
     dual_metric,
     factorized_inversion,
-    identity_element,
     max_energy_shift,
     narain_energies,
-    narain_energy,
-    narain_spectrum,
     normal_modes,
     onn_apply,
     onn_generators,
     pairing_matrix,
     transform_charge_stack,
-    transform_charges,
 )
 from dfslab import acceptance, cli, duality
 
@@ -60,13 +55,6 @@ def test_background_e_matrix_split():
     assert np.array_equal(bg.k_minus, eta - xi)
 
 
-def test_charge_vector_validation():
-    with pytest.raises(ShapeError):
-        ChargeVector(np.array([1, 2]), np.array([1]))
-    with pytest.raises(DomainError):
-        ChargeVector(np.array([1.5]), np.array([0]))
-
-
 def test_pairing_matrix_is_off_diagonal_identity():
     j = pairing_matrix(2)
     expected = np.zeros((4, 4), dtype=np.int64)
@@ -94,7 +82,7 @@ def test_generators_preserve_pairing_exactly():
 def test_inverse_roundtrip_including_swap():
     rng = np.random.Generator(np.random.Philox(51))
     gens = onn_generators(2)
-    ident = identity_element(2)
+    ident = ONNElement(np.eye(4))
     for _ in range(20):
         word = ident
         for k in rng.integers(0, len(gens), size=4):
@@ -137,9 +125,8 @@ def test_full_inversion_inverts_the_metric():
 
 def test_full_inversion_charge_map():
     g = factorized_inversion(1, [0])
-    out = transform_charges(g, ChargeVector([3], [-2]))
-    assert list(out.m) == [2]
-    assert list(out.w) == [-3]
+    assert transform_charge_stack(g, [[3, -2]]).tolist() == [[2, -3]]
+    assert transform_charge_stack(g, [[3, -2], [0, 1], [-1, 0]]).tolist() == [[2, -3], [-1, 0], [0, 1]]
 
 
 def test_inversion_requires_valid_directions():
@@ -161,9 +148,10 @@ def test_coupling_shift_adds_to_coupling():
 
 def test_coupling_shift_charge_map():
     theta = np.array([[0, 1], [-1, 0]])
-    out = transform_charges(coupling_shift(theta), ChargeVector([0, 0], [1, 2]))
-    assert list(out.m) == [-2, 1]
-    assert list(out.w) == [1, 2]
+    g = coupling_shift(theta)
+    assert transform_charge_stack(g, [[0, 0, 1, 2]]).tolist() == [[-2, 1, 1, 2]]
+    stack = [[0, 0, 1, 2], [3, -1, 0, 0], [1, 1, -1, 1]]
+    assert transform_charge_stack(g, stack).tolist() == [[-2, 1, 1, 2], [3, -1, 0, 0], [0, 0, -1, 1]]
 
 
 def test_coupling_shift_rejects_symmetric_theta():
@@ -175,11 +163,11 @@ def test_swap_transposes_e_and_flips_windings():
     eta = np.array([[1.0, 0.0], [0.0, 1.5]])
     xi = np.array([[0.0, 0.25], [-0.25, 0.0]])
     bg = Background(eta, xi)
-    moved, charges = onn_apply(coupling_swap(2), bg, ChargeVector([1, 0], [0, 1]))
+    moved = onn_apply(coupling_swap(2), bg)
     assert float(np.abs(moved.coupling + xi).max()) < ACTION_TOL
     assert float(np.abs(moved.metric - eta).max()) < ACTION_TOL
-    assert list(charges.m) == [1, 0]
-    assert list(charges.w) == [0, -1]
+    charges = transform_charge_stack(coupling_swap(2), [[1, 0, 0, 1], [2, -1, 3, -4]])
+    assert charges.tolist() == [[1, 0, 0, -1], [2, -1, -3, 4]]
 
 
 def test_swap_squares_to_identity():
@@ -196,9 +184,11 @@ def test_basis_change_requires_unimodular():
 
 def test_narain_energy_closed_forms():
     bg = Background(np.array([[4.0]]), np.zeros((1, 1)))
-    assert narain_energy(bg, [1], [0]) == pytest.approx(0.125, abs=1e-15)
-    assert narain_energy(bg, [0], [1]) == pytest.approx(2.0, abs=1e-15)
-    assert narain_energy(bg, [0], [0]) == 0.0
+    for row, expected in (([1, 0], 0.125), ([0, 1], 2.0)):
+        assert narain_energies(bg, [row])[0] == pytest.approx(expected, abs=1e-15)
+    assert narain_energies(bg, [[0, 0]])[0] == 0.0
+    stacked = narain_energies(bg, [[1, 0], [0, 1], [0, 0], [2, 1]])
+    assert np.allclose(stacked, [0.125, 2.0, 0.0, 0.5 + 2.0], rtol=0.0, atol=1e-15)
 
 
 def test_narain_energy_with_coupling():
@@ -209,16 +199,13 @@ def test_narain_energy_with_coupling():
     w = np.array([0.0, 1.0])
     shifted = m + xi @ w
     expected = 0.5 * shifted @ shifted + 0.5
-    assert narain_energy(bg, m, w) == pytest.approx(expected, abs=1e-14)
-
-
-def test_narain_spectrum_shape_and_order():
-    bg = Background(np.array([[2.25]]), np.zeros((1, 1)))
-    rows = narain_spectrum(bg, 2)
-    assert len(rows) == 25
-    energies = [r[0] for r in rows]
-    assert energies == sorted(energies)
-    assert rows[0] == (0.0, (0,), (0,))
+    assert narain_energies(bg, [[1, 0, 0, 1]])[0] == pytest.approx(expected, abs=1e-14)
+    charges = np.array([[1, 0, 0, 1], [0, 0, 0, 0], [0, 1, 1, 0], [2, -1, 1, 1]])
+    expected = [
+        0.5 * (row[:2] + xi @ row[2:]) @ (row[:2] + xi @ row[2:]) + 0.5 * row[2:] @ row[2:]
+        for row in charges.astype(float)
+    ]
+    assert np.allclose(narain_energies(bg, charges), expected, rtol=0.0, atol=1e-14)
 
 
 def _random_background(rng, n):
@@ -245,15 +232,6 @@ def test_narain_energies_match_the_closed_form(n):
             expected = 0.5 * s @ eta_inv @ s + 0.5 * w @ bg.metric @ w
             assert abs(value - expected) <= 1e-12 * abs(expected)
         assert got[0] == 0.0
-
-
-def test_narain_energy_is_one_row_of_the_stack():
-    bg = Background(np.array([[1.0, 0.3], [0.3, 2.0]]), np.array([[0.0, 0.7], [-0.7, 0.0]]))
-    charges = charge_box(2, 1)
-    stacked = narain_energies(bg, charges)
-    single = [narain_energy(bg, row[:2], row[2:]) for row in charges]
-    # Same formula; LAPACK may round a one-column solve differently.
-    assert np.allclose(stacked, single, rtol=1e-14, atol=0.0)
 
 
 def test_narain_energies_rejects_a_wrong_width():
@@ -292,20 +270,7 @@ def test_charge_stack_map_matches_the_single_charge_map():
         moved = transform_charge_stack(gen, charges)
         rho = charge_matrix(gen)
         assert np.array_equal(moved, np.array([rho @ row for row in charges]))
-        out = transform_charges(gen, ChargeVector(charges[7, :2], charges[7, 2:]))
-        assert np.array_equal(np.concatenate([out.m, out.w]), moved[7])
-
-
-def test_narain_spectrum_order_is_energy_then_charges():
-    bg = Background(np.array([[1.0, 0.0], [0.0, 1.0]]), np.zeros((2, 2)))
-    rows = narain_spectrum(bg, 1)
-    assert rows == sorted(rows, key=lambda r: (r[0], r[1], r[2]))
-    assert rows[0] == (0.0, (0, 0), (0, 0))
-    # Degenerate energies: the tie-break by charge tuples decides.
-    first_level = [r for r in rows if r[0] == rows[1][0]]
-    assert [r[1:] for r in first_level] == sorted(r[1:] for r in first_level)
-    assert len(first_level) > 1
-    assert all(isinstance(r[0], float) for r in rows)
+        assert np.array_equal(transform_charge_stack(gen, charges[7:8]), moved[7:8])
 
 
 def _transposed_charge_map(monkeypatch):
@@ -349,7 +314,8 @@ def test_spectrum_invariant_under_box_preserving_generators():
     itself, so the truncated spectrum is the same multiset.  Coupling shifts
     move charges out of the box and are covered by the per-charge test."""
     bg = Background(np.array([[1.0, 0.3], [0.3, 2.0]]), np.array([[0.0, 0.7], [-0.7, 0.0]]))
-    base = [r[0] for r in narain_spectrum(bg, 1)]
+    charges = charge_box(2, 1)
+    base = narain_energies(bg, charges)
     perm = np.array([[0, 1], [1, 0]])
     box_preserving = [
         factorized_inversion(2, [0]),
@@ -359,21 +325,21 @@ def test_spectrum_invariant_under_box_preserving_generators():
     ]
     for gen in box_preserving:
         moved = onn_apply(gen, bg)
-        new = [r[0] for r in narain_spectrum(moved, 1)]
-        assert np.allclose(sorted(base), sorted(new), atol=1e-10)
+        new = narain_energies(moved, charges)
+        assert np.allclose(np.sort(base), np.sort(new), atol=1e-10)
 
 
 def test_energy_per_charge_tracks_the_map():
     bg = Background(np.array([[1.0, 0.3], [0.3, 2.0]]), np.array([[0.0, 0.7], [-0.7, 0.0]]))
+    charges = np.array([[m1, 1, w1, 0] for m1 in (-1, 0, 1) for w1 in (-1, 0, 2)])
     for gen in onn_generators(2):
         moved = onn_apply(gen, bg)
-        for m1 in (-1, 0, 1):
-            for w1 in (-1, 0, 2):
-                cv = ChargeVector([m1, 1], [w1, 0])
-                before = narain_energy(bg, cv.m, cv.w)
-                out = transform_charges(gen, cv)
-                after = narain_energy(moved, out.m, out.w)
-                assert abs(before - after) < 1e-10
+        before = narain_energies(bg, charges)
+        after = narain_energies(moved, transform_charge_stack(gen, charges))
+        assert np.abs(before - after).max() < 1e-10
+        for row, energy in zip(charges, before):
+            one = narain_energies(moved, transform_charge_stack(gen, row[None, :]))
+            assert abs(one[0] - energy) < 1e-10
 
 
 def test_dual_metric_inverts_when_coupling_vanishes():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,6 @@ from dfslab import (
     Operator,
     parity_generators,
     position_momentum,
-    sector_residuals,
     SubspaceBasis,
     unitary_exp,
 )
@@ -266,12 +267,47 @@ def test_string_hamiltonian_is_oscillator_at_unit_metric():
 
 
 def test_dirac_parts_have_expected_symmetry():
+    coupled = Background(np.array([[1.0, 0.3], [0.3, 2.0]]), np.array([[0.0, 0.4], [-0.4, 0.0]]))
+    for model in (
+        build_string_model(string_background(2.25), n_max=2, levels=1),
+        build_string_model(string_background(0.7), n_max=2, levels=2),
+        build_string_model(coupled, n_max=1, levels=1),
+    ):
+        d, d_bar = model.d.mat, model.d_bar.mat
+        assert np.array_equal(d_bar, d.conj().T)
+        # (d + d_bar)/2 = D+ is Hermitian and (d - d_bar)/2 = D- anti-Hermitian
+        d_plus = 0.5 * (d + d_bar)
+        d_minus = 0.5 * (d - d_bar)
+        assert np.array_equal(d_plus, d_plus.conj().T)
+        assert np.array_equal(d_minus, -d_minus.conj().T)
+        assert np.abs(d_plus).max() > 0.1 and np.abs(d_minus).max() > 0.1
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("levels", [1, 2])
+def test_towers_are_hw_mode_operators(n, levels):
+    metric = np.array([[1.7]]) if n == 1 else np.array([[1.0, 0.3], [0.3, 2.0]])
+    background = Background(metric, np.zeros((n, n)))
+    model = build_string_model(background, n_max=1, levels=levels)
+    assert model.e_minus is model.e_plus
+    assert len(model.e_plus) == levels
+    for m, ops in enumerate(model.e_plus, start=1):
+        ref = hw_mode(model.tower_space, m, metric, modes=range((m - 1) * n, m * n))
+        assert len(ops) == n
+        for op, expected in zip(ops, ref):
+            assert np.array_equal(op.mat, expected.mat)
+
+
+def test_string_model_stores_one_full_space_matrix():
+    """Only d is a (dim, dim) matrix; d_bar is derived from it on access."""
     model = build_string_model(string_background(2.25), n_max=2, levels=1)
-    dp, dm = model.d_plus.mat, model.d_minus.mat
-    assert float(np.abs(dp - dp.conj().T).max()) < 1e-12
-    assert float(np.abs(dm + dm.conj().T).max()) < 1e-12
-    assert np.array_equal(model.d.mat, dp + dm)
-    assert np.array_equal(model.d_bar.mat, dp - dm)
+    full = []
+    for field in dataclasses.fields(model):
+        value = getattr(model, field.name)
+        mat = value.mat if isinstance(value, Operator) else value
+        if isinstance(mat, np.ndarray) and mat.shape == (model.dim, model.dim):
+            full.append(field.name)
+    assert full == ["d"]
 
 
 def test_dfs_from_dirac_block_example():
@@ -318,6 +354,8 @@ def test_gamma_pair_norm_is_basis_invariant():
     assert abs(dense - 4.0 / 3.0) < 1e-12
     with pytest.raises(UsageError):
         gamma_pair_norm(model, SubspaceBasis(model.dim, np.zeros((0, model.dim))))
+    with pytest.raises(ShapeError):
+        gamma_pair_norm(model, dfs_from_dirac(Operator(np.zeros((3, 3)))))
 
 
 def test_substitution_exact_for_single_direction():
@@ -342,71 +380,3 @@ def test_substitution_two_directions_gauge_invariant_match():
     report = duality_substitution(model)
     assert report.max_gram_residual < 1e-12
     assert set(report.substituted) == set(report.dual)
-
-
-SECTOR_KEYS = ("momentum_norms", "position_norms", "gamma_pair_residuals", "gamma_coupled_residuals")
-
-
-def dense_sector_rows(model, kernel):
-    """The table from full-space Kronecker products, one vector at a time."""
-
-    def kron4(a, b, c, d):
-        return np.kron(np.kron(np.kron(a, b), c), d)
-
-    n = model.background.n
-    kp, km = model.background.k_plus, model.background.k_minus
-    eye_spin = np.eye(model.clifford.rep_dim)
-    eye_s = np.eye(model.system_space.dim)
-    eye_t = np.eye(model.tower_space.dim)
-    p_full = [kron4(eye_spin, model.p[i].mat, eye_t, eye_t) for i in range(n)]
-    x_full = [kron4(eye_spin, model.x[i].mat, eye_t, eye_t) for i in range(n)]
-    gp = [kron4(model.clifford.gamma_plus[i].mat, eye_s, eye_t, eye_t) for i in range(n)]
-    gm = [kron4(model.clifford.gamma_minus[i].mat, eye_s, eye_t, eye_t) for i in range(n)]
-    rows = []
-    for psi in kernel.vectors:
-        coupled = [
-            sum((kp[j, i] * gp[j] - km[j, i] * gm[j]) @ psi for j in range(n)) for i in range(n)
-        ]
-        rows.append(
-            {
-                "momentum_norms": [np.linalg.norm(p_full[i] @ psi) for i in range(n)],
-                "position_norms": [np.linalg.norm(x_full[i] @ psi) for i in range(n)],
-                "gamma_pair_residuals": [np.linalg.norm((gp[i] + gm[i]) @ psi) for i in range(n)],
-                "gamma_coupled_residuals": [np.linalg.norm(c) for c in coupled],
-            }
-        )
-    return rows
-
-
-def test_sector_residuals_table():
-    coupled = Background(np.array([[1.0, 0.3], [0.3, 2.0]]), np.array([[0.0, 0.4], [-0.4, 0.0]]))
-    rng = np.random.Generator(np.random.Philox(91))
-    for model in (
-        build_string_model(string_background(2.25), n_max=2, levels=1),
-        build_string_model(coupled, n_max=1, levels=1),
-    ):
-        # A random orthonormal family makes every column nonzero, even where
-        # a kernel is empty or annihilated by some of the local factors.
-        raw = rng.normal(size=(model.dim, 4)) + 1j * rng.normal(size=(model.dim, 4))
-        bases = [
-            dfs_from_dirac(model.d, tol=1e-9),
-            dfs_from_dirac(model.d_bar, tol=1e-9),
-            SubspaceBasis(model.dim, np.linalg.qr(raw)[0].T),
-        ]
-        for kernel in bases:
-            rows = sector_residuals(model, kernel)
-            assert len(rows) == kernel.size
-            for idx, (row, ref) in enumerate(zip(rows, dense_sector_rows(model, kernel))):
-                assert row["vector"] == idx
-                assert set(row) == {"vector", *SECTOR_KEYS}
-                for key in SECTOR_KEYS:
-                    assert len(row[key]) == model.background.n
-                    assert all(v >= 0.0 for v in row[key])
-                    assert np.abs(np.array(row[key]) - np.array(ref[key])).max() < 1e-12
-
-
-def test_sector_residuals_rejects_foreign_kernel():
-    model = build_string_model(string_background(), n_max=1, levels=1)
-    bad = dfs_from_dirac(Operator(np.zeros((3, 3))))
-    with pytest.raises(ShapeError):
-        sector_residuals(model, bad)

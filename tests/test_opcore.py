@@ -289,7 +289,8 @@ def test_kernel_basis_diagonal():
 
 
 def test_kernel_basis_invertible_is_empty():
-    assert kernel_basis(Operator(np.diag([1.0, 2.0]))).size == 0
+    basis = kernel_basis(Operator(np.diag([1.0, 2.0])))
+    assert basis.size == 0 and basis.sigma_max == 2.0
 
 
 def test_kernel_basis_rank_deficient_product():
@@ -300,6 +301,7 @@ def test_kernel_basis_rank_deficient_product():
     basis = kernel_basis(op)
     assert basis.size == 3
     sigma_max = operator_norm(op)
+    assert abs(basis.sigma_max - sigma_max) <= 1e-14 * sigma_max
     for vec in basis.vectors:
         assert np.linalg.norm(op.mat @ vec) <= 1e-10 * sigma_max * np.sqrt(5)
 
@@ -387,6 +389,7 @@ def test_kernel_basis_of_permuted_blocks_is_certified():
     basis = kernel_basis(Operator(a))
     assert basis.size == kernel_dim
     assert np.linalg.norm(a @ basis.vectors.T, axis=0).max() < 1e-10 * np.linalg.norm(a, 2)
+    assert abs(basis.sigma_max - np.linalg.norm(a, 2)) <= 1e-14 * np.linalg.norm(a, 2)
 
 
 def test_commutant_of_identity_is_everything():

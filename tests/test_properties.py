@@ -9,23 +9,22 @@ import pytest
 
 from dfslab import (
     Background,
-    ChargeVector,
     DensityMatrix,
+    ONNElement,
     Operator,
     StateFunctional,
     commutant_basis,
     connes_distance,
     fidelity,
-    identity_element,
     make_diagonal_triple,
-    narain_energy,
+    narain_energies,
     onn_apply,
     onn_generators,
     pure_state,
     symmetrize_operator,
     close_group,
     tensor,
-    transform_charges,
+    transform_charge_stack,
 )
 from dfslab.reporting import canonical_json
 
@@ -132,16 +131,17 @@ def test_narain_energy_invariant_under_random_words():
     )
     gens = onn_generators(2)
     for _ in range(10):
-        word = identity_element(2)
+        word = ONNElement(np.eye(4))
         for k in rng.integers(0, len(gens), size=int(rng.integers(1, 5))):
             word = word.compose(gens[k])
         moved = onn_apply(word, bg)
-        for _ in range(5):
-            cv = ChargeVector(rng.integers(-3, 4, size=2), rng.integers(-3, 4, size=2))
-            before = narain_energy(bg, cv.m, cv.w)
-            out = transform_charges(word, cv)
-            after = narain_energy(moved, out.m, out.w)
-            assert abs(before - after) < 1e-9
+        charges = rng.integers(-3, 4, size=(5, 4))
+        before = narain_energies(bg, charges)
+        for row, energy in zip(charges, before):
+            after = narain_energies(moved, transform_charge_stack(word, row[None, :]))
+            assert abs(energy - after[0]) < 1e-9
+        after = narain_energies(moved, transform_charge_stack(word, charges))
+        assert np.abs(before - after).max() < 1e-9
 
 
 def test_canonical_json_is_stable_and_key_sorted():

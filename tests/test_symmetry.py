@@ -13,9 +13,7 @@ from dfslab import (
     invariant_projector,
     invariant_subalgebra,
     joint_kernel,
-    leakage_norm,
     parity_generators,
-    restrict_to_kernel,
     symmetrize_factorized,
     symmetrize_operator,
 )
@@ -196,30 +194,6 @@ def test_invariant_subalgebra_of_spin_generator():
     assert len(basis.vectors) == 2
     # the span must contain sigma_y itself
     assert basis.residual(SY.reshape(-1) / np.sqrt(2.0)) < 1e-10
-
-
-def test_restrict_to_kernel_compresses_diagonal():
-    h = Operator(np.diag([1.0, 2.0, 3.0]))
-    kernel = joint_kernel([Operator(np.diag([0.0, 0.0, 5.0]))])
-    small = restrict_to_kernel(h, kernel)
-    assert small.dim == 2
-    eigs = np.sort(np.linalg.eigvalsh(small.mat))
-    assert np.allclose(eigs, [1.0, 2.0], atol=1e-12)
-
-
-def test_leakage_norm_detects_off_block_coupling():
-    h = Operator(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
-    kernel = joint_kernel([Operator(np.diag([0.0, 3.0]))])
-    assert leakage_norm(h, kernel) == pytest.approx(1.0, abs=1e-12)
-    h_safe = Operator(np.diag([2.0, 5.0]))
-    assert leakage_norm(h_safe, kernel) < 1e-14
-
-
-def test_restrict_requires_matching_dims():
-    h = Operator(np.diag([1.0, 2.0]))
-    kernel = joint_kernel([Operator(np.diag([0.0, 0.0, 5.0]))])
-    with pytest.raises(ShapeError):
-        restrict_to_kernel(h, kernel)
 
 
 def test_invariant_subalgebra_requires_generators():
