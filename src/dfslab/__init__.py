@@ -32,6 +32,7 @@ from .opcore import (
     kernel_basis,
     operator_norm,
     tensor,
+    tensor_sum,
     unitary_exp,
 )
 from .states import (

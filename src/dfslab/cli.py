@@ -218,6 +218,10 @@ def _run_dfs(params: dict, tol_scale: float):
     if which not in ("relative", "total"):
         _fail("operator must be 'relative' or 'total'")
     tol = _number(params.get("tol", 1e-9), "tol")
+    if not 0.0 < tol < 1.0:
+        # a cutoff at or above sigma_max calls every direction kernel, and
+        # one at or below zero certifies nothing
+        _fail(f"tol must lie strictly between 0 and 1, got {tol!r}")
     model = build_string_model(bg, n_max, levels)
     dirac = model.d_bar if which == "relative" else model.d
     kernel = dfs_from_dirac(dirac, tol=tol)

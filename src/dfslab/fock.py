@@ -21,7 +21,16 @@ import numpy as np
 
 from .duality import Background
 from .errors import BudgetError, DomainError, ShapeError, UsageError
-from .opcore import DIM_BUDGET, KernelBasis, Operator, SubspaceBasis, apply_on_factor, kernel_basis, tensor
+from .opcore import (
+    DIM_BUDGET,
+    KernelBasis,
+    Operator,
+    SubspaceBasis,
+    apply_on_factor,
+    kernel_basis,
+    tensor,
+    tensor_sum,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -208,14 +217,17 @@ def build_decoherence_model(k_sys, lam_env, w_int, n_max: int) -> DecoherenceMod
         for be in range(n_env):
             h_env += lam_env[al, be] * (e_ops[al].conj().T @ e_ops[be])
 
-    eye_s = np.eye(sys_space.dim)
-    eye_e = np.eye(env_space.dim)
-    h_int = np.zeros((sys_space.dim * env_space.dim,) * 2, dtype=np.complex128)
+    # w a_i e_al^dag and its adjoint; no two of these terms share an entry,
+    # nor do they share one with the number-conserving h_sys and h_env terms
+    exchange = []
     for i in range(n_sys):
         for al in range(n_env):
-            term = tensor(a_ops[i], e_ops[al].conj().T).mat
-            h_int += w_int[i, al] * term + np.conj(w_int[i, al]) * term.conj().T
-    h_total = tensor(h_sys, eye_e).mat + tensor(eye_s, h_env).mat + h_int
+            exchange.append((w_int[i, al], (a_ops[i], e_ops[al].conj().T)))
+            exchange.append((np.conj(w_int[i, al]), (a_ops[i].conj().T, e_ops[al])))
+    h_int = tensor_sum(exchange)
+    h_total = tensor_sum(
+        [(1.0, (h_sys, np.eye(env_space.dim))), (1.0, (np.eye(sys_space.dim), h_env))] + exchange
+    )
 
     return DecoherenceModel(
         coupling_sys=k_sys,
@@ -226,8 +238,8 @@ def build_decoherence_model(k_sys, lam_env, w_int, n_max: int) -> DecoherenceMod
         space=full_space,
         h_sys=Operator(h_sys),
         h_env=Operator(h_env),
-        h_int=Operator(h_int),
-        h_total=Operator(h_total),
+        h_int=h_int,
+        h_total=h_total,
     )
 
 
@@ -429,18 +441,21 @@ def build_string_model(background: Background, n_max: int, levels: int) -> Strin
             for j in range(n):
                 h_env_half += eta_l[i, j] * (ops[i].mat.conj().T @ ops[j].mat)
     eye_t = np.eye(tower_space.dim)
-    h_env = tensor(h_env_half, eye_t).mat + tensor(eye_t, h_env_half).mat
+    h_env = tensor_sum([(1.0, (h_env_half, eye_t)), (1.0, (eye_t, h_env_half))])
 
     cliff = clifford_pair(eta_l)
     eye_s = np.eye(system_space.dim)
     # D+ (gamma_plus terms) and D- (gamma_minus terms) summed in one array.
-    d = np.zeros((total,) * 2, dtype=np.complex128)
+    terms = []
     for i in range(n):
         env = sum(op.mat + op.mat.conj().T for op in (lvl[i] for lvl in towers))
-        d += tensor(cliff.gamma_plus[i], a_plus[i], eye_t, eye_t).mat
-        d += tensor(cliff.gamma_plus[i], eye_s, env, eye_t).mat
-        d += tensor(cliff.gamma_minus[i], a_minus[i], eye_t, eye_t).mat
-        d += tensor(cliff.gamma_minus[i], eye_s, eye_t, env).mat
+        terms += [
+            (1.0, (cliff.gamma_plus[i], a_plus[i], eye_t, eye_t)),
+            (1.0, (cliff.gamma_plus[i], eye_s, env, eye_t)),
+            (1.0, (cliff.gamma_minus[i], a_minus[i], eye_t, eye_t)),
+            (1.0, (cliff.gamma_minus[i], eye_s, eye_t, env)),
+        ]
+    d = tensor_sum(terms)
 
     return StringModel(
         background=background,
@@ -456,8 +471,8 @@ def build_string_model(background: Background, n_max: int, levels: int) -> Strin
         e_plus=towers,
         e_minus=towers,
         h_sys=Operator(h_sys),
-        h_env=Operator(h_env),
-        d=Operator(d),
+        h_env=h_env,
+        d=d,
     )
 
 

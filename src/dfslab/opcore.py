@@ -8,14 +8,18 @@ Conventions used throughout the package:
 * tensor products are Kronecker products with the first factor varying
   slowest, matching the row-major reshape of composite indices.  This module
   is the only place that knows that layout: ``tensor`` densifies a product
-  of factors and ``apply_on_factor`` applies a local operator to one factor
-  of a stack of kets without forming the product;
+  of factors, ``tensor_sum`` adds a sum of such products into one array
+  from the factors' nonzero entries, and ``apply_on_factor`` applies a local
+  operator to one factor of a stack of kets without forming the product;
 * kernels, commutants and operator norms are computed from singular value
   decompositions with a relative cutoff, never from exact rank decisions.
   Each matrix is first split into the connected blocks of its nonzero
   pattern (an exact split, no tolerance), and every block gets its own SVD;
   the cutoff stays relative to the largest singular value of the whole
-  matrix;
+  matrix.  A kernel block whose entries are each real or imaginary, with
+  row and column phases in {1, i} that make it real (one exact labelling of
+  the doubled pattern decides it), takes a real SVD, and its kernel rows are
+  turned back by the column phases;
 * Hermitian eigenproblems go through ``sector_eigh`` the same way: the
   indices are split into the connected blocks of the nonzero pattern, read
   as an undirected graph on the indices, and each block is diagonalized on
@@ -204,6 +208,43 @@ def tensor(*factors) -> Operator:
     return Operator(out)
 
 
+def tensor_sum(terms) -> Operator:
+    """sum_t coef_t * tensor(*factors_t), formed from the factors' nonzero
+    entries, for ``terms`` a sequence of ``(coef, factors)`` pairs.
+
+    Each term multiplies its factors' nonzero entries in the order ``tensor``
+    uses and then scales them by ``coef``; the terms are added into one
+    array in the order given.  So the result equals, entry by entry, the
+    running sum of the densified terms, without any full-space temporary.
+    The budget is checked before anything is allocated; finiteness is
+    checked once, on the sum.
+    """
+    out = None
+    for coef, factors in terms:
+        mats = [np.asarray(f.mat if isinstance(f, Operator) else f) for f in factors]
+        if not mats or any(m.ndim != 2 or m.shape[0] != m.shape[1] for m in mats):
+            raise ShapeError("tensor_sum terms need square factor matrices")
+        dim = math.prod(m.shape[0] for m in mats)
+        if out is None:
+            if dim > DIM_BUDGET:
+                raise BudgetError(f"tensor product dimension {dim} exceeds budget {DIM_BUDGET}")
+            out = np.zeros((dim, dim), dtype=np.complex128)
+        elif dim != out.shape[0]:
+            raise ShapeError(f"term dimension {dim} does not match {out.shape[0]}")
+        rows = cols = np.zeros(1, dtype=np.intp)
+        vals = None
+        for m in mats:
+            r, c = np.nonzero(m)
+            rows = (rows[:, None] * m.shape[0] + r).reshape(-1)
+            cols = (cols[:, None] * m.shape[0] + c).reshape(-1)
+            vals = m[r, c] if vals is None else (vals[:, None] * m[r, c]).reshape(-1)
+        # (rows, cols) pairs are distinct within a term
+        out[rows, cols] += coef * vals
+    if out is None:
+        raise UsageError("tensor_sum needs at least one term")
+    return Operator(out)
+
+
 def apply_on_factor(mat, slot: int, dims, vectors) -> np.ndarray:
     """Apply a local operator to factor ``slot`` of a stack of row-kets.
 
@@ -231,7 +272,8 @@ def commutator(a: Operator, b: Operator) -> Operator:
 def operator_norm(a: Operator) -> float:
     """Largest singular value: the maximum over the blocks of the nonzero
     pattern of each block's singular values."""
-    sectors = _sectors(a.mat)
+    nz = _nonzero_entries(a.mat)
+    sectors = None if nz is None else _sectors(a.mat.shape, *nz)
     if sectors is None:
         return float(np.linalg.norm(a.mat, 2))
     return max(
@@ -342,23 +384,26 @@ def _components(n: int, r: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.unique(label, return_inverse=True)[1].reshape(n)
 
 
-def _sectors(arr: np.ndarray):
-    """Connected blocks of the bipartite nonzero pattern of ``arr``.
+def _nonzero_entries(arr: np.ndarray):
+    """Row and column indices of the nonzero entries of ``arr``, or None
+    when every entry is nonzero."""
+    pattern = arr != 0
+    return None if pattern.all() else np.nonzero(pattern)
+
+
+def _sectors(shape: tuple[int, int], r: np.ndarray, c: np.ndarray):
+    """Connected blocks of the bipartite nonzero pattern of an (m, n) matrix
+    whose nonzero entries sit at (r[k], c[k]).
 
     Rows and columns are separate nodes and row r is joined to column c when
-    ``arr[r, c] != 0``, so the split is exact.  Returns None when one block
+    that entry is nonzero, so the split is exact.  Returns None when one block
     holds every row and column.  Otherwise returns one ``(rows, cols)`` pair
     per distinct block shape (m_b, n_b): index arrays of shapes (k, m_b) and
     (k, n_b) for the k blocks of that shape, ascending within each block.  A
     row with no nonzero entry is a (1, 0) block, such a column a (0, 1) one.
     """
-    m, n = arr.shape
-    pattern = arr != 0
-    if pattern.all():
-        return None
-    r, c = np.nonzero(pattern)
-    c += m
-    comp = _components(m + n, r, c)
+    m, n = shape
+    comp = _components(m + n, r, c + m)
     n_blocks = int(comp.max(initial=0)) + 1
     if n_blocks == 1:
         return None
@@ -410,44 +455,95 @@ def _hermitian_blocks(pattern: np.ndarray):
 
 
 def _gather(arr: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The stack of blocks ``arr[rows[j]][:, cols[j]]``, shape (k, m_b, n_b)."""
+    """The stack of blocks ``arr[rows[j]][:, cols[j]]``, shape (k, m_b, n_b);
+    a view of ``arr`` when its one block is all of it."""
+    if rows.shape == (1, arr.shape[0]) and cols.shape == (1, arr.shape[1]):
+        return arr[None]
     return arr[rows[:, :, None], cols[:, None, :]]
+
+
+def _quarter_turns(arr: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """A turn t in {0, 1} for every row node (0..m-1) and column node
+    (m..m+n-1) of ``arr``, whose nonzero entries sit at (r[k], c[k]), such
+    that conj(i^t_row) * entry * i^t_col is real; -1 on every node of a block
+    of the nonzero pattern that has no such gauge.
+
+    One labelling of the doubled pattern decides it exactly, with no
+    tolerance: node (row, p) is joined to (column, p) when the entry has a
+    real part and to (column, 1 - p) when it has an imaginary part.  A block
+    has the gauge when no node shares a component with its mirror; t is 1 on
+    the nodes whose parity-1 copy lies in the component with the smaller
+    label.
+    """
+    m, n = arr.shape
+    size = m + n
+    vals = arr[r, c]
+    re, im = vals.real != 0, vals.imag != 0
+    col = c + m
+    comp = _components(
+        2 * size,
+        np.concatenate([r[re], r[re] + size, r[im], r[im] + size]),
+        np.concatenate([col[re], col[re] + size, col[im] + size, col[im]]),
+    )
+    even, odd = comp[:size], comp[size:]
+    return np.where(even == odd, -1, (odd < even).astype(np.intp))
+
+
+def _real_blocks(arr: np.ndarray, rows: np.ndarray, cols: np.ndarray, row_turns: np.ndarray) -> np.ndarray:
+    """The real stack conj(i^t_row) * block * i^t_col of gauged blocks
+    (``_quarter_turns``), gathered straight from the real and imaginary
+    parts: an entry with an imaginary part joins rows and columns of
+    opposite turns, so it becomes (2 t_row - 1) times that part."""
+    idx = (rows[:, :, None], cols[:, None, :])
+    blk = arr.real[idx]
+    imag = arr.imag[idx]
+    imag *= (2 * row_turns - 1)[:, :, None]
+    blk += imag
+    return blk
 
 
 def _nullspace_and_norm(arr: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
     """``nullspace`` rows together with sigma_max, the largest singular value."""
-    ncols = arr.shape[1]
+    m, ncols = arr.shape
     if arr.size == 0:
         return np.eye(ncols, dtype=np.complex128), 0.0
-    sectors = _sectors(arr)
+    nz = _nonzero_entries(arr)
+    turns = np.full(m + ncols, -1) if nz is None else _quarter_turns(arr, *nz)
+    sectors = None if nz is None else _sectors(arr.shape, *nz)
     if sectors is None:
-        _, sigma, vh = np.linalg.svd(arr)
-        smax = float(sigma[0])
-        cutoff = tol * smax if smax > 0 else 1e-12
-        # columns beyond the number of singular values are exact kernel directions
-        keep = np.concatenate([sigma <= cutoff, np.ones(ncols - sigma.size, dtype=bool)])
-        return vh[keep].conj(), smax
+        sectors = [(np.arange(m)[None], np.arange(ncols)[None])]
+    # (cols, sigma, vh, phases): kernel row = conj(vh row) for a complex
+    # block, vh row times the column phases i^t_col for a gauged real one
     svds = []
     for rows, cols in sectors:
         k, nb = cols.shape
         if not nb:
             continue  # zero rows
-        if rows.shape[1]:
-            _, sigma, vh = np.linalg.svd(_gather(arr, rows, cols))
-        else:
+        if not rows.shape[1]:
             # zero columns: each is an exact kernel direction, vh = [[1]]
-            sigma = np.zeros((k, 0))
-            vh = np.ones((k, 1, 1), dtype=np.complex128)
-        svds.append((cols, sigma, vh))
-    smax = max(float(sigma.max(initial=0.0)) for _, sigma, _ in svds)
+            svds.append((cols, np.zeros((k, 0)), np.ones((k, 1, 1)), None))
+            continue
+        col_turns = turns[cols + m]
+        real = col_turns[:, 0] >= 0
+        if real.any():
+            _, sigma, vt = np.linalg.svd(_real_blocks(arr, rows[real], cols[real], turns[rows[real]]))
+            svds.append((cols[real], sigma, vt, np.where(col_turns[real] == 1, 1j, 1.0)))
+        if not real.all():
+            _, sigma, vh = np.linalg.svd(_gather(arr, rows[~real], cols[~real]))
+            svds.append((cols[~real], sigma, vh, None))
+    smax = max(float(sigma.max(initial=0.0)) for _, sigma, _, _ in svds)
     cutoff = tol * smax if smax > 0 else 1e-12
     pieces = []
-    for cols, sigma, vh in svds:
+    for cols, sigma, vh, phases in svds:
+        # columns beyond the number of singular values are exact kernel directions
         keep = np.ones(cols.shape, dtype=bool)
         keep[:, : sigma.shape[1]] = sigma <= cutoff
         block, row = np.nonzero(keep)
         piece = np.zeros((block.size, ncols), dtype=np.complex128)
-        piece[np.arange(block.size)[:, None], cols[block]] = vh[block, row].conj()
+        vals = vh[block, row]
+        piece[np.arange(block.size)[:, None], cols[block]] = (
+            vals.conj() if phases is None else vals * phases[block]
+        )
         pieces.append(piece)
     return np.concatenate(pieces), smax
 
@@ -462,8 +558,11 @@ def nullspace(mat: np.ndarray, tol: float = KERNEL_TOL) -> np.ndarray:
     the largest singular value over all blocks, and each block's kernel
     directions are scattered back to its columns.  A block with more columns
     than rows and a column with no nonzero entry contribute their exact
-    kernel directions.  A matrix that is one block goes through one SVD of
-    the matrix as given.
+    kernel directions.  A block that a quarter-turn gauge makes real
+    (``_quarter_turns``) goes through a real SVD of the gauged block, and
+    every other block through a complex one.  A matrix with no zero entry,
+    or one block without that gauge, goes through one complex SVD of the
+    matrix as given.
     """
     return _nullspace_and_norm(np.asarray(mat, dtype=np.complex128), tol)[0]
 

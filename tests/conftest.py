@@ -1,3 +1,7 @@
+import numpy as np
+import pytest
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Echo the acceptance battery lines after capture ends, so a plain
     ``pytest -v`` run still shows one pass/fail line per criterion."""
@@ -6,3 +10,17 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_sep("-", "acceptance battery")
         for line in lines:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def svd_dtypes(monkeypatch):
+    """The dtype of every array passed to ``np.linalg.svd`` in the test."""
+    dtypes = []
+    original = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        dtypes.append(np.asarray(a).dtype)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return dtypes

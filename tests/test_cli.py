@@ -289,3 +289,21 @@ def test_generator_keys_depend_on_the_kind():
     scenario["params"]["generator"] = {"kind": "swap", "theta": [[0]]}
     with pytest.raises(UsageError, match="unknown swap generator key"):
         run_scenario(scenario)
+
+
+@pytest.mark.parametrize("tol", [2, 1e300, 0, -1])
+def test_dfs_tol_outside_the_unit_interval_exits_1(tol, tmp_path, capsys, monkeypatch):
+    """Without the range check, tol 2 and 1e300 pass with every dimension in
+    the kernel, and tol 0 and -1 exit 2 with a zero or negative bound."""
+    import dfslab.cli as cli
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("the model was built before tol was checked")
+
+    monkeypatch.setattr(cli, "build_string_model", no_build)
+    scenario = load("dfs.json")
+    scenario["params"]["tol"] = tol
+    path = tmp_path / "tol.json"
+    path.write_text(json.dumps(scenario))
+    assert entry(["run", str(path)]) == 1
+    assert "tol must lie strictly between 0 and 1" in capsys.readouterr().err

@@ -26,6 +26,7 @@ from dfslab import (
     parity_generators,
     position_momentum,
     SubspaceBasis,
+    tensor,
     unitary_exp,
 )
 
@@ -380,3 +381,81 @@ def test_substitution_two_directions_gauge_invariant_match():
     report = duality_substitution(model)
     assert report.max_gram_residual < 1e-12
     assert set(report.substituted) == set(report.dual)
+
+
+def running_sum_dirac(model):
+    """d as the parent formula: the running sum of four densified tensor
+    products per direction."""
+    eye_s = np.eye(model.system_space.dim)
+    eye_t = np.eye(model.tower_space.dim)
+    d = np.zeros((model.dim,) * 2, dtype=np.complex128)
+    for i in range(model.background.n):
+        env = sum(op.mat + op.mat.conj().T for op in (lvl[i] for lvl in model.e_plus))
+        gp, gm = model.clifford.gamma_plus[i], model.clifford.gamma_minus[i]
+        d += tensor(gp, model.a_plus[i], eye_t, eye_t).mat
+        d += tensor(gp, eye_s, env, eye_t).mat
+        d += tensor(gm, model.a_minus[i], eye_t, eye_t).mat
+        d += tensor(gm, eye_s, eye_t, env).mat
+    return d
+
+
+@pytest.mark.parametrize(
+    "metric, coupling, n_max, levels",
+    [
+        ([[2.25]], [[0.0]], 4, 1),
+        ([[0.7]], [[0.0]], 2, 2),
+        ([[1.0, 0.3], [0.3, 2.0]], [[0.0, 0.4], [-0.4, 0.0]], 1, 1),
+        ([[1.0, 0.3], [0.3, 2.0]], [[0.0, 0.4], [-0.4, 0.0]], 2, 1),
+        # a full Cholesky factor: G+_2 and G+_3 add gamma terms on shared
+        # entries, so their products are complex times complex
+        ([[2.0, 0.6, 0.3], [0.6, 1.5, 0.4], [0.3, 0.4, 1.2]], [[0.0] * 3] * 3, 1, 1),
+    ],
+)
+def test_string_model_operators_equal_the_summed_tensor_products(metric, coupling, n_max, levels):
+    model = build_string_model(Background(np.array(metric), np.array(coupling)), n_max, levels)
+    assert np.array_equal(model.d.mat, running_sum_dirac(model))
+    eta_l = np.linalg.inv(model.background.metric)
+    n = model.background.n
+    half = sum(
+        eta_l[i, j] * (ops[i].mat.conj().T @ ops[j].mat)
+        for ops in model.e_plus
+        for i in range(n)
+        for j in range(n)
+    )
+    eye_t = np.eye(model.tower_space.dim)
+    assert np.array_equal(model.h_env.mat, tensor(half, eye_t).mat + tensor(eye_t, half).mat)
+
+
+def test_n1_string_kernels_take_only_real_svds(svd_dtypes):
+    """Every n = 1 Dirac operator has imaginary p entries and real x and
+    tower entries, so a quarter-turn gauge makes each block real.  Without
+    the real path the SVDs receive complex128 blocks."""
+    for n_max, levels in ((2, 1), (4, 1), (2, 2)):
+        model = build_string_model(string_background(1.7), n_max=n_max, levels=levels)
+        for dirac in (model.d, model.d_bar):
+            kernel = dfs_from_dirac(dirac, tol=1e-9)
+            assert kernel.size > 0
+    assert svd_dtypes and all(t == np.float64 for t in svd_dtypes)
+
+
+def test_decoherence_operators_equal_the_summed_tensor_products():
+    rng = np.random.Generator(np.random.Philox(53))
+    w = rng.uniform(0.2, 1.0, size=(2, 2)) * np.exp(2j * np.pi * rng.uniform(size=(2, 2)))
+    model = build_decoherence_model(
+        k_sys=np.array([[1.0, 0.3], [0.3, 0.7]]),
+        lam_env=np.array([[1.1, 0.2j], [-0.2j, 0.9]]),
+        w_int=w,
+        n_max=3,
+    )
+    a_ops = [ladder(model.system_space, i)[0].mat for i in range(2)]
+    e_ops = [ladder(model.env_space, al)[0].mat for al in range(2)]
+    h_int = np.zeros((model.space.dim,) * 2, dtype=np.complex128)
+    for i in range(2):
+        for al in range(2):
+            term = tensor(a_ops[i], e_ops[al].conj().T).mat
+            h_int += w[i, al] * term + np.conj(w[i, al]) * term.conj().T
+    eye_s = np.eye(model.system_space.dim)
+    eye_e = np.eye(model.env_space.dim)
+    h_total = tensor(model.h_sys, eye_e).mat + tensor(eye_s, model.h_env).mat + h_int
+    assert np.array_equal(model.h_int.mat, h_int)
+    assert np.array_equal(model.h_total.mat, h_total)

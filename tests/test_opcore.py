@@ -15,9 +15,10 @@ from dfslab import (
     kernel_basis,
     operator_norm,
     tensor,
+    tensor_sum,
     unitary_exp,
 )
-from dfslab.opcore import nullspace, sector_eigh
+from dfslab.opcore import _nullspace_and_norm, nullspace, sector_eigh
 
 TOL = 1e-12
 
@@ -474,3 +475,113 @@ def test_subspace_basis_residual_split():
 def test_subspace_basis_unknown_kind():
     with pytest.raises(UsageError):
         SubspaceBasis(2, np.array([[1.0, 0.0]], dtype=complex), "nonsense")
+
+
+def test_tensor_sum_matches_the_running_sum_of_tensor_products():
+    rng = np.random.Generator(np.random.Philox(20))
+    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    a[0, 1] = a[2, 0] = 0.0
+    b = np.triu(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    w = complex(rng.normal(), rng.normal())
+    terms = [(1.0, (a, b, SX)), (w, (np.eye(3), b, SY)), (np.conj(w), (a.conj().T, np.eye(2), SZ))]
+    ref = np.zeros((12, 12), dtype=complex)
+    for coef, factors in terms:
+        ref += coef * tensor(*factors).mat
+    assert np.array_equal(tensor_sum(terms).mat, ref)
+
+
+def test_tensor_sum_validation():
+    with pytest.raises(UsageError):
+        tensor_sum([])
+    with pytest.raises(ShapeError):
+        tensor_sum([(1.0, (np.ones((2, 3)),))])
+    with pytest.raises(ShapeError):
+        tensor_sum([(1.0, (SX,)), (1.0, (SX, SX))])
+    with pytest.raises(BudgetError):
+        tensor_sum([(1.0, (np.eye(64), np.eye(65)))])
+    with pytest.raises(DomainError):
+        tensor_sum([(1.0, (np.eye(2), np.array([[np.inf]])))])
+
+
+def quarter_turned_blocks(rng, blocks, zero_rows=0, zero_cols=0):
+    """``permuted_blocks`` with real blocks, each row and column then turned
+    by a random power of i: a complex matrix that a quarter-turn gauge makes
+    real again."""
+    m = sum(b[0] for b in blocks) + zero_rows
+    n = sum(b[1] for b in blocks) + zero_cols
+    out = np.zeros((m, n), dtype=complex)
+    i = j = 0
+    for rows, cols, rank in blocks:
+        out[i : i + rows, j : j + cols] = rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, cols))
+        i, j = i + rows, j + cols
+    out *= 1j ** rng.integers(0, 4, size=m)[:, None]
+    out *= 1j ** rng.integers(0, 4, size=n)[None, :]
+    kernel_dim = n - sum(b[2] for b in blocks)
+    return out[rng.permutation(m)][:, rng.permutation(n)], kernel_dim
+
+
+@pytest.mark.parametrize(
+    "blocks, zero_rows, zero_cols",
+    [
+        ([(6, 4, 4)], 0, 2),
+        ([(3, 3, 2), (3, 3, 2), (3, 3, 3)], 0, 0),
+        ([(2, 5, 2), (5, 2, 1), (4, 4, 3), (1, 3, 1)], 2, 3),
+        ([(1, 1, 1)] * 7 + [(2, 1, 1)] * 4 + [(1, 2, 1)] * 3, 3, 0),
+    ],
+)
+def test_quarter_turn_gauge_agrees_with_the_complex_svd(blocks, zero_rows, zero_cols, svd_dtypes):
+    """Fails without the real path: the SVDs then receive complex blocks."""
+    rng = np.random.Generator(np.random.Philox(21 + len(blocks)))
+    a, kernel_dim = quarter_turned_blocks(rng, blocks, zero_rows, zero_cols)
+    assert np.abs(a.real * a.imag).max() == 0 and np.abs(a.imag).max() > 0
+    check_quarter_turn_kernel(a, kernel_dim, svd_dtypes)
+
+
+def test_quarter_turn_gauge_of_one_sparse_block(svd_dtypes):
+    rng = np.random.Generator(np.random.Philox(25))
+    # a path through every row and column, each entry real or imaginary
+    a = np.triu(np.tril(rng.normal(size=(7, 7)), 1), -1) * 1j ** np.add.outer(np.arange(7), np.arange(7))
+    check_quarter_turn_kernel(a, 0, svd_dtypes)
+    a[:, 3] = 0.0
+    check_quarter_turn_kernel(a, 1, svd_dtypes)
+
+
+def check_quarter_turn_kernel(a, kernel_dim, svd_dtypes):
+    svd_dtypes.clear()
+    rows, smax = _nullspace_and_norm(a, 1e-10)
+    assert svd_dtypes and all(t == np.float64 for t in svd_dtypes)
+    oracle = dense_nullspace(a)
+    sigma_max = np.linalg.norm(a, 2)
+    assert rows.shape[0] == kernel_dim == oracle.shape[0]
+    assert abs(smax - sigma_max) <= 1e-14 * sigma_max
+    proj = rows.T @ rows.conj()
+    assert np.abs(proj - oracle.T @ oracle.conj()).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        # every entry real or imaginary, but the cycle through all four
+        # entries carries one quarter turn, which no gauge removes
+        np.array([[1.0, 1.0], [1.0, 1.0j]]),
+        np.array([[1.0 + 2.0j, 0.5], [-1.0j, 0.25 - 1.0j]]),
+    ],
+)
+def test_blocks_without_a_quarter_turn_gauge_keep_the_complex_svd(block, svd_dtypes):
+    rng = np.random.Generator(np.random.Philox(22))
+    # the block next to a zero column (so its pattern is labelled), and
+    # next to gauged blocks of its own shape
+    alone = np.hstack([block, np.zeros((2, 1))])
+    turned, _ = quarter_turned_blocks(rng, [(2, 2, 1), (2, 2, 2)])
+    stacked = np.zeros((6, 6), dtype=complex)
+    stacked[:4, :4] = turned
+    stacked[4:, 4:] = block
+    for a in (alone, stacked):
+        svd_dtypes.clear()
+        rows, smax = _nullspace_and_norm(a, 1e-10)
+        assert np.complex128 in svd_dtypes
+        assert svd_dtypes.count(np.float64) == (a is stacked)
+        oracle = dense_nullspace(a)
+        assert rows.shape == oracle.shape
+        assert abs(smax - np.linalg.norm(a, 2)) <= 1e-14 * smax
+        assert np.abs(rows.T @ rows.conj() - oracle.T @ oracle.conj()).max() < 1e-12
