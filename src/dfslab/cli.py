@@ -29,7 +29,7 @@ from .dynamics import coherence_experiment
 from .errors import DfsLabError, UsageError
 from .fock import build_decoherence_model, build_string_model, dfs_from_dirac, duality_substitution, gamma_pair_norm, parity_generators
 from .nctorus import FluxMatrix, clock_shift_rep, landau_hamiltonian, weyl_residual
-from .opcore import Operator, SubspaceBasis, operator_norm, sector_eigh
+from .opcore import DIM_BUDGET, Operator, SubspaceBasis, operator_norm, sector_eigh
 from .reporting import canonical_json
 from .spectral import GAP_TOL, connes_distance, make_diagonal_triple, make_two_point_triple
 from .states import DensityMatrix, StateFunctional, pure_state
@@ -142,7 +142,11 @@ def _run_distance(params: dict, tol_scale: float):
         expected = _number(params.get("expected", 1.0 / abs(lam)), "expected")
         tol = _number(params.get("tolerance", 1e-6), "tolerance") * tol_scale
     else:
-        dirac = _matrix(params.get("dirac") or _fail("need lambda or dirac"), "dirac")
+        raw = params.get("dirac") or _fail("need lambda or dirac")
+        if isinstance(raw, list) and len(raw) ** 2 > DIM_BUDGET:
+            # the triple's algebra basis is n x n^2; refuse before parsing
+            _fail(f"dirac has {len(raw)} rows; {len(raw)}^2 exceeds the budget of {DIM_BUDGET}")
+        dirac = _matrix(raw, "dirac")
         n = dirac.shape[0]
         triple = make_diagonal_triple(n, Operator(dirac))
         p = _probabilities(params.get("state") or _fail("need state"), "state")
@@ -226,19 +230,13 @@ def _run_dfs(params: dict, tol_scale: float):
     dirac = model.d_bar if which == "relative" else model.d
     kernel = dfs_from_dirac(dirac, tol=tol)
     bound = tol * kernel.sigma_max * tol_scale
-    if kernel.size:
-        residual = float(np.linalg.norm(dirac.mat @ kernel.vectors.T, axis=0).max())
-        gamma_worst = gamma_pair_norm(model, kernel)
-    else:
-        residual = 0.0
-        gamma_worst = None
     results = {
         "model_dim": model.dim,
         "kernel_dim": kernel.size,
-        "kernel_residual": residual,
-        "max_gamma_pair_residual": gamma_worst,
+        "kernel_residual": kernel.residual,
+        "max_gamma_pair_residual": gamma_pair_norm(model, kernel) if kernel.size else None,
     }
-    checks = [_check("kernel-residual", residual, bound, residual <= bound)]
+    checks = [_check("kernel-residual", kernel.residual, bound, kernel.residual <= bound)]
     return results, checks
 
 

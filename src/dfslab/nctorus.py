@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError, UnsupportedFluxError
 from .fock import FockSpace, position_momentum
-from .opcore import DIM_BUDGET, UNITARITY_TOL, Operator, tensor
+from .opcore import DIM_BUDGET, UNITARITY_TOL, Operator, tensor, tensor_sum
 
 TWO_PI = 2.0 * math.pi
 RATIONAL_TOL = 1e-12
@@ -169,18 +169,28 @@ def weyl_residual(rep: MagneticRep, flux: FluxMatrix) -> float:
 
 
 def landau_hamiltonian(flux: FluxMatrix, n_max: int) -> Operator:
-    """Half the sum of squared magnetic momenta p_i - (1/2) omega_ij x_j."""
+    """Half the sum of squared magnetic momenta p_i - (1/2) omega_ij x_j.
+
+    With two directions this is
+    (1/2)(p^2 kron I - w01 p kron x + (1/4) w01^2 I kron x^2
+    + I kron p^2 - w10 x kron p + (1/4) w10^2 x^2 kron I),
+    built by ``tensor_sum`` from single-mode quadratures truncated at
+    ``n_max``, so no full-space product is formed.
+    """
     if flux.n != 2:
         raise UnsupportedFluxError(
             f"Landau Hamiltonian is built for two directions, got {flux.n}"
         )
-    space = FockSpace(2, n_max)
-    quads = [position_momentum(space, m) for m in range(2)]
-    total = 0
-    for i in range(2):
-        kin = quads[i][1].mat.copy()
-        for j in range(2):
-            kin -= 0.5 * flux.omega[i, j] * quads[j][0].mat
-        total = total + kin @ kin
-    return Operator(0.5 * total)
-
+    FockSpace(2, n_max)  # the dimension budget of the two-mode space
+    x, p = position_momentum(FockSpace(1, n_max), 0)
+    x2, p2 = x @ x, p @ p
+    eye = np.eye(n_max + 1)
+    w01, w10 = flux.omega[0, 1], flux.omega[1, 0]
+    return tensor_sum([
+        (0.5, (p2, eye)),
+        (-0.5 * w01, (p, x)),
+        (0.125 * w01 * w01, (eye, x2)),
+        (0.5, (eye, p2)),
+        (-0.5 * w10, (x, p)),
+        (0.125 * w10 * w10, (x2, eye)),
+    ])

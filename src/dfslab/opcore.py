@@ -25,7 +25,14 @@ Conventions used throughout the package:
   as an undirected graph on the indices, and each block is diagonalized on
   its own (blocks of one size in one stacked call), so a Hamiltonian that
   conserves a quantum number costs the cube of its largest block, not of
-  its dimension.
+  its dimension;
+* commutants are block-first: the generators must be Hermitian, one of them
+  is diagonalized and its eigenvalues grouped into eigenspaces with a
+  cutoff relative to its spectral spread, every commutant element is block
+  diagonal over those eigenspaces, and only the other generators'
+  constraints on the blocks go through ``nullspace`` (sum of the squared
+  multiplicities unknowns, not dim^2).  Each returned element carries a
+  commutator certificate.
 """
 
 from __future__ import annotations
@@ -181,9 +188,12 @@ class SubspaceBasis:
 @dataclass(frozen=True, kw_only=True)
 class KernelBasis(SubspaceBasis):
     """The numerical kernel of an operator, with ``sigma_max``, the largest
-    singular value of that operator, read off the SVDs that found it."""
+    singular value of that operator, read off the SVDs that found it, and
+    ``residual``, the largest norm ||A v|| over the basis vectors v (0 for an
+    empty kernel), measured by the certificate."""
 
     sigma_max: float
+    residual: float
 
 
 def tensor(*factors) -> Operator:
@@ -502,8 +512,9 @@ def _real_blocks(arr: np.ndarray, rows: np.ndarray, cols: np.ndarray, row_turns:
     return blk
 
 
-def _nullspace_and_norm(arr: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
-    """``nullspace`` rows together with sigma_max, the largest singular value."""
+def _nullspace_and_norm(arr: np.ndarray, tol: float, scale: float = 0.0) -> tuple[np.ndarray, float]:
+    """``nullspace`` rows together with sigma_max, the largest singular value;
+    the cutoff is tol * max(sigma_max, scale)."""
     m, ncols = arr.shape
     if arr.size == 0:
         return np.eye(ncols, dtype=np.complex128), 0.0
@@ -532,7 +543,8 @@ def _nullspace_and_norm(arr: np.ndarray, tol: float) -> tuple[np.ndarray, float]
             _, sigma, vh = np.linalg.svd(_gather(arr, rows[~real], cols[~real]))
             svds.append((cols[~real], sigma, vh, None))
     smax = max(float(sigma.max(initial=0.0)) for _, sigma, _, _ in svds)
-    cutoff = tol * smax if smax > 0 else 1e-12
+    ref = max(smax, scale)
+    cutoff = tol * ref if ref > 0 else 1e-12
     pieces = []
     for cols, sigma, vh, phases in svds:
         # columns beyond the number of singular values are exact kernel directions
@@ -572,38 +584,98 @@ def kernel_basis(a: Operator, tol: float = KERNEL_TOL) -> KernelBasis:
 
     Certified: every basis vector's residual must stay within
     tol * sigma_max * sqrt(dim), with sigma_max read off the singular values
-    the kernel computation already has and returned on the basis.
+    the kernel computation already has.  Both sigma_max and the measured
+    residual are returned on the basis.
     """
     rows, smax = _nullspace_and_norm(a.mat, tol)
-    basis = KernelBasis(a.dim, rows, VECTOR_SPACE, sigma_max=smax)
-    if basis.size:
-        resid = float(np.linalg.norm(a.mat @ basis.vectors.T, axis=0).max())
-        bound = tol * smax * np.sqrt(a.dim) if smax > 0 else 1e-10
-        if resid > max(bound, 1e-12):
-            raise DomainError("kernel residual exceeds the certified bound")
+    resid = float(np.linalg.norm(a.mat @ rows.T, axis=0).max()) if rows.shape[0] else 0.0
+    basis = KernelBasis(a.dim, rows, VECTOR_SPACE, sigma_max=smax, residual=resid)
+    bound = tol * smax * np.sqrt(a.dim) if smax > 0 else 1e-10
+    if resid > max(bound, 1e-12):
+        raise DomainError("kernel residual exceeds the certified bound")
     return basis
 
 
 def commutant_basis(ops: list[Operator], dim: int, tol: float = KERNEL_TOL) -> SubspaceBasis:
-    """Hilbert-Schmidt orthonormal basis of {X : [O, X] = 0 for all O}.
+    """Hilbert-Schmidt orthonormal basis of {X : [O, X] = 0 for all O}, for
+    Hermitian generators O; a generator that is not Hermitian within
+    ``HERMITICITY_TOL`` raises DomainError.
 
-    Solves the joint kernel of the vectorized maps X -> O X - X O.  An empty
-    operator list returns the full operator space.  The identity direction is
-    always contained in the span.
+    Block-first: X commutes with a Hermitian O exactly when it maps every
+    eigenspace of O into itself.  Each generator is diagonalized by
+    ``sector_eigh`` and its eigenvalues are grouped into eigenspaces wherever
+    consecutive ones differ by at most tol * (lambda_max - lambda_min); for
+    one generator this is the cutoff of the dense system O kron I - I kron
+    O^T, whose singular values are |lambda_i - lambda_j|.  In the eigenbasis
+    V of the generator with the fewest unknowns sum_c m_c^2 (m_c the
+    multiplicities), X = V Y V^dag with Y block diagonal; the other
+    generators' constraints [V^dag O V, Y] = 0 go through ``nullspace`` on
+    those unknowns, with the cutoff relative to the largest spread
+    lambda_max - lambda_min over the generators if that exceeds the
+    constraints' own sigma_max.  Certified: every returned element has
+    ||[O, X]||_HS <= tol * ||O|| for every generator, or DomainError is
+    raised.  An empty operator list returns the full operator space.  The
+    identity direction is always contained in the span.
     """
     if dim * dim > DIM_BUDGET:
         raise BudgetError(f"commutant problem size {dim * dim} exceeds budget {DIM_BUDGET}")
-    blocks = []
-    eye = np.eye(dim)
     for op in ops:
         if op.dim != dim:
             raise ShapeError(f"operator dimension {op.dim} does not match {dim}")
-        # row-major vec: vec(OX - XO) = (O kron I - I kron O^T) vec(X)
-        blocks.append(np.kron(op.mat, eye) - np.kron(eye, op.mat.T))
-    if not blocks:
+        if not op.is_hermitian():
+            raise DomainError("commutant generators must be Hermitian within tolerance")
+    if not ops:
         return SubspaceBasis(dim * dim, np.eye(dim * dim), OPERATOR_SPACE)
-    rows = nullspace(np.vstack(blocks), tol)
-    return SubspaceBasis(dim * dim, rows, OPERATOR_SPACE)
+    frames = [_eigenspaces(op.mat, tol) for op in ops]
+    pick = min(range(len(ops)), key=lambda k: int(np.sum(frames[k][2] ** 2)))
+    vecs, sizes = frames[pick][1:]
+    # the unknowns Y_ij, i and j in one eigenspace, grouped by eigenspace
+    label = np.repeat(np.arange(sizes.size), sizes)
+    i, j = np.nonzero(label[:, None] == label[None, :])
+    others = [op.mat for k, op in enumerate(ops) if k != pick]
+    if others:
+        # cut relative to the largest spread, as the dense system would: in
+        # a shared frame these constraints can all be roundoff
+        spread = max(vals[-1] - vals[0] for vals, _, _ in frames)
+        coef = _nullspace_and_norm(np.concatenate([
+            _frame_commutator(vecs.conj().T @ o @ vecs, i, j) for o in others
+        ]), tol, spread)[0]
+    else:
+        coef = np.eye(i.size, dtype=np.complex128)
+    # X = sum_c V_c Y_c V_c^dag over the eigenspaces c
+    out = np.zeros((coef.shape[0], dim, dim), dtype=np.complex128)
+    start = 0
+    for first, m in zip(np.cumsum(sizes) - sizes, sizes):
+        y = coef[:, start:start + m * m].reshape(-1, m, m)
+        start += m * m
+        rows = np.flatnonzero(np.any(y != 0, axis=(1, 2)))
+        v = vecs[:, first:first + m]
+        out[rows] += v @ y[rows] @ v.conj().T
+    for op, (vals, _, _) in zip(ops, frames):
+        resid = np.linalg.norm((op.mat @ out - out @ op.mat).reshape(out.shape[0], -1), axis=1)
+        if float(resid.max(initial=0.0)) > tol * max(abs(vals[0]), abs(vals[-1])):
+            raise DomainError("commutant element fails the commutator certificate")
+    return SubspaceBasis(dim * dim, out.reshape(-1, dim * dim), OPERATOR_SPACE)
+
+
+def _eigenspaces(mat: np.ndarray, tol: float):
+    """Eigenvalues (ascending), eigenvectors and eigenspace sizes of a
+    Hermitian matrix; an eigenspace ends wherever the next eigenvalue is more
+    than tol * (lambda_max - lambda_min) above the last one."""
+    vals, vecs = sector_eigh(mat)
+    cut = np.flatnonzero(np.diff(vals) > tol * (vals[-1] - vals[0])) + 1
+    return vals, vecs, np.diff(np.concatenate([[0], cut, [vals.size]]))
+
+
+def _frame_commutator(b: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The (d^2, k) matrix of Y -> [b, Y] restricted to the k unknowns Y_ij:
+    column u is the row-major vec of b[:, i_u] e_{j_u}^T - e_{i_u} b[j_u, :]."""
+    d = b.shape[0]
+    u = np.arange(i.size)
+    out = np.zeros((d, d, i.size), dtype=np.complex128)
+    out[:, j, u] = b[:, i]
+    out[i, :, u] -= b[j, :]
+    return out.reshape(d * d, i.size)
 
 
 def unitary_exp(theta: Operator, tol: float = HERMITICITY_TOL) -> Operator:

@@ -28,8 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, UsageError
+from .errors import BudgetError, DomainError, ShapeError, UsageError
 from .opcore import (
+    DIM_BUDGET,
     OPERATOR_SPACE,
     Operator,
     SubspaceBasis,
@@ -118,9 +119,15 @@ def make_two_point_triple(lam: complex) -> SpectralTriple:
 
 
 def make_diagonal_triple(n: int, dirac: Operator) -> SpectralTriple:
-    """n-point space: real diagonal algebra with a supplied Hermitian Dirac."""
+    """n-point space: real diagonal algebra with a supplied Hermitian Dirac.
+
+    The algebra basis is an n x n^2 array, so n^2 may not exceed
+    ``DIM_BUDGET`` (BudgetError).
+    """
     if dirac.dim != n:
         raise ShapeError(f"Dirac dimension {dirac.dim} does not match {n} points")
+    if n * n > DIM_BUDGET:
+        raise BudgetError(f"{n} points give an algebra of dimension {n * n}, over the budget {DIM_BUDGET}")
     rows = np.zeros((n, n * n), dtype=np.complex128)
     for i in range(n):
         rows[i, i * n + i] = 1.0

@@ -192,7 +192,9 @@ def _check_involution(sq_residual: float) -> None:
 
 
 def invariant_subalgebra(group: GroupRep, tol: float = 1e-10) -> SubspaceBasis:
-    """Basis of the algebra commuting with every stored generator.
+    """Basis of the algebra commuting with every stored generator.  The
+    generators must be Hermitian, as ``close_group`` requires; any other
+    raises DomainError (``commutant_basis``).
 
     Operators in this span preserve each charge eigenspace, in particular the
     joint kernel, so they act on the protected sector without leaking.

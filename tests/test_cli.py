@@ -205,6 +205,28 @@ def test_large_charge_box_exits_1_quickly(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "rows",
+    [
+        [[0.0] * 65 for _ in range(65)],
+        [["not a number"]] * 65,  # rejected by its row count, before any entry is read
+        [[0.0]] * 100_000,
+    ],
+)
+def test_distance_dirac_over_the_budget_exits_1_quickly(tmp_path, capsys, rows):
+    scenario = {
+        "schema_version": 1,
+        "kind": "distance",
+        "params": {"dirac": rows, "state": [1.0], "state_prime": [1.0]},
+    }
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(scenario))
+    start = time.perf_counter()
+    assert entry(["run", str(path)]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "exceeds the budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "times",
     [
         {"start": 0, "stop": 1e30, "step": 0.5},

@@ -5,6 +5,7 @@ import pytest
 
 from dfslab import (
     Background,
+    BudgetError,
     DomainError,
     FluxMatrix,
     MagneticRep,
@@ -126,6 +127,45 @@ def test_landau_zero_flux_is_free_kinetic_energy():
     _, p1 = position_momentum(space, 1)
     direct = 0.5 * (p0.mat @ p0.mat + p1.mat @ p1.mat)
     assert float(np.abs(h.mat - direct).max()) < 1e-12
+
+
+def dense_landau(flux, n_max):
+    """Reference: half the sum of the squared full-space magnetic momenta."""
+    from dfslab import FockSpace, position_momentum
+
+    space = FockSpace(2, n_max)
+    quads = [position_momentum(space, m) for m in range(2)]
+    total = 0
+    for i in range(2):
+        kin = quads[i][1].mat.copy()
+        for j in range(2):
+            kin -= 0.5 * flux.omega[i, j] * quads[j][0].mat
+        total = total + kin @ kin
+    return 0.5 * total
+
+
+@pytest.mark.parametrize(
+    "n_max, fluxes",
+    [
+        (1, [(1, 6), (-1, 6), (5, 7), (0, 1)]),
+        (2, [(1, 6), (-3, 4), (7, 3)]),
+        (7, [(1, 6), (-1, 6), (-5, 7), (2, 9)]),
+        (24, [(1, 6), (-2, 5)]),
+    ],
+)
+def test_landau_hamiltonian_matches_the_dense_formula(n_max, fluxes):
+    flux_mats = [FluxMatrix.from_rational(np.array([[0, q], [-q, 0]]), den) for q, den in fluxes]
+    flux_mats.append(FluxMatrix(two_by_two(-0.7)))
+    for flux in flux_mats:
+        h = landau_hamiltonian(flux, n_max).mat
+        ref = dense_landau(flux, n_max)
+        assert h.shape == ref.shape == ((n_max + 1) ** 2,) * 2
+        assert np.abs(h - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_landau_keeps_the_two_mode_budget():
+    with pytest.raises(BudgetError):
+        landau_hamiltonian(FluxMatrix(two_by_two(1.0)), 64)
 
 
 def test_landau_lowest_level_frozen():

@@ -391,6 +391,8 @@ def test_kernel_basis_of_permuted_blocks_is_certified():
     assert basis.size == kernel_dim
     assert np.linalg.norm(a @ basis.vectors.T, axis=0).max() < 1e-10 * np.linalg.norm(a, 2)
     assert abs(basis.sigma_max - np.linalg.norm(a, 2)) <= 1e-14 * np.linalg.norm(a, 2)
+    assert basis.residual == float(np.linalg.norm(a @ basis.vectors.T, axis=0).max())
+    assert kernel_basis(Operator(np.diag([1.0, 2.0]))).residual == 0.0
 
 
 def test_commutant_of_identity_is_everything():
@@ -421,6 +423,140 @@ def test_commutant_contains_identity_and_is_adjoint_closed():
     for mat in basis.matrices():
         adj = mat.mat.conj().T
         assert basis.residual(adj / np.linalg.norm(adj)) < 1e-10
+
+
+def dense_commutant(mats, tol=1e-10):
+    """Reference: the joint kernel of the vectorized maps X -> O X - X O,
+    one dense (k d^2) x d^2 system."""
+    d = mats[0].shape[0]
+    eye = np.eye(d)
+    # row-major vec: vec(OX - XO) = (O kron I - I kron O^T) vec(X)
+    return nullspace(np.vstack([np.kron(m, eye) - np.kron(eye, m.T) for m in mats]), tol)
+
+
+def random_hermitian(rng, d):
+    a = random_matrix(rng, d)
+    return (a + a.conj().T) / 2.0
+
+
+def random_unitary(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def rotated(u, spectrum):
+    return (u * np.asarray(spectrum, dtype=float)) @ u.conj().T
+
+
+def assert_matches_dense_commutant(mats, same_projector=True):
+    basis = commutant_basis([Operator(m) for m in mats], mats[0].shape[0])
+    ref = dense_commutant(mats)
+    assert basis.size == ref.shape[0]
+    rows = basis.vectors
+    assert np.abs(rows @ rows.conj().T - np.eye(basis.size)).max() <= 1e-10
+    if same_projector:
+        assert np.abs(rows.T @ rows.conj() - ref.T @ ref.conj()).max() <= 1e-10
+    xs = rows.reshape(basis.size, *mats[0].shape)
+    for m in mats:
+        comm = np.linalg.norm((m @ xs - xs @ m).reshape(basis.size, -1), axis=1)
+        assert comm.max() <= 1e-10 * np.linalg.norm(m, 2)
+    return basis
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 9, 16, 24])
+def test_commutant_of_a_random_generator_matches_the_dense_system(d):
+    rng = np.random.Generator(np.random.Philox(40 + d))
+    basis = assert_matches_dense_commutant([random_hermitian(rng, d)])
+    assert basis.size == d
+
+
+@pytest.mark.parametrize(
+    "spectrum, size",
+    [
+        ([1.0] * 6, 36),  # the identity
+        ([0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0], 25),  # a rank-3 projector
+        ([1.0, 1.0, 2.0, 2.0, 2.0, -3.0, 1.0, 2.0], 9 + 16 + 1),  # repeated values
+        ([0.0] * 5, 25),  # the zero operator
+    ],
+)
+def test_commutant_of_a_degenerate_generator_matches_the_dense_system(spectrum, size):
+    rng = np.random.Generator(np.random.Philox(60 + len(spectrum)))
+    d = len(spectrum)
+    mats = [np.diag(np.asarray(spectrum, dtype=complex))]
+    if len(set(spectrum)) > 1:
+        # a rotated multiple of the identity is roundoff around it, with a
+        # spread of roundoff size; both paths cut relative to that spread
+        mats.append(rotated(random_unitary(rng, d), spectrum))
+    for mat in mats:
+        assert assert_matches_dense_commutant([mat]).size == size
+
+
+def test_commutant_of_generators_sharing_eigenspaces_matches_the_dense_system():
+    rng = np.random.Generator(np.random.Philox(71))
+    u = random_unitary(rng, 8)
+    a = rotated(u, [1, 1, 1, 2, 2, 3, 3, 3])
+    b = rotated(u, [5, 5, 6, 6, 6, 6, 7, 7])
+    # joint eigenspaces {0, 1}, {2}, {3, 4}, {5}, {6, 7}
+    assert assert_matches_dense_commutant([a, b]).size == 4 + 1 + 4 + 1 + 4
+    assert assert_matches_dense_commutant([b, a, a + b]).size == 14
+
+
+def test_commutant_of_generators_acting_on_one_factor_matches_the_dense_system():
+    eye = np.eye(3)
+    # sigma_x and sigma_z on the first factor leave all of M_3 on the second
+    mats = [np.kron(SX, eye), np.kron(SZ, eye)]
+    assert assert_matches_dense_commutant(mats).size == 9
+    assert assert_matches_dense_commutant([SX, SZ]).size == 1
+    rng = np.random.Generator(np.random.Philox(72))
+    u = random_unitary(rng, 6)
+    assert assert_matches_dense_commutant([u @ m @ u.conj().T for m in mats]).size == 9
+
+
+def test_commutant_of_two_random_generators_is_the_scalars():
+    rng = np.random.Generator(np.random.Philox(73))
+    basis = assert_matches_dense_commutant([random_hermitian(rng, 12), random_hermitian(rng, 12)])
+    assert basis.size == 1
+
+
+@pytest.mark.parametrize("gap, size", [(0.5e-10, 8 + 2), (2e-10, 8)])
+def test_commutant_split_near_the_cutoff_matches_the_dense_system(gap, size):
+    # spread 1, so the cutoff is tol * (lambda_max - lambda_min) = 1e-10
+    rng = np.random.Generator(np.random.Philox(74))
+    spectrum = [0.0, 0.2, 0.2 + gap, 0.45, 0.6, 0.7, 0.85, 1.0]
+    assert assert_matches_dense_commutant([np.diag(np.asarray(spectrum, dtype=complex))]).size == size
+    # rotated, the split pair's eigenvectors are defined only to about
+    # roundoff / gap, so only the dimension and the certificate are compared
+    mat = rotated(random_unitary(rng, 8), spectrum)
+    assert assert_matches_dense_commutant([mat], same_projector=False).size == size
+
+
+def test_commutant_of_a_chain_of_close_eigenvalues_fails_the_certificate():
+    # gaps of 0.9e-10 each join one eigenspace 1.8e-10 wide, which no
+    # element mixing its ends commutes with to 1e-10
+    mat = np.diag([0.0, 0.9e-10, 1.8e-10, 0.5, 1.0]).astype(complex)
+    with pytest.raises(DomainError):
+        commutant_basis([Operator(mat)], 5)
+
+
+def test_commutant_rejects_a_non_hermitian_generator():
+    with pytest.raises(DomainError):
+        commutant_basis([Operator(SZ), Operator(np.array([[0.0, 1.0], [0.0, 0.0]]))], 2)
+
+
+def test_commutant_of_a_generic_generator_at_the_budget(monkeypatch):
+    def no_kron(*args, **kwargs):
+        raise AssertionError("commutant_basis formed a Kronecker product")
+
+    monkeypatch.setattr(np, "kron", no_kron)
+    rng = np.random.Generator(np.random.Philox(75))
+    h = random_hermitian(rng, 64)
+    basis = commutant_basis([Operator(h)], 64)
+    assert basis.size == 64
+    xs = basis.vectors.reshape(64, 64, 64)
+    comm = np.linalg.norm((h @ xs - xs @ h).reshape(64, -1), axis=1)
+    assert comm.max() <= 1e-10 * np.linalg.norm(h, 2)
+    with pytest.raises(BudgetError):
+        commutant_basis([Operator(np.eye(65))], 65)
 
 
 def test_unitary_exp_zero():

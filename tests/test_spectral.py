@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dfslab import (
+    BudgetError,
     DensityMatrix,
     DomainError,
     Operator,
@@ -71,6 +72,12 @@ def test_diagonal_triple_matches_two_point():
 def test_diagonal_triple_rejects_non_hermitian():
     with pytest.raises(DomainError):
         make_diagonal_triple(2, Operator(np.array([[0.0, 1.0], [0.0, 0.0]])))
+
+
+def test_diagonal_triple_budget():
+    make_diagonal_triple(64, Operator(np.zeros((64, 64))))
+    with pytest.raises(BudgetError):
+        make_diagonal_triple(65, Operator(np.zeros((65, 65))))
 
 
 def test_unbounded_direction_detected():
