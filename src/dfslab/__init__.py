@@ -23,6 +23,7 @@ from .errors import (
 )
 from .opcore import (
     DIM_BUDGET,
+    KroneckerSum,
     Operator,
     SubspaceBasis,
     apply_on_factor,
@@ -83,6 +84,8 @@ from .duality import (
 from .fock import (
     CliffordPair,
     DecoherenceModel,
+    DiracOperator,
+    DiracSplit,
     FockSpace,
     StringModel,
     SubstitutionReport,

@@ -10,6 +10,13 @@ through ladder exchange terms, and a register of quadrature oscillators paired
 with towers of environment modes and a gamma-matrix sector, whose Dirac
 operator d and its adjoint d_bar (the relative operator) cut out protected
 subspaces as numerical kernels.
+
+For one compact direction the Dirac operator splits exactly as
+d = l (|0><1| x K+ + |1><0| x K-), with K+ and K- Kronecker sums of small
+Hermitian factors on (register, plus tower, minus tower).  The model records
+that split next to the dense matrix, and ``dfs_from_dirac`` takes the kernel
+from the factors' eigenpairs; with more directions the a_plus_i do not
+commute, no such split exists, and the kernel comes from block SVDs.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from .errors import BudgetError, DomainError, ShapeError, UsageError
 from .opcore import (
     DIM_BUDGET,
     KernelBasis,
+    KroneckerSum,
     Operator,
     SubspaceBasis,
     apply_on_factor,
@@ -344,6 +352,31 @@ def clifford_pair(eta) -> CliffordPair:
 
 
 @dataclass(frozen=True)
+class DiracSplit:
+    """d = scale * (|0><1| x upper + |1><0| x lower) on (spinor) x (rest),
+    with ``upper`` and ``lower`` the Hermitian factors of Kronecker sums
+    (``KroneckerSum``) on the rest."""
+
+    scale: float
+    upper: tuple[np.ndarray, ...]
+    lower: tuple[np.ndarray, ...]
+
+
+@dataclass(frozen=True, kw_only=True)
+class DiracOperator(Operator):
+    """A string-model Dirac operator: the dense matrix, plus its ``split``
+    for one direction (None for more, where no split exists).  Only
+    ``dfs_from_dirac`` reads the split; the adjoint swaps its two sums."""
+
+    split: DiracSplit | None
+
+    def dag(self) -> "DiracOperator":
+        s = self.split
+        swapped = None if s is None else DiracSplit(s.scale, s.lower, s.upper)
+        return DiracOperator._unchecked(self.mat.conj().T, split=swapped)
+
+
+@dataclass(frozen=True)
 class StringModel:
     """Quadrature register, environment towers, gamma sector, Dirac operator.
 
@@ -353,7 +386,8 @@ class StringModel:
     factor) and h_env on their tower factors; the Dirac operator d on the
     full space.  d = D+ + D-, with D+ Hermitian and D- anti-Hermitian entry
     by entry, so the relative operator D+ - D- is exactly d's adjoint:
-    ``d_bar`` returns it and only d is stored.
+    ``d_bar`` returns it and only d is stored.  For one direction d carries
+    its split (``DiracOperator``), which ``d_bar`` swaps.
     """
 
     background: Background
@@ -370,14 +404,14 @@ class StringModel:
     e_minus: tuple[tuple[Operator, ...], ...]
     h_sys: Operator
     h_env: Operator
-    d: Operator
+    d: DiracOperator
 
     @property
     def dim(self) -> int:
         return self.d.dim
 
     @property
-    def d_bar(self) -> Operator:
+    def d_bar(self) -> DiracOperator:
         return self.d.dag()
 
 
@@ -455,7 +489,16 @@ def build_string_model(background: Background, n_max: int, levels: int) -> Strin
             (1.0, (cliff.gamma_minus[i], a_minus[i], eye_t, eye_t)),
             (1.0, (cliff.gamma_minus[i], eye_s, eye_t, env)),
         ]
-    d = tensor_sum(terms)
+    split = None
+    if n == 1:
+        # gamma_plus = l sigma_x and gamma_minus = l (|0><1| - |1><0|), so
+        # the four terms above are l (|0><1| x K+ + |1><0| x K-); the kernel
+        # certificate fails loudly if this split ever disagrees with d
+        a_p, a_m = a_plus[0].mat, a_minus[0].mat
+        split = DiracSplit(
+            float(cliff.gamma_plus[0].mat[0, 1].real), (a_p + a_m, env, env), (a_p - a_m, env, -env)
+        )
+    d = DiracOperator._unchecked(tensor_sum(terms).mat, split=split)
 
     return StringModel(
         background=background,
@@ -479,10 +522,34 @@ def build_string_model(background: Background, n_max: int, levels: int) -> Strin
 def dfs_from_dirac(d: Operator, tol: float = 1e-10) -> KernelBasis:
     """Numerical kernel of a Dirac operator: the protected subspace.
 
-    Works for non-normal inputs since the kernel comes from an SVD; the
-    returned basis carries d's largest singular value as ``sigma_max``.
+    A ``DiracOperator`` with a split, d = l (|0><1| x K+ + |1><0| x K-), has
+    the singular values l |lambda| over the eigenvalue grids of K+ and K-,
+    and ker d = |1> x ker K+ + |0> x ker K-; so sigma_max is l max |lambda|
+    and ker K+- is spanned by the product eigenvectors with l |lambda| <=
+    tol * sigma_max, the cutoff ``nullspace`` applies to singular values.
+    Any other operator, non-normal ones included, goes through
+    ``kernel_basis`` (block SVDs).  Either way the returned basis carries
+    d's largest singular value as ``sigma_max`` and is certified on the
+    dense matrix (``KernelBasis.certify``), so a split that disagrees with
+    its matrix raises DomainError.
     """
-    return kernel_basis(d, tol=tol)
+    split = d.split if isinstance(d, DiracOperator) else None
+    if split is None:
+        return kernel_basis(d, tol=tol)
+    sums = (KroneckerSum(split.lower), KroneckerSum(split.upper))  # spinor components 0 and 1
+    half = d.dim // 2
+    if any(k.grid.size != half for k in sums) or 2 * half != d.dim:
+        raise ShapeError("the split's factors do not span half of the Dirac operator's space")
+    scale = abs(split.scale)
+    smax = scale * max(float(np.abs(k.grid).max()) for k in sums)
+    cutoff = tol * smax if smax > 0 else 1e-12
+    rows = []
+    for slot, k in enumerate(sums):
+        vecs = k.eigenvectors(np.flatnonzero(scale * np.abs(k.grid) <= cutoff))
+        piece = np.zeros((vecs.shape[0], d.dim), dtype=np.complex128)
+        piece[:, slot * half:(slot + 1) * half] = vecs
+        rows.append(piece)
+    return KernelBasis.certify(d, np.concatenate(rows), smax, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -9,17 +9,22 @@ Conventions used throughout the package:
   slowest, matching the row-major reshape of composite indices.  This module
   is the only place that knows that layout: ``tensor`` densifies a product
   of factors, ``tensor_sum`` adds a sum of such products into one array
-  from the factors' nonzero entries, and ``apply_on_factor`` applies a local
-  operator to one factor of a stack of kets without forming the product;
+  from the factors' nonzero entries, ``apply_on_factor`` applies a local
+  operator to one factor of a stack of kets without forming the product, and
+  ``KroneckerSum`` diagonalizes a Kronecker sum of Hermitian factors from
+  the factors' eigenpairs (eigenvalue grid and product eigenvectors);
 * kernels, commutants and operator norms are computed from singular value
   decompositions with a relative cutoff, never from exact rank decisions.
   Each matrix is first split into the connected blocks of its nonzero
-  pattern (an exact split, no tolerance), and every block gets its own SVD;
-  the cutoff stays relative to the largest singular value of the whole
-  matrix.  A kernel block whose entries are each real or imaginary, with
-  row and column phases in {1, i} that make it real (one exact labelling of
-  the doubled pattern decides it), takes a real SVD, and its kernel rows are
-  turned back by the column phases;
+  pattern (an exact split, no tolerance), and every block gets its own SVD
+  (with the full V^dag only for a block with more columns than rows); the
+  cutoff stays relative to the largest singular value of the whole matrix.
+  A kernel block whose entries are each real or imaginary, with row and
+  column phases in {1, i} that make it real (one exact labelling of the
+  doubled pattern decides it), takes a real SVD, and its kernel rows are
+  turned back by the column phases.  A kernel computed any other way (from
+  a Kronecker sum's eigenpairs, say) is certified the same way, by
+  ``KernelBasis.certify``;
 * Hermitian eigenproblems go through ``sector_eigh`` the same way: the
   indices are split into the connected blocks of the nonzero pattern, read
   as an undirected graph on the indices, and each block is diagonalized on
@@ -81,6 +86,18 @@ class Operator:
     def dim(self) -> int:
         return self.mat.shape[0]
 
+    @classmethod
+    def _unchecked(cls, arr: np.ndarray, **fields) -> "Operator":
+        """An instance around ``arr``, which the caller vouches is a square,
+        finite complex128 array, without the boundary check; ``arr`` is made
+        read-only.  ``fields`` sets a subclass's other fields."""
+        out = object.__new__(cls)
+        arr.setflags(write=False)
+        object.__setattr__(out, "mat", arr)
+        for name, value in fields.items():
+            object.__setattr__(out, name, value)
+        return out
+
     @staticmethod
     def identity(dim: int) -> "Operator":
         return Operator(np.eye(dim))
@@ -90,7 +107,8 @@ class Operator:
         return Operator(np.zeros((dim, dim)))
 
     def dag(self) -> "Operator":
-        return Operator(self.mat.conj().T)
+        # mat is read-only and was validated when this operator was made
+        return Operator._unchecked(self.mat.conj().T)
 
     def trace(self) -> complex:
         return complex(np.trace(self.mat))
@@ -188,12 +206,26 @@ class SubspaceBasis:
 @dataclass(frozen=True, kw_only=True)
 class KernelBasis(SubspaceBasis):
     """The numerical kernel of an operator, with ``sigma_max``, the largest
-    singular value of that operator, read off the SVDs that found it, and
-    ``residual``, the largest norm ||A v|| over the basis vectors v (0 for an
-    empty kernel), measured by the certificate."""
+    singular value of that operator, read off the computation that found it
+    (block SVDs or factor eigenvalues), and ``residual``, the largest norm
+    ||A v|| over the basis vectors v (0 for an empty kernel), measured by the
+    certificate."""
 
     sigma_max: float
     residual: float
+
+    @classmethod
+    def certify(cls, a: Operator, rows: np.ndarray, sigma_max: float, tol: float) -> "KernelBasis":
+        """The span of ``rows`` as the kernel of ``a``, certified: the
+        largest residual ||a v|| over the rows, measured on ``a.mat``, must
+        stay within tol * sigma_max * sqrt(dim) (1e-10 when sigma_max
+        vanishes, never below 1e-12), else DomainError."""
+        resid = float(np.linalg.norm(a.mat @ rows.T, axis=0).max()) if rows.shape[0] else 0.0
+        basis = cls(a.dim, rows, VECTOR_SPACE, sigma_max=sigma_max, residual=resid)
+        bound = tol * sigma_max * np.sqrt(a.dim) if sigma_max > 0 else 1e-10
+        if resid > max(bound, 1e-12):
+            raise DomainError("kernel residual exceeds the certified bound")
+        return basis
 
 
 def tensor(*factors) -> Operator:
@@ -273,6 +305,43 @@ def apply_on_factor(mat, slot: int, dims, vectors) -> np.ndarray:
     stacked = vecs.reshape(vecs.shape[0], *dims)
     out = np.moveaxis(np.tensordot(m, stacked, axes=(1, slot + 1)), 0, slot + 1)
     return out.reshape(vecs.shape)
+
+
+class KroneckerSum:
+    """The Kronecker sum sum_k I x .. x h_k x .. x I of Hermitian factors
+    h_k (first factor slowest), diagonalized from its factors' eigenpairs,
+    the fast diagonalization of Lynch, Rice and Thomas (Numer. Math. 6, 185,
+    1964); no dense Kronecker product is formed.
+
+    ``grid`` holds the eigenvalues lambda_a + mu_b + .., one eigenvalue of
+    each factor, flattened in the first-factor-slowest layout; grid entry g
+    belongs to the product eigenvector ``eigenvectors([g])``.  Each factor
+    goes through ``sector_eigh``, whose reconstruction check rejects a
+    factor that is not Hermitian.
+    """
+
+    def __init__(self, factors):
+        mats = tuple(np.asarray(f.mat if isinstance(f, Operator) else f) for f in factors)
+        if not mats or any(m.ndim != 2 or m.shape[0] != m.shape[1] for m in mats):
+            raise ShapeError("KroneckerSum needs square factor matrices")
+        pairs = [sector_eigh(m) for m in mats]
+        grid = np.zeros(())
+        for vals, _ in pairs:
+            grid = np.add.outer(grid, vals)
+        self.dims = tuple(m.shape[0] for m in mats)
+        self.grid = grid.reshape(-1)
+        self.grid.setflags(write=False)
+        self._vecs = tuple(v for _, v in pairs)
+
+    def eigenvectors(self, index) -> np.ndarray:
+        """Row-kets, one per grid index in ``index``: the products of the
+        factor eigenvectors that index selects, first factor slowest."""
+        picks = np.unravel_index(np.asarray(index, dtype=np.intp), self.dims)
+        out = np.ones((picks[0].size, 1), dtype=np.complex128)
+        for vecs, pick in zip(self._vecs, picks):
+            side = out.shape[1] * vecs.shape[0]
+            out = (out[:, :, None] * vecs[:, pick].T[:, None, :]).reshape(pick.size, side)
+        return out
 
 
 def commutator(a: Operator, b: Operator) -> Operator:
@@ -536,11 +605,16 @@ def _nullspace_and_norm(arr: np.ndarray, tol: float, scale: float = 0.0) -> tupl
             continue
         col_turns = turns[cols + m]
         real = col_turns[:, 0] >= 0
+        # only a wide block needs the V^dag rows past its singular values;
+        # a tall one would form a full U that nothing reads
+        wide = rows.shape[1] < nb
         if real.any():
-            _, sigma, vt = np.linalg.svd(_real_blocks(arr, rows[real], cols[real], turns[rows[real]]))
+            _, sigma, vt = np.linalg.svd(
+                _real_blocks(arr, rows[real], cols[real], turns[rows[real]]), full_matrices=wide
+            )
             svds.append((cols[real], sigma, vt, np.where(col_turns[real] == 1, 1j, 1.0)))
         if not real.all():
-            _, sigma, vh = np.linalg.svd(_gather(arr, rows[~real], cols[~real]))
+            _, sigma, vh = np.linalg.svd(_gather(arr, rows[~real], cols[~real]), full_matrices=wide)
             svds.append((cols[~real], sigma, vh, None))
     smax = max(float(sigma.max(initial=0.0)) for _, sigma, _, _ in svds)
     ref = max(smax, scale)
@@ -582,18 +656,12 @@ def nullspace(mat: np.ndarray, tol: float = KERNEL_TOL) -> np.ndarray:
 def kernel_basis(a: Operator, tol: float = KERNEL_TOL) -> KernelBasis:
     """Orthonormal basis of the numerical kernel of ``a`` (``nullspace``).
 
-    Certified: every basis vector's residual must stay within
-    tol * sigma_max * sqrt(dim), with sigma_max read off the singular values
-    the kernel computation already has.  Both sigma_max and the measured
-    residual are returned on the basis.
+    Certified (``KernelBasis.certify``): every basis vector's residual must
+    stay within tol * sigma_max * sqrt(dim), with sigma_max read off the
+    singular values the kernel computation already has.  Both sigma_max and
+    the measured residual are returned on the basis.
     """
-    rows, smax = _nullspace_and_norm(a.mat, tol)
-    resid = float(np.linalg.norm(a.mat @ rows.T, axis=0).max()) if rows.shape[0] else 0.0
-    basis = KernelBasis(a.dim, rows, VECTOR_SPACE, sigma_max=smax, residual=resid)
-    bound = tol * smax * np.sqrt(a.dim) if smax > 0 else 1e-10
-    if resid > max(bound, 1e-12):
-        raise DomainError("kernel residual exceeds the certified bound")
-    return basis
+    return KernelBasis.certify(a, *_nullspace_and_norm(a.mat, tol), tol)
 
 
 def commutant_basis(ops: list[Operator], dim: int, tol: float = KERNEL_TOL) -> SubspaceBasis:

@@ -7,6 +7,7 @@ from dfslab import (
     Background,
     BudgetError,
     CliffordPair,
+    DiracOperator,
     DomainError,
     FockSpace,
     ShapeError,
@@ -20,6 +21,7 @@ from dfslab import (
     gamma_pair_norm,
     hw_mode,
     interior_indices,
+    kernel_basis,
     ladder,
     number_operator,
     Operator,
@@ -27,6 +29,7 @@ from dfslab import (
     position_momentum,
     SubspaceBasis,
     tensor,
+    tensor_sum,
     unitary_exp,
 )
 
@@ -429,13 +432,98 @@ def test_string_model_operators_equal_the_summed_tensor_products(metric, couplin
 def test_n1_string_kernels_take_only_real_svds(svd_dtypes):
     """Every n = 1 Dirac operator has imaginary p entries and real x and
     tower entries, so a quarter-turn gauge makes each block real.  Without
-    the real path the SVDs receive complex128 blocks."""
+    the real path the SVDs of the oracle ``kernel_basis`` receive complex128
+    blocks."""
     for n_max, levels in ((2, 1), (4, 1), (2, 2)):
         model = build_string_model(string_background(1.7), n_max=n_max, levels=levels)
         for dirac in (model.d, model.d_bar):
-            kernel = dfs_from_dirac(dirac, tol=1e-9)
+            kernel = kernel_basis(dirac, tol=1e-9)
             assert kernel.size > 0
     assert svd_dtypes and all(t == np.float64 for t in svd_dtypes)
+
+
+def kronecker_sum_dense(factors):
+    eyes = [np.eye(f.shape[0]) for f in factors]
+    return tensor_sum(
+        [(1.0, tuple(f if j == k else eyes[j] for j in range(len(eyes)))) for k, f in enumerate(factors)]
+    ).mat
+
+
+@pytest.mark.parametrize("n_max, levels, metric", [(2, 1, 2.25), (4, 1, 0.7), (2, 2, 1.7), (3, 2, 2.25)])
+def test_one_direction_dirac_operator_is_its_split(n_max, levels, metric):
+    model = build_string_model(string_background(metric), n_max, levels)
+    split = model.d.split
+    assert split.scale > 0
+    assert np.array_equal(split.upper[0], model.a_plus[0].mat + model.a_minus[0].mat)
+    assert np.array_equal(split.lower[0], model.a_plus[0].mat - model.a_minus[0].mat)
+    env = sum(op.mat + op.mat.conj().T for op in (lvl[0] for lvl in model.e_plus))
+    for got, want in zip(split.upper[1:] + split.lower[1:], (env, env, env, -env)):
+        assert np.array_equal(got, want)
+    raise_, lower_ = np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 0.0]])
+    expected = split.scale * (
+        tensor(raise_, kronecker_sum_dense(split.upper)).mat + tensor(lower_, kronecker_sum_dense(split.lower)).mat
+    )
+    assert np.abs(model.d.mat - expected).max() <= 1e-14 * np.abs(model.d.mat).max()
+    # the adjoint swaps the two sums
+    bar = model.d_bar.split
+    assert bar.scale == split.scale and bar.upper is split.lower and bar.lower is split.upper
+
+
+# (n_max, levels, metric): with metric 2.25, n_max 1 has an empty kernel;
+# with metric 0.25 its grid value 1 - 1/2 - 1/2 vanishes
+FACTORED_CASES = [
+    (1, 1, 2.25),
+    (1, 1, 0.25),
+    (2, 1, 2.25),
+    (3, 1, 0.7),
+    (4, 1, 1.7),
+    (7, 1, 2.25),
+    (8, 1, 2.25),
+    (8, 1, 0.45),
+    (1, 2, 1.3),
+    (2, 2, 2.25),
+    (3, 2, 0.7),
+]
+
+
+@pytest.mark.parametrize("n_max, levels, metric", FACTORED_CASES)
+def test_factored_kernel_matches_the_svd_oracle(n_max, levels, metric, svd_dtypes):
+    model = build_string_model(string_background(metric), n_max, levels)
+    for dirac in (model.d, model.d_bar):
+        svd_dtypes.clear()
+        kernel = dfs_from_dirac(dirac, tol=1e-9)
+        assert not svd_dtypes
+        oracle = kernel_basis(dirac, tol=1e-9)
+        assert kernel.size == oracle.size
+        assert np.abs(kernel.projector().mat - oracle.projector().mat).max(initial=0.0) < 1e-10
+        assert abs(kernel.sigma_max - oracle.sigma_max) <= 1e-12 * oracle.sigma_max
+        measured = np.linalg.norm(dirac.mat @ kernel.vectors.T, axis=0).max(initial=0.0)
+        assert kernel.residual == float(measured)
+        assert kernel.residual <= 1e-9 * kernel.sigma_max * np.sqrt(model.dim)
+    if (n_max, metric) == (1, 2.25):
+        assert kernel.size == 0 and kernel.vectors.shape == (0, model.dim)
+    if (n_max, levels, metric) == (1, 1, 0.25):
+        assert kernel.size > 0
+
+
+def test_a_split_that_disagrees_with_its_matrix_fails_the_certificate():
+    model = build_string_model(string_background(2.25), n_max=2, levels=1)
+    assert dfs_from_dirac(model.d, tol=1e-9).size > 0
+    with pytest.raises(DomainError):
+        dfs_from_dirac(DiracOperator(model.d.mat, split=model.d_bar.split), tol=1e-9)
+    small = build_string_model(string_background(2.25), n_max=1, levels=1)
+    with pytest.raises(ShapeError):
+        dfs_from_dirac(DiracOperator(model.d.mat, split=small.d.split), tol=1e-9)
+
+
+def test_two_direction_kernels_keep_the_block_svds(svd_dtypes):
+    background = Background(np.array([[1.0, 0.3], [0.3, 2.0]]), np.array([[0.0, 0.4], [-0.4, 0.0]]))
+    model = build_string_model(background, n_max=1, levels=1)
+    assert model.d.split is None and model.d_bar.split is None
+    kernel = dfs_from_dirac(model.d_bar, tol=1e-9)
+    assert svd_dtypes
+    oracle = kernel_basis(model.d_bar, tol=1e-9)
+    assert np.array_equal(kernel.vectors, oracle.vectors) and kernel.sigma_max == oracle.sigma_max
 
 
 def test_decoherence_operators_equal_the_summed_tensor_products():

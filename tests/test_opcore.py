@@ -4,6 +4,7 @@ import pytest
 from dfslab import (
     BudgetError,
     DomainError,
+    KroneckerSum,
     Operator,
     ShapeError,
     SubspaceBasis,
@@ -41,6 +42,16 @@ def test_operator_matrix_is_write_protected():
     op = Operator(np.eye(2))
     with pytest.raises(ValueError):
         op.mat[0, 0] = 5.0
+
+
+def test_operator_adjoint_is_the_read_only_conjugate_transpose():
+    rng = np.random.Generator(np.random.Philox(13))
+    mat = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    adj = Operator(mat).dag()
+    assert type(adj) is Operator
+    assert np.array_equal(adj.mat, mat.conj().T)
+    with pytest.raises(ValueError):
+        adj.mat[0, 0] = 5.0
 
 
 def test_operator_dimension_mismatch():
@@ -374,6 +385,31 @@ def test_nullspace_of_one_block_is_the_direct_svd(sparse):
         # a path through every row and column, with zeros elsewhere
         a = np.triu(np.tril(a, 1), -1)
     assert np.array_equal(nullspace(a), dense_nullspace(a))
+
+
+def test_only_wide_blocks_take_full_svds(monkeypatch):
+    """A tall or square block's kernel is read off its whole V^dag, so its
+    SVD forms no full U; a wide block needs the V^dag rows past its singular
+    values.  At dim 64 the commutant of two generators solves one 4096 x 64
+    system, whose full U alone would be 4096 x 4096."""
+    calls = []
+    original = np.linalg.svd
+
+    def recording(a, full_matrices=True, **kwargs):
+        calls.append((np.shape(a)[-2:], full_matrices))
+        return original(a, full_matrices=full_matrices, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    rng = np.random.Generator(np.random.Philox(20))
+    a, kernel_dim = permuted_blocks(rng, [(2, 5, 2), (5, 2, 1), (4, 4, 3), (6, 3, 2)])
+    rows = nullspace(a)
+    assert rows.shape[0] == kernel_dim
+    assert np.abs(a @ rows.T).max() < 1e-12 * np.abs(a).max()
+    basis = commutant_basis([Operator(random_hermitian(rng, 64)) for _ in range(2)], 64)
+    assert basis.size == 1
+    assert any(m > 4000 and n == 64 and not full for (m, n), full in calls)
+    assert {m < n for (m, n), _ in calls} == {True, False}
+    assert all(full == (m < n) for (m, n), full in calls)
 
 
 def test_operator_norm_of_permuted_blocks():
@@ -721,3 +757,38 @@ def test_blocks_without_a_quarter_turn_gauge_keep_the_complex_svd(block, svd_dty
         assert rows.shape == oracle.shape
         assert abs(smax - np.linalg.norm(a, 2)) <= 1e-14 * smax
         assert np.abs(rows.T @ rows.conj() - oracle.T @ oracle.conj()).max() < 1e-12
+
+
+def kronecker_sum_dense(factors):
+    eyes = [np.eye(f.shape[0]) for f in factors]
+    return tensor_sum(
+        [(1.0, tuple(f if j == k else eyes[j] for j in range(len(factors)))) for k, f in enumerate(factors)]
+    ).mat
+
+
+def test_kronecker_sum_matches_the_dense_sum():
+    rng = np.random.Generator(np.random.Philox(81))
+    factors = [random_hermitian(rng, 3), random_hermitian(rng, 4).real, np.diag([0.5, -1.0])]
+    ksum = KroneckerSum(factors)
+    dense = kronecker_sum_dense(factors)
+    assert ksum.dims == (3, 4, 2)
+    assert abs(np.sort(ksum.grid) - np.linalg.eigvalsh(dense)).max() < 1e-12
+    # first factor slowest, each factor's eigenvalues ascending
+    vals = [np.linalg.eigvalsh(f) for f in factors]
+    layout = np.add.outer(np.add.outer(vals[0], vals[1]), vals[2]).reshape(-1)
+    assert abs(ksum.grid - layout).max() < 1e-12
+    vecs = ksum.eigenvectors(np.arange(24))
+    assert np.abs(vecs @ vecs.conj().T - np.eye(24)).max() < 1e-12
+    assert np.abs(dense @ vecs.T - vecs.T * ksum.grid).max() < 1e-12
+    picked = ksum.eigenvectors([17, 3])
+    assert np.array_equal(picked, vecs[[17, 3]])
+    assert ksum.eigenvectors([]).shape == (0, 24)
+
+
+def test_kronecker_sum_validation():
+    with pytest.raises(ShapeError):
+        KroneckerSum([np.zeros((2, 3))])
+    with pytest.raises(ShapeError):
+        KroneckerSum([])
+    with pytest.raises(DomainError):
+        KroneckerSum([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
