@@ -59,7 +59,6 @@ from .symmetry import (
     invariant_projector,
     invariant_subalgebra,
     joint_kernel,
-    symmetrize_factorized,
     symmetrize_operator,
 )
 from .duality import (

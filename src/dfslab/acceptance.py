@@ -276,15 +276,13 @@ def criterion_5(tol_scale: float = 1.0) -> CriterionResult:
         rep = close_group(gens)
         killed = operator_norm(symmetrize_operator(rep, model.h_int))
         proj = invariant_projector(rep)
-        idem = float(np.abs((proj.op @ proj.op - proj.op).mat).max())
-        herm = float(np.abs(proj.op.mat - proj.op.mat.conj().T).max())
         kernel = joint_kernel(gens)
         expected = env_vacuum_projector(model).mat
         kernel_err = float(np.abs(kernel.projector().mat - expected).max())
         good = (
             killed <= kill_tol
-            and idem <= proj_tol
-            and herm <= proj_tol
+            and proj.idempotency <= proj_tol
+            and proj.hermiticity <= proj_tol
             and kernel.size == n_max + 1
             and kernel_err <= kernel_tol
         )
@@ -293,8 +291,8 @@ def criterion_5(tol_scale: float = 1.0) -> CriterionResult:
             {
                 "n_max": n_max,
                 "interaction_norm": killed,
-                "idempotency": idem,
-                "hermiticity": herm,
+                "idempotency": proj.idempotency,
+                "hermiticity": proj.hermiticity,
                 "kernel_dim": kernel.size,
                 "kernel_projector_error": kernel_err,
             }

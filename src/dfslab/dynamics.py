@@ -9,7 +9,8 @@ eigenbasis, C = V^dag W, and takes the d x r blocks
 psi(t) = V (exp(-i lambda t) C), so rho_t = psi psi^dag, for a whole chunk of
 sample times as one (n, d, r) stack.  Leakages, reduced system states, their
 density-matrix checks and their fidelities are computed on that stack, each
-as one array operation.
+as one array operation.  The symmetrized Hamiltonian is the parity group's
+average, an exact entrywise mask (``symmetry``).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import DomainError, ShapeError, UsageError
 from .fock import DecoherenceModel, parity_generators
 from .opcore import HERMITICITY_TOL, Operator, SubspaceBasis, sector_eigh
 from .states import DensityMatrix, _check_states, _factor, _fidelities, partial_trace
-from .symmetry import symmetrize_factorized
+from .symmetry import close_group, symmetrize_operator
 
 BOUNDS_SLACK = 1e-9
 SUPPORT_TOL = 1e-10
@@ -124,7 +125,7 @@ def coherence_experiment(
         )
 
     h_full = model.h_total
-    h_sym = symmetrize_factorized(h_full, parity_generators(model))
+    h_sym = symmetrize_operator(close_group(parity_generators(model)), h_full)
 
     w_sys = _factor(partial_trace(rho0, keep=(0,)).op.mat)
     chunk = max(1, CHUNK_ELEMENTS // max(rho0.dim * rank, sys_dim * sys_dim))

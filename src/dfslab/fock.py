@@ -30,6 +30,7 @@ from .duality import Background
 from .errors import BudgetError, DomainError, ShapeError, UsageError
 from .opcore import (
     DIM_BUDGET,
+    KERNEL_TOL,
     KernelBasis,
     KroneckerSum,
     Operator,
@@ -519,7 +520,7 @@ def build_string_model(background: Background, n_max: int, levels: int) -> Strin
     )
 
 
-def dfs_from_dirac(d: Operator, tol: float = 1e-10) -> KernelBasis:
+def dfs_from_dirac(d: Operator, tol: float = KERNEL_TOL) -> KernelBasis:
     """Numerical kernel of a Dirac operator: the protected subspace.
 
     A ``DiracOperator`` with a split, d = l (|0><1| x K+ + |1><0| x K-), has

@@ -5,16 +5,23 @@ the multiplicative closure of the unitaries exp(i Theta_g).  Averaging over
 the closure projects onto the invariant sector, symmetrizes Hamiltonians, and
 (through the commutant of the generators) exposes the subalgebra that never
 mixes charge sectors.
+
+When every generator is diagonal the group is kept as its phase vectors
+exp(i diag Theta): the closure multiplies vectors entrywise, the projector is
+their mean and the average of an operator is an exact entrywise mask.  Other
+generators are closed and averaged as dense unitaries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, NonClosureError, ShapeError, UsageError
 from .opcore import (
+    HERMITICITY_TOL,
+    KERNEL_TOL,
     Operator,
     SubspaceBasis,
     commutant_basis,
@@ -24,174 +31,159 @@ from .opcore import (
 
 MAX_GROUP_ORDER = 10_000
 DEDUP_DECIMALS = 8
-# Largest entry of U^2 - 1 or [U_a, U_b] that symmetrize_factorized accepts.
-FACTORIZATION_TOL = 1e-8
+# Largest entry of P^2 - P or P - P^dag that an InvariantProjector accepts.
+PROJECTOR_TOL = 1e-12
 
 
-def _unitary_key(mat: np.ndarray) -> bytes:
+def _rounded(arr: np.ndarray) -> np.ndarray:
     # +0.0 collapses -0.0 so rounding is a stable dedup key.
-    rounded = np.round(mat, DEDUP_DECIMALS) + 0.0
-    return rounded.tobytes()
+    return np.round(arr, DEDUP_DECIMALS) + 0.0
 
 
 @dataclass(frozen=True)
 class GroupRep:
-    """A finite group of unitaries with the Hermitian generators that built it."""
+    """A finite group of unitaries with the Hermitian generators that built it.
+    ``elements`` holds the group once, identity first: (order, d) phase
+    vectors (the diagonals) when every generator is diagonal, else (order,
+    d, d) unitaries."""
 
-    elements: tuple[Operator, ...]
+    elements: np.ndarray
     generators: tuple[Operator, ...]
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return self.elements.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.elements[0].dim
+        return self.elements.shape[-1]
 
 
 @dataclass(frozen=True)
 class InvariantProjector:
-    """Idempotent Hermitian average of a group representation."""
+    """Idempotent Hermitian average P of a group representation: ``mean`` is
+    the diagonal of P for a diagonal group, else P.  ``idempotency`` and
+    ``hermiticity``, the largest entries of P^2 - P and P - P^dag, are
+    measured by the certificate; either above ``PROJECTOR_TOL`` raises
+    DomainError."""
 
-    op: Operator
+    mean: np.ndarray
+    idempotency: float = field(init=False)
+    hermiticity: float = field(init=False)
 
     def __post_init__(self):
-        mat = self.op.mat
-        if float(np.abs(mat @ mat - mat).max()) > 1e-12:
+        p = np.asarray(self.mean, dtype=np.complex128)
+        p.setflags(write=False)
+        object.__setattr__(self, "mean", p)
+        square = p * p if p.ndim == 1 else p @ p
+        object.__setattr__(self, "idempotency", float(np.abs(square - p).max(initial=0.0)))
+        object.__setattr__(self, "hermiticity", float(np.abs(p - p.conj().T).max(initial=0.0)))
+        if self.idempotency > PROJECTOR_TOL:
             raise DomainError("projector is not idempotent")
-        if not self.op.is_hermitian(1e-12):
+        if self.hermiticity > PROJECTOR_TOL:
             raise DomainError("projector is not Hermitian")
 
     @property
+    def op(self) -> Operator:
+        return Operator(np.diag(self.mean) if self.mean.ndim == 1 else self.mean)
+
+    @property
     def rank(self) -> int:
-        return int(round(float(np.real(self.op.trace()))))
+        diag = self.mean if self.mean.ndim == 1 else np.diagonal(self.mean)
+        return int(round(float(np.real(diag.sum()))))
 
 
 def close_group(generators: list[Operator], max_order: int = MAX_GROUP_ORDER) -> GroupRep:
     """Multiplicative closure of exp(i Theta) over the given Hermitian Thetas.
 
-    Breadth-first products with rounded-entry deduplication.  Raises
+    Breadth-first products with rounded-entry deduplication, over the phase
+    vectors exp(i diag Theta) when every generator is diagonal (no matrix
+    exponential, no matrix product), else over dense unitaries.  Raises
     NonClosureError when the closure exceeds ``max_order`` elements, which is
     the expected outcome for generators with irrational spectra.
     """
-    if not generators:
-        raise UsageError("need at least one generator")
-    dim = generators[0].dim
-    for th in generators:
-        if th.dim != dim:
-            raise ShapeError("generators act on different spaces")
-        if not th.is_hermitian():
+    dim = _common_dim(generators)
+    if all(_is_diagonal(th.mat) for th in generators):
+        diags = [np.diagonal(th.mat) for th in generators]
+        # a diagonal matrix passes Operator.is_hermitian exactly when this holds
+        if any(2 * np.abs(t.imag).max() > HERMITICITY_TOL * max(1.0, np.abs(t).max()) for t in diags):
             raise DomainError("generators must be Hermitian")
-    gens = [unitary_exp(th) for th in generators]
+        gens = [np.exp(1j * t.real) for t in diags]
+        identity, product = np.ones(dim, dtype=np.complex128), np.multiply
+    else:
+        if not all(th.is_hermitian() for th in generators):
+            raise DomainError("generators must be Hermitian")
+        gens = [unitary_exp(th).mat for th in generators]
+        identity, product = np.eye(dim, dtype=np.complex128), np.matmul
 
-    identity = Operator.identity(dim)
-    seen = {_unitary_key(identity.mat): identity}
+    seen = {_rounded(identity).tobytes(): identity}
     frontier = [identity]
     while frontier:
         next_frontier = []
         for u in frontier:
-            for gmat in gens:
-                prod = gmat @ u
-                key = _unitary_key(prod.mat)
+            for g in gens:
+                prod = product(g, u)
+                key = _rounded(prod).tobytes()
                 if key not in seen:
                     if len(seen) >= max_order:
-                        raise NonClosureError(
-                            f"group closure exceeded {max_order} elements"
-                        )
+                        raise NonClosureError(f"group closure exceeded {max_order} elements")
                     seen[key] = prod
                     next_frontier.append(prod)
         frontier = next_frontier
-    return GroupRep(tuple(seen.values()), tuple(generators))
+    return GroupRep(np.array(list(seen.values())), tuple(generators))
 
 
-def invariant_projector(group: GroupRep) -> InvariantProjector:
-    """Average of the group unitaries; projects onto the fixed-point sector."""
-    acc = np.zeros((group.dim, group.dim), dtype=np.complex128)
-    for u in group.elements:
-        acc += u.mat
-    pi = acc / group.order
-    # The raw average of a closed unitary group is idempotent up to roundoff;
-    # symmetrize the Hermitian part so the projector invariants hold strictly.
-    pi = 0.5 * (pi + pi.conj().T)
-    return InvariantProjector(Operator(pi))
-
-
-def joint_kernel(generators: list[Operator], tol: float = 1e-10) -> SubspaceBasis:
-    """Orthonormal basis of the common null space of the generators."""
+def _common_dim(generators: list[Operator]) -> int:
     if not generators:
         raise UsageError("need at least one generator")
-    stacked = np.vstack([th.mat for th in generators])
-    vecs = nullspace(stacked, tol=tol)
-    return SubspaceBasis(generators[0].dim, vecs, "vector-space")
-
-
-def symmetrize_operator(group: GroupRep, h: Operator) -> Operator:
-    """Group-average U^dag H U; the result commutes with every element."""
-    if h.dim != group.dim:
-        raise ShapeError("operator does not act on the group's space")
-    acc = np.zeros_like(h.mat)
-    for u in group.elements:
-        acc += u.mat.conj().T @ h.mat @ u.mat
-    return Operator(acc / group.order)
-
-
-def symmetrize_factorized(h: Operator, generators: list[Operator]) -> Operator:
-    """Sequential averaging for generators whose unitaries square to identity.
-
-    When every exp(i Theta) is an involution and the generators commute, the
-    full group is the product of the per-generator Z2 averages, so averaging
-    one generator at a time reproduces the group average at a fraction of the
-    cost.  Each generator must satisfy exp(i Theta)^2 = 1 and every pair of
-    unitaries must commute; violations raise.
-
-    When every generator is diagonal, each exp(i Theta) is a diagonal of
-    signs s = sign(Re exp(i theta_jj)) and the average is the exact mask
-    that keeps h_ij where s_i = s_j for every generator and sets the rest to
-    zero: no matrix exponential and no product.
-    """
-    for th in generators:
-        if th.dim != h.dim:
-            raise ShapeError("generator does not act on the operator's space")
-    if generators and all(_is_diagonal(th.mat) for th in generators):
-        keep = np.ones(h.mat.shape, dtype=bool)
-        for th in generators:
-            if not th.is_hermitian():
-                raise DomainError("operator is not Hermitian within tolerance")
-            u = np.exp(1j * np.diagonal(th.mat))
-            _check_involution(float(np.abs(u * u - 1.0).max()))
-            s = u.real > 0
-            keep &= s[:, None] == s[None, :]
-        return Operator(np.where(keep, h.mat, 0.0))
-    acc = h.mat
-    unitaries = []
-    for th in generators:
-        u = unitary_exp(th).mat
-        _check_involution(float(np.abs(u @ u - np.eye(h.dim)).max()))
-        for prev in unitaries:
-            comm_residual = float(np.abs(u @ prev - prev @ u).max())
-            if comm_residual > FACTORIZATION_TOL:
-                raise DomainError(
-                    f"factorized path needs commuting unitaries (residual {comm_residual:.2e})"
-                )
-        unitaries.append(u)
-        acc = 0.5 * (acc + u.conj().T @ acc @ u)
-    return Operator(acc)
+    if any(th.dim != generators[0].dim for th in generators):
+        raise ShapeError("generators act on different spaces")
+    return generators[0].dim
 
 
 def _is_diagonal(mat: np.ndarray) -> bool:
     return np.count_nonzero(mat) == np.count_nonzero(np.diagonal(mat))
 
 
-def _check_involution(sq_residual: float) -> None:
-    """Raise unless the largest entry of U^2 - 1 is within FACTORIZATION_TOL."""
-    if sq_residual > FACTORIZATION_TOL:
-        raise DomainError(
-            f"factorized path needs involutive unitaries (residual {sq_residual:.2e})"
-        )
+def invariant_projector(group: GroupRep) -> InvariantProjector:
+    """Average of the group elements (of the phase vectors for a diagonal
+    group); projects onto the fixed-point sector."""
+    pi = group.elements.mean(axis=0)
+    # The raw average of a closed unitary group is idempotent up to roundoff;
+    # symmetrize the Hermitian part so the projector invariants hold strictly.
+    return InvariantProjector(0.5 * (pi + pi.conj().T))
 
 
-def invariant_subalgebra(group: GroupRep, tol: float = 1e-10) -> SubspaceBasis:
+def joint_kernel(generators: list[Operator], tol: float = KERNEL_TOL) -> SubspaceBasis:
+    """Orthonormal basis of the common null space of the generators."""
+    dim = _common_dim(generators)
+    vecs = nullspace(np.vstack([th.mat for th in generators]), tol=tol)
+    return SubspaceBasis(dim, vecs, "vector-space")
+
+
+def symmetrize_operator(group: GroupRep, h: Operator) -> Operator:
+    """Group-average U^dag H U; the result commutes with every element.
+
+    Over a diagonal group the average of conj(u_i) u_j is 1 where i and j
+    carry the same phase under every element and 0 elsewhere (a nontrivial
+    character sums to zero), so h_ij is kept exactly where the rounded
+    phases agree and every other entry is exactly 0.
+    """
+    if h.dim != group.dim:
+        raise ShapeError("operator does not act on the group's space")
+    if group.elements.ndim == 2:
+        # label each index by the bytes of its rounded phases, the closure's key
+        phases = np.ascontiguousarray(_rounded(group.elements).T)
+        keys = phases.view(np.dtype((np.void, phases.strides[0]))).ravel()
+        label = np.unique(keys, return_inverse=True)[1]
+        return Operator._unchecked(np.where(label[:, None] == label[None, :], h.mat, 0.0))
+    acc = np.zeros_like(h.mat)
+    for u in group.elements:
+        acc += u.conj().T @ h.mat @ u
+    return Operator(acc / group.order)
+
+
+def invariant_subalgebra(group: GroupRep, tol: float = KERNEL_TOL) -> SubspaceBasis:
     """Basis of the algebra commuting with every stored generator.  The
     generators must be Hermitian, as ``close_group`` requires; any other
     raises DomainError (``commutant_basis``).

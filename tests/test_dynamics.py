@@ -17,7 +17,8 @@ from dfslab import (
     parity_generators,
     partial_trace,
     pure_state,
-    symmetrize_factorized,
+    symmetrize_operator,
+    close_group,
 )
 from dfslab.states import _check_states
 
@@ -68,7 +69,7 @@ def reference_experiment(model, code, rho0, times):
     rho_sys0 = partial_trace(rho0, keep=(0,))
     h_full = model.h_total
     out = []
-    for ham in (h_full, symmetrize_factorized(h_full, parity_generators(model))):
+    for ham in (h_full, symmetrize_operator(close_group(parity_generators(model)), h_full)):
         leaks, fids = [], []
         for t in times:
             rho_t = evolve(ham, rho0, t)
