@@ -245,7 +245,9 @@ def onn_apply(element: ONNElement, background: Background) -> Background:
         e = e.T
     a, b, c, d = element.blocks()
     denom = c.astype(float) @ e + d.astype(float)
-    if abs(np.linalg.det(denom)) < 1e-12:
+    # scale-free, as E = 1e-5 I is as usable as E = I: the condition number
+    # of cE + d, not the size of its determinant
+    if np.linalg.cond(denom) > 1.0 / np.finfo(float).eps:
         raise DomainError("duality action is singular on this background")
     new_e = (a.astype(float) @ e + b.astype(float)) @ np.linalg.inv(denom)
     return Background(0.5 * (new_e + new_e.T), 0.5 * (new_e - new_e.T))

@@ -7,9 +7,9 @@ Conventions used throughout the package:
   dimension ``dim``;
 * tensor products are Kronecker products with the first factor varying
   slowest, matching the row-major reshape of composite indices.  This module
-  is the only place that knows that layout: ``tensor`` densifies a product
-  of factors, ``tensor_sum`` adds a sum of such products into one array
-  from the factors' nonzero entries, ``apply_on_factor`` applies a local
+  is the only place that knows that layout: ``tensor_sum`` adds a sum of
+  products of factors into one array from the factors' nonzero entries
+  (``tensor`` is its one-term case), ``apply_on_factor`` applies a local
   operator to one factor of a stack of kets without forming the product, and
   ``KroneckerSum`` diagonalizes a Kronecker sum of Hermitian factors from
   the factors' eigenpairs (eigenvalue grid and product eigenvectors);
@@ -19,12 +19,8 @@ Conventions used throughout the package:
   pattern (an exact split, no tolerance), and every block gets its own SVD
   (with the full V^dag only for a block with more columns than rows); the
   cutoff stays relative to the largest singular value of the whole matrix.
-  A kernel block whose entries are each real or imaginary, with row and
-  column phases in {1, i} that make it real (one exact labelling of the
-  doubled pattern decides it), takes a real SVD, and its kernel rows are
-  turned back by the column phases.  A kernel computed any other way (from
-  a Kronecker sum's eigenpairs, say) is certified the same way, by
-  ``KernelBasis.certify``;
+  A kernel computed any other way (from a Kronecker sum's eigenpairs, say)
+  is certified the same way, by ``KernelBasis.certify``;
 * Hermitian eigenproblems go through ``sector_eigh`` the same way: the
   indices are split into the connected blocks of the nonzero pattern, read
   as an undirected graph on the indices, and each block is diagonalized on
@@ -229,43 +225,36 @@ class KernelBasis(SubspaceBasis):
 
 
 def tensor(*factors) -> Operator:
-    """Kronecker product of Operators or square arrays, first factor slowest.
-
-    The product dimension is checked against ``DIM_BUDGET`` before anything
-    is allocated; finiteness is checked once, on the product.
-    """
+    """Kronecker product of Operators or square arrays, first factor slowest:
+    the one-term ``tensor_sum``."""
     if not factors:
         raise UsageError("tensor needs at least one factor")
-    mats = [np.asarray(f.mat if isinstance(f, Operator) else f) for f in factors]
-    if any(m.ndim != 2 or m.shape[0] != m.shape[1] for m in mats):
-        raise ShapeError("tensor factors must be square matrices")
-    out_dim = math.prod(m.shape[0] for m in mats)
-    if out_dim > DIM_BUDGET:
-        raise BudgetError(f"tensor product dimension {out_dim} exceeds budget {DIM_BUDGET}")
-    out = mats[0]
-    for m in mats[1:]:
-        # the products np.kron forms, without its n-dimensional bookkeeping
-        side = out.shape[0] * m.shape[0]
-        out = (out[:, None, :, None] * m[None, :, None, :]).reshape(side, side)
-    return Operator(out)
+    return tensor_sum([(1.0, factors)])
+
+
+def _square_factors(factors) -> tuple[np.ndarray, ...]:
+    """The factors as arrays (an Operator gives its matrix); ShapeError
+    unless there is at least one and each is square."""
+    mats = tuple(np.asarray(f.mat if isinstance(f, Operator) else f) for f in factors)
+    if not mats or any(m.ndim != 2 or m.shape[0] != m.shape[1] for m in mats):
+        raise ShapeError("expected one or more square factor matrices")
+    return mats
 
 
 def tensor_sum(terms) -> Operator:
     """sum_t coef_t * tensor(*factors_t), formed from the factors' nonzero
     entries, for ``terms`` a sequence of ``(coef, factors)`` pairs.
 
-    Each term multiplies its factors' nonzero entries in the order ``tensor``
-    uses and then scales them by ``coef``; the terms are added into one
-    array in the order given.  So the result equals, entry by entry, the
-    running sum of the densified terms, without any full-space temporary.
-    The budget is checked before anything is allocated; finiteness is
-    checked once, on the sum.
+    Each term multiplies its factors' nonzero entries, first factor first,
+    and then scales them by ``coef``; the terms are added into one array in
+    the order given.  So the result equals, entry by entry, the running sum
+    of the densified terms, without any full-space temporary.  The budget is
+    checked before anything is allocated; finiteness is checked once, on
+    the sum.
     """
     out = None
     for coef, factors in terms:
-        mats = [np.asarray(f.mat if isinstance(f, Operator) else f) for f in factors]
-        if not mats or any(m.ndim != 2 or m.shape[0] != m.shape[1] for m in mats):
-            raise ShapeError("tensor_sum terms need square factor matrices")
+        mats = _square_factors(factors)
         dim = math.prod(m.shape[0] for m in mats)
         if out is None:
             if dim > DIM_BUDGET:
@@ -321,9 +310,7 @@ class KroneckerSum:
     """
 
     def __init__(self, factors):
-        mats = tuple(np.asarray(f.mat if isinstance(f, Operator) else f) for f in factors)
-        if not mats or any(m.ndim != 2 or m.shape[0] != m.shape[1] for m in mats):
-            raise ShapeError("KroneckerSum needs square factor matrices")
+        mats = _square_factors(factors)
         pairs = [sector_eigh(m) for m in mats]
         grid = np.zeros(())
         for vals, _ in pairs:
@@ -541,46 +528,6 @@ def _gather(arr: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return arr[rows[:, :, None], cols[:, None, :]]
 
 
-def _quarter_turns(arr: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """A turn t in {0, 1} for every row node (0..m-1) and column node
-    (m..m+n-1) of ``arr``, whose nonzero entries sit at (r[k], c[k]), such
-    that conj(i^t_row) * entry * i^t_col is real; -1 on every node of a block
-    of the nonzero pattern that has no such gauge.
-
-    One labelling of the doubled pattern decides it exactly, with no
-    tolerance: node (row, p) is joined to (column, p) when the entry has a
-    real part and to (column, 1 - p) when it has an imaginary part.  A block
-    has the gauge when no node shares a component with its mirror; t is 1 on
-    the nodes whose parity-1 copy lies in the component with the smaller
-    label.
-    """
-    m, n = arr.shape
-    size = m + n
-    vals = arr[r, c]
-    re, im = vals.real != 0, vals.imag != 0
-    col = c + m
-    comp = _components(
-        2 * size,
-        np.concatenate([r[re], r[re] + size, r[im], r[im] + size]),
-        np.concatenate([col[re], col[re] + size, col[im] + size, col[im]]),
-    )
-    even, odd = comp[:size], comp[size:]
-    return np.where(even == odd, -1, (odd < even).astype(np.intp))
-
-
-def _real_blocks(arr: np.ndarray, rows: np.ndarray, cols: np.ndarray, row_turns: np.ndarray) -> np.ndarray:
-    """The real stack conj(i^t_row) * block * i^t_col of gauged blocks
-    (``_quarter_turns``), gathered straight from the real and imaginary
-    parts: an entry with an imaginary part joins rows and columns of
-    opposite turns, so it becomes (2 t_row - 1) times that part."""
-    idx = (rows[:, :, None], cols[:, None, :])
-    blk = arr.real[idx]
-    imag = arr.imag[idx]
-    imag *= (2 * row_turns - 1)[:, :, None]
-    blk += imag
-    return blk
-
-
 def _nullspace_and_norm(arr: np.ndarray, tol: float, scale: float = 0.0) -> tuple[np.ndarray, float]:
     """``nullspace`` rows together with sigma_max, the largest singular value;
     the cutoff is tol * max(sigma_max, scale)."""
@@ -588,12 +535,9 @@ def _nullspace_and_norm(arr: np.ndarray, tol: float, scale: float = 0.0) -> tupl
     if arr.size == 0:
         return np.eye(ncols, dtype=np.complex128), 0.0
     nz = _nonzero_entries(arr)
-    turns = np.full(m + ncols, -1) if nz is None else _quarter_turns(arr, *nz)
     sectors = None if nz is None else _sectors(arr.shape, *nz)
     if sectors is None:
         sectors = [(np.arange(m)[None], np.arange(ncols)[None])]
-    # (cols, sigma, vh, phases): kernel row = conj(vh row) for a complex
-    # block, vh row times the column phases i^t_col for a gauged real one
     svds = []
     for rows, cols in sectors:
         k, nb = cols.shape
@@ -601,35 +545,23 @@ def _nullspace_and_norm(arr: np.ndarray, tol: float, scale: float = 0.0) -> tupl
             continue  # zero rows
         if not rows.shape[1]:
             # zero columns: each is an exact kernel direction, vh = [[1]]
-            svds.append((cols, np.zeros((k, 0)), np.ones((k, 1, 1)), None))
+            svds.append((cols, np.zeros((k, 0)), np.ones((k, 1, 1))))
             continue
-        col_turns = turns[cols + m]
-        real = col_turns[:, 0] >= 0
         # only a wide block needs the V^dag rows past its singular values;
         # a tall one would form a full U that nothing reads
-        wide = rows.shape[1] < nb
-        if real.any():
-            _, sigma, vt = np.linalg.svd(
-                _real_blocks(arr, rows[real], cols[real], turns[rows[real]]), full_matrices=wide
-            )
-            svds.append((cols[real], sigma, vt, np.where(col_turns[real] == 1, 1j, 1.0)))
-        if not real.all():
-            _, sigma, vh = np.linalg.svd(_gather(arr, rows[~real], cols[~real]), full_matrices=wide)
-            svds.append((cols[~real], sigma, vh, None))
-    smax = max(float(sigma.max(initial=0.0)) for _, sigma, _, _ in svds)
+        _, sigma, vh = np.linalg.svd(_gather(arr, rows, cols), full_matrices=rows.shape[1] < nb)
+        svds.append((cols, sigma, vh))
+    smax = max(float(sigma.max(initial=0.0)) for _, sigma, _ in svds)
     ref = max(smax, scale)
     cutoff = tol * ref if ref > 0 else 1e-12
     pieces = []
-    for cols, sigma, vh, phases in svds:
+    for cols, sigma, vh in svds:
         # columns beyond the number of singular values are exact kernel directions
         keep = np.ones(cols.shape, dtype=bool)
         keep[:, : sigma.shape[1]] = sigma <= cutoff
         block, row = np.nonzero(keep)
         piece = np.zeros((block.size, ncols), dtype=np.complex128)
-        vals = vh[block, row]
-        piece[np.arange(block.size)[:, None], cols[block]] = (
-            vals.conj() if phases is None else vals * phases[block]
-        )
+        piece[np.arange(block.size)[:, None], cols[block]] = vh[block, row].conj()
         pieces.append(piece)
     return np.concatenate(pieces), smax
 
@@ -642,13 +574,10 @@ def nullspace(mat: np.ndarray, tol: float = KERNEL_TOL) -> np.ndarray:
     split into the connected blocks of its nonzero pattern first; each block
     gets its own SVD (blocks of one shape in one stacked call), sigma_max is
     the largest singular value over all blocks, and each block's kernel
-    directions are scattered back to its columns.  A block with more columns
-    than rows and a column with no nonzero entry contribute their exact
-    kernel directions.  A block that a quarter-turn gauge makes real
-    (``_quarter_turns``) goes through a real SVD of the gauged block, and
-    every other block through a complex one.  A matrix with no zero entry,
-    or one block without that gauge, goes through one complex SVD of the
-    matrix as given.
+    directions (the conjugated V^dag rows) are scattered back to its
+    columns.  A block with more columns than rows and a column with no
+    nonzero entry contribute their exact kernel directions.  A matrix with
+    no zero entry, or one block, goes through one SVD of the matrix as given.
     """
     return _nullspace_and_norm(np.asarray(mat, dtype=np.complex128), tol)[0]
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +47,11 @@ class DensityMatrix:
     def __post_init__(self):
         _check_states(self.op.mat)
         if self.dims is not None:
-            dims = tuple(int(d) for d in self.dims)
-            if int(np.prod(dims)) != self.op.dim:
+            dims = tuple(self.dims)
+            if not all(isinstance(d, (int, np.integer)) and d > 0 for d in dims):
+                raise ShapeError(f"factor dims {dims} must be positive integers")
+            dims = tuple(int(d) for d in dims)
+            if math.prod(dims) != self.op.dim:
                 raise ShapeError(f"factor dims {dims} do not multiply to {self.op.dim}")
             object.__setattr__(self, "dims", dims)
 

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -24,3 +26,15 @@ def svd_dtypes(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", recording)
     return dtypes
+
+
+def kron(*factors) -> np.ndarray:
+    """The Kronecker product of the factors by nested ``np.kron``, first
+    factor slowest: a dense reference that does not run ``tensor_sum``."""
+    return functools.reduce(np.kron, factors)
+
+
+def kronecker_sum_dense(factors) -> np.ndarray:
+    """sum_k I x .. x f_k x .. x I, each term a ``kron`` product."""
+    eyes = [np.eye(f.shape[0]) for f in factors]
+    return sum(kron(*(f if j == k else eyes[j] for j in range(len(eyes)))) for k, f in enumerate(factors))

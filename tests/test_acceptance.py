@@ -5,6 +5,7 @@ the lines inline; without it they are echoed in the terminal summary.
 """
 
 import itertools
+import pathlib
 import subprocess
 import sys
 
@@ -105,7 +106,8 @@ def test_criterion_14_fails_when_a_recomputed_criterion_changes(battery, monkeyp
 
 
 def test_selftest_output_is_byte_identical():
-    """The installed command must serialize the battery identically twice."""
+    """The installed command must serialize the battery identically twice,
+    and byte for byte as pinned in tests/golden/selftest.json."""
     cmd = [
         sys.executable,
         "-c",
@@ -116,6 +118,7 @@ def test_selftest_output_is_byte_identical():
     assert first.returncode == 0, first.stderr.decode()
     assert second.returncode == 0, second.stderr.decode()
     assert first.stdout == second.stdout
+    assert first.stdout == (pathlib.Path(__file__).parent / "golden" / "selftest.json").read_bytes()
     assert first.stdout.endswith(b"\n")
     for line in first.stderr.decode().splitlines():
         if line.startswith("criterion"):

@@ -123,6 +123,15 @@ def test_full_inversion_inverts_the_metric():
     assert abs(moved.metric[0, 0] - 1.0 / 2.25) < ACTION_TOL
 
 
+@pytest.mark.parametrize("metric", [1e-5 * np.eye(3), np.array([[1e-13]])])
+def test_inversion_of_a_small_metric_is_not_singular(metric):
+    n = metric.shape[0]
+    moved = onn_apply(factorized_inversion(n, range(n)), Background(metric, np.zeros((n, n))))
+    want = np.diag(1.0 / np.diag(metric))
+    assert np.abs(moved.metric - want).max() <= 1e-12 * want.max()
+    assert np.abs(moved.coupling).max() == 0.0
+
+
 def test_full_inversion_charge_map():
     g = factorized_inversion(1, [0])
     assert transform_charge_stack(g, [[3, -2]]).tolist() == [[2, -3]]

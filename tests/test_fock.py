@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from conftest import kron, kronecker_sum_dense
 
 from dfslab import (
     Background,
@@ -28,8 +29,6 @@ from dfslab import (
     parity_generators,
     position_momentum,
     SubspaceBasis,
-    tensor,
-    tensor_sum,
     unitary_exp,
 )
 
@@ -387,18 +386,18 @@ def test_substitution_two_directions_gauge_invariant_match():
 
 
 def running_sum_dirac(model):
-    """d as the parent formula: the running sum of four densified tensor
+    """d as the parent formula: the running sum of four dense Kronecker
     products per direction."""
     eye_s = np.eye(model.system_space.dim)
     eye_t = np.eye(model.tower_space.dim)
     d = np.zeros((model.dim,) * 2, dtype=np.complex128)
     for i in range(model.background.n):
         env = sum(op.mat + op.mat.conj().T for op in (lvl[i] for lvl in model.e_plus))
-        gp, gm = model.clifford.gamma_plus[i], model.clifford.gamma_minus[i]
-        d += tensor(gp, model.a_plus[i], eye_t, eye_t).mat
-        d += tensor(gp, eye_s, env, eye_t).mat
-        d += tensor(gm, model.a_minus[i], eye_t, eye_t).mat
-        d += tensor(gm, eye_s, eye_t, env).mat
+        gp, gm = model.clifford.gamma_plus[i].mat, model.clifford.gamma_minus[i].mat
+        d += kron(gp, model.a_plus[i].mat, eye_t, eye_t)
+        d += kron(gp, eye_s, env, eye_t)
+        d += kron(gm, model.a_minus[i].mat, eye_t, eye_t)
+        d += kron(gm, eye_s, eye_t, env)
     return d
 
 
@@ -426,27 +425,7 @@ def test_string_model_operators_equal_the_summed_tensor_products(metric, couplin
         for j in range(n)
     )
     eye_t = np.eye(model.tower_space.dim)
-    assert np.array_equal(model.h_env.mat, tensor(half, eye_t).mat + tensor(eye_t, half).mat)
-
-
-def test_n1_string_kernels_take_only_real_svds(svd_dtypes):
-    """Every n = 1 Dirac operator has imaginary p entries and real x and
-    tower entries, so a quarter-turn gauge makes each block real.  Without
-    the real path the SVDs of the oracle ``kernel_basis`` receive complex128
-    blocks."""
-    for n_max, levels in ((2, 1), (4, 1), (2, 2)):
-        model = build_string_model(string_background(1.7), n_max=n_max, levels=levels)
-        for dirac in (model.d, model.d_bar):
-            kernel = kernel_basis(dirac, tol=1e-9)
-            assert kernel.size > 0
-    assert svd_dtypes and all(t == np.float64 for t in svd_dtypes)
-
-
-def kronecker_sum_dense(factors):
-    eyes = [np.eye(f.shape[0]) for f in factors]
-    return tensor_sum(
-        [(1.0, tuple(f if j == k else eyes[j] for j in range(len(eyes)))) for k, f in enumerate(factors)]
-    ).mat
+    assert np.array_equal(model.h_env.mat, np.kron(half, eye_t) + np.kron(eye_t, half))
 
 
 @pytest.mark.parametrize("n_max, levels, metric", [(2, 1, 2.25), (4, 1, 0.7), (2, 2, 1.7), (3, 2, 2.25)])
@@ -461,7 +440,7 @@ def test_one_direction_dirac_operator_is_its_split(n_max, levels, metric):
         assert np.array_equal(got, want)
     raise_, lower_ = np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 0.0]])
     expected = split.scale * (
-        tensor(raise_, kronecker_sum_dense(split.upper)).mat + tensor(lower_, kronecker_sum_dense(split.lower)).mat
+        np.kron(raise_, kronecker_sum_dense(split.upper)) + np.kron(lower_, kronecker_sum_dense(split.lower))
     )
     assert np.abs(model.d.mat - expected).max() <= 1e-14 * np.abs(model.d.mat).max()
     # the adjoint swaps the two sums
@@ -540,10 +519,10 @@ def test_decoherence_operators_equal_the_summed_tensor_products():
     h_int = np.zeros((model.space.dim,) * 2, dtype=np.complex128)
     for i in range(2):
         for al in range(2):
-            term = tensor(a_ops[i], e_ops[al].conj().T).mat
+            term = np.kron(a_ops[i], e_ops[al].conj().T)
             h_int += w[i, al] * term + np.conj(w[i, al]) * term.conj().T
     eye_s = np.eye(model.system_space.dim)
     eye_e = np.eye(model.env_space.dim)
-    h_total = tensor(model.h_sys, eye_e).mat + tensor(eye_s, model.h_env).mat + h_int
+    h_total = np.kron(model.h_sys.mat, eye_e) + np.kron(eye_s, model.h_env.mat) + h_int
     assert np.array_equal(model.h_int.mat, h_int)
     assert np.array_equal(model.h_total.mat, h_total)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import kron, kronecker_sum_dense
 
 from dfslab import (
     BudgetError,
@@ -123,7 +124,7 @@ def test_apply_on_factor_matches_dense_product_on_every_slot():
         local = random_matrix(rng, d)
         factors = [np.eye(k) for k in dims]
         factors[slot] = local
-        dense = tensor(*factors).mat
+        dense = kron(*factors)
         out = apply_on_factor(local, slot, dims, vectors)
         assert out.shape == vectors.shape
         assert np.abs(out - vectors @ dense.T).max() < TOL
@@ -658,7 +659,7 @@ def test_tensor_sum_matches_the_running_sum_of_tensor_products():
     terms = [(1.0, (a, b, SX)), (w, (np.eye(3), b, SY)), (np.conj(w), (a.conj().T, np.eye(2), SZ))]
     ref = np.zeros((12, 12), dtype=complex)
     for coef, factors in terms:
-        ref += coef * tensor(*factors).mat
+        ref += coef * kron(*factors)
     assert np.array_equal(tensor_sum(terms).mat, ref)
 
 
@@ -677,8 +678,8 @@ def test_tensor_sum_validation():
 
 def quarter_turned_blocks(rng, blocks, zero_rows=0, zero_cols=0):
     """``permuted_blocks`` with real blocks, each row and column then turned
-    by a random power of i: a complex matrix that a quarter-turn gauge makes
-    real again."""
+    by a random power of i: a complex matrix whose entries are each real or
+    imaginary, and which row and column phases in {1, i} make real again."""
     m = sum(b[0] for b in blocks) + zero_rows
     n = sum(b[1] for b in blocks) + zero_cols
     out = np.zeros((m, n), dtype=complex)
@@ -701,27 +702,28 @@ def quarter_turned_blocks(rng, blocks, zero_rows=0, zero_cols=0):
         ([(1, 1, 1)] * 7 + [(2, 1, 1)] * 4 + [(1, 2, 1)] * 3, 3, 0),
     ],
 )
-def test_quarter_turn_gauge_agrees_with_the_complex_svd(blocks, zero_rows, zero_cols, svd_dtypes):
-    """Fails without the real path: the SVDs then receive complex blocks."""
+def test_quarter_turn_gauge_agrees_with_the_complex_svd(blocks, zero_rows, zero_cols):
+    """Quarter-turned blocks: the block kernels agree with one SVD of the
+    whole matrix."""
     rng = np.random.Generator(np.random.Philox(21 + len(blocks)))
     a, kernel_dim = quarter_turned_blocks(rng, blocks, zero_rows, zero_cols)
     assert np.abs(a.real * a.imag).max() == 0 and np.abs(a.imag).max() > 0
-    check_quarter_turn_kernel(a, kernel_dim, svd_dtypes)
+    check_block_kernel(a, kernel_dim)
 
 
-def test_quarter_turn_gauge_of_one_sparse_block(svd_dtypes):
+def test_quarter_turn_gauge_of_one_sparse_block():
     rng = np.random.Generator(np.random.Philox(25))
     # a path through every row and column, each entry real or imaginary
     a = np.triu(np.tril(rng.normal(size=(7, 7)), 1), -1) * 1j ** np.add.outer(np.arange(7), np.arange(7))
-    check_quarter_turn_kernel(a, 0, svd_dtypes)
+    check_block_kernel(a, 0)
     a[:, 3] = 0.0
-    check_quarter_turn_kernel(a, 1, svd_dtypes)
+    check_block_kernel(a, 1)
 
 
-def check_quarter_turn_kernel(a, kernel_dim, svd_dtypes):
-    svd_dtypes.clear()
+def check_block_kernel(a, kernel_dim):
+    """``_nullspace_and_norm`` against ``dense_nullspace``: the same kernel
+    dimension and projector, and sigma_max to 1e-14 relative."""
     rows, smax = _nullspace_and_norm(a, 1e-10)
-    assert svd_dtypes and all(t == np.float64 for t in svd_dtypes)
     oracle = dense_nullspace(a)
     sigma_max = np.linalg.norm(a, 2)
     assert rows.shape[0] == kernel_dim == oracle.shape[0]
@@ -739,31 +741,17 @@ def check_quarter_turn_kernel(a, kernel_dim, svd_dtypes):
         np.array([[1.0 + 2.0j, 0.5], [-1.0j, 0.25 - 1.0j]]),
     ],
 )
-def test_blocks_without_a_quarter_turn_gauge_keep_the_complex_svd(block, svd_dtypes):
+def test_blocks_without_a_quarter_turn_gauge_keep_the_complex_svd(block):
     rng = np.random.Generator(np.random.Philox(22))
-    # the block next to a zero column (so its pattern is labelled), and
-    # next to gauged blocks of its own shape
-    alone = np.hstack([block, np.zeros((2, 1))])
+    # the invertible block next to a zero column, and stacked with
+    # quarter-turned blocks of its own shape (one of rank 1): one kernel
+    # direction each
+    check_block_kernel(np.hstack([block, np.zeros((2, 1))]), 1)
     turned, _ = quarter_turned_blocks(rng, [(2, 2, 1), (2, 2, 2)])
     stacked = np.zeros((6, 6), dtype=complex)
     stacked[:4, :4] = turned
     stacked[4:, 4:] = block
-    for a in (alone, stacked):
-        svd_dtypes.clear()
-        rows, smax = _nullspace_and_norm(a, 1e-10)
-        assert np.complex128 in svd_dtypes
-        assert svd_dtypes.count(np.float64) == (a is stacked)
-        oracle = dense_nullspace(a)
-        assert rows.shape == oracle.shape
-        assert abs(smax - np.linalg.norm(a, 2)) <= 1e-14 * smax
-        assert np.abs(rows.T @ rows.conj() - oracle.T @ oracle.conj()).max() < 1e-12
-
-
-def kronecker_sum_dense(factors):
-    eyes = [np.eye(f.shape[0]) for f in factors]
-    return tensor_sum(
-        [(1.0, tuple(f if j == k else eyes[j] for j in range(len(factors)))) for k, f in enumerate(factors)]
-    ).mat
+    check_block_kernel(stacked, 1)
 
 
 def test_kronecker_sum_matches_the_dense_sum():

@@ -116,6 +116,12 @@ def test_partial_trace_needs_dims():
         partial_trace(rho, keep=(0,))
 
 
+@pytest.mark.parametrize("dims", [(-2, -2), (4, 1.0), (2.0, 2.0), (0, 4)])
+def test_factor_dims_must_be_positive_integers(dims):
+    with pytest.raises(ShapeError):
+        DensityMatrix(Operator(np.eye(4) / 4), dims=dims)
+
+
 def test_fidelity_identical_states():
     rho = DensityMatrix(Operator(np.diag([0.3, 0.7])))
     assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-10)
