@@ -24,7 +24,7 @@ import traceback
 import numpy as np
 
 from . import acceptance
-from .duality import Background, basis_change, charge_box, coupling_shift, coupling_swap, dual_metric, factorized_inversion, max_energy_shift, onn_apply
+from .duality import Background, _energy_shift, basis_change, charge_box, coupling_shift, coupling_swap, dual_metric, factorized_inversion, onn_apply
 from .dynamics import coherence_experiment
 from .errors import DfsLabError, UsageError
 from .fock import build_decoherence_model, build_string_model, dfs_from_dirac, duality_substitution, gamma_pair_norm, parity_generators
@@ -339,8 +339,7 @@ def _run_duality(params: dict, tol_scale: float):
         element = element.compose(_parse_generator(entry, n))
     charges = charge_box(n, box)
     bg_new = onn_apply(element, bg)
-    worst = max_energy_shift(element, bg, charges)
-    tol = 1e-10 * tol_scale
+    worst, tol = _energy_shift(element, bg, charges, tol_scale)
     results = {
         "element_matrix": element.matrix.tolist(),
         "element_swaps": element.swap,

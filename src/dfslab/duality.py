@@ -309,11 +309,20 @@ def max_energy_shift(element: ONNElement, background: Background, charges) -> fl
     """Largest change of the lattice energy over a (k, 2n) charge stack when
     the background and the charges move together under ``element``; zero up
     to roundoff for a duality."""
+    return _energy_shift(element, background, charges, 1.0)[0]
+
+
+def _energy_shift(element: ONNElement, background: Background, charges, tol_scale: float) -> tuple[float, float]:
+    """``max_energy_shift`` together with the bound it is checked against:
+    1e-10 * tol_scale, relative to the largest |energy| of the charges on
+    ``background`` when that exceeds 1, since roundoff in the energies
+    grows with them."""
     before = narain_energies(background, charges)
     after = narain_energies(
         onn_apply(element, background), transform_charge_stack(element, charges)
     )
-    return float(np.abs(before - after).max(initial=0.0))
+    shift = float(np.abs(before - after).max(initial=0.0))
+    return shift, 1e-10 * tol_scale * max(1.0, float(np.abs(before).max(initial=0.0)))
 
 
 def dual_metric(background: Background) -> np.ndarray:

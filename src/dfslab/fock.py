@@ -11,12 +11,15 @@ with towers of environment modes and a gamma-matrix sector, whose Dirac
 operator d and its adjoint d_bar (the relative operator) cut out protected
 subspaces as numerical kernels.
 
-For one compact direction the Dirac operator splits exactly as
+The Dirac operator keeps its nonzero entries (``opcore.tensor_sum``), so
+neither d nor its adjoint is formed as a dense matrix unless something reads
+``mat``.  For one compact direction d splits exactly as
 d = l (|0><1| x K+ + |1><0| x K-), with K+ and K- Kronecker sums of small
 Hermitian factors on (register, plus tower, minus tower).  The model records
-that split next to the dense matrix, and ``dfs_from_dirac`` takes the kernel
-from the factors' eigenpairs; with more directions the a_plus_i do not
-commute, no such split exists, and the kernel comes from block SVDs.
+that split next to the entries, and ``dfs_from_dirac`` takes the kernel from
+the factors' eigenpairs; with more directions the a_plus_i do not commute, no
+such split exists, and the kernel comes from block SVDs of the blocks
+gathered from the entries.
 """
 
 from __future__ import annotations
@@ -365,16 +368,19 @@ class DiracSplit:
 
 @dataclass(frozen=True, kw_only=True)
 class DiracOperator(Operator):
-    """A string-model Dirac operator: the dense matrix, plus its ``split``
-    for one direction (None for more, where no split exists).  Only
-    ``dfs_from_dirac`` reads the split; the adjoint swaps its two sums."""
+    """A string-model Dirac operator: its nonzero entries when
+    ``build_string_model`` makes it, or its dense matrix when constructed
+    from one, plus its ``split`` for one direction (None for more, where no
+    split exists).  Only ``dfs_from_dirac`` reads the split.  The adjoint
+    swaps the two sums of the split and the rows and columns of the
+    entries, conjugating their values, with no d x d copy."""
 
     split: DiracSplit | None
 
     def dag(self) -> "DiracOperator":
         s = self.split
         swapped = None if s is None else DiracSplit(s.scale, s.lower, s.upper)
-        return DiracOperator._unchecked(self.mat.conj().T, split=swapped)
+        return DiracOperator._unchecked(self._adjoint(), split=swapped)
 
 
 @dataclass(frozen=True)
@@ -387,8 +393,10 @@ class StringModel:
     factor) and h_env on their tower factors; the Dirac operator d on the
     full space.  d = D+ + D-, with D+ Hermitian and D- anti-Hermitian entry
     by entry, so the relative operator D+ - D- is exactly d's adjoint:
-    ``d_bar`` returns it and only d is stored.  For one direction d carries
-    its split (``DiracOperator``), which ``d_bar`` swaps.
+    ``d_bar`` returns it and only d is stored, as its nonzero entries.
+    ``d_bar`` swaps their rows and columns and conjugates their values, so
+    neither forms a dense d x d matrix.  For one direction d carries its
+    split (``DiracOperator``), which ``d_bar`` swaps.
     """
 
     background: Background
@@ -499,7 +507,7 @@ def build_string_model(background: Background, n_max: int, levels: int) -> Strin
         split = DiracSplit(
             float(cliff.gamma_plus[0].mat[0, 1].real), (a_p + a_m, env, env), (a_p - a_m, env, -env)
         )
-    d = DiracOperator._unchecked(tensor_sum(terms).mat, split=split)
+    d = DiracOperator._unchecked(tensor_sum(terms)._entries, split=split)
 
     return StringModel(
         background=background,
@@ -530,9 +538,9 @@ def dfs_from_dirac(d: Operator, tol: float = KERNEL_TOL) -> KernelBasis:
     tol * sigma_max, the cutoff ``nullspace`` applies to singular values.
     Any other operator, non-normal ones included, goes through
     ``kernel_basis`` (block SVDs).  Either way the returned basis carries
-    d's largest singular value as ``sigma_max`` and is certified on the
-    dense matrix (``KernelBasis.certify``), so a split that disagrees with
-    its matrix raises DomainError.
+    d's largest singular value as ``sigma_max`` and is certified on d's
+    entries, or on its matrix when d holds one (``KernelBasis.certify``),
+    so a split that disagrees with them raises DomainError.
     """
     split = d.split if isinstance(d, DiracOperator) else None
     if split is None:

@@ -1,14 +1,18 @@
-"""Dense operator core: matrices, subspace bases, and the small set of
+"""Operator core: matrices, subspace bases, and the small set of
 linear-algebra primitives everything else is built from.
 
 Conventions used throughout the package:
 
 * operators are square complex matrices acting on a Hilbert space of
-  dimension ``dim``;
+  dimension ``dim``.  An ``Operator`` holds either its dense matrix or, when
+  ``tensor_sum`` built it, its nonzero entries (rows, cols, vals); the
+  dense ``mat`` of such an operator is formed the first time it is read and
+  then cached read-only, while ``dim``, ``dag()``, ``kernel_basis`` and the
+  kernel certificate work from the entries;
 * tensor products are Kronecker products with the first factor varying
   slowest, matching the row-major reshape of composite indices.  This module
-  is the only place that knows that layout: ``tensor_sum`` adds a sum of
-  products of factors into one array from the factors' nonzero entries
+  is the only place that knows that layout: ``tensor_sum`` sums products of
+  factors as an entry list formed from the factors' nonzero entries
   (``tensor`` is its one-term case), ``apply_on_factor`` applies a local
   operator to one factor of a stack of kets without forming the product, and
   ``KroneckerSum`` diagonalizes a Kronecker sum of Hermitian factors from
@@ -19,6 +23,8 @@ Conventions used throughout the package:
   pattern (an exact split, no tolerance), and every block gets its own SVD
   (with the full V^dag only for a block with more columns than rows); the
   cutoff stays relative to the largest singular value of the whole matrix.
+  For an operator that keeps its entries, the blocks are read off the
+  entries and gathered from them, with the same values in the same places.
   A kernel computed any other way (from a Kronecker sum's eigenpairs, say)
   is certified the same way, by ``KernelBasis.certify``;
 * Hermitian eigenproblems go through ``sector_eigh`` the same way: the
@@ -68,28 +74,100 @@ def _square_complex(mat) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class _Entries:
+    """The nonzero entries of an (m, n) complex matrix: ``vals[k]`` sits at
+    (``rows[k]``, ``cols[k]``), no position twice, every value finite and
+    nonzero; every other entry is zero."""
+
+    shape: tuple[int, int]
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=np.complex128)
+        out[self.rows, self.cols] = self.vals
+        return out
+
+    def adjoint(self) -> "_Entries":
+        return _Entries(self.shape[::-1], self.cols, self.rows, self.vals.conj())
+
+    def apply(self, vectors: np.ndarray) -> np.ndarray:
+        """The matrix times each row of ``vectors`` (k, n), as rows (k, m):
+        every entry's product is added into its row, in entry order, so the
+        result depends neither on how the entries are sorted nor on BLAS.
+        One row at a time keeps the temporaries at the size of the entries."""
+        out = np.empty((vectors.shape[0], self.shape[0]), dtype=np.complex128)
+        for v, row in zip(vectors, out):
+            prod = v[self.cols] * self.vals
+            row.real = np.bincount(self.rows, weights=prod.real, minlength=self.shape[0])
+            row.imag = np.bincount(self.rows, weights=prod.imag, minlength=self.shape[0])
+        return out
+
+    def gather(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The stack of blocks ``dense()[rows[j]][:, cols[j]]``, shape
+        (k, m_b, n_b), for blocks that no entry leaves (``_sectors``), formed
+        from the entries in their rows."""
+        block = np.full(self.shape[0], -1)
+        block[rows] = np.arange(rows.shape[0])[:, None]
+        row_pos = np.zeros(self.shape[0], dtype=np.intp)
+        row_pos[rows] = np.arange(rows.shape[1])
+        col_pos = np.zeros(self.shape[1], dtype=np.intp)
+        col_pos[cols] = np.arange(cols.shape[1])
+        pick = np.flatnonzero(block[self.rows] >= 0)
+        r, c = self.rows[pick], self.cols[pick]
+        out = np.zeros(rows.shape + cols.shape[1:], dtype=np.complex128)
+        out[block[r], row_pos[r], col_pos[c]] = self.vals[pick]
+        return out
+
+
+@dataclass(frozen=True)
 class Operator:
-    """A square complex matrix on a ``dim``-dimensional Hilbert space."""
+    """A square complex matrix on a ``dim``-dimensional Hilbert space.
+
+    An operator that ``tensor_sum`` built keeps its nonzero entries
+    instead: its ``mat`` is formed from them the first time it is read and
+    then cached, read-only like every ``mat``; ``dim`` and ``dag()`` never
+    form it.
+    """
 
     mat: np.ndarray
+
+    # the _Entries of an operator that keeps them, whose mat is not formed
+    # until read (see __getattr__); None for one made from a matrix
+    _entries = None
 
     def __post_init__(self):
         arr = _square_complex(self.mat)
         arr.setflags(write=False)
         object.__setattr__(self, "mat", arr)
 
+    def __getattr__(self, name):
+        # reached only for an attribute the instance lacks: the mat of an
+        # operator that keeps its entries, before anything has read it
+        if name != "mat" or self._entries is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        arr = self._entries.dense()
+        arr.setflags(write=False)
+        object.__setattr__(self, "mat", arr)
+        return arr
+
     @property
     def dim(self) -> int:
-        return self.mat.shape[0]
+        return self.mat.shape[0] if self._entries is None else self._entries.shape[0]
 
     @classmethod
-    def _unchecked(cls, arr: np.ndarray, **fields) -> "Operator":
-        """An instance around ``arr``, which the caller vouches is a square,
-        finite complex128 array, without the boundary check; ``arr`` is made
-        read-only.  ``fields`` sets a subclass's other fields."""
+    def _unchecked(cls, arr, **fields) -> "Operator":
+        """An instance around ``arr``, without the boundary check: either a
+        square, finite complex128 array, which the caller vouches for and
+        which is made read-only, or the ``_Entries`` of such a matrix, which
+        the instance keeps.  ``fields`` sets a subclass's other fields."""
         out = object.__new__(cls)
-        arr.setflags(write=False)
-        object.__setattr__(out, "mat", arr)
+        if isinstance(arr, _Entries):
+            object.__setattr__(out, "_entries", arr)
+        else:
+            arr.setflags(write=False)
+            object.__setattr__(out, "mat", arr)
         for name, value in fields.items():
             object.__setattr__(out, name, value)
         return out
@@ -103,8 +181,20 @@ class Operator:
         return Operator(np.zeros((dim, dim)))
 
     def dag(self) -> "Operator":
-        # mat is read-only and was validated when this operator was made
-        return Operator._unchecked(self.mat.conj().T)
+        return Operator._unchecked(self._adjoint())
+
+    def _adjoint(self):
+        """The conjugate transpose as swapped, conjugated entries when this
+        operator keeps them, else as a view of ``mat`` (read-only, and
+        validated when this operator was made)."""
+        return self.mat.conj().T if self._entries is None else self._entries.adjoint()
+
+    def _apply(self, vectors: np.ndarray) -> np.ndarray:
+        """``mat @ vectors.T`` for row-kets ``vectors``, multiplying only the
+        entries when this operator keeps them."""
+        if self._entries is None:
+            return self.mat @ vectors.T
+        return self._entries.apply(vectors).T
 
     def trace(self) -> complex:
         return complex(np.trace(self.mat))
@@ -213,10 +303,11 @@ class KernelBasis(SubspaceBasis):
     @classmethod
     def certify(cls, a: Operator, rows: np.ndarray, sigma_max: float, tol: float) -> "KernelBasis":
         """The span of ``rows`` as the kernel of ``a``, certified: the
-        largest residual ||a v|| over the rows, measured on ``a.mat``, must
-        stay within tol * sigma_max * sqrt(dim) (1e-10 when sigma_max
-        vanishes, never below 1e-12), else DomainError."""
-        resid = float(np.linalg.norm(a.mat @ rows.T, axis=0).max()) if rows.shape[0] else 0.0
+        largest residual ||a v|| over the rows, measured on ``a``'s entries
+        when it keeps them and on ``a.mat`` otherwise, must stay within
+        tol * sigma_max * sqrt(dim) (1e-10 when sigma_max vanishes, never
+        below 1e-12), else DomainError."""
+        resid = float(np.linalg.norm(a._apply(rows), axis=0).max()) if rows.shape[0] else 0.0
         basis = cls(a.dim, rows, VECTOR_SPACE, sigma_max=sigma_max, residual=resid)
         bound = tol * sigma_max * np.sqrt(a.dim) if sigma_max > 0 else 1e-10
         if resid > max(bound, 1e-12):
@@ -242,26 +333,30 @@ def _square_factors(factors) -> tuple[np.ndarray, ...]:
 
 
 def tensor_sum(terms) -> Operator:
-    """sum_t coef_t * tensor(*factors_t), formed from the factors' nonzero
-    entries, for ``terms`` a sequence of ``(coef, factors)`` pairs.
+    """sum_t coef_t * tensor(*factors_t), for ``terms`` a sequence of
+    ``(coef, factors)`` pairs, as an ``Operator`` that keeps its nonzero
+    entries.
 
     Each term multiplies its factors' nonzero entries, first factor first,
-    and then scales them by ``coef``; the terms are added into one array in
-    the order given.  So the result equals, entry by entry, the running sum
-    of the densified terms, without any full-space temporary.  The budget is
-    checked before anything is allocated; finiteness is checked once, on
-    the sum.
+    and then scales them by ``coef``.  The entries of one position are added
+    in the order of the terms, starting from zero, and a position whose sum
+    is exactly zero keeps no entry.  So the entries are those of the running
+    sum of the densified terms, bit for bit: ``mat``, formed when read, is
+    that sum, and the stored positions are its nonzero pattern.  No
+    full-space array is formed.  The budget is checked before anything is
+    allocated; finiteness is checked once, on the summed entries.
     """
-    out = None
+    dim = None
+    parts = []
     for coef, factors in terms:
         mats = _square_factors(factors)
-        dim = math.prod(m.shape[0] for m in mats)
-        if out is None:
-            if dim > DIM_BUDGET:
-                raise BudgetError(f"tensor product dimension {dim} exceeds budget {DIM_BUDGET}")
-            out = np.zeros((dim, dim), dtype=np.complex128)
-        elif dim != out.shape[0]:
-            raise ShapeError(f"term dimension {dim} does not match {out.shape[0]}")
+        size = math.prod(m.shape[0] for m in mats)
+        if dim is None:
+            if size > DIM_BUDGET:
+                raise BudgetError(f"tensor product dimension {size} exceeds budget {DIM_BUDGET}")
+            dim = size
+        elif size != dim:
+            raise ShapeError(f"term dimension {size} does not match {dim}")
         rows = cols = np.zeros(1, dtype=np.intp)
         vals = None
         for m in mats:
@@ -269,11 +364,26 @@ def tensor_sum(terms) -> Operator:
             rows = (rows[:, None] * m.shape[0] + r).reshape(-1)
             cols = (cols[:, None] * m.shape[0] + c).reshape(-1)
             vals = m[r, c] if vals is None else (vals[:, None] * m[r, c]).reshape(-1)
-        # (rows, cols) pairs are distinct within a term
-        out[rows, cols] += coef * vals
-    if out is None:
+        parts.append((rows, cols, coef * vals))
+    if dim is None:
         raise UsageError("tensor_sum needs at least one term")
-    return Operator(out)
+    if len(parts) == 1:
+        # positions are distinct within a term
+        rows, cols, vals = parts[0]
+        acc = np.zeros(vals.shape, dtype=np.complex128)
+        acc += vals
+    else:
+        keys, slot = np.unique(np.concatenate([r * dim + c for r, c, _ in parts]), return_inverse=True)
+        acc = np.zeros(keys.size, dtype=np.complex128)
+        start = 0
+        for _, _, vals in parts:
+            acc[slot[start:start + vals.size]] += vals
+            start += vals.size
+        rows, cols = np.divmod(keys, dim)
+    if not np.isfinite(acc).all():
+        raise DomainError("matrix entries must be finite")
+    keep = acc != 0
+    return Operator._unchecked(_Entries((dim, dim), rows[keep], cols[keep], acc[keep]))
 
 
 def apply_on_factor(mat, slot: int, dims, vectors) -> np.ndarray:
@@ -450,9 +560,11 @@ def _components(n: int, r: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.unique(label, return_inverse=True)[1].reshape(n)
 
 
-def _nonzero_entries(arr: np.ndarray):
-    """Row and column indices of the nonzero entries of ``arr``, or None
-    when every entry is nonzero."""
+def _nonzero_entries(arr):
+    """Row and column indices of the nonzero entries of ``arr``, an array or
+    its ``_Entries``, or None when every entry is nonzero."""
+    if isinstance(arr, _Entries):
+        return None if arr.vals.size == arr.shape[0] * arr.shape[1] else (arr.rows, arr.cols)
     pattern = arr != 0
     return None if pattern.all() else np.nonzero(pattern)
 
@@ -520,19 +632,23 @@ def _hermitian_blocks(pattern: np.ndarray):
     return out
 
 
-def _gather(arr: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The stack of blocks ``arr[rows[j]][:, cols[j]]``, shape (k, m_b, n_b);
-    a view of ``arr`` when its one block is all of it."""
+def _gather(arr, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The stack of blocks ``arr[rows[j]][:, cols[j]]``, shape (k, m_b, n_b),
+    for ``arr`` an array or its ``_Entries``; a view of an array when its one
+    block is all of it."""
+    if isinstance(arr, _Entries):
+        return arr.gather(rows, cols)
     if rows.shape == (1, arr.shape[0]) and cols.shape == (1, arr.shape[1]):
         return arr[None]
     return arr[rows[:, :, None], cols[:, None, :]]
 
 
-def _nullspace_and_norm(arr: np.ndarray, tol: float, scale: float = 0.0) -> tuple[np.ndarray, float]:
+def _nullspace_and_norm(arr, tol: float, scale: float = 0.0) -> tuple[np.ndarray, float]:
     """``nullspace`` rows together with sigma_max, the largest singular value;
-    the cutoff is tol * max(sigma_max, scale)."""
+    the cutoff is tol * max(sigma_max, scale).  ``arr`` is an array or the
+    ``_Entries`` of one; both give the same blocks, so the same bits."""
     m, ncols = arr.shape
-    if arr.size == 0:
+    if m * ncols == 0:
         return np.eye(ncols, dtype=np.complex128), 0.0
     nz = _nonzero_entries(arr)
     sectors = None if nz is None else _sectors(arr.shape, *nz)
@@ -585,12 +701,14 @@ def nullspace(mat: np.ndarray, tol: float = KERNEL_TOL) -> np.ndarray:
 def kernel_basis(a: Operator, tol: float = KERNEL_TOL) -> KernelBasis:
     """Orthonormal basis of the numerical kernel of ``a`` (``nullspace``).
 
-    Certified (``KernelBasis.certify``): every basis vector's residual must
-    stay within tol * sigma_max * sqrt(dim), with sigma_max read off the
-    singular values the kernel computation already has.  Both sigma_max and
-    the measured residual are returned on the basis.
+    An operator that keeps its entries is split and gathered from them, and
+    never densified.  Certified (``KernelBasis.certify``): every basis
+    vector's residual must stay within tol * sigma_max * sqrt(dim), with
+    sigma_max read off the singular values the kernel computation already
+    has.  Both sigma_max and the measured residual are returned on the basis.
     """
-    return KernelBasis.certify(a, *_nullspace_and_norm(a.mat, tol), tol)
+    stored = a.mat if a._entries is None else a._entries
+    return KernelBasis.certify(a, *_nullspace_and_norm(stored, tol), tol)
 
 
 def commutant_basis(ops: list[Operator], dim: int, tol: float = KERNEL_TOL) -> SubspaceBasis:

@@ -329,3 +329,45 @@ def test_dfs_tol_outside_the_unit_interval_exits_1(tol, tmp_path, capsys, monkey
     path.write_text(json.dumps(scenario))
     assert entry(["run", str(path)]) == 1
     assert "tol must lie strictly between 0 and 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("operator", ["relative", "total"])
+def test_one_direction_dfs_allocates_less_than_one_dense_dirac_matrix(operator):
+    """The n = 1, n_max 8 model has dimension 1458; a dense complex matrix
+    of that size is 34 MB, and the run's allocation peak stays below it."""
+    import tracemalloc
+
+    scenario = load("dfs.json")
+    scenario["params"].update(n_max=8, operator=operator)
+    tracemalloc.start()
+    try:
+        report = run_scenario(scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["pass"] and report["results"]["model_dim"] == 1458
+    assert peak < 1458 * 1458 * 16
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("operator", ["relative", "total"])
+def test_dfs_runs_form_no_dense_dirac_matrix(n, operator, monkeypatch):
+    from dfslab import opcore
+
+    formed = []
+    dense = opcore._Entries.dense
+
+    def recording(entries):
+        formed.append(entries.shape)
+        return dense(entries)
+
+    monkeypatch.setattr(opcore._Entries, "dense", recording)
+    scenario = load("dfs.json")
+    if n == 2:
+        # a nonempty kernel, from four blocks of 64
+        scenario["params"].update(metric=[[0.25, 0.0], [0.0, 0.25]], coupling=[[0.0, 0.4], [-0.4, 0.0]], n_max=1)
+    scenario["params"]["operator"] = operator
+    report = run_scenario(scenario)
+    dim = report["results"]["model_dim"]
+    assert report["pass"] and report["results"]["kernel_dim"] > 0
+    assert (dim, dim) not in formed

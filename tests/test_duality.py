@@ -311,6 +311,41 @@ def test_duality_scenario_catches_a_wrong_charge_map(monkeypatch):
     assert check["name"] == "narain-energy-invariance" and not check["pass"]
 
 
+def _inversion_scenario(metric, box):
+    n = len(metric)
+    return {
+        "schema_version": 1,
+        "kind": "duality",
+        "params": {"metric": metric, "box": box, "generator": {"kind": "inversion", "directions": list(range(n))}},
+    }
+
+
+SMALL_METRIC = (1e-5 * np.eye(3)).tolist()
+
+
+def test_energy_check_is_relative_to_the_largest_energy():
+    # energies reach 1.35e6 here, so a roundoff shift of about 1e-10 is far
+    # below 1e-10 of the largest one
+    report = cli.run_scenario(_inversion_scenario(SMALL_METRIC, 3))
+    (check,) = report["checks"]
+    assert check["name"] == "narain-energy-invariance"
+    assert check["pass"] and check["value"] > 1e-10
+    assert check["tolerance"] == pytest.approx(1e-10 * 1.35e6, rel=1e-12)
+
+
+@pytest.mark.parametrize("metric", [SMALL_METRIC, [[2.25]]])
+def test_energy_check_fails_a_background_moved_off_the_duality(metric, monkeypatch):
+    original = duality.onn_apply
+
+    def moved(element, background):
+        out = original(element, background)
+        return Background(out.metric * (1.0 + 1e-8), out.coupling)
+
+    monkeypatch.setattr(duality, "onn_apply", moved)
+    (check,) = cli.run_scenario(_inversion_scenario(metric, 3))["checks"]
+    assert not check["pass"]
+
+
 def test_max_energy_shift_is_roundoff_for_every_generator():
     bg = Background(np.array([[1.0, 0.3], [0.3, 2.0]]), np.array([[0.0, 0.7], [-0.7, 0.0]]))
     charges = charge_box(2, 2)

@@ -3,7 +3,9 @@ import pytest
 from conftest import kron, kronecker_sum_dense
 
 from dfslab import (
+    Background,
     BudgetError,
+    DiracOperator,
     DomainError,
     KroneckerSum,
     Operator,
@@ -11,8 +13,10 @@ from dfslab import (
     SubspaceBasis,
     UsageError,
     apply_on_factor,
+    build_string_model,
     commutant_basis,
     commutator,
+    dfs_from_dirac,
     eig_hermitian,
     kernel_basis,
     operator_norm,
@@ -674,6 +678,103 @@ def test_tensor_sum_validation():
         tensor_sum([(1.0, (np.eye(64), np.eye(65)))])
     with pytest.raises(DomainError):
         tensor_sum([(1.0, (np.eye(2), np.array([[np.inf]])))])
+
+
+def entry_pattern(op):
+    """The stored positions of an operator that keeps its entries, in
+    row-major order."""
+    e = op._entries
+    order = np.lexsort((e.cols, e.rows))
+    return e.rows[order], e.cols[order]
+
+
+def test_tensor_sum_adds_overlapping_terms_in_term_order():
+    # (1e16 - 1e16) + 1 is 1, while 1e16 + (-1e16 + 1) is 0: the one
+    # position all three terms share must be summed in the order given
+    terms = [(1e16, (SX, SZ)), (-1e16, (SX, SZ)), (1.0, (SX, SZ)), (2j, (SX, np.eye(2)))]
+    ref = np.zeros((4, 4), dtype=complex)
+    for coef, factors in terms:
+        ref += coef * kron(*factors)
+    op = tensor_sum(terms)
+    assert op.mat[0, 2] == 1.0 + 2j
+    assert np.array_equal(op.mat, ref)
+
+
+def test_tensor_sum_keeps_no_entry_where_terms_cancel():
+    op = tensor_sum([(1.0, (SX, SZ)), (-1.0, (SX, SZ)), (0.5, (SZ, SX))])
+    assert op._entries.vals.size == 4 and np.all(op._entries.vals != 0)
+    rows, cols = entry_pattern(op)
+    want = np.nonzero(op.mat)
+    assert np.array_equal(rows, want[0]) and np.array_equal(cols, want[1])
+    assert np.array_equal(op.mat, 0.5 * kron(SZ, SX))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_tensor_sum_rejects_a_non_finite_factor(bad):
+    with pytest.raises(DomainError):
+        tensor_sum([(1.0, (SX, np.array([[1.0, 0.0], [bad, 1.0]])))])
+    with pytest.raises(DomainError):
+        tensor_sum([(1.0, (SX,)), (bad, (SZ,))])
+
+
+def test_an_operator_that_keeps_its_entries_forms_mat_only_when_read():
+    rng = np.random.Generator(np.random.Philox(21))
+    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    a[1, 2] = 0.0
+    op = tensor_sum([(1.0, (a, SY)), (0.25, (np.eye(3), SZ))])
+    adj = op.dag()
+    assert op.dim == adj.dim == 6
+    assert "mat" not in vars(op) and "mat" not in vars(adj)
+    assert np.array_equal(adj.mat, op.mat.conj().T)
+    assert adj.mat is adj.mat
+    with pytest.raises(ValueError):
+        adj.mat[0, 0] = 5.0
+    rows, cols = entry_pattern(adj)
+    want = np.nonzero(adj.mat)
+    assert np.array_equal(rows, want[0]) and np.array_equal(cols, want[1])
+    with pytest.raises(AttributeError):
+        op.not_an_attribute
+
+
+def string_model(n, n_max):
+    # both backgrounds have nonempty kernels at the sizes used here
+    metric = np.array([[2.25]]) if n == 1 else 0.25 * np.eye(2)
+    coupling = np.zeros((n, n)) if n == 1 else np.array([[0.0, 0.4], [-0.4, 0.0]])
+    return build_string_model(Background(metric, coupling), n_max=n_max, levels=1)
+
+
+@pytest.mark.parametrize("n, n_max", [(1, 4), (2, 1)])
+def test_the_entry_product_residual_matches_the_dense_product(n, n_max):
+    model = string_model(n, n_max)
+    for dirac in (model.d, model.d_bar):
+        kernel = dfs_from_dirac(dirac, tol=1e-9)
+        assert kernel.size > 0 and "mat" not in vars(dirac)
+        rng = np.random.Generator(np.random.Philox(22))
+        vectors = rng.normal(size=(3, dirac.dim)) + 1j * rng.normal(size=(3, dirac.dim))
+        dense = dirac.mat @ vectors.T
+        assert np.abs(dirac._apply(vectors) - dense).max() <= 1e-14 * np.abs(dense).max()
+        measured = np.linalg.norm(dirac.mat @ kernel.vectors.T, axis=0).max()
+        assert abs(kernel.residual - measured) <= 1e-15 * kernel.sigma_max
+
+
+def test_two_direction_blocks_gathered_from_the_entries_match_the_dense_gather():
+    model = string_model(2, 1)
+    for dirac in (model.d, model.d_bar):
+        rows, smax = _nullspace_and_norm(dirac._entries, 1e-9)
+        dense_rows, dense_smax = _nullspace_and_norm(np.array(dirac.mat), 1e-9)
+        assert np.array_equal(rows, dense_rows) and smax == dense_smax
+
+
+def test_a_dirac_operator_made_from_a_dense_matrix_is_certified_on_it():
+    model = string_model(1, 2)
+    dense = DiracOperator(model.d.mat, split=model.d.split)
+    assert dense._entries is None
+    kernel = dfs_from_dirac(dense, tol=1e-9)
+    assert np.array_equal(kernel.vectors, dfs_from_dirac(model.d, tol=1e-9).vectors)
+    assert kernel.residual == float(np.linalg.norm(model.d.mat @ kernel.vectors.T, axis=0).max())
+    # a split that disagrees with such a matrix fails the certificate:
+    # test_fock.test_a_split_that_disagrees_with_its_matrix_fails_the_certificate
 
 
 def quarter_turned_blocks(rng, blocks, zero_rows=0, zero_cols=0):
