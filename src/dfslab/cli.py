@@ -41,6 +41,9 @@ BOUNDARY_SLACK = 1e-8
 # Most time samples a decohere scenario may ask for; each costs a bare and a
 # symmetrized propagation of the state and five floats in the report.
 TIME_SAMPLE_BUDGET = 10_000
+# Most letters a duality word may hold; each letter is parsed and composed
+# in Python, and the element's entries can grow geometrically with length.
+WORD_BUDGET = 64
 
 
 def _fail(msg: str):
@@ -334,6 +337,8 @@ def _run_duality(params: dict, tol_scale: float):
     word_arg = params.get("word") or [params.get("generator") or _fail("need generator or word")]
     if not isinstance(word_arg, list):
         _fail("word must be a list of generator objects")
+    if len(word_arg) > WORD_BUDGET:
+        _fail(f"word has {len(word_arg)} letters, which exceeds the budget of {WORD_BUDGET}")
     element = _parse_generator(word_arg[0], n)
     for entry in word_arg[1:]:
         element = element.compose(_parse_generator(entry, n))
@@ -390,7 +395,7 @@ def _run_nctorus(params: dict, tol_scale: float):
     if landau_n_max is not None:
         landau_n_max = _int_param(landau_n_max, "landau_n_max")
         h = landau_hamiltonian(flux, landau_n_max)
-        ground = float(sector_eigh(h.mat, vectors=False)[0])
+        ground = float(sector_eigh(h, vectors=False)[0])
         results["landau_ground_level"] = ground
         expect = params.get("landau_expect")
         if expect is not None:

@@ -26,6 +26,7 @@ import numpy as np
 from .errors import BudgetError, DomainError, ShapeError, UsageError
 
 SYMMETRY_TOL = 1e-12
+INT64_MAX = int(np.iinfo(np.int64).max)
 # Largest number of charges one lattice sweep may hold.  A sweep keeps a few
 # (count, 2n) arrays alive at once: at n = 2 and box 15 (923,521 charges)
 # max_energy_shift peaks at about 150 MB.
@@ -36,7 +37,20 @@ def _check_square(arr: np.ndarray, name: str) -> np.ndarray:
     arr = np.asarray(arr)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ShapeError(f"{name} must be a square matrix")
+    if not np.isfinite(arr).all():
+        raise DomainError(f"{name} entries must be finite")
     return arr
+
+
+def _check_spd(arr, name: str) -> np.ndarray:
+    """A float copy of ``arr``: a finite square matrix, symmetric to
+    SYMMETRY_TOL (absolute), whose smallest eigenvalue is above 0."""
+    eta = _check_square(np.array(arr, dtype=float), name)
+    if np.abs(eta - eta.T).max(initial=0.0) > SYMMETRY_TOL:
+        raise DomainError(f"{name} must be symmetric")
+    if np.linalg.eigvalsh(eta).min() <= 0:
+        raise DomainError(f"{name} must be positive definite")
+    return eta
 
 
 def _int_matrix(arr) -> np.ndarray:
@@ -47,6 +61,17 @@ def _int_matrix(arr) -> np.ndarray:
             raise DomainError("duality matrices must have integer entries")
         arr = rounded
     return arr.astype(np.int64)
+
+
+def _int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for int64 arrays, exact: DomainError unless max |a_ik|
+    times the largest column sum of |b|, which bounds every entry and every
+    partial sum of the product, stays within the int64 range."""
+    reach = max(int(a.max(initial=0)), -int(a.min(initial=0)))
+    column = max((sum(abs(int(x)) for x in col) for col in b.T), default=0)
+    if reach * column > INT64_MAX:
+        raise DomainError("integer duality product would leave the int64 range")
+    return a @ b
 
 
 def _int_det(a: np.ndarray) -> int:
@@ -89,16 +114,12 @@ class Background:
     coupling: np.ndarray
 
     def __post_init__(self):
-        eta = _check_square(np.array(self.metric, dtype=float), "metric")
+        eta = _check_spd(self.metric, "metric")
         xi = _check_square(np.array(self.coupling, dtype=float), "coupling")
         if eta.shape != xi.shape:
             raise ShapeError("metric and coupling must have matching shapes")
-        if np.abs(eta - eta.T).max(initial=0.0) > SYMMETRY_TOL:
-            raise DomainError("metric must be symmetric")
         if np.abs(xi + xi.T).max(initial=0.0) > SYMMETRY_TOL:
             raise DomainError("coupling must be antisymmetric")
-        if np.linalg.eigvalsh(eta).min() <= 0:
-            raise DomainError("metric must be positive definite")
         object.__setattr__(self, "metric", eta)
         object.__setattr__(self, "coupling", xi)
         eta.setflags(write=False)
@@ -148,12 +169,13 @@ class ONNElement:
         return g[:n, :n], g[:n, n:], g[n:, :n], g[n:, n:]
 
     def compose(self, other: "ONNElement") -> "ONNElement":
-        """Group product; ``self`` acts after ``other``."""
+        """Group product; ``self`` acts after ``other``.  DomainError when
+        the product's entries could leave the int64 range."""
         if self.n != other.n:
             raise ShapeError("cannot compose elements of different rank")
         sig = _charge_signature(self.n)
         mid = other.matrix if not self.swap else sig @ other.matrix @ sig
-        return ONNElement(self.matrix @ mid, self.swap ^ other.swap)
+        return ONNElement(_int_matmul(self.matrix, mid), self.swap ^ other.swap)
 
     def inverse(self) -> "ONNElement":
         j = pairing_matrix(self.n)
@@ -250,6 +272,8 @@ def onn_apply(element: ONNElement, background: Background) -> Background:
     if np.linalg.cond(denom) > 1.0 / np.finfo(float).eps:
         raise DomainError("duality action is singular on this background")
     new_e = (a.astype(float) @ e + b.astype(float)) @ np.linalg.inv(denom)
+    if not np.isfinite(new_e).all():
+        raise DomainError("duality action overflows on this background")
     return Background(0.5 * (new_e + new_e.T), 0.5 * (new_e - new_e.T))
 
 
@@ -264,8 +288,9 @@ def charge_matrix(element: ONNElement) -> np.ndarray:
 
 def transform_charge_stack(element: ONNElement, charges) -> np.ndarray:
     """Apply the charge map to a (k, 2n) integer stack, one charge per row;
-    exact integer arithmetic."""
-    return np.asarray(charges) @ charge_matrix(element).T
+    exact integer arithmetic, or DomainError when it could leave the int64
+    range."""
+    return _int_matmul(np.asarray(charges), charge_matrix(element).T)
 
 
 def charge_box(n: int, box: int) -> np.ndarray:
@@ -300,9 +325,12 @@ def narain_energies(background: Background, charges) -> np.ndarray:
     eta = background.metric
     shifted = m + w @ background.coupling.T
     solved = np.linalg.solve(eta, shifted.T)
-    return 0.5 * np.einsum("ki,ik->k", shifted, solved) + 0.5 * np.einsum(
+    energies = 0.5 * np.einsum("ki,ik->k", shifted, solved) + 0.5 * np.einsum(
         "ki,ki->k", w @ eta, w
     )
+    if not np.isfinite(energies).all():
+        raise DomainError("lattice energies overflow on this background")
+    return energies
 
 
 def max_energy_shift(element: ONNElement, background: Background, charges) -> float:
@@ -333,7 +361,10 @@ def dual_metric(background: Background) -> np.ndarray:
     """
     eta = background.metric
     prod = background.k_plus @ np.linalg.solve(eta, background.k_minus)
-    return np.linalg.inv(prod)
+    dual = np.linalg.inv(prod)
+    if not np.isfinite(dual).all():
+        raise DomainError("dual metric overflows on this background")
+    return dual
 
 
 def normal_modes(kinetic: np.ndarray, potential: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError, UsageError
 from .fock import DecoherenceModel, parity_generators
-from .opcore import HERMITICITY_TOL, Operator, SubspaceBasis, sector_eigh
+from .opcore import Operator, SubspaceBasis, sector_eigh
 from .states import DensityMatrix, _check_states, _factor, _fidelities, partial_trace
 from .symmetry import close_group, symmetrize_operator
 
@@ -60,9 +60,9 @@ class _Propagator:
     """Eigendecomposition of a Hamiltonian, applied at arbitrary times."""
 
     def __init__(self, h: Operator):
-        if not h.is_hermitian(HERMITICITY_TOL):
+        if not h.is_hermitian():
             raise DomainError("Hamiltonian must be Hermitian")
-        self.vals, self.vecs = sector_eigh(h.mat)
+        self.vals, self.vecs = sector_eigh(h)
 
     def advance(self, rho: np.ndarray, t: float) -> np.ndarray:
         phases = np.exp(-1.0j * self.vals * t)

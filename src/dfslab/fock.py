@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duality import Background
+from .duality import Background, _check_spd
 from .errors import BudgetError, DomainError, ShapeError, UsageError
 from .opcore import (
     DIM_BUDGET,
@@ -104,19 +104,25 @@ def _single_ladder(n_max: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, n_max + 1.0)), 1).astype(np.complex128)
 
 
-def ladder(space: FockSpace, mode: int) -> tuple[Operator, Operator]:
-    """Annihilation and creation operators for one mode of the space."""
+def _on_mode(space: FockSpace, mode: int, local: np.ndarray) -> Operator:
+    """A single-mode operator acting on one mode of the space."""
     if not 0 <= mode < space.n_modes:
         raise UsageError(f"mode {mode} not in space with {space.n_modes} modes")
     before = np.eye(space.levels ** mode)
     after = np.eye(space.levels ** (space.n_modes - mode - 1))
-    a = tensor(before, _single_ladder(space.n_max), after)
+    return tensor(before, local, after)
+
+
+def ladder(space: FockSpace, mode: int) -> tuple[Operator, Operator]:
+    """Annihilation and creation operators for one mode of the space."""
+    a = _on_mode(space, mode, _single_ladder(space.n_max))
     return a, a.dag()
 
 
 def number_operator(space: FockSpace, mode: int) -> Operator:
-    a, adag = ladder(space, mode)
-    return adag @ a
+    """a_dag a on one mode, from the single-mode product."""
+    a = _single_ladder(space.n_max)
+    return _on_mode(space, mode, a.conj().T @ a)
 
 
 def position_momentum(space: FockSpace, mode: int) -> tuple[Operator, Operator]:
@@ -125,17 +131,6 @@ def position_momentum(space: FockSpace, mode: int) -> tuple[Operator, Operator]:
     x = Operator((a.mat + adag.mat) / SQRT2)
     p = Operator((a.mat - adag.mat) / (1.0j * SQRT2))
     return x, p
-
-
-def _check_spd(eta: np.ndarray, name: str) -> np.ndarray:
-    eta = np.asarray(eta, dtype=float)
-    if eta.ndim != 2 or eta.shape[0] != eta.shape[1]:
-        raise ShapeError(f"{name} must be a square matrix")
-    if np.abs(eta - eta.T).max(initial=0.0) > 1e-12:
-        raise DomainError(f"{name} must be symmetric")
-    if np.linalg.eigvalsh(eta).min() <= 0:
-        raise DomainError(f"{name} must be positive definite")
-    return eta
 
 
 def hw_mode(space: FockSpace, level: int, eta, modes=None) -> list[Operator]:

@@ -182,7 +182,7 @@ def landau_hamiltonian(flux: FluxMatrix, n_max: int) -> Operator:
             f"Landau Hamiltonian is built for two directions, got {flux.n}"
         )
     FockSpace(2, n_max)  # the dimension budget of the two-mode space
-    x, p = position_momentum(FockSpace(1, n_max), 0)
+    x, p = (q.mat for q in position_momentum(FockSpace(1, n_max), 0))
     x2, p2 = x @ x, p @ p
     eye = np.eye(n_max + 1)
     w01, w10 = flux.omega[0, 1], flux.omega[1, 0]

@@ -7,8 +7,10 @@ Conventions used throughout the package:
   dimension ``dim``.  An ``Operator`` holds either its dense matrix or, when
   ``tensor_sum`` built it, its nonzero entries (rows, cols, vals); the
   dense ``mat`` of such an operator is formed the first time it is read and
-  then cached read-only, while ``dim``, ``dag()``, ``kernel_basis`` and the
-  kernel certificate work from the entries;
+  then cached read-only, while ``dim``, ``dag()`` and the three blocked
+  solvers (``kernel_basis``, ``operator_norm``, ``sector_eigh``) work from
+  the entries.  ``Operator`` has no arithmetic: products and sums are taken
+  on ``mat`` or built by ``tensor_sum``;
 * tensor products are Kronecker products with the first factor varying
   slowest, matching the row-major reshape of composite indices.  This module
   is the only place that knows that layout: ``tensor_sum`` sums products of
@@ -17,22 +19,25 @@ Conventions used throughout the package:
   operator to one factor of a stack of kets without forming the product, and
   ``KroneckerSum`` diagonalizes a Kronecker sum of Hermitian factors from
   the factors' eigenpairs (eigenvalue grid and product eigenvectors);
+* one splitter serves the three blocked solvers.  An operator is read
+  through ``Operator._stored`` (its entries when it keeps them, else
+  ``mat``), the connected blocks of its nonzero pattern are found (an exact
+  split, no tolerance) and each block is gathered from the stored entries,
+  with the same values in the same places, so the same bits.  Kernels and
+  norms split the pattern as a bipartite graph of rows and columns;
+  Hermitian eigenproblems (``sector_eigh``) read it as an undirected graph
+  on the indices, so a block's rows and columns are the same indices.  A
+  matrix that is one block is solved as one block;
 * kernels, commutants and operator norms are computed from singular value
   decompositions with a relative cutoff, never from exact rank decisions.
-  Each matrix is first split into the connected blocks of its nonzero
-  pattern (an exact split, no tolerance), and every block gets its own SVD
-  (with the full V^dag only for a block with more columns than rows); the
-  cutoff stays relative to the largest singular value of the whole matrix.
-  For an operator that keeps its entries, the blocks are read off the
-  entries and gathered from them, with the same values in the same places.
-  A kernel computed any other way (from a Kronecker sum's eigenpairs, say)
-  is certified the same way, by ``KernelBasis.certify``;
-* Hermitian eigenproblems go through ``sector_eigh`` the same way: the
-  indices are split into the connected blocks of the nonzero pattern, read
-  as an undirected graph on the indices, and each block is diagonalized on
-  its own (blocks of one size in one stacked call), so a Hamiltonian that
-  conserves a quantum number costs the cube of its largest block, not of
-  its dimension;
+  Every block gets its own SVD (with the full V^dag only for a block with
+  more columns than rows); the cutoff stays relative to the largest
+  singular value of the whole matrix.  A kernel computed any other way
+  (from a Kronecker sum's eigenpairs, say) is certified the same way, by
+  ``KernelBasis.certify``;
+* each Hermitian block is diagonalized on its own (blocks of one size in
+  one stacked call), so a Hamiltonian that conserves a quantum number costs
+  the cube of its largest block, not of its dimension;
 * commutants are block-first: the generators must be Hermitian, one of them
   is diagonalized and its eigenvalues grouped into eigenspaces with a
   cutoff relative to its spectral spread, every commutant element is block
@@ -54,7 +59,7 @@ from .errors import BudgetError, DomainError, ShapeError, UsageError
 # Default dimension budget for explicit dense constructions.
 DIM_BUDGET = 4096
 
-# Default tolerances; individual operations take overrides where useful.
+# Default tolerances; ``nullspace`` and ``kernel_basis`` take a cutoff.
 HERMITICITY_TOL = 1e-10
 KERNEL_TOL = 1e-10
 ORTHONORMALITY_TOL = 1e-10
@@ -199,34 +204,14 @@ class Operator:
     def trace(self) -> complex:
         return complex(np.trace(self.mat))
 
-    def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
+    def is_hermitian(self) -> bool:
         scale = max(1.0, float(np.abs(self.mat).max(initial=0.0)))
-        return float(np.abs(self.mat - self.mat.conj().T).max(initial=0.0)) <= tol * scale
+        return float(np.abs(self.mat - self.mat.conj().T).max(initial=0.0)) <= HERMITICITY_TOL * scale
 
-    def __add__(self, other: "Operator") -> "Operator":
-        return Operator(self.mat + _same_dim(self, other).mat)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        return Operator(self.mat - _same_dim(self, other).mat)
-
-    def __neg__(self) -> "Operator":
-        return Operator(-self.mat)
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        return Operator(self.mat @ _same_dim(self, other).mat)
-
-    def __mul__(self, scalar) -> "Operator":
-        return Operator(self.mat * complex(scalar))
-
-    __rmul__ = __mul__
-
-
-def _same_dim(a: Operator, b: Operator) -> Operator:
-    if not isinstance(b, Operator):
-        raise UsageError(f"expected an Operator, got {type(b).__name__}")
-    if a.dim != b.dim:
-        raise ShapeError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return b
+    def _stored(self):
+        """What the blocked solvers read: the ``_Entries`` of an operator
+        that keeps them, else ``mat``."""
+        return self.mat if self._entries is None else self._entries
 
 
 @dataclass(frozen=True)
@@ -256,6 +241,8 @@ class SubspaceBasis:
             side = int(round(self.ambient_dim ** 0.5))
             if side * side != self.ambient_dim:
                 raise ShapeError("operator-space basis needs a square ambient dimension")
+        if not np.isfinite(arr).all():
+            raise DomainError("basis entries must be finite")
         if arr.shape[0]:
             gram = arr @ arr.conj().T
             if float(np.abs(gram - np.eye(arr.shape[0])).max()) > ORTHONORMALITY_TOL:
@@ -442,97 +429,87 @@ class KroneckerSum:
 
 
 def commutator(a: Operator, b: Operator) -> Operator:
-    return Operator(a.mat @ _same_dim(a, b).mat - b.mat @ a.mat)
+    if a.dim != b.dim:
+        raise ShapeError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    return Operator(a.mat @ b.mat - b.mat @ a.mat)
 
 
 def operator_norm(a: Operator) -> float:
     """Largest singular value: the maximum over the blocks of the nonzero
     pattern of each block's singular values."""
-    nz = _nonzero_entries(a.mat)
-    sectors = None if nz is None else _sectors(a.mat.shape, *nz)
-    if sectors is None:
-        return float(np.linalg.norm(a.mat, 2))
+    stored = a._stored()
     return max(
-        (float(np.linalg.svd(_gather(a.mat, rows, cols), compute_uv=False).max())
-         for rows, cols in sectors if rows.shape[1] and cols.shape[1]),
+        (float(np.linalg.svd(_gather(stored, rows, cols), compute_uv=False).max())
+         for rows, cols, _ in _split(stored) if rows.shape[1] and cols.shape[1]),
         default=0.0,
     )
 
 
 def sector_eigh(mat, vectors: bool = True):
-    """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix, or of
-    a stack of them with shape (..., d, d), computed block by block.
+    """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix, an
+    ``Operator`` or an array, computed block by block; eigenvalues alone
+    (``vectors`` false) also of a stack of arrays with shape (..., d, d).
 
-    The indices are split into the connected blocks of the nonzero pattern,
-    taken over the whole stack (an exact split, no tolerance), and the
-    blocks of one size go through one stacked ``np.linalg.eigh``
-    (``eigvalsh`` when ``vectors`` is false).  The eigenvalues are merged by
-    a stable sort, blocks laid out in the order of their smallest index;
-    eigenvector k is column k, zero outside its block.  A matrix that is one
-    block goes through the plain dense call.  Each block's eigenpairs must
-    reconstruct it to 1e-10 relative to the largest entry of its matrix.
-    Returns ``(vals, vecs)``, or ``vals`` alone when ``vectors`` is false.
-    Only the lower triangle is read, as in ``np.linalg.eigh``.
+    The indices are split into the connected blocks of the nonzero pattern
+    (``_split``), taken over the whole stack and read off the entries of an
+    operator that keeps them, which is never densified.  The blocks of one
+    size are gathered and go through one stacked ``np.linalg.eigh``
+    (``eigvalsh`` when ``vectors`` is false); a matrix that is one block is
+    one such call.  The eigenvalues are merged by a stable sort, blocks laid
+    out in the order of their smallest index; eigenvector k is column k,
+    zero outside its block.  Each block's eigenpairs must reconstruct it to
+    1e-10 relative to the largest entry of its matrix.  Returns
+    ``(vals, vecs)``, or ``vals`` alone when ``vectors`` is false.  Only the
+    lower triangle of each block is read, as in ``np.linalg.eigh``.
     """
-    arr = np.asarray(mat)
-    blocks = _hermitian_blocks(np.any(arr != 0, axis=tuple(range(arr.ndim - 2))))
-    if blocks is None:
-        if not vectors:
-            return np.linalg.eigvalsh(arr)
-        vals, vecs = np.linalg.eigh(arr)
-        _check_reconstruction(arr, vals, vecs, _entry_scale(arr))
-        return vals, vecs
-    d = arr.shape[-1]
-    flat = arr.reshape(-1, d, d)
-    scale = _entry_scale(flat)[:, None]
-    vals = np.empty(flat.shape[:2])
+    arr = mat._stored() if isinstance(mat, Operator) else np.asarray(mat)
+    if vectors:
+        if len(arr.shape) != 2:
+            raise ShapeError(f"eigenvectors are computed for one matrix, got shape {arr.shape}")
+        entries = arr.vals if isinstance(arr, _Entries) else arr
+        scale = max(1.0, float(np.abs(entries).max(initial=0.0)))
+    vals = np.empty(arr.shape[:-1])
     solved = []
-    for slots, idx in blocks:
-        blk = flat[:, idx[:, :, None], idx[:, None, :]]
+    for rows, _, start in _split(arr, hermitian=True):
+        blk = _gather(arr, rows, rows)
+        slots = start[:, None] + np.arange(rows.shape[1])
         if vectors:
             w, v = np.linalg.eigh(blk)
             _check_reconstruction(blk, w, v, scale)
-            solved.append((slots, idx, v))
+            solved.append((rows, slots, v))
         else:
             w = np.linalg.eigvalsh(blk)
-        vals[:, slots] = w
-    order = np.argsort(vals, axis=-1, kind="stable")
-    sorted_vals = np.take_along_axis(vals, order, axis=-1).reshape(arr.shape[:-1])
+        vals[..., slots] = w
     if not vectors:
-        return sorted_vals
+        return np.sort(vals, axis=-1, kind="stable")
     # scatter each block's eigenvectors straight into their sorted columns
+    order = np.argsort(vals, kind="stable")
     rank = np.empty_like(order)
-    np.put_along_axis(rank, order, np.arange(d), axis=-1)
-    member = np.arange(flat.shape[0])[:, None, None, None]
-    vecs = np.zeros(flat.shape, dtype=np.promote_types(arr.dtype, np.float64))
-    for slots, idx, v in solved:
-        vecs[member, idx[:, :, None], rank[:, slots][:, :, None, :]] = v
-    return sorted_vals, vecs.reshape(arr.shape)
+    rank[order] = np.arange(order.size)
+    vecs = np.zeros(arr.shape, dtype=solved[0][2].dtype)
+    for rows, slots, v in solved:
+        vecs[rows[:, :, None], rank[slots][:, None, :]] = v
+    return vals[order], vecs
 
 
-def _entry_scale(arr: np.ndarray) -> np.ndarray:
-    """max(1, largest entry modulus) of each matrix in a stack."""
-    return np.maximum(1.0, np.abs(arr).max(axis=(-2, -1), initial=0.0))
-
-
-def _check_reconstruction(blk, vals, vecs, scale) -> None:
-    """Raise unless V diag(vals) V^dag reproduces every matrix of ``blk`` to
-    1e-10 times ``scale``, which broadcasts against the stack axes."""
+def _check_reconstruction(blk, vals, vecs, scale: float) -> None:
+    """Raise unless V diag(vals) V^dag reproduces every block of the stack
+    ``blk`` to 1e-10 times ``scale``."""
     recon = (vecs * vals[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-    if np.any(np.abs(recon - blk).max(axis=(-2, -1), initial=0.0) > 1e-10 * scale):
+    if np.abs(recon - blk).max(initial=0.0) > 1e-10 * scale:
         raise DomainError("eigendecomposition failed to reconstruct the operator")
 
 
-def eig_hermitian(a: Operator, tol: float = HERMITICITY_TOL) -> tuple[np.ndarray, SubspaceBasis]:
+def eig_hermitian(a: Operator) -> tuple[np.ndarray, SubspaceBasis]:
     """Eigenvalues (ascending) and eigenvectors of a Hermitian operator,
     block by block (``sector_eigh``).
 
     Eigenvector phases are fixed by making the first component of largest
     modulus real and positive, so repeated calls agree on one build.
     """
-    if not a.is_hermitian(tol):
+    if not a.is_hermitian():
         raise DomainError("operator is not Hermitian within tolerance")
-    vals, vecs = sector_eigh(a.mat)
+    vals, vecs = sector_eigh(a)
     pivot = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
     pivot = np.where(pivot == 0, 1.0, pivot)
     vecs *= np.abs(pivot) / pivot
@@ -549,98 +526,98 @@ def _components(n: int, r: np.ndarray, c: np.ndarray) -> np.ndarray:
     label = np.arange(n)
     while True:
         lr, lc = label[r], label[c]
-        if np.array_equal(lr, lc):
+        if (lr == lc).all():
             break
         np.minimum.at(label, np.maximum(lr, lc), np.minimum(lr, lc))
         while True:
             jumped = label[label]
-            if np.array_equal(jumped, label):
+            if (jumped == label).all():
                 break
             label = jumped
-    return np.unique(label, return_inverse=True)[1].reshape(n)
+    # labels only decrease, so every root is its component's smallest node
+    return (np.cumsum(label == np.arange(n)) - 1)[label]
 
 
 def _nonzero_entries(arr):
-    """Row and column indices of the nonzero entries of ``arr``, an array or
-    its ``_Entries``, or None when every entry is nonzero."""
+    """Row and column indices of the nonzero entries of ``arr``, an array,
+    a stack of them (the union of their patterns) or the ``_Entries`` of
+    one, or None when every entry is nonzero."""
     if isinstance(arr, _Entries):
         return None if arr.vals.size == arr.shape[0] * arr.shape[1] else (arr.rows, arr.cols)
     pattern = arr != 0
+    if pattern.ndim > 2:
+        pattern = pattern.any(axis=tuple(range(pattern.ndim - 2)))
     return None if pattern.all() else np.nonzero(pattern)
 
 
-def _sectors(shape: tuple[int, int], r: np.ndarray, c: np.ndarray):
-    """Connected blocks of the bipartite nonzero pattern of an (m, n) matrix
-    whose nonzero entries sit at (r[k], c[k]).
+def _split(arr, hermitian: bool = False):
+    """The connected blocks of the nonzero pattern of ``arr`` (an array, a
+    stack of them or the ``_Entries`` of one), as ``_sectors`` lists them.
 
-    Rows and columns are separate nodes and row r is joined to column c when
-    that entry is nonzero, so the split is exact.  Returns None when one block
-    holds every row and column.  Otherwise returns one ``(rows, cols)`` pair
-    per distinct block shape (m_b, n_b): index arrays of shapes (k, m_b) and
-    (k, n_b) for the k blocks of that shape, ascending within each block.  A
-    row with no nonzero entry is a (1, 0) block, such a column a (0, 1) one.
+    By default rows and columns are separate nodes and row r is joined to
+    column c when that entry is nonzero.  With ``hermitian`` the matrix is
+    square and its indices are the nodes, i -- j when entry (i, j) or
+    (j, i) is nonzero, so each block's rows and columns are the same
+    indices.  Either split is exact; a matrix with no zero entry is one
+    block."""
+    m, n = arr.shape[-2:]
+    nz = _nonzero_entries(arr)
+    if hermitian:
+        label = np.zeros(m, dtype=np.intp) if nz is None else _components(m, *nz)
+        return _sectors(label, label)
+    label = np.zeros(m + n, dtype=np.intp) if nz is None else _components(m + n, nz[0], nz[1] + m)
+    return _sectors(label[:m], label[m:])
+
+
+def _sectors(row_label: np.ndarray, col_label: np.ndarray):
+    """The blocks of a matrix whose row i lies in block ``row_label[i]`` and
+    column j in block ``col_label[j]``, labels counting from 0.
+
+    Returns one ``(rows, cols, start)`` triple per distinct block shape
+    (m_b, n_b): index arrays of shapes (k, m_b) and (k, n_b) for the k
+    blocks of that shape, ascending within each block, and ``start`` (k,),
+    the position of each block's first row when the rows are laid out block
+    by block in label order.  A block with no column is a row with no
+    nonzero entry, one with no row such a column.  Pass one label array for
+    both when the rows and columns are the same indices, so the layout is
+    built once.
     """
-    m, n = shape
-    comp = _components(m + n, r, c + m)
-    n_blocks = int(comp.max(initial=0)) + 1
+    n_blocks = int(max(row_label.max(initial=0), col_label.max(initial=0))) + 1
     if n_blocks == 1:
-        return None
-    comp_r, comp_c = comp[:m], comp[m:]
-    nr = np.bincount(comp_r, minlength=n_blocks)
-    nc = np.bincount(comp_c, minlength=n_blocks)
-    row_order = np.argsort(comp_r, kind="stable")
-    col_order = np.argsort(comp_c, kind="stable")
-    row_start = np.cumsum(nr) - nr
-    col_start = np.cumsum(nc) - nc
-    keys, shape_of = np.unique(nr * (n + 1) + nc, return_inverse=True)
+        return [(np.arange(row_label.size)[None], np.arange(col_label.size)[None], np.zeros(1, dtype=np.intp))]
+
+    def layout(label):
+        size = np.bincount(label, minlength=n_blocks)
+        return size, np.argsort(label, kind="stable"), np.cumsum(size) - size
+
+    nr, row_order, row_start = layout(row_label)
+    nc, col_order, col_start = (
+        (nr, row_order, row_start) if col_label is row_label else layout(col_label)
+    )
+    width = col_label.size + 1
+    shape_key = nr * width + nc
     out = []
-    for g, key in enumerate(keys):
-        mb, nb = divmod(int(key), n + 1)
-        ids = np.flatnonzero(shape_of == g)
+    for key in np.unique(shape_key):
+        mb, nb = divmod(int(key), width)
+        ids = np.flatnonzero(shape_key == key)
         out.append((
             row_order[row_start[ids, None] + np.arange(mb)],
             col_order[col_start[ids, None] + np.arange(nb)],
+            row_start[ids],
         ))
     return out
 
 
-def _hermitian_blocks(pattern: np.ndarray):
-    """Connected blocks of a square nonzero pattern, read as an undirected
-    graph on the indices: i -- j when ``pattern[i, j]`` or ``pattern[j, i]``.
-
-    Returns None when one block holds every index.  Otherwise returns one
-    ``(slots, idx)`` pair per distinct block size s: for the k blocks of that
-    size, ``idx`` (k, s) holds their indices, ascending, and ``slots`` (k, s)
-    the positions their eigenpairs take when the blocks are laid out in the
-    order of their smallest index.  An index with no nonzero entry is a
-    block of size 1.
-    """
-    d = pattern.shape[0]
-    if pattern.all():
-        return None
-    r, c = np.nonzero(pattern)
-    comp = _components(d, r, c)
-    sizes = np.bincount(comp)
-    if sizes.size == 1:
-        return None
-    order = np.argsort(comp, kind="stable")
-    start = np.cumsum(sizes) - sizes
-    out = []
-    for s in np.unique(sizes):
-        slots = start[np.flatnonzero(sizes == s), None] + np.arange(s)
-        out.append((slots, order[slots]))
-    return out
-
-
 def _gather(arr, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The stack of blocks ``arr[rows[j]][:, cols[j]]``, shape (k, m_b, n_b),
-    for ``arr`` an array or its ``_Entries``; a view of an array when its one
-    block is all of it."""
+    """The stack of blocks ``arr[..., rows[j]][..., cols[j]]``, shape
+    (..., k, m_b, n_b), for ``arr`` an array, a stack of them or the
+    ``_Entries`` of one; a view of an array when its one block is all of
+    it."""
     if isinstance(arr, _Entries):
         return arr.gather(rows, cols)
-    if rows.shape == (1, arr.shape[0]) and cols.shape == (1, arr.shape[1]):
-        return arr[None]
-    return arr[rows[:, :, None], cols[:, None, :]]
+    if rows.shape == (1, arr.shape[-2]) and cols.shape == (1, arr.shape[-1]):
+        return arr[..., None, :, :]
+    return arr[..., rows[:, :, None], cols[:, None, :]]
 
 
 def _nullspace_and_norm(arr, tol: float, scale: float = 0.0) -> tuple[np.ndarray, float]:
@@ -650,12 +627,8 @@ def _nullspace_and_norm(arr, tol: float, scale: float = 0.0) -> tuple[np.ndarray
     m, ncols = arr.shape
     if m * ncols == 0:
         return np.eye(ncols, dtype=np.complex128), 0.0
-    nz = _nonzero_entries(arr)
-    sectors = None if nz is None else _sectors(arr.shape, *nz)
-    if sectors is None:
-        sectors = [(np.arange(m)[None], np.arange(ncols)[None])]
     svds = []
-    for rows, cols in sectors:
+    for rows, cols, _ in _split(arr):
         k, nb = cols.shape
         if not nb:
             continue  # zero rows
@@ -707,30 +680,29 @@ def kernel_basis(a: Operator, tol: float = KERNEL_TOL) -> KernelBasis:
     sigma_max read off the singular values the kernel computation already
     has.  Both sigma_max and the measured residual are returned on the basis.
     """
-    stored = a.mat if a._entries is None else a._entries
-    return KernelBasis.certify(a, *_nullspace_and_norm(stored, tol), tol)
+    return KernelBasis.certify(a, *_nullspace_and_norm(a._stored(), tol), tol)
 
 
-def commutant_basis(ops: list[Operator], dim: int, tol: float = KERNEL_TOL) -> SubspaceBasis:
+def commutant_basis(ops: list[Operator], dim: int) -> SubspaceBasis:
     """Hilbert-Schmidt orthonormal basis of {X : [O, X] = 0 for all O}, for
     Hermitian generators O; a generator that is not Hermitian within
     ``HERMITICITY_TOL`` raises DomainError.
 
     Block-first: X commutes with a Hermitian O exactly when it maps every
-    eigenspace of O into itself.  Each generator is diagonalized by
-    ``sector_eigh`` and its eigenvalues are grouped into eigenspaces wherever
-    consecutive ones differ by at most tol * (lambda_max - lambda_min); for
-    one generator this is the cutoff of the dense system O kron I - I kron
-    O^T, whose singular values are |lambda_i - lambda_j|.  In the eigenbasis
-    V of the generator with the fewest unknowns sum_c m_c^2 (m_c the
-    multiplicities), X = V Y V^dag with Y block diagonal; the other
-    generators' constraints [V^dag O V, Y] = 0 go through ``nullspace`` on
-    those unknowns, with the cutoff relative to the largest spread
-    lambda_max - lambda_min over the generators if that exceeds the
-    constraints' own sigma_max.  Certified: every returned element has
-    ||[O, X]||_HS <= tol * ||O|| for every generator, or DomainError is
-    raised.  An empty operator list returns the full operator space.  The
-    identity direction is always contained in the span.
+    eigenspace of O into itself.  With tol = ``KERNEL_TOL``, each generator
+    is diagonalized by ``sector_eigh`` and its eigenvalues are grouped into
+    eigenspaces wherever consecutive ones differ by at most
+    tol * (lambda_max - lambda_min); for one generator this is the cutoff of
+    the dense system O kron I - I kron O^T, whose singular values are
+    |lambda_i - lambda_j|.  In the eigenbasis V of the generator with the
+    fewest unknowns sum_c m_c^2 (m_c the multiplicities), X = V Y V^dag with
+    Y block diagonal; the other generators' constraints [V^dag O V, Y] = 0
+    go through ``nullspace`` on those unknowns, with the cutoff relative to
+    the largest spread lambda_max - lambda_min over the generators if that
+    exceeds the constraints' own sigma_max.  Certified: every returned
+    element has ||[O, X]||_HS <= tol * ||O|| for every generator, or
+    DomainError is raised.  An empty operator list returns the full operator
+    space.  The identity direction is always contained in the span.
     """
     if dim * dim > DIM_BUDGET:
         raise BudgetError(f"commutant problem size {dim * dim} exceeds budget {DIM_BUDGET}")
@@ -741,7 +713,7 @@ def commutant_basis(ops: list[Operator], dim: int, tol: float = KERNEL_TOL) -> S
             raise DomainError("commutant generators must be Hermitian within tolerance")
     if not ops:
         return SubspaceBasis(dim * dim, np.eye(dim * dim), OPERATOR_SPACE)
-    frames = [_eigenspaces(op.mat, tol) for op in ops]
+    frames = [_eigenspaces(op) for op in ops]
     pick = min(range(len(ops)), key=lambda k: int(np.sum(frames[k][2] ** 2)))
     vecs, sizes = frames[pick][1:]
     # the unknowns Y_ij, i and j in one eigenspace, grouped by eigenspace
@@ -754,7 +726,7 @@ def commutant_basis(ops: list[Operator], dim: int, tol: float = KERNEL_TOL) -> S
         spread = max(vals[-1] - vals[0] for vals, _, _ in frames)
         coef = _nullspace_and_norm(np.concatenate([
             _frame_commutator(vecs.conj().T @ o @ vecs, i, j) for o in others
-        ]), tol, spread)[0]
+        ]), KERNEL_TOL, spread)[0]
     else:
         coef = np.eye(i.size, dtype=np.complex128)
     # X = sum_c V_c Y_c V_c^dag over the eigenspaces c
@@ -768,17 +740,17 @@ def commutant_basis(ops: list[Operator], dim: int, tol: float = KERNEL_TOL) -> S
         out[rows] += v @ y[rows] @ v.conj().T
     for op, (vals, _, _) in zip(ops, frames):
         resid = np.linalg.norm((op.mat @ out - out @ op.mat).reshape(out.shape[0], -1), axis=1)
-        if float(resid.max(initial=0.0)) > tol * max(abs(vals[0]), abs(vals[-1])):
+        if float(resid.max(initial=0.0)) > KERNEL_TOL * max(abs(vals[0]), abs(vals[-1])):
             raise DomainError("commutant element fails the commutator certificate")
     return SubspaceBasis(dim * dim, out.reshape(-1, dim * dim), OPERATOR_SPACE)
 
 
-def _eigenspaces(mat: np.ndarray, tol: float):
+def _eigenspaces(op: Operator):
     """Eigenvalues (ascending), eigenvectors and eigenspace sizes of a
-    Hermitian matrix; an eigenspace ends wherever the next eigenvalue is more
-    than tol * (lambda_max - lambda_min) above the last one."""
-    vals, vecs = sector_eigh(mat)
-    cut = np.flatnonzero(np.diff(vals) > tol * (vals[-1] - vals[0])) + 1
+    Hermitian operator; an eigenspace ends wherever the next eigenvalue is
+    more than KERNEL_TOL * (lambda_max - lambda_min) above the last one."""
+    vals, vecs = sector_eigh(op)
+    cut = np.flatnonzero(np.diff(vals) > KERNEL_TOL * (vals[-1] - vals[0])) + 1
     return vals, vecs, np.diff(np.concatenate([[0], cut, [vals.size]]))
 
 
@@ -793,9 +765,9 @@ def _frame_commutator(b: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray
     return out.reshape(d * d, i.size)
 
 
-def unitary_exp(theta: Operator, tol: float = HERMITICITY_TOL) -> Operator:
+def unitary_exp(theta: Operator) -> Operator:
     """exp(i * theta) for Hermitian theta, via eigendecomposition."""
-    vals, basis = eig_hermitian(theta, tol)
+    vals, basis = eig_hermitian(theta)
     vecs = basis.vectors.T
     u = (vecs * np.exp(1j * vals)) @ vecs.conj().T
     op = Operator(u)

@@ -53,6 +53,10 @@ DUALITY_ROUNDOFF = 1e-14
 # go, and the number of Newton steps before the solve gives up certifying.
 STEP_FRACTION = 0.95
 MAX_NEWTON = 100
+# The largest |D_ij| of a nonzero Dirac operator must lie in this range: the
+# solve squares commutator entries in its SVDs and divides by their singular
+# values, which overflow or underflow outside it.
+DIRAC_SCALE_RANGE = (1e-150, 1e150)
 
 
 @dataclass(frozen=True)
@@ -69,6 +73,10 @@ class SpectralTriple:
             raise ShapeError("Dirac operator does not act on the stated space")
         if not self.dirac.is_hermitian():
             raise DomainError("Dirac operator must be Hermitian")
+        low, high = DIRAC_SCALE_RANGE
+        peak = float(np.abs(self.dirac.mat).max(initial=0.0))
+        if peak and not low <= peak <= high:
+            raise DomainError(f"largest Dirac entry {peak:.3e} lies outside [{low:g}, {high:g}]")
         if self.algebra_basis.kind != OPERATOR_SPACE:
             raise UsageError("algebra basis must be an operator-space basis")
         if self.algebra_basis.ambient_dim != self.hilbert_dim ** 2:

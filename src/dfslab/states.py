@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError, UsageError
-from .opcore import HERMITICITY_TOL, Operator, _entry_scale, sector_eigh
+from .opcore import HERMITICITY_TOL, Operator, sector_eigh
 
 TRACE_TOL = 1e-10
 POSITIVITY_FLOOR = -1e-10
@@ -27,7 +27,8 @@ def _check_states(mats: np.ndarray) -> None:
     as ``Operator.is_hermitian``), have trace 1 within TRACE_TOL and no
     eigenvalue below POSITIVITY_FLOOR."""
     skew = np.abs(mats - mats.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
-    if np.any(skew > HERMITICITY_TOL * _entry_scale(mats)):
+    scale = np.maximum(1.0, np.abs(mats).max(axis=(-2, -1), initial=0.0))
+    if np.any(skew > HERMITICITY_TOL * scale):
         raise DomainError("density matrix is not Hermitian within tolerance")
     traces = np.trace(mats, axis1=-2, axis2=-1)
     off = np.abs(traces - 1.0) > TRACE_TOL

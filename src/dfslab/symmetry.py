@@ -21,7 +21,6 @@ import numpy as np
 from .errors import DomainError, NonClosureError, ShapeError, UsageError
 from .opcore import (
     HERMITICITY_TOL,
-    KERNEL_TOL,
     Operator,
     SubspaceBasis,
     commutant_basis,
@@ -93,14 +92,14 @@ class InvariantProjector:
         return int(round(float(np.real(diag.sum()))))
 
 
-def close_group(generators: list[Operator], max_order: int = MAX_GROUP_ORDER) -> GroupRep:
+def close_group(generators: list[Operator]) -> GroupRep:
     """Multiplicative closure of exp(i Theta) over the given Hermitian Thetas.
 
     Breadth-first products with rounded-entry deduplication, over the phase
     vectors exp(i diag Theta) when every generator is diagonal (no matrix
     exponential, no matrix product), else over dense unitaries.  Raises
-    NonClosureError when the closure exceeds ``max_order`` elements, which is
-    the expected outcome for generators with irrational spectra.
+    NonClosureError when the closure exceeds ``MAX_GROUP_ORDER`` elements,
+    which is the expected outcome for generators with irrational spectra.
     """
     dim = _common_dim(generators)
     if all(_is_diagonal(th.mat) for th in generators):
@@ -125,8 +124,8 @@ def close_group(generators: list[Operator], max_order: int = MAX_GROUP_ORDER) ->
                 prod = product(g, u)
                 key = _rounded(prod).tobytes()
                 if key not in seen:
-                    if len(seen) >= max_order:
-                        raise NonClosureError(f"group closure exceeded {max_order} elements")
+                    if len(seen) >= MAX_GROUP_ORDER:
+                        raise NonClosureError(f"group closure exceeded {MAX_GROUP_ORDER} elements")
                     seen[key] = prod
                     next_frontier.append(prod)
         frontier = next_frontier
@@ -154,10 +153,10 @@ def invariant_projector(group: GroupRep) -> InvariantProjector:
     return InvariantProjector(0.5 * (pi + pi.conj().T))
 
 
-def joint_kernel(generators: list[Operator], tol: float = KERNEL_TOL) -> SubspaceBasis:
+def joint_kernel(generators: list[Operator]) -> SubspaceBasis:
     """Orthonormal basis of the common null space of the generators."""
     dim = _common_dim(generators)
-    vecs = nullspace(np.vstack([th.mat for th in generators]), tol=tol)
+    vecs = nullspace(np.vstack([th.mat for th in generators]))
     return SubspaceBasis(dim, vecs, "vector-space")
 
 
@@ -183,7 +182,7 @@ def symmetrize_operator(group: GroupRep, h: Operator) -> Operator:
     return Operator(acc / group.order)
 
 
-def invariant_subalgebra(group: GroupRep, tol: float = KERNEL_TOL) -> SubspaceBasis:
+def invariant_subalgebra(group: GroupRep) -> SubspaceBasis:
     """Basis of the algebra commuting with every stored generator.  The
     generators must be Hermitian, as ``close_group`` requires; any other
     raises DomainError (``commutant_basis``).
@@ -193,4 +192,4 @@ def invariant_subalgebra(group: GroupRep, tol: float = KERNEL_TOL) -> SubspaceBa
     """
     if not group.generators:
         raise UsageError("group carries no generators")
-    return commutant_basis(list(group.generators), group.dim, tol=tol)
+    return commutant_basis(list(group.generators), group.dim)

@@ -371,3 +371,58 @@ def test_dfs_runs_form_no_dense_dirac_matrix(n, operator, monkeypatch):
     dim = report["results"]["model_dim"]
     assert report["pass"] and report["results"]["kernel_dim"] > 0
     assert (dim, dim) not in formed
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("distance", {"lambda": 1e300}),
+        ("distance", {"lambda": 1e-300}),
+        ("distance", {"dirac": [[0.0, 1e300], [1e300, 0.0]], "state": [1.0, 0.0], "state_prime": [0.0, 1.0]}),
+        ("duality", {"metric": [[1e-320]], "generator": {"kind": "inversion"}}),
+        ("duality", {"metric": [[1e-320]], "generator": {"kind": "swap"}}),
+    ],
+)
+def test_out_of_range_input_exits_1(kind, params, tmp_path, capsys):
+    """These raised LinAlgError, ZeroDivisionError, or a non-finite report
+    value that the renderer refused, and exited 3 with a traceback."""
+    path = tmp_path / "extreme.json"
+    path.write_text(json.dumps({"schema_version": 1, "kind": kind, "params": params}))
+    assert entry(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "invalid scenario:" in err and "Traceback" not in err
+
+
+def test_long_duality_word_exits_1_quickly(tmp_path, capsys):
+    letter = {"kind": "basis", "matrix": [[2, 1], [1, 1]]}
+    scenario = {"schema_version": 1, "kind": "duality", "params": {"metric": [[1.0, 0.0], [0.0, 1.0]]}}
+    path = tmp_path / "word.json"
+    scenario["params"]["word"] = [letter] * 100_000
+    path.write_text(json.dumps(scenario))
+    start = time.perf_counter()
+    assert entry(["run", str(path)]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "exceeds the budget" in capsys.readouterr().err
+    # within the budget, a word whose entries outgrow int64 is refused, not
+    # wrapped into a wrong element
+    scenario["params"]["word"] = [letter] * 60
+    path.write_text(json.dumps(scenario))
+    assert entry(["run", str(path)]) == 1
+    assert "int64" in capsys.readouterr().err
+
+
+def test_landau_level_allocates_less_than_one_dense_hamiltonian():
+    """At landau_n_max 31 the Hamiltonian has dimension 1024, 16 MiB as a
+    dense complex matrix; its blocks are gathered from its entries."""
+    import tracemalloc
+
+    scenario = load("nctorus.json")
+    scenario["params"]["landau_n_max"] = 31
+    tracemalloc.start()
+    try:
+        report = run_scenario(scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["results"]["landau_ground_level"] > 0
+    assert peak < 1024 * 1024 * 16

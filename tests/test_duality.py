@@ -40,6 +40,17 @@ def test_background_validation():
         Background(np.eye(2), np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize(
+    "metric, coupling",
+    [([[np.nan]], [[0.0]]), ([[np.inf]], [[0.0]]), ([[1.0]], [[np.nan]])],
+)
+def test_background_rejects_non_finite_entries(metric, coupling):
+    """A comparison with NaN is false, so without the finiteness check these
+    pass the symmetry and positivity checks."""
+    with pytest.raises(DomainError, match="must be finite"):
+        Background(metric, coupling)
+
+
 def test_background_matrices_are_frozen():
     bg = Background(np.eye(2), np.zeros((2, 2)))
     with pytest.raises(ValueError):
@@ -421,6 +432,12 @@ def test_normal_modes_diagonal_example():
     assert np.allclose(freqs, [2.0, 3.0], atol=1e-10)
 
 
+@pytest.mark.parametrize("kinetic, potential", [([[1.0]], [[np.nan]]), ([[np.inf]], [[1.0]])])
+def test_normal_modes_rejects_non_finite_entries(kinetic, potential):
+    with pytest.raises(DomainError, match="must be finite"):
+        normal_modes(kinetic, potential)
+
+
 def test_normal_modes_validation():
     with pytest.raises(DomainError):
         normal_modes(np.diag([1.0, -1.0]), np.eye(2))
@@ -428,3 +445,27 @@ def test_normal_modes_validation():
         normal_modes(np.eye(2), np.diag([1.0, -2.0]))
     with pytest.raises(ShapeError):
         normal_modes(np.eye(2), np.eye(3))
+
+
+def test_compose_refuses_a_product_past_the_int64_range():
+    """Sixty letters of basis_change([[2, 1], [1, 1]]) reach an entry of
+    8670007398507948658051921; int64 products wrapped it to
+    790376311979428689, which still passed g^T J g = J modulo 2^64."""
+    letter = basis_change([[2, 1], [1, 1]])
+    exact = np.array([[2, 1], [1, 1]], dtype=object).T
+    element = letter
+    for _ in range(39):
+        element = element.compose(letter)
+        exact = exact.dot(np.array([[2, 1], [1, 1]], dtype=object).T)
+    assert [[int(x) for x in row] for row in element.matrix[:2, :2]] == exact.tolist()
+    with pytest.raises(DomainError, match="int64"):
+        for _ in range(20):
+            element = element.compose(letter)
+
+
+def test_charge_map_refuses_a_product_past_the_int64_range():
+    """m + 2^62 w at m = w = 2 is 2^63 + 2, past the int64 range."""
+    shift = coupling_shift([[0, 2**62], [-(2**62), 0]])
+    with pytest.raises(DomainError, match="int64"):
+        transform_charge_stack(shift, charge_box(2, 2))
+    assert transform_charge_stack(shift, charge_box(2, 1)).max() == 2**62 + 1

@@ -35,6 +35,13 @@ from dfslab import (
 INTERIOR_TOL = 1e-12
 
 
+@pytest.mark.parametrize("eta", [[[np.nan]], [[np.inf]], [[1.0, np.nan], [np.nan, 1.0]]])
+def test_eta_rejects_non_finite_entries(eta):
+    for build in (clifford_pair, lambda e: hw_mode(FockSpace(2, 1), 1, e)):
+        with pytest.raises(DomainError, match="eta entries must be finite"):
+            build(eta)
+
+
 def interior(space, mat):
     idx = interior_indices(space)
     return mat[np.ix_(idx, idx)]

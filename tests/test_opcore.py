@@ -61,7 +61,7 @@ def test_operator_adjoint_is_the_read_only_conjugate_transpose():
 
 def test_operator_dimension_mismatch():
     with pytest.raises(ShapeError):
-        Operator(np.eye(2)) + Operator(np.eye(3))
+        commutator(Operator(np.eye(2)), Operator(np.eye(3)))
 
 
 def test_tensor_of_identities():
@@ -92,9 +92,9 @@ def test_tensor_mixed_product_rule():
         Operator(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
         for _ in range(4)
     )
-    lhs = tensor(a, b) @ tensor(c, d)
-    rhs = tensor(a @ c, b @ d)
-    assert np.abs(lhs.mat - rhs.mat).max() < 1e-12
+    lhs = tensor(a, b).mat @ tensor(c, d).mat
+    rhs = tensor(a.mat @ c.mat, b.mat @ d.mat).mat
+    assert np.abs(lhs - rhs).max() < 1e-12
 
 
 def test_tensor_budget():
@@ -260,11 +260,12 @@ def test_sector_eigh_of_a_stack_uses_the_union_pattern():
     second[1, 2] = 1.0 - 0.5j
     second[2, 1] = 1.0 + 0.5j
     stack = np.stack([first, second, first + second])
-    vals, vecs = sector_eigh(stack)
-    assert vals.shape == (3, 9) and vecs.shape == (3, 9, 9)
-    for k in range(3):
-        assert_matches_dense_eigh(stack[k], vals[k], vecs[k])
-    assert np.abs(sector_eigh(stack, vectors=False) - vals).max() <= 1e-13 * np.abs(vals).max()
+    vals = sector_eigh(stack, vectors=False)
+    assert vals.shape == (3, 9)
+    oracle = np.linalg.eigvalsh(stack)
+    assert np.abs(vals - oracle).max() <= 1e-13 * np.abs(oracle).max()
+    with pytest.raises(ShapeError):
+        sector_eigh(stack)
 
 
 @pytest.mark.parametrize("mat", [SX, SY, np.ones((4, 4)), np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 2.0, 0.0]])])
@@ -287,6 +288,23 @@ def test_sector_eigh_orders_equal_eigenvalues_by_block():
     assert np.allclose(vals, [-1.0, 1.0, 1.0, 1.0], rtol=0.0, atol=1e-15)
     assert np.array_equal(vecs[[1, 3], 1], [0.0, 0.0])
     assert np.array_equal(np.abs(vecs[:, 2:]), [[0, 0], [1, 0], [0, 0], [0, 1]])
+
+
+@pytest.mark.parametrize("flux", [0.0, 1.3])
+def test_sector_eigh_of_an_operator_reads_its_entries(flux):
+    """A Landau Hamiltonian keeps its entries: its blocks are split and
+    gathered from them, with the bits of the dense path, and its dense
+    matrix is never formed."""
+    from dfslab.nctorus import FluxMatrix, landau_hamiltonian
+
+    h = landau_hamiltonian(FluxMatrix(np.array([[0.0, flux], [-flux, 0.0]])), 7)
+    vals, vecs = sector_eigh(h)
+    only = sector_eigh(h, vectors=False)
+    assert "mat" not in vars(h)
+    dense_vals, dense_vecs = sector_eigh(h.mat)
+    assert np.array_equal(vals, dense_vals) and np.array_equal(vecs, dense_vecs)
+    assert np.array_equal(only, sector_eigh(h.mat, vectors=False))
+    assert_matches_dense_eigh(h.mat, vals, vecs)
 
 
 def test_eig_hermitian_of_permuted_blocks_fixes_each_phase():
@@ -620,6 +638,13 @@ def test_subspace_basis_rejects_non_orthonormal():
     rows = np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex)
     with pytest.raises(DomainError):
         SubspaceBasis(2, rows, "vector-space")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_subspace_basis_rejects_non_finite_rows(bad):
+    """A NaN Gram matrix passes the orthonormality comparison."""
+    with pytest.raises(DomainError, match="must be finite"):
+        SubspaceBasis(2, [[bad, 0.0]])
 
 
 def test_subspace_basis_rejects_zero_row():

@@ -51,10 +51,11 @@ def test_quarter_rotation_closes_to_cyclic_four():
     assert group.order == 4
 
 
-def test_irrational_rotation_does_not_close():
+def test_irrational_rotation_does_not_close(monkeypatch):
     theta = Operator(np.diag([1.0, -1.0]))  # angle 1 rad, never returns to identity
+    monkeypatch.setattr(symmetry, "MAX_GROUP_ORDER", 60)
     with pytest.raises(NonClosureError):
-        close_group([theta], max_order=60)
+        close_group([theta])
 
 
 @pytest.mark.parametrize("theta", [
