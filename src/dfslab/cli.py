@@ -118,6 +118,9 @@ def _int_matrix(obj, name: str) -> np.ndarray:
     m = _real_matrix(obj, name)
     if not np.array_equal(m, np.rint(m)):
         _fail(f"{name} must be an integer matrix")
+    # -2^63 and 2^63 are exact floats; astype would wrap anything outside
+    if np.any((m < -(2.0 ** 63)) | (m >= 2.0 ** 63)):
+        _fail(f"{name} entries must lie in the int64 range")
     return m.astype(np.int64)
 
 

@@ -7,10 +7,10 @@ Conventions used throughout the package:
   dimension ``dim``.  An ``Operator`` holds either its dense matrix or, when
   ``tensor_sum`` built it, its nonzero entries (rows, cols, vals); the
   dense ``mat`` of such an operator is formed the first time it is read and
-  then cached read-only, while ``dim``, ``dag()`` and the three blocked
-  solvers (``kernel_basis``, ``operator_norm``, ``sector_eigh``) work from
-  the entries.  ``Operator`` has no arithmetic: products and sums are taken
-  on ``mat`` or built by ``tensor_sum``;
+  then cached read-only, while ``dim``, ``dag()``, ``is_hermitian()`` and
+  the three blocked solvers (``kernel_basis``, ``operator_norm``,
+  ``sector_eigh``) work from the entries.  ``Operator`` has no arithmetic:
+  products and sums are taken on ``mat`` or built by ``tensor_sum``;
 * tensor products are Kronecker products with the first factor varying
   slowest, matching the row-major reshape of composite indices.  This module
   is the only place that knows that layout: ``tensor_sum`` sums products of
@@ -109,6 +109,19 @@ class _Entries:
             row.imag = np.bincount(self.rows, weights=prod.imag, minlength=self.shape[0])
         return out
 
+    def mirrored(self) -> np.ndarray:
+        """For each entry (r, c) of a square matrix, the value at (c, r):
+        the entry stored there, or 0 where there is none."""
+        if not self.vals.size:
+            return self.vals
+        n = self.shape[1]
+        keys = self.rows * n + self.cols
+        order = np.argsort(keys)
+        swapped = self.cols * n + self.rows
+        at = np.minimum(np.searchsorted(keys[order], swapped), keys.size - 1)
+        found = keys[order[at]] == swapped
+        return np.where(found, self.vals[order[at]], 0.0)
+
     def gather(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """The stack of blocks ``dense()[rows[j]][:, cols[j]]``, shape
         (k, m_b, n_b), for blocks that no entry leaves (``_sectors``), formed
@@ -132,8 +145,8 @@ class Operator:
 
     An operator that ``tensor_sum`` built keeps its nonzero entries
     instead: its ``mat`` is formed from them the first time it is read and
-    then cached, read-only like every ``mat``; ``dim`` and ``dag()`` never
-    form it.
+    then cached, read-only like every ``mat``; ``dim``, ``dag()`` and
+    ``is_hermitian()`` never form it.
     """
 
     mat: np.ndarray
@@ -205,8 +218,41 @@ class Operator:
         return complex(np.trace(self.mat))
 
     def is_hermitian(self) -> bool:
-        scale = max(1.0, float(np.abs(self.mat).max(initial=0.0)))
-        return float(np.abs(self.mat - self.mat.conj().T).max(initial=0.0)) <= HERMITICITY_TOL * scale
+        """Whether every entry of A - A^dag is within HERMITICITY_TOL times
+        max(1, largest |entry of A|).  An operator that keeps its entries
+        compares each entry with the conjugate of the one at its swapped
+        position (0 where none is stored), which covers every nonzero entry
+        of A - A^dag with the same values, and forms no ``mat``."""
+        if self._entries is None:
+            vals, skew = self.mat, self.mat - self.mat.conj().T
+        else:
+            vals = self._entries.vals
+            skew = vals - self._entries.mirrored().conj()
+        scale = max(1.0, float(np.abs(vals).max(initial=0.0)))
+        return float(np.abs(skew).max(initial=0.0)) <= HERMITICITY_TOL * scale
+
+    def _diagonal(self):
+        """The diagonal when every nonzero entry lies on it, else None; read
+        off the entries of an operator that keeps them."""
+        if self._entries is None:
+            diag = np.diagonal(self.mat)
+            return diag if np.count_nonzero(self.mat) == np.count_nonzero(diag) else None
+        entries = self._entries
+        if not np.array_equal(entries.rows, entries.cols):
+            return None
+        diag = np.zeros(self.dim, dtype=np.complex128)
+        diag[entries.rows] = entries.vals
+        return diag
+
+    def _masked(self, label: np.ndarray) -> "Operator":
+        """The operator with entry (i, j) kept where ``label[i] ==
+        label[j]`` and exactly 0 elsewhere; one that keeps its entries keeps
+        the entries that stay."""
+        if self._entries is None:
+            return Operator._unchecked(np.where(label[:, None] == label[None, :], self.mat, 0.0))
+        e = self._entries
+        keep = label[e.rows] == label[e.cols]
+        return Operator._unchecked(_Entries(e.shape, e.rows[keep], e.cols[keep], e.vals[keep]))
 
     def _stored(self):
         """What the blocked solvers read: the ``_Entries`` of an operator
@@ -463,23 +509,12 @@ def sector_eigh(mat, vectors: bool = True):
     lower triangle of each block is read, as in ``np.linalg.eigh``.
     """
     arr = mat._stored() if isinstance(mat, Operator) else np.asarray(mat)
-    if vectors:
-        if len(arr.shape) != 2:
-            raise ShapeError(f"eigenvectors are computed for one matrix, got shape {arr.shape}")
-        entries = arr.vals if isinstance(arr, _Entries) else arr
-        scale = max(1.0, float(np.abs(entries).max(initial=0.0)))
     vals = np.empty(arr.shape[:-1])
     solved = []
-    for rows, _, start in _split(arr, hermitian=True):
-        blk = _gather(arr, rows, rows)
+    for rows, start, w, v in _block_eighs(arr, vectors):
         slots = start[:, None] + np.arange(rows.shape[1])
-        if vectors:
-            w, v = np.linalg.eigh(blk)
-            _check_reconstruction(blk, w, v, scale)
-            solved.append((rows, slots, v))
-        else:
-            w = np.linalg.eigvalsh(blk)
         vals[..., slots] = w
+        solved.append((rows, slots, v))
     if not vectors:
         return np.sort(vals, axis=-1, kind="stable")
     # scatter each block's eigenvectors straight into their sorted columns
@@ -490,6 +525,35 @@ def sector_eigh(mat, vectors: bool = True):
     for rows, slots, v in solved:
         vecs[rows[:, :, None], rank[slots][:, None, :]] = v
     return vals[order], vecs
+
+
+def _block_eighs(arr, vectors: bool = True, touched=None):
+    """``sector_eigh``'s eigenproblems, one group of same-size blocks of the
+    Hermitian ``arr`` at a time: ``(rows, start, vals, vecs)`` with rows
+    (k, m_b) and start (k,) as ``_sectors`` gives them, vals (..., k, m_b)
+    ascending within each block and vecs (k, m_b, m_b), each block's
+    eigenvectors as its columns over its own rows (None when ``vectors`` is
+    false).  With ``touched``, a boolean mask over the indices, only the
+    blocks holding a touched index are solved; no entry joins them to any
+    other index, so this is an exact split, no tolerance."""
+    if vectors:
+        if len(arr.shape) != 2:
+            raise ShapeError(f"eigenvectors are computed for one matrix, got shape {arr.shape}")
+        entries = arr.vals if isinstance(arr, _Entries) else arr
+        scale = max(1.0, float(np.abs(entries).max(initial=0.0)))
+    for rows, _, start in _split(arr, hermitian=True):
+        if touched is not None:
+            keep = touched[rows].any(axis=1)
+            if not keep.any():
+                continue
+            rows, start = rows[keep], start[keep]
+        blk = _gather(arr, rows, rows)
+        if not vectors:
+            yield rows, start, np.linalg.eigvalsh(blk), None
+            continue
+        w, v = np.linalg.eigh(blk)
+        _check_reconstruction(blk, w, v, scale)
+        yield rows, start, w, v
 
 
 def _check_reconstruction(blk, vals, vecs, scale: float) -> None:
@@ -567,6 +631,22 @@ def _split(arr, hermitian: bool = False):
         return _sectors(label, label)
     label = np.zeros(m + n, dtype=np.intp) if nz is None else _components(m + n, nz[0], nz[1] + m)
     return _sectors(label[:m], label[m:])
+
+
+def _row_stack(ops):
+    """The operators, all of one dimension, stacked as one (k dim, dim)
+    matrix: the ``_Entries`` of the stack when each keeps its entries, else
+    an array."""
+    stored = [op._stored() for op in ops]
+    if not all(isinstance(e, _Entries) for e in stored):
+        return np.vstack([op.mat for op in ops])
+    dim = ops[0].dim
+    return _Entries(
+        (len(ops) * dim, dim),
+        np.concatenate([e.rows + k * dim for k, e in enumerate(stored)]),
+        np.concatenate([e.cols for e in stored]),
+        np.concatenate([e.vals for e in stored]),
+    )
 
 
 def _sectors(row_label: np.ndarray, col_label: np.ndarray):

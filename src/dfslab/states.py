@@ -40,25 +40,49 @@ def _check_states(mats: np.ndarray) -> None:
 @dataclass(frozen=True)
 class DensityMatrix:
     """Unit-trace positive semidefinite operator, optionally with a tensor
-    factorization recorded in ``dims`` for partial traces."""
+    factorization recorded in ``dims`` for partial traces.
+
+    A pure state that ``pure_state`` made keeps its unit vector v instead:
+    its ``op`` = v v^dag is formed the first time it is read and then
+    cached; ``dim`` never forms it.
+    """
 
     op: Operator
     dims: tuple[int, ...] | None = None
 
+    # the unit vector of a pure state that keeps it, whose op is not formed
+    # until read (see __getattr__); None for one made from an operator
+    _vector = None
+
     def __post_init__(self):
         _check_states(self.op.mat)
-        if self.dims is not None:
-            dims = tuple(self.dims)
-            if not all(isinstance(d, (int, np.integer)) and d > 0 for d in dims):
-                raise ShapeError(f"factor dims {dims} must be positive integers")
-            dims = tuple(int(d) for d in dims)
-            if math.prod(dims) != self.op.dim:
-                raise ShapeError(f"factor dims {dims} do not multiply to {self.op.dim}")
-            object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "dims", _factor_dims(self.dims, self.op.dim))
+
+    def __getattr__(self, name):
+        # reached only for an attribute the instance lacks: the op of a pure
+        # state that keeps its vector, before anything has read it
+        if name != "op" or self._vector is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        op = Operator._unchecked(np.outer(self._vector, self._vector.conj()))
+        object.__setattr__(self, "op", op)
+        return op
 
     @property
     def dim(self) -> int:
-        return self.op.dim
+        return self.op.dim if self._vector is None else self._vector.size
+
+
+def _factor_dims(dims, dim: int):
+    """``dims`` as a tuple of ints multiplying to ``dim``, or None."""
+    if dims is None:
+        return None
+    dims = tuple(dims)
+    if not all(isinstance(d, (int, np.integer)) and d > 0 for d in dims):
+        raise ShapeError(f"factor dims {dims} must be positive integers")
+    dims = tuple(int(d) for d in dims)
+    if math.prod(dims) != dim:
+        raise ShapeError(f"factor dims {dims} do not multiply to {dim}")
+    return dims
 
 
 @dataclass(frozen=True)
@@ -72,13 +96,27 @@ class StateFunctional:
 
 
 def pure_state(v, dims: tuple[int, ...] | None = None) -> DensityMatrix:
-    vec = np.asarray(v, dtype=np.complex128).reshape(-1)
+    """The pure state v v^dag of a unit vector, kept as v: no d x d matrix
+    is formed until its ``op`` is read.  v must be finite with norm 1
+    within 1e-10, and the trace sum |v_i|^2 must be 1 within TRACE_TOL, as
+    ``DensityMatrix`` checks it; v v^dag is exactly Hermitian and rank one,
+    so the Hermitian and positivity checks cannot fail."""
+    vec = np.array(v, dtype=np.complex128).reshape(-1)
+    if not np.isfinite(vec).all():
+        raise DomainError("state vector entries must be finite")
     nrm = float(np.linalg.norm(vec))
     if nrm == 0.0:
         raise DomainError("cannot build a pure state from the zero vector")
     if abs(nrm - 1.0) > 1e-10:
         raise DomainError(f"state vector norm {nrm} is not 1")
-    return DensityMatrix(Operator(np.outer(vec, vec.conj())), dims)
+    trace = float(np.sum(vec.real ** 2 + vec.imag ** 2))
+    if abs(trace - 1.0) > TRACE_TOL:
+        raise DomainError(f"density matrix trace {trace} is not 1")
+    vec.setflags(write=False)
+    out = object.__new__(DensityMatrix)
+    object.__setattr__(out, "_vector", vec)
+    object.__setattr__(out, "dims", _factor_dims(dims, vec.size))
+    return out
 
 
 def expectation(psi: StateFunctional, a: Operator) -> complex:
@@ -120,6 +158,12 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     return DensityMatrix(Operator(out), kept_dims)
 
 
+def _state_factor(rho: DensityMatrix) -> np.ndarray:
+    """W with rho = W W^dag: the kept vector of a pure state as one column,
+    else ``_factor`` of its matrix."""
+    return _factor(rho.op.mat) if rho._vector is None else rho._vector[:, None]
+
+
 def _factor(mat: np.ndarray) -> np.ndarray:
     """W with mat = W W^dag for a density matrix, from its eigenpairs above
     numpy's matrix_rank cutoff (largest eigenvalue * dim * eps); a pure
@@ -133,7 +177,7 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Uhlmann fidelity (squared-overlap convention), clipped to [0, 1]."""
     if rho.dim != sigma.dim:
         raise ShapeError("fidelity needs states of equal dimension")
-    return float(_fidelities(_factor(rho.op.mat), sigma.op.mat))
+    return float(_fidelities(_state_factor(rho), sigma.op.mat))
 
 
 def _fidelities(w: np.ndarray, sigmas: np.ndarray) -> np.ndarray:

@@ -21,10 +21,12 @@ import numpy as np
 from .errors import DomainError, NonClosureError, ShapeError, UsageError
 from .opcore import (
     HERMITICITY_TOL,
+    KERNEL_TOL,
     Operator,
     SubspaceBasis,
+    _nullspace_and_norm,
+    _row_stack,
     commutant_basis,
-    nullspace,
     unitary_exp,
 )
 
@@ -96,14 +98,15 @@ def close_group(generators: list[Operator]) -> GroupRep:
     """Multiplicative closure of exp(i Theta) over the given Hermitian Thetas.
 
     Breadth-first products with rounded-entry deduplication, over the phase
-    vectors exp(i diag Theta) when every generator is diagonal (no matrix
-    exponential, no matrix product), else over dense unitaries.  Raises
-    NonClosureError when the closure exceeds ``MAX_GROUP_ORDER`` elements,
-    which is the expected outcome for generators with irrational spectra.
+    vectors exp(i diag Theta) when every generator is diagonal (read off the
+    entries of one that keeps them; no matrix exponential, no matrix
+    product), else over dense unitaries.  Raises NonClosureError when the
+    closure exceeds ``MAX_GROUP_ORDER`` elements, which is the expected
+    outcome for generators with irrational spectra.
     """
     dim = _common_dim(generators)
-    if all(_is_diagonal(th.mat) for th in generators):
-        diags = [np.diagonal(th.mat) for th in generators]
+    diags = [th._diagonal() for th in generators]
+    if all(t is not None for t in diags):
         # a diagonal matrix passes Operator.is_hermitian exactly when this holds
         if any(2 * np.abs(t.imag).max() > HERMITICITY_TOL * max(1.0, np.abs(t).max()) for t in diags):
             raise DomainError("generators must be Hermitian")
@@ -140,10 +143,6 @@ def _common_dim(generators: list[Operator]) -> int:
     return generators[0].dim
 
 
-def _is_diagonal(mat: np.ndarray) -> bool:
-    return np.count_nonzero(mat) == np.count_nonzero(np.diagonal(mat))
-
-
 def invariant_projector(group: GroupRep) -> InvariantProjector:
     """Average of the group elements (of the phase vectors for a diagonal
     group); projects onto the fixed-point sector."""
@@ -154,9 +153,11 @@ def invariant_projector(group: GroupRep) -> InvariantProjector:
 
 
 def joint_kernel(generators: list[Operator]) -> SubspaceBasis:
-    """Orthonormal basis of the common null space of the generators."""
+    """Orthonormal basis of the common null space of the generators:
+    ``nullspace`` of their row stack, split and gathered from their entries
+    when they keep them, so no dense stack is formed."""
     dim = _common_dim(generators)
-    vecs = nullspace(np.vstack([th.mat for th in generators]))
+    vecs = _nullspace_and_norm(_row_stack(generators), KERNEL_TOL)[0]
     return SubspaceBasis(dim, vecs, "vector-space")
 
 
@@ -166,7 +167,8 @@ def symmetrize_operator(group: GroupRep, h: Operator) -> Operator:
     Over a diagonal group the average of conj(u_i) u_j is 1 where i and j
     carry the same phase under every element and 0 elsewhere (a nontrivial
     character sums to zero), so h_ij is kept exactly where the rounded
-    phases agree and every other entry is exactly 0.
+    phases agree and every other entry is exactly 0; an operator that keeps
+    its entries keeps those that stay.
     """
     if h.dim != group.dim:
         raise ShapeError("operator does not act on the group's space")
@@ -175,7 +177,7 @@ def symmetrize_operator(group: GroupRep, h: Operator) -> Operator:
         phases = np.ascontiguousarray(_rounded(group.elements).T)
         keys = phases.view(np.dtype((np.void, phases.strides[0]))).ravel()
         label = np.unique(keys, return_inverse=True)[1]
-        return Operator._unchecked(np.where(label[:, None] == label[None, :], h.mat, 0.0))
+        return h._masked(label)
     acc = np.zeros_like(h.mat)
     for u in group.elements:
         acc += u.conj().T @ h.mat @ u

@@ -426,3 +426,52 @@ def test_landau_level_allocates_less_than_one_dense_hamiltonian():
         tracemalloc.stop()
     assert report["results"]["landau_ground_level"] > 0
     assert peak < 1024 * 1024 * 16
+
+
+@pytest.mark.parametrize(
+    "letter, param",
+    [
+        ({"kind": "basis", "matrix": [[9.3e18, 0], [0, 1]]}, "matrix"),
+        ({"kind": "shift", "theta": [[0, 1e19], [-1e19, 0]]}, "theta"),
+    ],
+)
+def test_integer_matrix_outside_int64_is_refused_not_wrapped(letter, param):
+    """Both used to wrap to -2^63 and fail later with a misleading
+    determinant or positive-definiteness error."""
+    scenario = {
+        "schema_version": 1,
+        "kind": "duality",
+        "params": {"metric": [[1.0, 0.0], [0.0, 1.0]], "word": [letter]},
+    }
+    with pytest.raises(UsageError, match=f"^{param} entries must lie in the int64 range"):
+        run_scenario(scenario)
+
+
+# two system and two environment modes at n_max 7: dimension 4096
+CEILING_MODEL = {
+    "n_max": 7,
+    "K": [[1.0, 0.3], [0.3, 0.7]],
+    "Lambda": [[1.1, 0.2], [0.2, 0.9]],
+    "w": [[0.4, 0.3], [0.25, 0.5]],
+}
+
+
+@pytest.mark.parametrize("kind", ["decohere", "symmetrize"])
+def test_ceiling_model_allocates_less_than_one_dense_matrix(kind):
+    """A dense 4096 x 4096 complex matrix is 268 MB.  The decoherence
+    experiment evolves only the blocks its state touches, and the
+    symmetrize kind reads the parity generators and Hamiltonians off their
+    entries, so neither forms one."""
+    import tracemalloc
+
+    scenario = {"schema_version": 1, "kind": kind, "params": dict(CEILING_MODEL)}
+    if kind == "decohere":
+        scenario["params"]["min_full_leakage"] = 1e-4
+    tracemalloc.start()
+    try:
+        report = run_scenario(scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["pass"] is True
+    assert peak < 4096 * 4096 * 16

@@ -69,7 +69,7 @@ def reference_experiment(model, code, rho0, times):
     rho_sys0 = partial_trace(rho0, keep=(0,))
     h_full = model.h_total
     out = []
-    for ham in (h_full, symmetrize_operator(close_group(parity_generators(model)), h_full)):
+    for ham in (h_full, symmetrized(model)):
         leaks, fids = [], []
         for t in times:
             rho_t = evolve(ham, rho0, t)
@@ -274,22 +274,90 @@ def test_state_checks_cover_every_member_of_a_stack():
             _check_states(bad)
 
 
-def test_experiment_at_dim_1296_diagonalizes_only_blocks(monkeypatch):
-    """Every eigenproblem on the experiment's path is at most the largest
-    block of the Hamiltonian's nonzero pattern (146 of 1296), never the full
-    space.  Checks shapes, not time."""
-    rng = np.random.Generator(np.random.Philox(52))
+def two_by_two_model(n_max, seed=52):
+    """Two system and two environment modes, dimension (n_max + 1)^4."""
+    rng = np.random.Generator(np.random.Philox(seed))
     w = rng.uniform(0.2, 1.0, size=(2, 2)) * np.exp(2j * np.pi * rng.uniform(size=(2, 2)))
-    model = build_decoherence_model(
+    return build_decoherence_model(
         k_sys=np.array([[1.0, 0.3], [0.3, 0.7]]),
         lam_env=np.array([[1.1, 0.2j], [-0.2j, 0.9]]),
         w_int=w,
-        n_max=5,
+        n_max=n_max,
     )
+
+
+def touched_size(ham, occupied):
+    """How many indices the nonzero entries of ham join to ``occupied``,
+    breadth first over the dense pattern."""
+    joined = (ham.mat != 0) | (ham.mat != 0).T
+    seen = np.zeros(ham.dim, dtype=bool)
+    seen[occupied] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = joined[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return int(seen.sum())
+
+
+def symmetrized(model):
+    return symmetrize_operator(close_group(parity_generators(model)), model.h_total)
+
+
+def test_experiment_matches_density_matrix_path_full_superposition_dim_1296():
+    """A state on every system level touches many blocks of h_total."""
+    model = two_by_two_model(n_max=5)
+    assert model.h_total.dim == 1296
+    sys_dim = model.system_space.dim
+    rng = np.random.Generator(np.random.Philox(53))
+    amps = rng.normal(size=sys_dim) + 1j * rng.normal(size=sys_dim)
+    rho0 = coded_state(model, amps)
+    occupied = np.flatnonzero(np.diagonal(rho0.op.mat))
+    assert occupied.size == sys_dim
+    assert touched_size(model.h_total, occupied) > sys_dim * 10
+    full, sym = assert_matches_reference(model, level_code(sys_dim, range(sys_dim)), rho0, [1.3])
+    assert float(full.leakages.max()) > 1e-4
+    assert float(sym.leakages.max()) <= 1e-10
+
+
+def test_experiment_matches_density_matrix_path_rank_two_state_dim_256():
+    model = two_by_two_model(n_max=3, seed=54)
+    sys_dim = model.system_space.dim
+    code = level_code(sys_dim, levels=range(sys_dim))
+    rng = np.random.Generator(np.random.Philox(55))
+    amps = rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5))
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    rho0 = mixed_coded_state(model, (0.65, 0.35), amps)
+    assert np.linalg.matrix_rank(rho0.op.mat) == 2
+    full, sym = assert_matches_reference(model, code, rho0, np.linspace(0.0, 4.0, 5))
+    assert float(full.leakages.max()) > 1e-4
+    assert float(sym.leakages.max()) <= 1e-10
+
+
+def test_experiment_matches_density_matrix_path_complex_code_basis_dim_256():
+    model = two_by_two_model(n_max=3, seed=56)
+    sys_dim = model.system_space.dim
+    rng = np.random.Generator(np.random.Philox(57))
+    q, _ = np.linalg.qr(rng.normal(size=(sys_dim, 3)) + 1j * rng.normal(size=(sys_dim, 3)))
+    code = SubspaceBasis(sys_dim, q.T)
+    amps = q @ np.array([0.6, 0.48j, -0.64])
+    # a random code is not invariant under h_sys, so both Hamiltonians leak
+    full, _ = assert_matches_reference(model, code, coded_state(model, amps), np.linspace(0.0, 4.0, 5))
+    assert full.leakages[0] < 1e-12 and float(full.leakages.max()) > 1e-4
+
+
+def test_experiment_at_dim_1296_diagonalizes_only_blocks(monkeypatch):
+    """Every eigenproblem on the experiment's path is at most the total size
+    of the blocks the initial state touches (5 of 1296 under h_total, 3
+    under the symmetrized Hamiltonian), never the full space.  Checks
+    shapes, not time."""
+    model = two_by_two_model(n_max=5)
     assert model.h_total.dim == 1296
     sys_dim = model.system_space.dim
     code = level_code(sys_dim, levels=range(sys_dim))
     rho0 = coded_state(model, [1.0, 1.0])
+    occupied = np.flatnonzero(np.diagonal(rho0.op.mat))
+    touched = [touched_size(ham, occupied) for ham in (model.h_total, symmetrized(model))]
+    assert touched == [5, 3]
     sizes = []
     for name in ("eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
@@ -300,5 +368,45 @@ def test_experiment_at_dim_1296_diagonalizes_only_blocks(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, recording)
     full, sym = coherence_experiment(model, code, rho0, np.linspace(0.0, 5.0, 11))
-    assert sizes and max(sizes) <= 146
+    assert sizes and max(sizes) <= max(touched)
     assert float(sym.leakages.max()) <= 1e-10
+
+
+def three_plus_one_model(n_max):
+    """Three system modes and one environment mode."""
+    return build_decoherence_model(
+        k_sys=np.array([[1.0, 0.2, 0.0], [0.2, 0.8, 0.1], [0.0, 0.1, 0.6]]),
+        lam_env=np.array([[1.0]]),
+        w_int=np.array([[0.4], [0.3], [0.25]]),
+        n_max=n_max,
+    )
+
+
+def test_experiment_memory_is_bounded_by_the_chunk_not_the_sample_count(monkeypatch):
+    """A full superposition reaches all 64 system levels, so the reduced
+    states of 2,000 samples would be 2000 * 64^2 * 16 B = 131 MB at once;
+    chunks of at most CHUNK_ELEMENTS entries keep the peak far below that,
+    and the chunked trajectories are the unchunked ones."""
+    import tracemalloc
+
+    from dfslab import dynamics
+
+    model = three_plus_one_model(n_max=3)
+    sys_dim = model.system_space.dim
+    assert sys_dim == 64
+    code = level_code(sys_dim, levels=range(sys_dim))
+    rho0 = pure_state(np.kron(np.full(sys_dim, 1.0 / 8.0), np.eye(model.env_space.dim)[0]), dims=(sys_dim, 4))
+    times = np.linspace(0.0, 10.0, 2000)
+    whole = coherence_experiment(model, code, rho0, times[:40])
+    monkeypatch.setattr(dynamics, "CHUNK_ELEMENTS", 1 << 16)
+    tracemalloc.start()
+    try:
+        full, sym = coherence_experiment(model, code, rho0, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < times.size * sys_dim**2 * 16 // 8
+    assert float(full.leakages.max()) > 1e-4 and float(sym.leakages.max()) <= 1e-10
+    for chunked, one in zip((full, sym), whole):
+        assert np.abs(chunked.leakages[:40] - one.leakages).max() <= 1e-15
+        assert np.abs(chunked.fidelities[:40] - one.fidelities).max() <= 1e-15

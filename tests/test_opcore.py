@@ -24,7 +24,7 @@ from dfslab import (
     tensor_sum,
     unitary_exp,
 )
-from dfslab.opcore import _nullspace_and_norm, nullspace, sector_eigh
+from dfslab.opcore import _block_eighs, _nullspace_and_norm, nullspace, sector_eigh
 
 TOL = 1e-12
 
@@ -906,3 +906,46 @@ def test_kronecker_sum_validation():
         KroneckerSum([])
     with pytest.raises(DomainError):
         KroneckerSum([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
+
+
+@pytest.mark.parametrize("skew", [0.0, 0.9e-10, 1.1e-10, 3.0])
+def test_is_hermitian_on_entries_agrees_with_the_dense_test(skew):
+    """An operator that keeps its entries compares each entry with its
+    swapped conjugate; the verdict is the dense one, and no mat is formed.
+    The skew sits on an entry whose mirror is stored and on one whose
+    mirror is not."""
+    rng = np.random.Generator(np.random.Philox(22))
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    h = 2.0 * (a + a.conj().T)
+    h[0, 3] = h[3, 0] = 0.0
+    scale = np.abs(h).max()
+    for pos in ((0, 1), (0, 3)):
+        m = h.copy()
+        m[pos] += skew * scale
+        op = tensor_sum([(1.0, (m,))])
+        got = op.is_hermitian()
+        assert "mat" not in vars(op)
+        assert got == Operator(m).is_hermitian() == (skew <= 1e-10)
+
+
+def test_block_eighs_solves_only_touched_blocks():
+    """Indices 0, 2, 5 and 1, 4 form two blocks and 3 is alone; touching 2
+    solves all of its block alone, from the entries, and touching 4 and 3
+    solves those two blocks, with the eigenpairs ``sector_eigh`` finds."""
+    m = np.zeros((6, 6), dtype=complex)
+    for i, j, v in ((0, 2, 1.0), (2, 5, 0.5j), (1, 4, 2.0), (3, 3, 7.0), (5, 5, -1.0)):
+        m[i, j] = v
+        m[j, i] = np.conj(v)
+    for stored, index, want in (
+        (tensor_sum([(1.0, (m,))])._stored(), [2], [[0, 2, 5]]),
+        (m, [4, 3], [[1, 4], [3]]),
+    ):
+        touched = np.zeros(6, dtype=bool)
+        touched[index] = True
+        got = list(_block_eighs(stored, touched=touched))
+        assert sorted(list(r) for rows, *_ in got for r in rows) == want
+        for rows, _, vals, vecs in got:
+            for r, w, v in zip(rows, vals, vecs):
+                blk = m[np.ix_(r, r)]
+                assert np.allclose((v * w) @ v.conj().T, blk, atol=1e-14)
+                assert np.allclose(w, np.linalg.eigvalsh(blk), atol=1e-14)

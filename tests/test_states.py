@@ -45,6 +45,37 @@ def test_pure_state_rejects_zero_vector():
         pure_state(np.zeros(3))
 
 
+def test_pure_state_checks_the_trace_beyond_the_norm():
+    """Norm 1 + 0.9e-10 passes the 1e-10 norm check, but the trace
+    |v|^2 = 1 + 1.8e-10 is not 1 within TRACE_TOL."""
+    v = np.array([1.0 + 0.9e-10, 0.0])
+    assert abs(np.linalg.norm(v) - 1.0) <= 1e-10
+    with pytest.raises(DomainError, match="trace"):
+        pure_state(v)
+    with pytest.raises(DomainError, match="trace"):
+        DensityMatrix(Operator(np.outer(v, v)))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pure_state_rejects_a_non_finite_vector(bad):
+    with pytest.raises(DomainError):
+        pure_state(np.array([bad, 0.0]))
+
+
+def test_pure_state_keeps_its_vector_until_op_is_read():
+    v = np.array([0.6, 0.0, 0.8j])
+    rho = pure_state(v, dims=(3,))
+    assert rho.dim == 3 and rho.dims == (3,)
+    assert "op" not in vars(rho)
+    assert np.array_equal(rho.op.mat, np.outer(v, v.conj()))
+    assert rho.op is rho.op
+    v[0] = 1.0  # the state holds its own copy
+    assert rho.op.mat[0, 0] == 0.36
+    with pytest.raises(ShapeError):
+        pure_state(np.array([0.6, 0.0, 0.8j]), dims=(2,))
+
+
 def test_expectation_reads_entries():
     rho = DensityMatrix(Operator(np.diag([0.25, 0.75])))
     psi = StateFunctional(rho)

@@ -288,3 +288,24 @@ def test_invariant_subalgebra_requires_generators():
     group = GroupRep(elements=np.ones((1, 2), dtype=complex), generators=())
     with pytest.raises(UsageError):
         invariant_subalgebra(group)
+
+
+@pytest.mark.parametrize("n_sys, n_env, n_max", PROTECT_SIZES[:3])
+def test_entry_paths_match_the_dense_paths_bit_for_bit(n_sys, n_env, n_max):
+    """Parity generators and h_total keep their entries: the closure reads
+    their diagonals, the average masks the entries and the joint kernel
+    splits their stacked entries, with the bits of the dense paths and no
+    mat formed."""
+    model = random_model(np.random.Generator(np.random.Philox(7 + n_max)), n_sys, n_env, n_max)
+    gens = parity_generators(model)
+    hams = (model.h_total, model.h_int)
+    group = close_group(gens)
+    averages = [symmetrize_operator(group, h) for h in hams]
+    kernel = joint_kernel(gens)
+    assert not any("mat" in vars(op) for op in gens + list(hams) + averages)
+    dense_gens = [Operator(th.mat) for th in gens]
+    assert np.array_equal(group.elements, close_group(dense_gens).elements)
+    for h, avg in zip(hams, averages):
+        assert np.array_equal(avg.mat, symmetrize_operator(group, Operator(h.mat)).mat)
+    assert np.array_equal(kernel.vectors, joint_kernel(dense_gens).vectors)
+    assert kernel.size == model.system_space.dim
