@@ -54,12 +54,15 @@ def _check_spd(arr, name: str) -> np.ndarray:
 
 
 def _int_matrix(arr) -> np.ndarray:
+    """``arr`` as int64: DomainError unless every entry is a finite integer
+    in [-2^63, 2^63), the range ``astype`` keeps without wrapping."""
     arr = np.asarray(arr)
     if not np.issubdtype(arr.dtype, np.integer):
-        rounded = np.rint(arr)
-        if np.abs(arr - rounded).max(initial=0.0) > 0:
+        if not (np.isfinite(arr).all() and np.array_equal(arr, np.rint(arr))):
             raise DomainError("duality matrices must have integer entries")
-        arr = rounded
+        # -2^63 and 2^63 are exact floats
+        if np.any((arr < -(2.0 ** 63)) | (arr >= 2.0 ** 63)):
+            raise DomainError("duality matrix entries must lie in the int64 range")
     return arr.astype(np.int64)
 
 

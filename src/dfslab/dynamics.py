@@ -135,7 +135,7 @@ def coherence_experiment(
             raise DomainError("Hamiltonian must be Hermitian")
         blocks = [
             (rows, vals, vecs, vecs.conj().swapaxes(1, 2) @ w[rows])
-            for rows, _, vals, vecs in _block_eighs(ham._stored(), touched=occupied)
+            for rows, _, vals, vecs in _block_eighs(ham._entries, touched=occupied)
         ]
         # psi(t) lives on the system indices the touched blocks reach, with
         # every environment index of each: exact zeros off the touched indices

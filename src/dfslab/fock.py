@@ -363,19 +363,19 @@ class DiracSplit:
 
 @dataclass(frozen=True, kw_only=True)
 class DiracOperator(Operator):
-    """A string-model Dirac operator: its nonzero entries when
-    ``build_string_model`` makes it, or its dense matrix when constructed
-    from one, plus its ``split`` for one direction (None for more, where no
-    split exists).  Only ``dfs_from_dirac`` reads the split.  The adjoint
-    swaps the two sums of the split and the rows and columns of the
-    entries, conjugating their values, with no d x d copy."""
+    """A string-model Dirac operator, an ``Operator`` (``build_string_model``
+    makes it from its nonzero entries), plus its ``split`` for one
+    direction (None for more, where no split exists).  Only
+    ``dfs_from_dirac`` reads the split.  The adjoint swaps the two sums of
+    the split and the rows and columns of the entries, conjugating their
+    values, with no d x d copy."""
 
     split: DiracSplit | None
 
     def dag(self) -> "DiracOperator":
         s = self.split
         swapped = None if s is None else DiracSplit(s.scale, s.lower, s.upper)
-        return DiracOperator._unchecked(self._adjoint(), split=swapped)
+        return DiracOperator._unchecked(self._entries.adjoint(), split=swapped)
 
 
 @dataclass(frozen=True)
@@ -534,8 +534,8 @@ def dfs_from_dirac(d: Operator, tol: float = KERNEL_TOL) -> KernelBasis:
     Any other operator, non-normal ones included, goes through
     ``kernel_basis`` (block SVDs).  Either way the returned basis carries
     d's largest singular value as ``sigma_max`` and is certified on d's
-    entries, or on its matrix when d holds one (``KernelBasis.certify``),
-    so a split that disagrees with them raises DomainError.
+    entries (``KernelBasis.certify``), so a split that disagrees with them
+    raises DomainError.
     """
     split = d.split if isinstance(d, DiracOperator) else None
     if split is None:

@@ -4,12 +4,14 @@ linear-algebra primitives everything else is built from.
 Conventions used throughout the package:
 
 * operators are square complex matrices acting on a Hilbert space of
-  dimension ``dim``.  An ``Operator`` holds either its dense matrix or, when
-  ``tensor_sum`` built it, its nonzero entries (rows, cols, vals); the
-  dense ``mat`` of such an operator is formed the first time it is read and
-  then cached read-only, while ``dim``, ``dag()``, ``is_hermitian()`` and
-  the three blocked solvers (``kernel_basis``, ``operator_norm``,
-  ``sector_eigh``) work from the entries.  ``Operator`` has no arithmetic:
+  dimension ``dim``.  Every ``Operator`` method and the three blocked
+  solvers (``kernel_basis``, ``operator_norm``, ``sector_eigh``) read one
+  format, the nonzero entries (rows, cols, vals) of ``_Entries``.  An
+  operator made from a matrix forms them from its nonzeros the first time
+  they are needed; one that ``tensor_sum`` built keeps only them and forms
+  its dense ``mat`` the first time that is read.  Either is then cached,
+  ``mat`` read-only.  Arrays given to ``nullspace`` or ``sector_eigh`` enter
+  the same format through ``_Entries.of``.  ``Operator`` has no arithmetic:
   products and sums are taken on ``mat`` or built by ``tensor_sum``;
 * tensor products are Kronecker products with the first factor varying
   slowest, matching the row-major reshape of composite indices.  This module
@@ -19,12 +21,11 @@ Conventions used throughout the package:
   operator to one factor of a stack of kets without forming the product, and
   ``KroneckerSum`` diagonalizes a Kronecker sum of Hermitian factors from
   the factors' eigenpairs (eigenvalue grid and product eigenvectors);
-* one splitter serves the three blocked solvers.  An operator is read
-  through ``Operator._stored`` (its entries when it keeps them, else
-  ``mat``), the connected blocks of its nonzero pattern are found (an exact
-  split, no tolerance) and each block is gathered from the stored entries,
-  with the same values in the same places, so the same bits.  Kernels and
-  norms split the pattern as a bipartite graph of rows and columns;
+* one splitter serves the three blocked solvers.  The connected blocks of
+  the entries' pattern are found (an exact split, no tolerance) and each
+  block is gathered from the entries, so a matrix and the ``tensor_sum``
+  of it give the same blocks, the same values and the same bits.  Kernels
+  and norms split the pattern as a bipartite graph of rows and columns;
   Hermitian eigenproblems (``sector_eigh``) read it as an undirected graph
   on the indices, so a block's rows and columns are the same indices.  A
   matrix that is one block is solved as one block;
@@ -80,18 +81,35 @@ def _square_complex(mat) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Entries:
-    """The nonzero entries of an (m, n) complex matrix: ``vals[k]`` sits at
-    (``rows[k]``, ``cols[k]``), no position twice, every value finite and
-    nonzero; every other entry is zero."""
+    """The nonzero entries of an (m, n) matrix, or of a stack of matrices on
+    the union of their patterns: ``vals[..., k]`` sits at (``rows[k]``,
+    ``cols[k]``), no position twice; every other entry is zero.  The values
+    keep their dtype, and an ``Operator``'s are complex and finite."""
 
     shape: tuple[int, int]
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
 
+    @classmethod
+    def of(cls, arr) -> "_Entries":
+        """The entries of an array, or of a stack (..., m, n) at every
+        position nonzero in one of its matrices, in row-major order, with
+        the array's dtype."""
+        arr = np.asarray(arr)
+        m, n = arr.shape[-2:]
+        pattern = arr != 0
+        if pattern.ndim > 2:
+            pattern = pattern.any(axis=tuple(range(pattern.ndim - 2)))
+        # flat positions: cheaper to find and to take than (row, col) pairs
+        flat = np.flatnonzero(pattern)
+        vals = arr.reshape(arr.shape[:-2] + (m * n,))
+        # with every position stored, the values are the array's, uncopied
+        return cls((m, n), *np.divmod(flat, n), vals if flat.size == m * n else vals[..., flat])
+
     def dense(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=np.complex128)
-        out[self.rows, self.cols] = self.vals
+        out = np.zeros(self.vals.shape[:-1] + self.shape, dtype=self.vals.dtype)
+        out[..., self.rows, self.cols] = self.vals
         return out
 
     def adjoint(self) -> "_Entries":
@@ -100,7 +118,7 @@ class _Entries:
     def apply(self, vectors: np.ndarray) -> np.ndarray:
         """The matrix times each row of ``vectors`` (k, n), as rows (k, m):
         every entry's product is added into its row, in entry order, so the
-        result depends neither on how the entries are sorted nor on BLAS.
+        result depends on that order and not on BLAS.
         One row at a time keeps the temporaries at the size of the entries."""
         out = np.empty((vectors.shape[0], self.shape[0]), dtype=np.complex128)
         for v, row in zip(vectors, out):
@@ -123,9 +141,17 @@ class _Entries:
         return np.where(found, self.vals[order[at]], 0.0)
 
     def gather(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """The stack of blocks ``dense()[rows[j]][:, cols[j]]``, shape
-        (k, m_b, n_b), for blocks that no entry leaves (``_sectors``), formed
-        from the entries in their rows."""
+        """The stack of blocks ``dense()[..., rows[j]][..., cols[j]]``, shape
+        (..., k, m_b, n_b), for blocks that no entry leaves (``_sectors``),
+        formed from the entries in their rows.  When the one block is the
+        whole matrix it is one ``dense()``, or a view of ``vals`` when every
+        position is stored in row-major order (as ``of`` stores a matrix
+        with no zero entry); callers only read the blocks."""
+        m, n = self.shape
+        if rows.shape == (1, m) and cols.shape == (1, n):
+            if self.rows.size == m * n and np.array_equal(self.rows * n + self.cols, np.arange(m * n)):
+                return self.vals.reshape(self.vals.shape[:-1] + (1, m, n))
+            return self.dense()[..., None, :, :]
         block = np.full(self.shape[0], -1)
         block[rows] = np.arange(rows.shape[0])[:, None]
         row_pos = np.zeros(self.shape[0], dtype=np.intp)
@@ -134,58 +160,55 @@ class _Entries:
         col_pos[cols] = np.arange(cols.shape[1])
         pick = np.flatnonzero(block[self.rows] >= 0)
         r, c = self.rows[pick], self.cols[pick]
-        out = np.zeros(rows.shape + cols.shape[1:], dtype=np.complex128)
-        out[block[r], row_pos[r], col_pos[c]] = self.vals[pick]
-        return out
+        # one flat position per entry: cheaper to scatter than three indices
+        flat = (block[r] * rows.shape[1] + row_pos[r]) * cols.shape[1] + col_pos[c]
+        out = np.zeros(self.vals.shape[:-1] + (rows.size * cols.shape[1],), dtype=self.vals.dtype)
+        out[..., flat] = self.vals[..., pick]
+        return out.reshape(self.vals.shape[:-1] + rows.shape + cols.shape[1:])
 
 
 @dataclass(frozen=True)
 class Operator:
     """A square complex matrix on a ``dim``-dimensional Hilbert space.
 
-    An operator that ``tensor_sum`` built keeps its nonzero entries
-    instead: its ``mat`` is formed from them the first time it is read and
-    then cached, read-only like every ``mat``; ``dim``, ``dag()`` and
-    ``is_hermitian()`` never form it.
+    Its methods read its nonzero entries (``_Entries``).  An operator made
+    from a matrix forms them the first time they are needed; one that
+    ``tensor_sum`` built keeps only its entries and forms ``mat`` from them
+    the first time it is read.  Either is then cached, and ``mat`` is
+    read-only.
     """
 
     mat: np.ndarray
-
-    # the _Entries of an operator that keeps them, whose mat is not formed
-    # until read (see __getattr__); None for one made from a matrix
-    _entries = None
 
     def __post_init__(self):
         arr = _square_complex(self.mat)
         arr.setflags(write=False)
         object.__setattr__(self, "mat", arr)
+        object.__setattr__(self, "dim", arr.shape[0])
 
     def __getattr__(self, name):
-        # reached only for an attribute the instance lacks: the mat of an
-        # operator that keeps its entries, before anything has read it
-        if name != "mat" or self._entries is None:
+        # reached only for an attribute the instance lacks: the mat or the
+        # entries of an operator that has only the other, before anything
+        # has read it
+        stored = vars(self)
+        if name == "mat" and "_entries" in stored:
+            value = stored["_entries"].dense()
+            value.setflags(write=False)
+        elif name == "_entries" and "mat" in stored:
+            value = _Entries.of(stored["mat"])
+        else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        arr = self._entries.dense()
-        arr.setflags(write=False)
-        object.__setattr__(self, "mat", arr)
-        return arr
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0] if self._entries is None else self._entries.shape[0]
+        object.__setattr__(self, name, value)
+        return value
 
     @classmethod
-    def _unchecked(cls, arr, **fields) -> "Operator":
-        """An instance around ``arr``, without the boundary check: either a
-        square, finite complex128 array, which the caller vouches for and
-        which is made read-only, or the ``_Entries`` of such a matrix, which
-        the instance keeps.  ``fields`` sets a subclass's other fields."""
+    def _unchecked(cls, entries: _Entries, **fields) -> "Operator":
+        """An instance that keeps ``entries``, without the boundary check:
+        the caller vouches that they are the complex, finite entries of a
+        square matrix.  ``fields`` sets a subclass's other fields."""
         out = object.__new__(cls)
-        if isinstance(arr, _Entries):
-            object.__setattr__(out, "_entries", arr)
-        else:
-            arr.setflags(write=False)
-            object.__setattr__(out, "mat", arr)
+        object.__setattr__(out, "_entries", entries)
+        object.__setattr__(out, "dim", entries.shape[0])
         for name, value in fields.items():
             object.__setattr__(out, name, value)
         return out
@@ -199,19 +222,12 @@ class Operator:
         return Operator(np.zeros((dim, dim)))
 
     def dag(self) -> "Operator":
-        return Operator._unchecked(self._adjoint())
-
-    def _adjoint(self):
-        """The conjugate transpose as swapped, conjugated entries when this
-        operator keeps them, else as a view of ``mat`` (read-only, and
-        validated when this operator was made)."""
-        return self.mat.conj().T if self._entries is None else self._entries.adjoint()
+        """The conjugate transpose, as swapped, conjugated entries."""
+        return Operator._unchecked(self._entries.adjoint())
 
     def _apply(self, vectors: np.ndarray) -> np.ndarray:
         """``mat @ vectors.T`` for row-kets ``vectors``, multiplying only the
-        entries when this operator keeps them."""
-        if self._entries is None:
-            return self.mat @ vectors.T
+        entries (``_Entries.apply``)."""
         return self._entries.apply(vectors).T
 
     def trace(self) -> complex:
@@ -219,45 +235,30 @@ class Operator:
 
     def is_hermitian(self) -> bool:
         """Whether every entry of A - A^dag is within HERMITICITY_TOL times
-        max(1, largest |entry of A|).  An operator that keeps its entries
-        compares each entry with the conjugate of the one at its swapped
-        position (0 where none is stored), which covers every nonzero entry
-        of A - A^dag with the same values, and forms no ``mat``."""
-        if self._entries is None:
-            vals, skew = self.mat, self.mat - self.mat.conj().T
-        else:
-            vals = self._entries.vals
-            skew = vals - self._entries.mirrored().conj()
-        scale = max(1.0, float(np.abs(vals).max(initial=0.0)))
+        max(1, largest |entry of A|).  Each entry is compared with the
+        conjugate of the one at its swapped position (0 where none is
+        stored), which covers every nonzero entry of A - A^dag with the same
+        values."""
+        e = self._entries
+        skew = e.vals - e.mirrored().conj()
+        scale = max(1.0, float(np.abs(e.vals).max(initial=0.0)))
         return float(np.abs(skew).max(initial=0.0)) <= HERMITICITY_TOL * scale
 
     def _diagonal(self):
-        """The diagonal when every nonzero entry lies on it, else None; read
-        off the entries of an operator that keeps them."""
-        if self._entries is None:
-            diag = np.diagonal(self.mat)
-            return diag if np.count_nonzero(self.mat) == np.count_nonzero(diag) else None
-        entries = self._entries
-        if not np.array_equal(entries.rows, entries.cols):
+        """The diagonal when every nonzero entry lies on it, else None."""
+        e = self._entries
+        if not np.array_equal(e.rows, e.cols):
             return None
         diag = np.zeros(self.dim, dtype=np.complex128)
-        diag[entries.rows] = entries.vals
+        diag[e.rows] = e.vals
         return diag
 
     def _masked(self, label: np.ndarray) -> "Operator":
         """The operator with entry (i, j) kept where ``label[i] ==
-        label[j]`` and exactly 0 elsewhere; one that keeps its entries keeps
-        the entries that stay."""
-        if self._entries is None:
-            return Operator._unchecked(np.where(label[:, None] == label[None, :], self.mat, 0.0))
+        label[j]`` and exactly 0 elsewhere, as the entries that stay."""
         e = self._entries
         keep = label[e.rows] == label[e.cols]
         return Operator._unchecked(_Entries(e.shape, e.rows[keep], e.cols[keep], e.vals[keep]))
-
-    def _stored(self):
-        """What the blocked solvers read: the ``_Entries`` of an operator
-        that keeps them, else ``mat``."""
-        return self.mat if self._entries is None else self._entries
 
 
 @dataclass(frozen=True)
@@ -337,9 +338,9 @@ class KernelBasis(SubspaceBasis):
     def certify(cls, a: Operator, rows: np.ndarray, sigma_max: float, tol: float) -> "KernelBasis":
         """The span of ``rows`` as the kernel of ``a``, certified: the
         largest residual ||a v|| over the rows, measured on ``a``'s entries
-        when it keeps them and on ``a.mat`` otherwise, must stay within
-        tol * sigma_max * sqrt(dim) (1e-10 when sigma_max vanishes, never
-        below 1e-12), else DomainError."""
+        in a fixed order, not by BLAS (``Operator._apply``), must stay
+        within tol * sigma_max * sqrt(dim) (1e-10 when sigma_max vanishes,
+        never below 1e-12), else DomainError."""
         resid = float(np.linalg.norm(a._apply(rows), axis=0).max()) if rows.shape[0] else 0.0
         basis = cls(a.dim, rows, VECTOR_SPACE, sigma_max=sigma_max, residual=resid)
         bound = tol * sigma_max * np.sqrt(a.dim) if sigma_max > 0 else 1e-10
@@ -483,10 +484,10 @@ def commutator(a: Operator, b: Operator) -> Operator:
 def operator_norm(a: Operator) -> float:
     """Largest singular value: the maximum over the blocks of the nonzero
     pattern of each block's singular values."""
-    stored = a._stored()
+    e = a._entries
     return max(
-        (float(np.linalg.svd(_gather(stored, rows, cols), compute_uv=False).max())
-         for rows, cols, _ in _split(stored) if rows.shape[1] and cols.shape[1]),
+        (float(np.linalg.svd(e.gather(rows, cols), compute_uv=False).max())
+         for rows, cols, _ in _split(e) if rows.shape[1] and cols.shape[1]),
         default=0.0,
     )
 
@@ -497,21 +498,22 @@ def sector_eigh(mat, vectors: bool = True):
     (``vectors`` false) also of a stack of arrays with shape (..., d, d).
 
     The indices are split into the connected blocks of the nonzero pattern
-    (``_split``), taken over the whole stack and read off the entries of an
-    operator that keeps them, which is never densified.  The blocks of one
-    size are gathered and go through one stacked ``np.linalg.eigh``
-    (``eigvalsh`` when ``vectors`` is false); a matrix that is one block is
-    one such call.  The eigenvalues are merged by a stable sort, blocks laid
-    out in the order of their smallest index; eigenvector k is column k,
-    zero outside its block.  Each block's eigenpairs must reconstruct it to
-    1e-10 relative to the largest entry of its matrix.  Returns
-    ``(vals, vecs)``, or ``vals`` alone when ``vectors`` is false.  Only the
-    lower triangle of each block is read, as in ``np.linalg.eigh``.
+    (``_split``) of the operator's entries, or of an array's
+    (``_Entries.of``, its dtype kept), taken over the whole stack.  The
+    blocks of one size are gathered from the entries and go through one
+    stacked ``np.linalg.eigh`` (``eigvalsh`` when ``vectors`` is false); a
+    matrix that is one block is one such call.  The eigenvalues are merged
+    by a stable sort, blocks laid out in the order of their smallest index;
+    eigenvector k is column k, zero outside its block.  Each block's
+    eigenpairs must reconstruct it to 1e-10 relative to the largest entry
+    of its matrix.  Returns ``(vals, vecs)``, or ``vals`` alone when
+    ``vectors`` is false.  Only the lower triangle of each block is read, as
+    in ``np.linalg.eigh``.
     """
-    arr = mat._stored() if isinstance(mat, Operator) else np.asarray(mat)
-    vals = np.empty(arr.shape[:-1])
+    e = mat._entries if isinstance(mat, Operator) else _Entries.of(mat)
+    vals = np.empty(e.vals.shape[:-1] + e.shape[:1])
     solved = []
-    for rows, start, w, v in _block_eighs(arr, vectors):
+    for rows, start, w, v in _block_eighs(e, vectors):
         slots = start[:, None] + np.arange(rows.shape[1])
         vals[..., slots] = w
         solved.append((rows, slots, v))
@@ -521,33 +523,35 @@ def sector_eigh(mat, vectors: bool = True):
     order = np.argsort(vals, kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    vecs = np.zeros(arr.shape, dtype=solved[0][2].dtype)
+    vecs = np.zeros(e.shape, dtype=solved[0][2].dtype)
     for rows, slots, v in solved:
         vecs[rows[:, :, None], rank[slots][:, None, :]] = v
     return vals[order], vecs
 
 
-def _block_eighs(arr, vectors: bool = True, touched=None):
+def _block_eighs(e: _Entries, vectors: bool = True, touched=None):
     """``sector_eigh``'s eigenproblems, one group of same-size blocks of the
-    Hermitian ``arr`` at a time: ``(rows, start, vals, vecs)`` with rows
-    (k, m_b) and start (k,) as ``_sectors`` gives them, vals (..., k, m_b)
-    ascending within each block and vecs (k, m_b, m_b), each block's
-    eigenvectors as its columns over its own rows (None when ``vectors`` is
-    false).  With ``touched``, a boolean mask over the indices, only the
-    blocks holding a touched index are solved; no entry joins them to any
-    other index, so this is an exact split, no tolerance."""
+    Hermitian matrix (or stack) with entries ``e`` at a time: ``(rows,
+    start, vals, vecs)`` with rows (k, m_b) and start (k,) as ``_sectors``
+    gives them, vals (..., k, m_b) ascending within each block and vecs (k,
+    m_b, m_b), each block's eigenvectors as its columns over its own rows
+    (None when ``vectors`` is false).  With ``touched``, a boolean mask over
+    the indices, only the blocks holding a touched index are solved; no
+    entry joins them to any other index, so this is an exact split, no
+    tolerance."""
     if vectors:
-        if len(arr.shape) != 2:
-            raise ShapeError(f"eigenvectors are computed for one matrix, got shape {arr.shape}")
-        entries = arr.vals if isinstance(arr, _Entries) else arr
-        scale = max(1.0, float(np.abs(entries).max(initial=0.0)))
-    for rows, _, start in _split(arr, hermitian=True):
+        if e.vals.ndim != 1:
+            raise ShapeError(
+                f"eigenvectors are computed for one matrix, got shape {e.vals.shape[:-1] + e.shape}"
+            )
+        scale = max(1.0, float(np.abs(e.vals).max(initial=0.0)))
+    for rows, _, start in _split(e, hermitian=True):
         if touched is not None:
             keep = touched[rows].any(axis=1)
             if not keep.any():
                 continue
             rows, start = rows[keep], start[keep]
-        blk = _gather(arr, rows, rows)
+        blk = e.gather(rows, rows)
         if not vectors:
             yield rows, start, np.linalg.eigvalsh(blk), None
             continue
@@ -602,50 +606,36 @@ def _components(n: int, r: np.ndarray, c: np.ndarray) -> np.ndarray:
     return (np.cumsum(label == np.arange(n)) - 1)[label]
 
 
-def _nonzero_entries(arr):
-    """Row and column indices of the nonzero entries of ``arr``, an array,
-    a stack of them (the union of their patterns) or the ``_Entries`` of
-    one, or None when every entry is nonzero."""
-    if isinstance(arr, _Entries):
-        return None if arr.vals.size == arr.shape[0] * arr.shape[1] else (arr.rows, arr.cols)
-    pattern = arr != 0
-    if pattern.ndim > 2:
-        pattern = pattern.any(axis=tuple(range(pattern.ndim - 2)))
-    return None if pattern.all() else np.nonzero(pattern)
-
-
-def _split(arr, hermitian: bool = False):
-    """The connected blocks of the nonzero pattern of ``arr`` (an array, a
-    stack of them or the ``_Entries`` of one), as ``_sectors`` lists them.
+def _split(e: _Entries, hermitian: bool = False):
+    """The connected blocks of the pattern of the entries ``e``, as
+    ``_sectors`` lists them.
 
     By default rows and columns are separate nodes and row r is joined to
-    column c when that entry is nonzero.  With ``hermitian`` the matrix is
+    column c when that entry is stored.  With ``hermitian`` the matrix is
     square and its indices are the nodes, i -- j when entry (i, j) or
-    (j, i) is nonzero, so each block's rows and columns are the same
-    indices.  Either split is exact; a matrix with no zero entry is one
-    block."""
-    m, n = arr.shape[-2:]
-    nz = _nonzero_entries(arr)
-    if hermitian:
-        label = np.zeros(m, dtype=np.intp) if nz is None else _components(m, *nz)
-        return _sectors(label, label)
-    label = np.zeros(m + n, dtype=np.intp) if nz is None else _components(m + n, nz[0], nz[1] + m)
-    return _sectors(label[:m], label[m:])
+    (j, i) is stored, so each block's rows and columns are the same
+    indices.  Either split is exact; a matrix with every entry stored is
+    one block, without walking its pattern."""
+    m, n = e.shape
+    if e.rows.size == m * n:
+        label = np.zeros(m if hermitian else m + n, dtype=np.intp)
+    elif hermitian:
+        label = _components(m, e.rows, e.cols)
+    else:
+        label = _components(m + n, e.rows, e.cols + m)
+    return _sectors(label, label) if hermitian else _sectors(label[:m], label[m:])
 
 
 def _row_stack(ops):
-    """The operators, all of one dimension, stacked as one (k dim, dim)
-    matrix: the ``_Entries`` of the stack when each keeps its entries, else
-    an array."""
-    stored = [op._stored() for op in ops]
-    if not all(isinstance(e, _Entries) for e in stored):
-        return np.vstack([op.mat for op in ops])
+    """The entries of the operators, all of one dimension, stacked as one
+    (k dim, dim) matrix."""
+    entries = [op._entries for op in ops]
     dim = ops[0].dim
     return _Entries(
         (len(ops) * dim, dim),
-        np.concatenate([e.rows + k * dim for k, e in enumerate(stored)]),
-        np.concatenate([e.cols for e in stored]),
-        np.concatenate([e.vals for e in stored]),
+        np.concatenate([e.rows + k * dim for k, e in enumerate(entries)]),
+        np.concatenate([e.cols for e in entries]),
+        np.concatenate([e.vals for e in entries]),
     )
 
 
@@ -688,27 +678,15 @@ def _sectors(row_label: np.ndarray, col_label: np.ndarray):
     return out
 
 
-def _gather(arr, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The stack of blocks ``arr[..., rows[j]][..., cols[j]]``, shape
-    (..., k, m_b, n_b), for ``arr`` an array, a stack of them or the
-    ``_Entries`` of one; a view of an array when its one block is all of
-    it."""
-    if isinstance(arr, _Entries):
-        return arr.gather(rows, cols)
-    if rows.shape == (1, arr.shape[-2]) and cols.shape == (1, arr.shape[-1]):
-        return arr[..., None, :, :]
-    return arr[..., rows[:, :, None], cols[:, None, :]]
-
-
-def _nullspace_and_norm(arr, tol: float, scale: float = 0.0) -> tuple[np.ndarray, float]:
-    """``nullspace`` rows together with sigma_max, the largest singular value;
-    the cutoff is tol * max(sigma_max, scale).  ``arr`` is an array or the
-    ``_Entries`` of one; both give the same blocks, so the same bits."""
-    m, ncols = arr.shape
+def _nullspace_and_norm(e: _Entries, tol: float, scale: float = 0.0) -> tuple[np.ndarray, float]:
+    """``nullspace`` rows of the matrix with entries ``e``, together with
+    sigma_max, the largest singular value; the cutoff is tol * max(sigma_max,
+    scale)."""
+    m, ncols = e.shape
     if m * ncols == 0:
         return np.eye(ncols, dtype=np.complex128), 0.0
     svds = []
-    for rows, cols, _ in _split(arr):
+    for rows, cols, _ in _split(e):
         k, nb = cols.shape
         if not nb:
             continue  # zero rows
@@ -718,7 +696,7 @@ def _nullspace_and_norm(arr, tol: float, scale: float = 0.0) -> tuple[np.ndarray
             continue
         # only a wide block needs the V^dag rows past its singular values;
         # a tall one would form a full U that nothing reads
-        _, sigma, vh = np.linalg.svd(_gather(arr, rows, cols), full_matrices=rows.shape[1] < nb)
+        _, sigma, vh = np.linalg.svd(e.gather(rows, cols), full_matrices=rows.shape[1] < nb)
         svds.append((cols, sigma, vh))
     smax = max(float(sigma.max(initial=0.0)) for _, sigma, _ in svds)
     ref = max(smax, scale)
@@ -746,21 +724,25 @@ def nullspace(mat: np.ndarray, tol: float = KERNEL_TOL) -> np.ndarray:
     directions (the conjugated V^dag rows) are scattered back to its
     columns.  A block with more columns than rows and a column with no
     nonzero entry contribute their exact kernel directions.  A matrix with
-    no zero entry, or one block, goes through one SVD of the matrix as given.
+    no zero entry, or one block, goes through one SVD of the whole matrix.
+    The matrix enters as the entries of its complex128 copy
+    (``_Entries.of``), as the other blocked solvers read an ``Operator``.
     """
-    return _nullspace_and_norm(np.asarray(mat, dtype=np.complex128), tol)[0]
+    return _nullspace_and_norm(_Entries.of(np.asarray(mat, dtype=np.complex128)), tol)[0]
 
 
 def kernel_basis(a: Operator, tol: float = KERNEL_TOL) -> KernelBasis:
     """Orthonormal basis of the numerical kernel of ``a`` (``nullspace``).
 
-    An operator that keeps its entries is split and gathered from them, and
-    never densified.  Certified (``KernelBasis.certify``): every basis
+    The blocks are split and gathered from the operator's entries, so one
+    that ``tensor_sum`` built is never densified, and an operator made from
+    a matrix gives the same bits as the ``tensor_sum`` of that matrix.
+    Certified (``KernelBasis.certify``): every basis
     vector's residual must stay within tol * sigma_max * sqrt(dim), with
     sigma_max read off the singular values the kernel computation already
     has.  Both sigma_max and the measured residual are returned on the basis.
     """
-    return KernelBasis.certify(a, *_nullspace_and_norm(a._stored(), tol), tol)
+    return KernelBasis.certify(a, *_nullspace_and_norm(a._entries, tol), tol)
 
 
 def commutant_basis(ops: list[Operator], dim: int) -> SubspaceBasis:
@@ -804,9 +786,9 @@ def commutant_basis(ops: list[Operator], dim: int) -> SubspaceBasis:
         # cut relative to the largest spread, as the dense system would: in
         # a shared frame these constraints can all be roundoff
         spread = max(vals[-1] - vals[0] for vals, _, _ in frames)
-        coef = _nullspace_and_norm(np.concatenate([
+        coef = _nullspace_and_norm(_Entries.of(np.concatenate([
             _frame_commutator(vecs.conj().T @ o @ vecs, i, j) for o in others
-        ]), KERNEL_TOL, spread)[0]
+        ])), KERNEL_TOL, spread)[0]
     else:
         coef = np.eye(i.size, dtype=np.complex128)
     # X = sum_c V_c Y_c V_c^dag over the eigenspaces c

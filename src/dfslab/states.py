@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError, UsageError
-from .opcore import HERMITICITY_TOL, Operator, sector_eigh
+from .opcore import HERMITICITY_TOL, Operator, _Entries, sector_eigh
 
 TRACE_TOL = 1e-10
 POSITIVITY_FLOOR = -1e-10
@@ -43,8 +43,9 @@ class DensityMatrix:
     factorization recorded in ``dims`` for partial traces.
 
     A pure state that ``pure_state`` made keeps its unit vector v instead:
-    its ``op`` = v v^dag is formed the first time it is read and then
-    cached; ``dim`` never forms it.
+    its ``op`` = v v^dag is formed the first time it is read, as the entries
+    v_i conj(v_j) over the nonzero indices of v, and then cached; ``dim``
+    never forms it.
     """
 
     op: Operator
@@ -63,7 +64,14 @@ class DensityMatrix:
         # state that keeps its vector, before anything has read it
         if name != "op" or self._vector is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        op = Operator._unchecked(np.outer(self._vector, self._vector.conj()))
+        v = self._vector
+        nz = np.flatnonzero(v)
+        vals = np.outer(v[nz], v[nz].conj()).reshape(-1)
+        keep = vals != 0  # a product of two nonzeros can underflow
+        entries = _Entries(
+            (v.size, v.size), np.repeat(nz, nz.size)[keep], np.tile(nz, nz.size)[keep], vals[keep]
+        )
+        op = Operator._unchecked(entries)
         object.__setattr__(self, "op", op)
         return op
 

@@ -98,11 +98,11 @@ def close_group(generators: list[Operator]) -> GroupRep:
     """Multiplicative closure of exp(i Theta) over the given Hermitian Thetas.
 
     Breadth-first products with rounded-entry deduplication, over the phase
-    vectors exp(i diag Theta) when every generator is diagonal (read off the
-    entries of one that keeps them; no matrix exponential, no matrix
-    product), else over dense unitaries.  Raises NonClosureError when the
-    closure exceeds ``MAX_GROUP_ORDER`` elements, which is the expected
-    outcome for generators with irrational spectra.
+    vectors exp(i diag Theta) when every generator is diagonal (read off
+    its entries; no matrix exponential, no matrix product), else over dense
+    unitaries.  Raises NonClosureError when the closure exceeds
+    ``MAX_GROUP_ORDER`` elements, which is the expected outcome for
+    generators with irrational spectra.
     """
     dim = _common_dim(generators)
     diags = [th._diagonal() for th in generators]
@@ -154,8 +154,8 @@ def invariant_projector(group: GroupRep) -> InvariantProjector:
 
 def joint_kernel(generators: list[Operator]) -> SubspaceBasis:
     """Orthonormal basis of the common null space of the generators:
-    ``nullspace`` of their row stack, split and gathered from their entries
-    when they keep them, so no dense stack is formed."""
+    ``nullspace`` of their row stack, split and gathered from their
+    entries, so no dense stack is formed."""
     dim = _common_dim(generators)
     vecs = _nullspace_and_norm(_row_stack(generators), KERNEL_TOL)[0]
     return SubspaceBasis(dim, vecs, "vector-space")
@@ -167,8 +167,8 @@ def symmetrize_operator(group: GroupRep, h: Operator) -> Operator:
     Over a diagonal group the average of conj(u_i) u_j is 1 where i and j
     carry the same phase under every element and 0 elsewhere (a nontrivial
     character sums to zero), so h_ij is kept exactly where the rounded
-    phases agree and every other entry is exactly 0; an operator that keeps
-    its entries keeps those that stay.
+    phases agree and every other entry is exactly 0, as the entries that
+    stay.
     """
     if h.dim != group.dim:
         raise ShapeError("operator does not act on the group's space")

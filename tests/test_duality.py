@@ -202,6 +202,16 @@ def test_basis_change_requires_unimodular():
         basis_change(np.array([[2, 0], [0, 1]]))
 
 
+def test_integer_matrices_outside_the_int64_range_are_rejected():
+    # astype(np.int64) would wrap these to -2^63
+    with pytest.raises(DomainError, match="int64 range"):
+        coupling_shift(np.array([[0.0, 1e19], [-1e19, 0.0]]))
+    with pytest.raises(DomainError, match="int64 range"):
+        basis_change(np.array([[9.3e18, 0.0], [0.0, 1.0]]))
+    with pytest.raises(DomainError, match="integer entries"):
+        coupling_shift(np.array([[0.0, np.inf], [-np.inf, 0.0]]))
+
+
 def test_narain_energy_closed_forms():
     bg = Background(np.array([[4.0]]), np.zeros((1, 1)))
     for row, expected in (([1, 0], 0.125), ([0, 1], 2.0)):

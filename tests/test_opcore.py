@@ -24,7 +24,14 @@ from dfslab import (
     tensor_sum,
     unitary_exp,
 )
-from dfslab.opcore import _block_eighs, _nullspace_and_norm, nullspace, sector_eigh
+from dfslab.opcore import (
+    _block_eighs,
+    _Entries,
+    _nullspace_and_norm,
+    _split,
+    nullspace,
+    sector_eigh,
+)
 
 TOL = 1e-12
 
@@ -278,6 +285,25 @@ def test_sector_eigh_of_one_block_is_the_dense_eigh(mat):
     assert np.array_equal(sector_eigh(mat, vectors=False), np.linalg.eigvalsh(mat))
 
 
+def test_the_whole_matrix_block_is_gathered_in_any_entry_order():
+    """A matrix with no zero entry is one block.  ``_Entries.of`` stores its
+    values in row-major order, uncopied, and the block is a view of them;
+    the Kronecker product of two full factors stores its entries in another
+    order, and its block is still the dense matrix."""
+    a = np.arange(1.0, 5.0).reshape(2, 2)
+    b = np.array([[1.0, 2.0 - 1j], [3.0j, 4.0]])
+    product = tensor(a, b)._entries
+    assert not np.array_equal(product.rows * 4 + product.cols, np.arange(16))
+    for e in (_Entries.of(np.kron(a, b)), product):
+        ((rows, cols, _),) = _split(e)
+        assert np.array_equal(e.gather(rows, cols), np.kron(a, b)[None])
+    stack = np.stack([np.kron(a, b), 2.0 * np.kron(a, b)])
+    e = _Entries.of(stack)
+    ((rows, cols, _),) = _split(e)
+    assert np.shares_memory(e.gather(rows, cols), stack)
+    assert np.array_equal(e.gather(rows, cols)[:, 0], stack)
+
+
 def test_sector_eigh_orders_equal_eigenvalues_by_block():
     """Eigenvalues are merged by a stable sort, blocks in the order of their
     smallest index."""
@@ -443,6 +469,37 @@ def test_operator_norm_of_permuted_blocks():
     assert operator_norm(Operator.zeros(3)) == 0.0
 
 
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize(
+    "blocks, zero_rows, zero_cols",
+    [([(5, 5, 5)], 0, 0), ([(3, 3, 2), (2, 2, 1), (1, 1, 1)], 0, 0), ([(2, 3, 2), (3, 1, 1)], 1, 2)],
+)
+def test_a_matrix_and_its_tensor_sum_give_the_same_bits(blocks, zero_rows, zero_cols, real):
+    """One format: an operator made from a matrix and the one-term
+    ``tensor_sum`` of it are read through the same entries, so every
+    blocked solver and every operator method gives the same bits."""
+    rng = np.random.Generator(np.random.Philox(24 + len(blocks)))
+    a, _ = permuted_blocks(rng, blocks, zero_rows, zero_cols)
+    a = a.real if real else a
+    h = a + a.conj().T
+    label = rng.integers(0, 2, size=a.shape[0])
+    diagonal = np.diag(np.diagonal(h))
+    for m in (a, h, diagonal):
+        op, kept = Operator(m), tensor_sum([(1.0, (m,))])
+        want, got = kernel_basis(op), kernel_basis(kept)
+        assert np.array_equal(want.vectors, got.vectors)
+        assert (want.sigma_max, want.residual) == (got.sigma_max, got.residual)
+        assert operator_norm(op) == operator_norm(kept)
+        assert op.is_hermitian() == kept.is_hermitian() == (m is not a)
+        diag = op._diagonal()
+        assert (diag is None) == (kept._diagonal() is None) == (m is not diagonal)
+        assert diag is None or np.array_equal(diag, kept._diagonal())
+        assert np.array_equal(op._masked(label).mat, kept._masked(label).mat)
+        assert np.array_equal(op.dag().mat, kept.dag().mat)
+    for want, got in zip(sector_eigh(Operator(h)), sector_eigh(tensor_sum([(1.0, (h,))]))):
+        assert np.array_equal(want, got)
+
+
 def test_kernel_basis_of_permuted_blocks_is_certified():
     rng = np.random.Generator(np.random.Philox(19))
     a, kernel_dim = permuted_blocks(rng, [(5, 5, 3), (5, 5, 4), (2, 2, 2)], 1, 1)
@@ -450,7 +507,9 @@ def test_kernel_basis_of_permuted_blocks_is_certified():
     assert basis.size == kernel_dim
     assert np.linalg.norm(a @ basis.vectors.T, axis=0).max() < 1e-10 * np.linalg.norm(a, 2)
     assert abs(basis.sigma_max - np.linalg.norm(a, 2)) <= 1e-14 * np.linalg.norm(a, 2)
-    assert basis.residual == float(np.linalg.norm(a @ basis.vectors.T, axis=0).max())
+    assert basis.residual == float(np.linalg.norm(Operator(a)._apply(basis.vectors), axis=0).max())
+    measured = float(np.linalg.norm(a @ basis.vectors.T, axis=0).max())
+    assert abs(basis.residual - measured) <= 1e-15 * basis.sigma_max
     assert kernel_basis(Operator(np.diag([1.0, 2.0]))).residual == 0.0
 
 
@@ -653,6 +712,21 @@ def test_subspace_basis_rejects_zero_row():
         SubspaceBasis(2, rows, "vector-space")
 
 
+def test_subspace_basis_accepts_disjoint_supports_and_rejects_a_small_overlap():
+    """Rows on disjoint columns are orthogonal; two rows on shared columns
+    whose inner product is 2e-10 are rejected.  64 rotated pairs of rows on
+    disjoint pairs of columns, 128 x 256."""
+    c, s = np.cos(0.3), np.sin(0.3)
+    rows = np.zeros((128, 256), dtype=complex)
+    for p in range(64):
+        rows[2 * p, [4 * p, 4 * p + 2]] = c, s
+        rows[2 * p + 1, [4 * p, 4 * p + 2]] = -1j * s, 1j * c
+    assert SubspaceBasis(256, rows.copy()).size == 128
+    rows[1, 0] -= 2e-10j / c
+    with pytest.raises(DomainError):
+        SubspaceBasis(256, rows)
+
+
 def test_subspace_basis_projector_idempotent():
     rows = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], dtype=complex)
     basis = SubspaceBasis(3, rows, "vector-space")
@@ -787,17 +861,19 @@ def test_two_direction_blocks_gathered_from_the_entries_match_the_dense_gather()
     model = string_model(2, 1)
     for dirac in (model.d, model.d_bar):
         rows, smax = _nullspace_and_norm(dirac._entries, 1e-9)
-        dense_rows, dense_smax = _nullspace_and_norm(np.array(dirac.mat), 1e-9)
+        dense_rows, dense_smax = _nullspace_and_norm(_Entries.of(np.array(dirac.mat)), 1e-9)
         assert np.array_equal(rows, dense_rows) and smax == dense_smax
 
 
 def test_a_dirac_operator_made_from_a_dense_matrix_is_certified_on_it():
     model = string_model(1, 2)
     dense = DiracOperator(model.d.mat, split=model.d.split)
-    assert dense._entries is None
+    assert "_entries" not in vars(dense)
     kernel = dfs_from_dirac(dense, tol=1e-9)
     assert np.array_equal(kernel.vectors, dfs_from_dirac(model.d, tol=1e-9).vectors)
-    assert kernel.residual == float(np.linalg.norm(model.d.mat @ kernel.vectors.T, axis=0).max())
+    assert kernel.residual == float(np.linalg.norm(dense._apply(kernel.vectors), axis=0).max())
+    measured = float(np.linalg.norm(model.d.mat @ kernel.vectors.T, axis=0).max())
+    assert abs(kernel.residual - measured) <= 1e-15 * kernel.sigma_max
     # a split that disagrees with such a matrix fails the certificate:
     # test_fock.test_a_split_that_disagrees_with_its_matrix_fails_the_certificate
 
@@ -849,7 +925,7 @@ def test_quarter_turn_gauge_of_one_sparse_block():
 def check_block_kernel(a, kernel_dim):
     """``_nullspace_and_norm`` against ``dense_nullspace``: the same kernel
     dimension and projector, and sigma_max to 1e-14 relative."""
-    rows, smax = _nullspace_and_norm(a, 1e-10)
+    rows, smax = _nullspace_and_norm(_Entries.of(a), 1e-10)
     oracle = dense_nullspace(a)
     sigma_max = np.linalg.norm(a, 2)
     assert rows.shape[0] == kernel_dim == oracle.shape[0]
@@ -937,8 +1013,8 @@ def test_block_eighs_solves_only_touched_blocks():
         m[i, j] = v
         m[j, i] = np.conj(v)
     for stored, index, want in (
-        (tensor_sum([(1.0, (m,))])._stored(), [2], [[0, 2, 5]]),
-        (m, [4, 3], [[1, 4], [3]]),
+        (tensor_sum([(1.0, (m,))])._entries, [2], [[0, 2, 5]]),
+        (_Entries.of(m), [4, 3], [[1, 4], [3]]),
     ):
         touched = np.zeros(6, dtype=bool)
         touched[index] = True

@@ -68,6 +68,10 @@ def test_pure_state_keeps_its_vector_until_op_is_read():
     rho = pure_state(v, dims=(3,))
     assert rho.dim == 3 and rho.dims == (3,)
     assert "op" not in vars(rho)
+    # the entries of v v^dag over the nonzero indices 0 and 2 of v
+    entries = rho.op._entries
+    assert sorted(zip(entries.rows, entries.cols)) == [(0, 0), (0, 2), (2, 0), (2, 2)]
+    assert "mat" not in vars(rho.op)
     assert np.array_equal(rho.op.mat, np.outer(v, v.conj()))
     assert rho.op is rho.op
     v[0] = 1.0  # the state holds its own copy
