@@ -29,7 +29,7 @@ from .dynamics import coherence_experiment
 from .errors import DfsLabError, UsageError
 from .fock import build_decoherence_model, build_string_model, dfs_from_dirac, duality_substitution, gamma_pair_norm, parity_generators
 from .nctorus import FluxMatrix, clock_shift_rep, landau_hamiltonian, weyl_residual
-from .opcore import DIM_BUDGET, Operator, SubspaceBasis, operator_norm, sector_eigh
+from .opcore import DIM_BUDGET, Operator, SubspaceBasis, lowest_eigenvalue, operator_norm
 from .reporting import canonical_json
 from .spectral import GAP_TOL, connes_distance, make_diagonal_triple, make_two_point_triple
 from .states import DensityMatrix, StateFunctional, pure_state
@@ -398,7 +398,7 @@ def _run_nctorus(params: dict, tol_scale: float):
     if landau_n_max is not None:
         landau_n_max = _int_param(landau_n_max, "landau_n_max")
         h = landau_hamiltonian(flux, landau_n_max)
-        ground = float(sector_eigh(h, vectors=False)[0])
+        ground = lowest_eigenvalue(h)
         results["landau_ground_level"] = ground
         expect = params.get("landau_expect")
         if expect is not None:

@@ -169,13 +169,22 @@ def weyl_residual(rep: MagneticRep, flux: FluxMatrix) -> float:
 
 
 def landau_hamiltonian(flux: FluxMatrix, n_max: int) -> Operator:
-    """Half the sum of squared magnetic momenta p_i - (1/2) omega_ij x_j.
+    """Half the sum of squared magnetic momenta p_i - (1/2) omega_ij x_j,
+    in the quarter-turn gauge of the second mode.
 
     With two directions this is
     (1/2)(p^2 kron I - w01 p kron x + (1/4) w01^2 I kron x^2
     + I kron p^2 - w10 x kron p + (1/4) w10^2 x^2 kron I),
     built by ``tensor_sum`` from single-mode quadratures truncated at
     ``n_max``, so no full-space product is formed.
+
+    The operator is returned in the basis |n0> kron (-i)^n1 |n1>: the second
+    mode's factors are conjugated by D = diag(i^n), which maps x to p and p
+    to -x exactly in the truncated Fock basis.  Every product of factors is
+    then real, so every stored entry has imaginary part exactly 0 and the
+    eigenvalue-only blocks of ``sector_eigh`` are real symmetric.  The
+    Fock-basis operator is (I kron D^dag) H (I kron D); the spectrum is the
+    same.
     """
     if flux.n != 2:
         raise UnsupportedFluxError(
@@ -185,12 +194,17 @@ def landau_hamiltonian(flux: FluxMatrix, n_max: int) -> Operator:
     x, p = (q.mat for q in position_momentum(FockSpace(1, n_max), 0))
     x2, p2 = x @ x, p @ p
     eye = np.eye(n_max + 1)
+    phase = 1j ** np.arange(n_max + 1)
+
+    def turn(m):
+        return phase[:, None] * m * phase.conj()
+
     w01, w10 = flux.omega[0, 1], flux.omega[1, 0]
     return tensor_sum([
         (0.5, (p2, eye)),
-        (-0.5 * w01, (p, x)),
-        (0.125 * w01 * w01, (eye, x2)),
-        (0.5, (eye, p2)),
-        (-0.5 * w10, (x, p)),
+        (-0.5 * w01, (p, turn(x))),
+        (0.125 * w01 * w01, (eye, turn(x2))),
+        (0.5, (eye, turn(p2))),
+        (-0.5 * w10, (x, turn(p))),
         (0.125 * w10 * w10, (x2, eye)),
     ])

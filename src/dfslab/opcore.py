@@ -38,7 +38,11 @@ Conventions used throughout the package:
   ``KernelBasis.certify``;
 * each Hermitian block is diagonalized on its own (blocks of one size in
   one stacked call), so a Hamiltonian that conserves a quantum number costs
-  the cube of its largest block, not of its dimension;
+  the cube of its largest block, not of its dimension.  Eigenvalues alone
+  of entries with no imaginary part come from the real symmetric solver (the
+  same matrix, several times cheaper); eigenvectors are always complex.
+  ``lowest_eigenvalue`` refines the lowest eigenvalue to a Rayleigh quotient
+  summed exactly, whose bits do not depend on BLAS threading;
 * commutants are block-first: the generators must be Hermitian, one of them
   is diagonalized and its eigenvalues grouped into eigenspaces with a
   cutoff relative to its spectral spread, every commutant element is block
@@ -181,7 +185,8 @@ class Operator:
     mat: np.ndarray
 
     def __post_init__(self):
-        arr = _square_complex(self.mat)
+        # freeze a view: the caller's own array stays writeable
+        arr = _square_complex(self.mat).view()
         arr.setflags(write=False)
         object.__setattr__(self, "mat", arr)
         object.__setattr__(self, "dim", arr.shape[0])
@@ -294,6 +299,7 @@ class SubspaceBasis:
             gram = arr @ arr.conj().T
             if float(np.abs(gram - np.eye(arr.shape[0])).max()) > ORTHONORMALITY_TOL:
                 raise DomainError("basis rows are not orthonormal")
+        arr = arr.view()
         arr.setflags(write=False)
         object.__setattr__(self, "vectors", arr)
 
@@ -501,10 +507,11 @@ def sector_eigh(mat, vectors: bool = True):
     (``_split``) of the operator's entries, or of an array's
     (``_Entries.of``, its dtype kept), taken over the whole stack.  The
     blocks of one size are gathered from the entries and go through one
-    stacked ``np.linalg.eigh`` (``eigvalsh`` when ``vectors`` is false); a
-    matrix that is one block is one such call.  The eigenvalues are merged
-    by a stable sort, blocks laid out in the order of their smallest index;
-    eigenvector k is column k, zero outside its block.  Each block's
+    stacked ``np.linalg.eigh`` (``eigvalsh`` when ``vectors`` is false, on
+    the real parts when no entry has an imaginary part); a matrix that is
+    one block is one such call.  The eigenvalues are merged by a stable
+    sort, blocks laid out in the order of their smallest index; eigenvector
+    k is column k, zero outside its block.  Each block's
     eigenpairs must reconstruct it to 1e-10 relative to the largest entry
     of its matrix.  Returns ``(vals, vecs)``, or ``vals`` alone when
     ``vectors`` is false.  Only the lower triangle of each block is read, as
@@ -529,15 +536,92 @@ def sector_eigh(mat, vectors: bool = True):
     return vals[order], vecs
 
 
+def lowest_eigenvalue(a: Operator) -> float:
+    """The lowest eigenvalue of a Hermitian operator, refined so that its
+    bits do not depend on how many threads BLAS runs.
+
+    The blocks' eigenvalues (``sector_eigh`` without vectors) locate it,
+    but their last bits move with the thread count, so each block whose
+    lowest eigenvalue lies within 1e-10 of the scale (the largest of 1,
+    that eigenvalue and the largest entry) of the lowest one is refined
+    (``_rayleigh_quotient``), and the least of those quotients is returned.
+    A degeneracy across blocks is then settled by the refined values, not
+    by the located ones.
+    """
+    e = _real_if_exact(a._entries)
+    located = [(float(w), rows) for block_rows, _, vals, _ in _block_eighs(e, vectors=False)
+               for w, rows in zip(vals[:, 0], block_rows)]
+    low = min(w for w, _ in located)
+    scale = max(1.0, abs(low), float(np.abs(e.vals).max(initial=0.0)))
+    return min(_rayleigh_quotient(e, rows, w, scale) for w, rows in located if w <= low + 1e-10 * scale)
+
+
+def _rayleigh_quotient(e: _Entries, rows: np.ndarray, located: float, scale: float) -> float:
+    """The lowest eigenvalue of the block of ``e`` on ``rows``, from its
+    located value: one inverse-iteration solve with the block, shifted 1e-14
+    ``scale`` below that value, gives its eigenvector v, and the value
+    returned is the Rayleigh quotient v^dag A v / v^dag v, taken as the
+    located value plus v^dag (A - located) v / v^dag v.  That numerator is
+    summed exactly (``_exact_form``), so the quotient is the one of the v
+    the solve returned, to far below one unit in the last place.  Its error
+    is second order in v's, so the bits v takes from the solve do not reach
+    it unless the eigenvalue is within roundoff of 0."""
+    blk = e.gather(rows[None], rows[None])[0]
+    # a fixed pseudo-random start: no symmetry of the block can make it
+    # orthogonal to the lowest eigenvector, as it can a vector of ones
+    start = np.random.default_rng(0).standard_normal(rows.size)
+    v = np.linalg.solve(blk - (located - 1e-14 * scale) * np.eye(rows.size), start)
+    v /= np.abs(v).max()
+    full = np.zeros(e.shape[0], dtype=v.dtype)
+    full[rows] = v
+    # the entries of A - located in the block: A's own, and -located on its
+    # diagonal
+    inside = np.zeros(e.shape[0], dtype=bool)
+    inside[rows] = True
+    pick = inside[e.rows]
+    r = np.concatenate([e.rows[pick], rows])
+    c = np.concatenate([e.cols[pick], rows])
+    vals = np.concatenate([e.vals[pick], np.full(rows.size, -located)])
+    return located + _exact_form(full[r], vals, full[c]) / float(np.sum(np.abs(v) ** 2))
+
+
+def _two_product(x: np.ndarray, y: np.ndarray):
+    """x * y as p + err, exactly, for float arrays whose entries are below
+    2**996 in magnitude (Dekker's splitting)."""
+    p = x * y
+    xs, ys = 134217729.0 * x, 134217729.0 * y  # 2**27 + 1
+    xh, yh = xs - (xs - x), ys - (ys - y)
+    xl, yl = x - xh, y - yh
+    return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+
+
+def _exact_form(left: np.ndarray, vals: np.ndarray, right: np.ndarray) -> float:
+    """The real part of sum_k conj(left_k) vals_k right_k, correctly rounded.
+
+    Each real triple product x y z is split exactly into four floats, x y =
+    p + err and then p z and err z, and ``math.fsum`` adds all of them
+    exactly before it rounds once."""
+    triples = [(left.real, vals.real, right.real)]
+    if np.iscomplexobj(left) or np.iscomplexobj(vals):
+        triples += [(left.imag, vals.real, right.imag), (left.real, -vals.imag, right.imag),
+                    (left.imag, vals.imag, right.real)]
+    parts = []
+    for x, y, z in triples:
+        for term in _two_product(x, y):
+            parts += _two_product(term, z)
+    return math.fsum(np.concatenate(parts).tolist())
+
+
 def _block_eighs(e: _Entries, vectors: bool = True, touched=None):
     """``sector_eigh``'s eigenproblems, one group of same-size blocks of the
     Hermitian matrix (or stack) with entries ``e`` at a time: ``(rows,
     start, vals, vecs)`` with rows (k, m_b) and start (k,) as ``_sectors``
     gives them, vals (..., k, m_b) ascending within each block and vecs (k,
     m_b, m_b), each block's eigenvectors as its columns over its own rows
-    (None when ``vectors`` is false).  With ``touched``, a boolean mask over
-    the indices, only the blocks holding a touched index are solved; no
-    entry joins them to any other index, so this is an exact split, no
+    (None when ``vectors`` is false; then entries with no imaginary part
+    are solved as real symmetric blocks).  With ``touched``, a boolean mask
+    over the indices, only the blocks holding a touched index are solved;
+    no entry joins them to any other index, so this is an exact split, no
     tolerance."""
     if vectors:
         if e.vals.ndim != 1:
@@ -545,6 +629,8 @@ def _block_eighs(e: _Entries, vectors: bool = True, touched=None):
                 f"eigenvectors are computed for one matrix, got shape {e.vals.shape[:-1] + e.shape}"
             )
         scale = max(1.0, float(np.abs(e.vals).max(initial=0.0)))
+    else:
+        e = _real_if_exact(e)
     for rows, _, start in _split(e, hermitian=True):
         if touched is not None:
             keep = touched[rows].any(axis=1)
@@ -558,6 +644,15 @@ def _block_eighs(e: _Entries, vectors: bool = True, touched=None):
         w, v = np.linalg.eigh(blk)
         _check_reconstruction(blk, w, v, scale)
         yield rows, start, w, v
+
+
+def _real_if_exact(e: _Entries) -> _Entries:
+    """``e`` with real values when no value has an imaginary part: the same
+    matrix, and a real symmetric eigenproblem is several times cheaper than
+    a complex Hermitian one."""
+    if np.iscomplexobj(e.vals) and not e.vals.imag.any():
+        return _Entries(e.shape, e.rows, e.cols, e.vals.real)
+    return e
 
 
 def _check_reconstruction(blk, vals, vecs, scale: float) -> None:

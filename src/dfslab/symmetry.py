@@ -73,7 +73,7 @@ class InvariantProjector:
     hermiticity: float = field(init=False)
 
     def __post_init__(self):
-        p = np.asarray(self.mean, dtype=np.complex128)
+        p = np.asarray(self.mean, dtype=np.complex128).view()
         p.setflags(write=False)
         object.__setattr__(self, "mean", p)
         square = p * p if p.ndim == 1 else p @ p

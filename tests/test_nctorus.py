@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from dfslab import (
     landau_hamiltonian,
     weyl_residual,
 )
+from dfslab.opcore import lowest_eigenvalue, sector_eigh
 
 WEYL_TOL = 1e-13
 LANDAU_TOL = 2e-3  # truncation error of the lowest level at n_max = 24
@@ -126,7 +130,14 @@ def test_landau_zero_flux_is_free_kinetic_energy():
     _, p0 = position_momentum(space, 0)
     _, p1 = position_momentum(space, 1)
     direct = 0.5 * (p0.mat @ p0.mat + p1.mat @ p1.mat)
-    assert float(np.abs(h.mat - direct).max()) < 1e-12
+    assert float(np.abs(h.mat - quarter_turn(direct, 6)).max()) < 1e-12
+
+
+def quarter_turn(ref, n_max):
+    """D ref D^dag for D = I kron diag(i^n): a Fock-basis two-mode operator
+    in the basis ``landau_hamiltonian`` returns."""
+    phase = np.tile(1j ** np.arange(n_max + 1), n_max + 1)
+    return phase[:, None] * ref * phase.conj()
 
 
 def dense_landau(flux, n_max):
@@ -144,7 +155,7 @@ def dense_landau(flux, n_max):
     return 0.5 * total
 
 
-@pytest.mark.parametrize(
+LANDAU_CASES = pytest.mark.parametrize(
     "n_max, fluxes",
     [
         (1, [(1, 6), (-1, 6), (5, 7), (0, 1)]),
@@ -153,14 +164,63 @@ def dense_landau(flux, n_max):
         (24, [(1, 6), (-2, 5)]),
     ],
 )
+
+
+def landau_fluxes(fluxes):
+    """The rational fluxes 2 pi q / den of ``fluxes`` and the irrational -0.7."""
+    out = [FluxMatrix.from_rational(np.array([[0, q], [-q, 0]]), den) for q, den in fluxes]
+    return out + [FluxMatrix(two_by_two(-0.7))]
+
+
+@LANDAU_CASES
 def test_landau_hamiltonian_matches_the_dense_formula(n_max, fluxes):
-    flux_mats = [FluxMatrix.from_rational(np.array([[0, q], [-q, 0]]), den) for q, den in fluxes]
-    flux_mats.append(FluxMatrix(two_by_two(-0.7)))
-    for flux in flux_mats:
-        h = landau_hamiltonian(flux, n_max).mat
-        ref = dense_landau(flux, n_max)
+    """In the quarter-turn basis, where every stored entry is real: the
+    reference is D ref D^dag, with the same bound as before the basis
+    change."""
+    for flux in landau_fluxes(fluxes):
+        op = landau_hamiltonian(flux, n_max)
+        assert np.all(op._entries.vals.imag == 0.0)
+        h = op.mat
+        ref = quarter_turn(dense_landau(flux, n_max), n_max)
         assert h.shape == ref.shape == ((n_max + 1) ** 2,) * 2
         assert np.abs(h - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@LANDAU_CASES
+def test_landau_spectrum_and_ground_level_match_the_ungauged_operator(n_max, fluxes):
+    """The complex Fock-basis operator is the oracle: the gauged spectrum,
+    and the refined ground level the scenario reports, agree with its
+    complex eigvalsh to 1e-12."""
+    for flux in landau_fluxes(fluxes):
+        h = landau_hamiltonian(flux, n_max)
+        ref = np.linalg.eigvalsh(dense_landau(flux, n_max))
+        assert np.abs(np.linalg.eigvalsh(h.mat) - ref).max() <= 1e-12
+        assert np.abs(sector_eigh(h, vectors=False) - ref).max() <= 1e-12
+        assert abs(lowest_eigenvalue(h) - ref[0]) <= 1e-12
+
+
+def test_ground_level_bits_do_not_depend_on_the_blas_thread_count():
+    """The refined ground level, in fresh processes with one and two BLAS
+    threads.  At zero flux and n_max 31 the lowest eigenvalue is shared by
+    parity blocks, and the located values alone pick a block by their last
+    bits."""
+    script = (
+        "import numpy as np\n"
+        "from dfslab.nctorus import FluxMatrix, landau_hamiltonian\n"
+        "from dfslab.opcore import lowest_eigenvalue\n"
+        "for n, q, den in [(24, 1, 6), (20, -3, 7), (24, 5, 2), (31, 0, 1), (31, 2, 9)]:\n"
+        "    flux = FluxMatrix.from_rational(np.array([[0, q], [-q, 0]]), den)\n"
+        "    print(repr(lowest_eigenvalue(landau_hamiltonian(flux, n))))\n"
+    )
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=str(threads)),
+        )
+        for threads in (1, 2)
+    ]
+    assert all(run.returncode == 0 for run in runs), runs[0].stderr + runs[1].stderr
+    assert runs[0].stdout == runs[1].stdout
 
 
 def test_landau_keeps_the_two_mode_budget():

@@ -27,8 +27,10 @@ from dfslab import (
 from dfslab.opcore import (
     _block_eighs,
     _Entries,
+    _exact_form,
     _nullspace_and_norm,
     _split,
+    lowest_eigenvalue,
     nullspace,
     sector_eigh,
 )
@@ -54,6 +56,20 @@ def test_operator_matrix_is_write_protected():
     op = Operator(np.eye(2))
     with pytest.raises(ValueError):
         op.mat[0, 0] = 5.0
+
+
+def test_operator_and_basis_leave_the_callers_array_writeable():
+    """The stored array is a read-only view; the caller's array is not
+    frozen with it, and no copy is made."""
+    m = np.eye(2, dtype=complex)
+    op = Operator(m)
+    assert m.flags.writeable and not op.mat.flags.writeable
+    assert np.shares_memory(op.mat, m)
+    v = np.eye(2, dtype=complex)
+    basis = SubspaceBasis(2, v)
+    assert v.flags.writeable and not basis.vectors.flags.writeable
+    with pytest.raises(ValueError):
+        basis.vectors[0, 0] = 2.0
 
 
 def test_operator_adjoint_is_the_read_only_conjugate_transpose():
@@ -282,6 +298,7 @@ def test_sector_eigh_of_one_block_is_the_dense_eigh(mat):
     vals, vecs = sector_eigh(mat)
     oracle_vals, oracle_vecs = np.linalg.eigh(mat)
     assert np.array_equal(vals, oracle_vals) and np.array_equal(vecs, oracle_vecs)
+    assert vecs.dtype == oracle_vecs.dtype
     assert np.array_equal(sector_eigh(mat, vectors=False), np.linalg.eigvalsh(mat))
 
 
@@ -331,6 +348,50 @@ def test_sector_eigh_of_an_operator_reads_its_entries(flux):
     assert np.array_equal(vals, dense_vals) and np.array_equal(vecs, dense_vecs)
     assert np.array_equal(only, sector_eigh(h.mat, vectors=False))
     assert_matches_dense_eigh(h.mat, vals, vecs)
+
+
+def test_eigenvalues_of_a_complex_matrix_with_no_imaginary_part_are_the_real_ones():
+    """Without vectors, a complex matrix or stack whose imaginary parts are
+    all 0 is solved as its real part, bit for bit.  (With vectors it stays
+    complex, as the one-block test checks on Pauli X.)"""
+    rng = np.random.Generator(np.random.Philox(41))
+    real, _ = permuted_hermitian_blocks(rng, [5, 3, 3], zero_pairs=1, zero_rows=1)
+    real = real.real + real.real.T
+    stack = np.stack([real, 2.0 * real]).astype(complex)
+    assert np.array_equal(sector_eigh(stack[0], vectors=False), sector_eigh(real, vectors=False))
+    assert np.array_equal(sector_eigh(stack, vectors=False), sector_eigh(stack.real, vectors=False))
+
+
+@pytest.mark.parametrize("complex_block", [False, True])
+def test_lowest_eigenvalue_is_the_rayleigh_quotient_of_the_lowest_block(complex_block):
+    rng = np.random.Generator(np.random.Philox(43))
+    mat, _ = permuted_hermitian_blocks(rng, [6, 4, 4], zero_pairs=2, zero_rows=1)
+    if not complex_block:
+        mat = mat.real + mat.real.T
+    assert abs(lowest_eigenvalue(Operator(mat)) - np.linalg.eigvalsh(mat)[0]) <= 1e-13
+    assert lowest_eigenvalue(Operator(np.diag([3.0, -2.5, 7.0]))) == -2.5
+    # [[a, b], [b, a]]: a start vector of ones would be the upper eigenvector
+    assert lowest_eigenvalue(Operator(np.array([[1.0, 0.5], [0.5, 1.0]]))) == 0.5
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_exact_form_is_the_correctly_rounded_sum(dtype):
+    """The real part of sum conj(l) v r, against exact rational arithmetic."""
+    from fractions import Fraction
+
+    rng = np.random.Generator(np.random.Philox(47))
+    left, vals, right = (rng.normal(size=(3, 200)) * 10.0 ** rng.integers(-8, 8, size=(3, 200)))
+    if dtype is complex:
+        left, vals, right = (z + 1j * rng.normal(size=200) for z in (left, vals, right))
+    vals[::2] *= -1.0
+    exact = sum(
+        Fraction(x.real) * Fraction(a.real) * Fraction(y.real)
+        + Fraction(x.imag) * Fraction(a.real) * Fraction(y.imag)
+        - Fraction(x.real) * Fraction(a.imag) * Fraction(y.imag)
+        + Fraction(x.imag) * Fraction(a.imag) * Fraction(y.real)
+        for x, a, y in zip(np.asarray(left, complex), np.asarray(vals, complex), np.asarray(right, complex))
+    )
+    assert _exact_form(left, vals, right) == float(exact)
 
 
 def test_eig_hermitian_of_permuted_blocks_fixes_each_phase():

@@ -32,6 +32,13 @@ def as_matrices(group):
     return group.elements[:, :, None] * np.eye(group.dim)
 
 
+@pytest.mark.parametrize("mean", [np.array([1.0, 0.0, 1.0], dtype=complex), np.diag([1.0, 0.0]).astype(complex)])
+def test_invariant_projector_leaves_the_callers_array_writeable(mean):
+    proj = symmetry.InvariantProjector(mean)
+    assert mean.flags.writeable and not proj.mean.flags.writeable
+    assert np.shares_memory(proj.mean, mean)
+
+
 def test_parity_generator_closes_to_z2():
     theta = Operator(np.pi * np.diag([0.0, 1.0, 2.0]))
     group = close_group([theta])
