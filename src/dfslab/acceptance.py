@@ -29,7 +29,6 @@ from .dynamics import coherence_experiment
 from .fock import (
     FockSpace,
     build_decoherence_model,
-    build_string_model,
     clifford_pair,
     duality_substitution,
     env_vacuum_projector,
@@ -545,8 +544,7 @@ def criterion_13(tol_scale: float = 1.0) -> CriterionResult:
     for _ in range(10):
         scale = rng.uniform(0.3, 3.0)
         bg = Background([[scale]], [[0.0]])
-        model = build_string_model(bg, n_max=1, levels=1)
-        report = duality_substitution(model)
+        report = duality_substitution(bg, levels=1)
         worst = max(worst, report.max_residual)
     passed = worst <= tol
     return CriterionResult(

@@ -27,7 +27,7 @@ from . import acceptance
 from .duality import Background, _energy_shift, basis_change, charge_box, coupling_shift, coupling_swap, dual_metric, factorized_inversion, onn_apply
 from .dynamics import coherence_experiment
 from .errors import DfsLabError, UsageError
-from .fock import build_decoherence_model, build_string_model, dfs_from_dirac, duality_substitution, gamma_pair_norm, parity_generators
+from .fock import build_decoherence_model, build_string_model, dfs_from_dirac, duality_substitution, gamma_pair_norm, parity_generators, string_model_dim
 from .nctorus import FluxMatrix, clock_shift_rep, landau_hamiltonian, weyl_residual
 from .opcore import DIM_BUDGET, Operator, SubspaceBasis, lowest_eigenvalue, operator_norm
 from .reporting import canonical_json
@@ -363,12 +363,12 @@ def _run_duality(params: dict, tol_scale: float):
         if not isinstance(sub_arg, dict):
             _fail("substitution must be an object")
         _known_keys(sub_arg, ("n_max", "levels"), "substitution")
-        model = build_string_model(
-            bg,
-            _int_param(sub_arg.get("n_max", 1), "substitution.n_max"),
-            _int_param(sub_arg.get("levels", 1), "substitution.levels"),
-        )
-        sub = duality_substitution(model)
+        sub_n_max = _int_param(sub_arg.get("n_max", 1), "substitution.n_max")
+        levels = _int_param(sub_arg.get("levels", 1), "substitution.levels")
+        # the model the coefficients belong to must fit the budget, though
+        # only the background and levels enter them
+        string_model_dim(n, sub_n_max, levels)
+        sub = duality_substitution(bg, levels)
         results["substitution_max_residual"] = sub.max_residual
         results["substitution_max_gram_residual"] = sub.max_gram_residual
         sub_tol = 1e-12 * tol_scale

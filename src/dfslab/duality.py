@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, DomainError, ShapeError, UsageError
+from .opcore import _capped_power, _size_text
 
 SYMMETRY_TOL = 1e-12
 INT64_MAX = int(np.iinfo(np.int64).max)
@@ -71,7 +72,8 @@ def _int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     times the largest column sum of |b|, which bounds every entry and every
     partial sum of the product, stays within the int64 range."""
     reach = max(int(a.max(initial=0)), -int(a.min(initial=0)))
-    column = max((sum(abs(int(x)) for x in col) for col in b.T), default=0)
+    # Python ints, so the column sums are exact however large
+    column = max((sum(map(abs, col)) for col in b.T.tolist()), default=0)
     if reach * column > INT64_MAX:
         raise DomainError("integer duality product would leave the int64 range")
     return a @ b
@@ -105,8 +107,15 @@ def pairing_matrix(n: int) -> np.ndarray:
     return j
 
 
-def _charge_signature(n: int) -> np.ndarray:
-    return np.diag(np.concatenate([np.ones(n), -np.ones(n)])).astype(np.int64)
+def _charge_signs(n: int) -> np.ndarray:
+    """The diagonal of the charge signature diag(1_n, -1_n)."""
+    return np.concatenate([np.ones(n, dtype=np.int64), -np.ones(n, dtype=np.int64)])
+
+
+def _conjugate_by_signs(g: np.ndarray) -> np.ndarray:
+    """S g S for the charge signature S, exactly: each entry times +-1."""
+    s = _charge_signs(g.shape[0] // 2)
+    return g * np.outer(s, s)
 
 
 @dataclass(frozen=True)
@@ -162,6 +171,17 @@ class ONNElement:
         object.__setattr__(self, "matrix", g)
         g.setflags(write=False)
 
+    @classmethod
+    def _unchecked(cls, matrix: np.ndarray, swap: bool) -> "ONNElement":
+        """An element that keeps ``matrix`` without the boundary check: the
+        caller vouches that it is a new int64 array with g^T J g = J, as the
+        product or inverse of elements is."""
+        out = object.__new__(cls)
+        matrix.setflags(write=False)
+        object.__setattr__(out, "matrix", matrix)
+        object.__setattr__(out, "swap", swap)
+        return out
+
     @property
     def n(self) -> int:
         return self.matrix.shape[0] // 2
@@ -173,20 +193,24 @@ class ONNElement:
 
     def compose(self, other: "ONNElement") -> "ONNElement":
         """Group product; ``self`` acts after ``other``.  DomainError when
-        the product's entries could leave the int64 range."""
+        the product's entries could leave the int64 range.
+
+        The product is not checked again: (g h)^T J (g h) = J when g and h
+        preserve J, S h S preserves J when h does (S J S = -J), and
+        ``_int_matmul`` is exact."""
         if self.n != other.n:
             raise ShapeError("cannot compose elements of different rank")
-        sig = _charge_signature(self.n)
-        mid = other.matrix if not self.swap else sig @ other.matrix @ sig
-        return ONNElement(_int_matmul(self.matrix, mid), self.swap ^ other.swap)
+        mid = other.matrix if not self.swap else _conjugate_by_signs(other.matrix)
+        return ONNElement._unchecked(_int_matmul(self.matrix, mid), self.swap ^ other.swap)
 
     def inverse(self) -> "ONNElement":
+        """J g^T J, the inverse of g as g^T J g = J, conjugated by the
+        signature for a swap; exact, so not checked again."""
         j = pairing_matrix(self.n)
         inv = j @ self.matrix.T @ j
         if self.swap:
-            sig = _charge_signature(self.n)
-            inv = sig @ inv @ sig
-        return ONNElement(inv, self.swap)
+            inv = _conjugate_by_signs(inv)
+        return ONNElement._unchecked(inv, self.swap)
 
     def det(self) -> int:
         return _int_det(self.matrix)
@@ -282,10 +306,9 @@ def onn_apply(element: ONNElement, background: Background) -> Background:
 
 def charge_matrix(element: ONNElement) -> np.ndarray:
     """Integer map acting on stacked charges (momenta above windings)."""
-    sig = _charge_signature(element.n)
-    rho = sig @ element.matrix @ sig
+    rho = _conjugate_by_signs(element.matrix)
     if element.swap:
-        rho = rho @ sig
+        rho = rho * _charge_signs(element.n)
     return rho
 
 
@@ -301,12 +324,17 @@ def charge_box(n: int, box: int) -> np.ndarray:
     stack, momenta first, rows in lexicographic order.
 
     The count (2 box + 1)^(2n) is checked against CHARGE_BUDGET before
-    anything is allocated.
+    anything is allocated, and never formed past CHARGE_BUDGET squared.
     """
     box = operator.index(box)
     if box < 0:
         raise DomainError("box must be nonnegative")
-    count = (2 * box + 1) ** (2 * n)
+    count = _capped_power(2 * box + 1, 2 * n, CHARGE_BUDGET)
+    if count is None:
+        raise BudgetError(
+            f"a charge box with box {_size_text(box)} on {2 * n} charge entries "
+            f"exceeds the budget of {CHARGE_BUDGET}"
+        )
     if count > CHARGE_BUDGET:
         raise BudgetError(
             f"a charge box of {count} charges exceeds the budget of {CHARGE_BUDGET}"

@@ -38,6 +38,8 @@ from .opcore import (
     KroneckerSum,
     Operator,
     SubspaceBasis,
+    _capped_power,
+    _size_text,
     apply_on_factor,
     kernel_basis,
     tensor,
@@ -63,9 +65,15 @@ class FockSpace:
             raise DomainError("need at least one mode")
         if self.n_max < 1:
             raise DomainError("n_max must be at least 1")
-        if self.dim > DIM_BUDGET:
+        dim = _capped_power(self.levels, self.n_modes, DIM_BUDGET)
+        if dim is None:
             raise BudgetError(
-                f"Fock space dimension {self.levels}^{self.n_modes} = {self.dim} "
+                f"Fock space with {_size_text(self.n_modes)} mode(s) and n_max "
+                f"{_size_text(self.n_max)} exceeds the {DIM_BUDGET} budget"
+            )
+        if dim > DIM_BUDGET:
+            raise BudgetError(
+                f"Fock space dimension {self.levels}^{self.n_modes} = {dim} "
                 f"exceeds the {DIM_BUDGET} budget"
             )
 
@@ -419,30 +427,45 @@ class StringModel:
         return self.d.dag()
 
 
+def string_model_dim(n: int, n_max: int, levels: int) -> int:
+    """Dimension 2^n (n_max + 1)^n (n_max + 1)^(2 n levels) of the string
+    model on n directions: (spinor) x (system) x (plus tower) x (minus
+    tower).  DomainError unless levels and n_max are at least 1, BudgetError
+    when it exceeds DIM_BUDGET, without forming a power past the budget
+    squared however large the inputs are (``_capped_power``)."""
+    if levels < 1:
+        raise DomainError("need at least one environment level")
+    system_dim = FockSpace(n, n_max).dim
+    spinor_dim = 2 ** n  # at most system_dim, as n_max >= 1
+    per_tower = _capped_power(n_max + 1, n * levels, DIM_BUDGET)
+    if per_tower is None:
+        raise BudgetError(
+            f"string model with {n} direction(s), n_max {_size_text(n_max)} and "
+            f"levels {_size_text(levels)} exceeds the {DIM_BUDGET} budget"
+        )
+    total = spinor_dim * system_dim * per_tower * per_tower
+    if total > DIM_BUDGET:
+        raise BudgetError(
+            f"string model dimension {spinor_dim} x {system_dim} x "
+            f"{per_tower} x {per_tower} = {total} exceeds the {DIM_BUDGET} budget"
+        )
+    return total
+
+
 def build_string_model(background: Background, n_max: int, levels: int) -> StringModel:
     """Assemble the register/tower/gamma model on its four tensor factors.
 
-    Budget is checked up front; the intended desk scale is one or two
-    directions with n_max and levels at most 3 and 2.
+    Budget is checked up front (``string_model_dim``); the intended desk
+    scale is one or two directions with n_max and levels at most 3 and 2.
     """
-    if levels < 1:
-        raise DomainError("need at least one environment level")
     n = background.n
+    string_model_dim(n, n_max, levels)
     eta_u = background.metric
     eta_l = np.linalg.inv(eta_u)
     kp = background.k_plus
     km = background.k_minus
 
-    spinor_dim = 2 ** n
     system_space = FockSpace(n, n_max)
-    head_dim = spinor_dim * system_space.dim
-    per_tower = (n_max + 1) ** (n * levels)
-    total = head_dim * per_tower * per_tower
-    if total > DIM_BUDGET:
-        raise BudgetError(
-            f"string model dimension {spinor_dim} x {system_space.dim} x "
-            f"{per_tower} x {per_tower} = {total} exceeds the {DIM_BUDGET} budget"
-        )
     tower_space = FockSpace(n * levels, n_max)
 
     xs, ps = [], []
@@ -622,17 +645,23 @@ def _dual_side_arrays(background: Background, levels: int) -> dict:
     return out
 
 
-def duality_substitution(model: StringModel) -> SubstitutionReport:
-    """Rewrite the Dirac coefficients under the coupling-inversion map and
+def duality_substitution(background: Background, levels: int) -> SubstitutionReport:
+    """Rewrite the Dirac coefficients of the string model on ``background``
+    with ``levels`` tower levels under the coupling-inversion map, and
     compare with the opposite Dirac combination on the inverse background.
 
     The substitution sends each quadrature combination through the inverse of
     its coupling matrix (with a sector sign) and each tower operator through
     the transposed inverse, which at zero coupling amounts to swapping the
-    roles of position and momentum.
+    roles of position and momentum.  The coefficient arrays are those of
+    ``build_string_model(background, n_max, levels)`` for every n_max and
+    depend on the background and ``levels`` only, so no model is built.
+    ``levels`` must be one for which some model fits the budget
+    (``string_model_dim`` at n_max 1).
     """
-    subbed = _substitution_arrays(model.background, model.levels)
-    dual = _dual_side_arrays(model.background, model.levels)
+    string_model_dim(background.n, 1, levels)
+    subbed = _substitution_arrays(background, levels)
+    dual = _dual_side_arrays(background, levels)
     residuals: dict = {}
     grams: dict = {}
     worst = 0.0

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError, UnsupportedFluxError
 from .fock import FockSpace, position_momentum
-from .opcore import DIM_BUDGET, UNITARITY_TOL, Operator, tensor, tensor_sum
+from .opcore import DIM_BUDGET, UNITARITY_TOL, Operator, _capped_power, _size_text, tensor, tensor_sum
 
 TWO_PI = 2.0 * math.pi
 RATIONAL_TOL = 1e-12
@@ -67,7 +67,11 @@ class FluxMatrix:
         q = np.asarray(q)
         if int(denominator) < 1:
             raise DomainError(f"denominator must be a positive integer, got {denominator}")
-        return cls(TWO_PI * q / denominator, rational_form=(q, denominator))
+        try:
+            omega = TWO_PI * q / denominator
+        except OverflowError:
+            raise DomainError(f"denominator {_size_text(int(denominator))} is beyond the float range") from None
+        return cls(omega, rational_form=(q, denominator))
 
 
 def antisymmetrize_coupling(background) -> FluxMatrix:
@@ -135,7 +139,13 @@ def clock_shift_rep(flux: FluxMatrix) -> MagneticRep:
     q, den = flux.rational_form
     numerators = _block_numerators(q)
     blocks = len(numerators)
-    if den ** blocks > DIM_BUDGET:
+    dim = _capped_power(den, blocks, DIM_BUDGET)
+    if dim is None:
+        raise UnsupportedFluxError(
+            f"representation with {blocks} flux block(s) and denominator "
+            f"{_size_text(den)} exceeds the {DIM_BUDGET} budget"
+        )
+    if dim > DIM_BUDGET:
         raise UnsupportedFluxError(
             f"representation dimension {den}^{blocks} exceeds the {DIM_BUDGET} budget"
         )

@@ -74,6 +74,32 @@ VECTOR_SPACE = "vector-space"
 OPERATOR_SPACE = "operator-space"
 
 
+def _capped_power(base: int, exp: int, budget: int) -> int | None:
+    """``base ** exp`` (integers, base >= 1, exp >= 0) when it is at most
+    ``budget`` squared, else None.  A size over its budget by up to that
+    much is reported as its value; past it a message names only the inputs.
+    The power is built one factor at a time and the loop stops at the first
+    partial product past the cap, so a huge base or exponent costs a few
+    products, not a huge integer."""
+    if base == 1:
+        return 1
+    cap = budget * budget
+    out = 1
+    for _ in range(exp):
+        out *= base
+        if out > cap:
+            return None
+    return out
+
+
+def _size_text(value: int) -> str:
+    """An integer for a message: its digits, or its order of magnitude once
+    it has more than 12 of them."""
+    if value < 10**12:
+        return str(value)
+    return f"about 10^{math.floor(math.log10(value))}"
+
+
 def _square_complex(mat) -> np.ndarray:
     arr = np.asarray(mat, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:

@@ -1,5 +1,10 @@
+import copy
+import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -9,6 +14,7 @@ from dfslab.cli import build_parser, emit, entry, run_scenario
 from dfslab.reporting import canonical_json
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def load(name):
@@ -475,3 +481,132 @@ def test_ceiling_model_allocates_less_than_one_dense_matrix(kind):
         tracemalloc.stop()
     assert report["pass"] is True
     assert peak < 4096 * 4096 * 16
+
+
+# Runs ``dfs-lab run <path>`` in a child process with at most 2 GB of address
+# space and 10 s, so a size formed before its budget check fails the test
+# instead of filling the memory; the child prints how long ``entry`` took.
+_CAPPED_RUN = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from dfslab.cli import entry
+start = time.perf_counter()
+code = entry(["run", sys.argv[1]])
+print(time.perf_counter() - start)
+sys.exit(code)
+"""
+
+
+def run_capped(path):
+    import dfslab
+
+    src = str(pathlib.Path(dfslab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", _CAPPED_RUN, str(path)], capture_output=True, text=True, timeout=10, env=env
+    )
+    return done.returncode, done.stderr, float(done.stdout.split()[-1])
+
+
+@pytest.mark.parametrize(
+    "name, path, value",
+    [
+        ("dfs.json", ("levels",), 100_000),
+        ("dfs.json", ("levels",), 10**30),
+        ("duality.json", ("substitution", "levels"), 10**30),
+        ("decohere.json", ("n_max",), 10**2500),
+        ("nctorus.json", ("landau_n_max",), 10**2500),
+        ("duality.json", ("box",), 10**2500),
+    ],
+    ids=["dfs-levels-1e5", "dfs-levels-1e30", "substitution-levels-1e30", "decohere-n_max-1e2500", "landau-n_max-1e2500", "box-1e2500"],
+)
+def test_size_far_over_its_budget_exits_1_quickly(name, path, value, tmp_path):
+    """These exited 3, as a dimension or count had too many digits to
+    format, or never returned, as the power (n_max + 1)^(n levels) was
+    formed before it was compared with the budget."""
+    scenario = load(name)
+    if name == "decohere.json":
+        # two system modes, so the Fock space dimension is a square
+        scenario["params"].update(K=[[1.0, 0.3], [0.3, 0.7]], w=[[0.3], [0.2]])
+    target = scenario["params"]
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(scenario))
+    code, err, seconds = run_capped(bad)
+    assert code == 1 and seconds < 1.0
+    assert len(err) < 300 and "budget" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("den", [10**300, 10**2500], ids=["1e300", "1e2500"])
+def test_huge_flux_denominator_exits_1(den, tmp_path, capsys):
+    scenario = load("nctorus.json")
+    scenario["params"]["denominator"] = den
+    bad = tmp_path / "den.json"
+    bad.write_text(json.dumps(scenario))
+    assert entry(["run", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert len(err) < 300 and "invalid scenario:" in err
+
+
+# n = 2, zero coupling (so substitution-match passes), a three-letter word
+N2_SUBSTITUTION = {
+    "schema_version": 1,
+    "kind": "duality",
+    "params": {
+        "metric": [[1.0, 0.3], [0.3, 2.0]],
+        "coupling": [[0.0, 0.0], [0.0, 0.0]],
+        "box": 2,
+        "word": [
+            {"kind": "inversion", "directions": [0]},
+            {"kind": "shift", "theta": [[0, 1], [-1, 0]]},
+            {"kind": "swap"},
+        ],
+        "substitution": {"n_max": 1, "levels": 1},
+    },
+}
+# SHA-256 of its canonical report as rendered when the substitution still
+# read a whole string model
+N2_SUBSTITUTION_SHA256 = "3e287671d1274de0a11f7f956b652d2e964b51772e0e1ff219aeccd0a55de085"
+
+
+def forbid_string_models(monkeypatch):
+    import dfslab.cli as cli
+    import dfslab.fock as fock
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a string model was built on the duality path")
+
+    monkeypatch.setattr(fock, "build_string_model", no_build)
+    monkeypatch.setattr(cli, "build_string_model", no_build)
+
+
+def test_duality_path_builds_no_string_model(monkeypatch):
+    from dfslab import acceptance
+
+    forbid_string_models(monkeypatch)
+    golden = (GOLDEN_DIR / "duality.json").read_text(encoding="utf-8")
+    assert canonical_json(run_scenario(load("duality.json"))) == golden
+    text = canonical_json(run_scenario(N2_SUBSTITUTION))
+    assert hashlib.sha256(text.encode()).hexdigest() == N2_SUBSTITUTION_SHA256
+    assert acceptance.criterion_13().passed
+
+
+@pytest.mark.parametrize(
+    "sub, message",
+    [
+        ({"n_max": 0}, "n_max must be at least 1"),
+        ({"levels": 0}, "need at least one environment level"),
+        ({"n_max": 9}, "string model dimension 4 x 100 x 100 x 100 = 4000000 exceeds the 4096 budget"),
+        ({"n_max": 2.0}, "substitution.n_max must be an integer"),
+    ],
+)
+def test_substitution_sizes_are_checked_without_a_model(sub, message, tmp_path, capsys, monkeypatch):
+    forbid_string_models(monkeypatch)
+    scenario = copy.deepcopy(N2_SUBSTITUTION)
+    scenario["params"]["substitution"] = sub
+    bad = tmp_path / "sub.json"
+    bad.write_text(json.dumps(scenario))
+    assert entry(["run", str(bad)]) == 1
+    assert capsys.readouterr().err.strip() == f"invalid scenario: {message}"

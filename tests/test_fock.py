@@ -369,8 +369,7 @@ def test_gamma_pair_norm_is_basis_invariant():
 
 
 def test_substitution_exact_for_single_direction():
-    model = build_string_model(string_background(2.25), n_max=1, levels=1)
-    report = duality_substitution(model)
+    report = duality_substitution(string_background(2.25), levels=1)
     assert report.max_residual < 1e-12
     assert report.max_gram_residual < 1e-12
 
@@ -379,15 +378,13 @@ def test_substitution_random_single_direction_metrics():
     rng = np.random.Generator(np.random.Philox(71))
     for _ in range(5):
         value = float(rng.uniform(0.3, 3.0))
-        model = build_string_model(string_background(value), n_max=1, levels=1)
-        report = duality_substitution(model)
+        report = duality_substitution(string_background(value), levels=1)
         assert report.max_residual < 1e-12
 
 
 def test_substitution_two_directions_gauge_invariant_match():
     background = Background(np.array([[1.0, 0.3], [0.3, 2.0]]), np.zeros((2, 2)))
-    model = build_string_model(background, n_max=1, levels=1)
-    report = duality_substitution(model)
+    report = duality_substitution(background, levels=1)
     assert report.max_gram_residual < 1e-12
     assert set(report.substituted) == set(report.dual)
 

@@ -10,6 +10,7 @@ import pytest
 from dfslab import (
     Background,
     DensityMatrix,
+    DomainError,
     ONNElement,
     Operator,
     StateFunctional,
@@ -22,7 +23,10 @@ from dfslab import (
     onn_generators,
     pure_state,
     symmetrize_operator,
+    charge_matrix,
     close_group,
+    coupling_shift,
+    coupling_swap,
     tensor,
     transform_charge_stack,
 )
@@ -143,6 +147,39 @@ def test_narain_energy_invariant_under_random_words():
             assert abs(energy - after[0]) < 1e-9
         after = narain_energies(moved, transform_charge_stack(word, charges))
         assert np.abs(before - after).max() < 1e-9
+
+
+def random_word(rng, gens):
+    word = gens[int(rng.integers(len(gens)))]
+    for k in rng.integers(0, len(gens), size=int(rng.integers(0, 6))):
+        word = word.compose(gens[k])
+    return word
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_group_products_and_inverses_are_group_elements(n):
+    """compose and inverse skip the pairing check; the validating
+    constructor must accept what they return, unchanged."""
+    rng = gen(110 + n)
+    gens = onn_generators(n)
+    eye = np.eye(2 * n, dtype=np.int64)
+    for _ in range(100):
+        g, h = random_word(rng, gens), random_word(rng, gens)
+        for out in (g.compose(h), h.compose(g), g.inverse()):
+            checked = ONNElement(out.matrix, out.swap)
+            assert out.matrix.dtype == np.int64 and not out.matrix.flags.writeable
+            assert np.array_equal(checked.matrix, out.matrix) and checked.swap == out.swap
+        assert np.array_equal(charge_matrix(g.compose(h)), charge_matrix(g) @ charge_matrix(h))
+        for ident in (g.compose(g.inverse()), g.inverse().compose(g)):
+            assert np.array_equal(ident.matrix, eye) and ident.swap is False
+
+
+def test_group_product_past_int64_raises():
+    theta = np.array([[0, 2**62], [-(2**62), 0]])
+    big = coupling_shift(theta)
+    for g, h in ((big, big), (big, coupling_swap(2).compose(big))):
+        with pytest.raises(DomainError, match="int64"):
+            g.compose(h)
 
 
 def test_canonical_json_is_stable_and_key_sorted():
