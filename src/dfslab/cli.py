@@ -31,13 +31,12 @@ from .fock import build_decoherence_model, build_string_model, dfs_from_dirac, d
 from .nctorus import FluxMatrix, clock_shift_rep, landau_hamiltonian, weyl_residual
 from .opcore import DIM_BUDGET, Operator, SubspaceBasis, lowest_eigenvalue, operator_norm
 from .reporting import canonical_json
-from .spectral import GAP_TOL, connes_distance, make_diagonal_triple, make_two_point_triple
+from .spectral import BOUNDARY_SLACK, GAP_TOL, connes_distance, make_diagonal_triple, make_two_point_triple
 from .states import DensityMatrix, StateFunctional, pure_state
 from .symmetry import close_group, invariant_projector, joint_kernel, symmetrize_operator
 
 SCHEMA_VERSION = 1
 KINDS = ("distance", "symmetrize", "dfs", "decohere", "duality", "nctorus")
-BOUNDARY_SLACK = 1e-8
 # Most time samples a decohere scenario may ask for; each costs a bare and a
 # symmetrized propagation of the state and five floats in the report.
 TIME_SAMPLE_BUDGET = 10_000
@@ -217,11 +216,17 @@ def _run_symmetrize(params: dict, tol_scale: float):
     return results, checks
 
 
-def _run_dfs(params: dict, tol_scale: float):
+def _background(params: dict) -> Background:
+    """The scenario's background: its ``metric`` and its ``coupling``, zero
+    when absent."""
     metric = _real_matrix(params.get("metric") or _fail("need metric"), "metric")
     n = metric.shape[0]
     coupling = _real_matrix(params.get("coupling", np.zeros((n, n)).tolist()), "coupling")
-    bg = Background(metric, coupling)
+    return Background(metric, coupling)
+
+
+def _run_dfs(params: dict, tol_scale: float):
+    bg = _background(params)
     n_max = _int_param(params.get("n_max", 2), "n_max")
     levels = _int_param(params.get("levels", 1), "levels")
     which = params.get("operator", "relative")
@@ -330,10 +335,8 @@ def _parse_generator(entry: dict, n: int):
 
 
 def _run_duality(params: dict, tol_scale: float):
-    metric = _real_matrix(params.get("metric") or _fail("need metric"), "metric")
-    n = metric.shape[0]
-    coupling = _real_matrix(params.get("coupling", np.zeros((n, n)).tolist()), "coupling")
-    bg = Background(metric, coupling)
+    bg = _background(params)
+    n = bg.n
     box = _int_param(params.get("box", 3), "box")
     if box < 1:
         _fail("box must be a positive integer")

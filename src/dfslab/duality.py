@@ -24,9 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, DomainError, ShapeError, UsageError
-from .opcore import _capped_power, _size_text
+from .opcore import SYMMETRY_TOL, _capped_power, _is_hermitian, _size_text
 
-SYMMETRY_TOL = 1e-12
 INT64_MAX = int(np.iinfo(np.int64).max)
 # Largest number of charges one lattice sweep may hold.  A sweep keeps a few
 # (count, 2n) arrays alive at once: at n = 2 and box 15 (923,521 charges)
@@ -44,13 +43,17 @@ def _check_square(arr: np.ndarray, name: str) -> np.ndarray:
 
 
 def _check_spd(arr, name: str) -> np.ndarray:
-    """A float copy of ``arr``: a finite square matrix, symmetric to
-    SYMMETRY_TOL (absolute), whose smallest eigenvalue is above 0."""
+    """A float copy of ``arr``: a finite square matrix, symmetric by the
+    shared rule (``_is_hermitian`` with SYMMETRY_TOL), whose Cholesky
+    factorization succeeds, so every later ``np.linalg.cholesky`` of it
+    does too."""
     eta = _check_square(np.array(arr, dtype=float), name)
-    if np.abs(eta - eta.T).max(initial=0.0) > SYMMETRY_TOL:
+    if not _is_hermitian(eta, SYMMETRY_TOL):
         raise DomainError(f"{name} must be symmetric")
-    if np.linalg.eigvalsh(eta).min() <= 0:
-        raise DomainError(f"{name} must be positive definite")
+    try:
+        np.linalg.cholesky(eta)
+    except np.linalg.LinAlgError:
+        raise DomainError(f"{name} must be positive definite") from None
     return eta
 
 
@@ -130,7 +133,7 @@ class Background:
         xi = _check_square(np.array(self.coupling, dtype=float), "coupling")
         if eta.shape != xi.shape:
             raise ShapeError("metric and coupling must have matching shapes")
-        if np.abs(xi + xi.T).max(initial=0.0) > SYMMETRY_TOL:
+        if not _is_hermitian(1j * xi, SYMMETRY_TOL):
             raise DomainError("coupling must be antisymmetric")
         object.__setattr__(self, "metric", eta)
         object.__setattr__(self, "coupling", xi)
@@ -143,10 +146,6 @@ class Background:
 
     @property
     def e_matrix(self) -> np.ndarray:
-        return self.metric + self.coupling
-
-    @property
-    def k_plus(self) -> np.ndarray:
         return self.metric + self.coupling
 
     @property
@@ -391,7 +390,7 @@ def dual_metric(background: Background) -> np.ndarray:
     matrix inverse of the metric.
     """
     eta = background.metric
-    prod = background.k_plus @ np.linalg.solve(eta, background.k_minus)
+    prod = background.e_matrix @ np.linalg.solve(eta, background.k_minus)
     dual = np.linalg.inv(prod)
     if not np.isfinite(dual).all():
         raise DomainError("dual metric overflows on this background")
@@ -401,21 +400,15 @@ def dual_metric(background: Background) -> np.ndarray:
 def normal_modes(kinetic: np.ndarray, potential: np.ndarray) -> np.ndarray:
     """Frequencies of 1/2 p^T A p + 1/2 x^T B x, ascending.
 
-    Uses the Cholesky factor of the kinetic matrix to reduce the generalized
-    problem to an ordinary symmetric one.
+    Both matrices must pass ``_check_spd``.  The Cholesky factor of the
+    kinetic matrix reduces the generalized problem to an ordinary symmetric
+    one.
     """
-    a = _check_square(np.asarray(kinetic, dtype=float), "kinetic")
-    b = _check_square(np.asarray(potential, dtype=float), "potential")
+    a = _check_spd(kinetic, "kinetic matrix")
+    b = _check_spd(potential, "potential matrix")
     if a.shape != b.shape:
         raise ShapeError("kinetic and potential matrices must match")
-    if np.abs(a - a.T).max(initial=0.0) > 1e-10 or np.abs(b - b.T).max(initial=0.0) > 1e-10:
-        raise DomainError("mode matrices must be symmetric")
-    if np.linalg.eigvalsh(b).min() <= 0:
-        raise DomainError("potential matrix must be positive definite")
-    try:
-        ell = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise DomainError("kinetic matrix must be positive definite") from exc
+    ell = np.linalg.cholesky(a)
     sym = ell.T @ b @ ell
     vals = np.linalg.eigvalsh(0.5 * (sym + sym.T))
     return np.sqrt(np.clip(vals, 0.0, None))

@@ -29,16 +29,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duality import Background, _check_spd
+from .duality import Background, _check_spd, _check_square
 from .errors import BudgetError, DomainError, ShapeError, UsageError
 from .opcore import (
     DIM_BUDGET,
     KERNEL_TOL,
+    SYMMETRY_TOL,
     KernelBasis,
     KroneckerSum,
     Operator,
     SubspaceBasis,
     _capped_power,
+    _is_hermitian,
+    _kernel_cutoff,
     _size_text,
     apply_on_factor,
     kernel_basis,
@@ -190,21 +193,17 @@ class DecoherenceModel:
     h_total: Operator
 
 
-def _check_hermitian_matrix(m, name: str) -> np.ndarray:
-    m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeError(f"{name} must be a square matrix")
-    if np.abs(m - m.conj().T).max(initial=0.0) > 1e-12:
-        raise DomainError(f"{name} must be Hermitian")
-    return m
-
-
 def build_decoherence_model(k_sys, lam_env, w_int, n_max: int) -> DecoherenceModel:
     """Quadratic system and environment Hamiltonians with a linear exchange
     coupling: quanta hop between system and environment modes with amplitudes
-    w, so the interaction is odd under environment parity."""
-    k_sys = _check_hermitian_matrix(k_sys, "system coupling")
-    lam_env = _check_hermitian_matrix(lam_env, "environment coupling")
+    w, so the interaction is odd under environment parity.  K and Lambda
+    must be Hermitian by the shared rule (``_is_hermitian`` with
+    SYMMETRY_TOL)."""
+    k_sys = _check_square(np.asarray(k_sys, dtype=np.complex128), "system coupling")
+    lam_env = _check_square(np.asarray(lam_env, dtype=np.complex128), "environment coupling")
+    for name, m in (("system coupling", k_sys), ("environment coupling", lam_env)):
+        if not _is_hermitian(m, SYMMETRY_TOL):
+            raise DomainError(f"{name} must be Hermitian")
     w_int = np.asarray(w_int, dtype=np.complex128)
     n_sys = k_sys.shape[0]
     n_env = lam_env.shape[0]
@@ -299,7 +298,8 @@ class CliffordPair:
     """Two anticommuting families closing on +eta and -eta.
 
     gamma_plus are Hermitian, gamma_minus anti-Hermitian; eta is the
-    lower-index metric the anticommutators reproduce.
+    lower-index metric the anticommutators reproduce, each within
+    SYMMETRY_TOL * max(1, max |eta|), as their roundoff grows with eta.
     """
 
     eta: np.ndarray
@@ -309,16 +309,17 @@ class CliffordPair:
     def __post_init__(self):
         n = len(self.gamma_plus)
         eye = np.eye(self.rep_dim)
+        bound = SYMMETRY_TOL * max(1.0, float(np.abs(self.eta).max()))
         for i in range(n):
             for j in range(n):
                 pp = _anticomm(self.gamma_plus[i].mat, self.gamma_plus[j].mat)
                 mm = _anticomm(self.gamma_minus[i].mat, self.gamma_minus[j].mat)
                 pm = _anticomm(self.gamma_plus[i].mat, self.gamma_minus[j].mat)
-                if np.abs(pp - 2 * self.eta[i, j] * eye).max() > 1e-12:
+                if np.abs(pp - 2 * self.eta[i, j] * eye).max() > bound:
                     raise DomainError("plus-family anticommutators do not close")
-                if np.abs(mm + 2 * self.eta[i, j] * eye).max() > 1e-12:
+                if np.abs(mm + 2 * self.eta[i, j] * eye).max() > bound:
                     raise DomainError("minus-family anticommutators do not close")
-                if np.abs(pm).max() > 1e-12:
+                if np.abs(pm).max() > bound:
                     raise DomainError("the two families fail to anticommute")
 
     @property
@@ -391,11 +392,11 @@ class StringModel:
     """Quadrature register, environment towers, gamma sector, Dirac operator.
 
     The full space factors as (spinor) x (system) x (plus tower) x (minus
-    tower), first factor slowest.  x, p, a_plus, a_minus and h_sys live on the
-    system factor; e_plus/e_minus (the same operators, one copy on each tower
-    factor) and h_env on their tower factors; the Dirac operator d on the
-    full space.  d = D+ + D-, with D+ Hermitian and D- anti-Hermitian entry
-    by entry, so the relative operator D+ - D- is exactly d's adjoint:
+    tower), first factor slowest.  x, p, a_plus and a_minus live on the
+    system factor; e_plus, the tower operators of each level, on one tower
+    factor (d puts them on both); the Dirac operator d on the full space.
+    d = D+ + D-, with D+ Hermitian and D- anti-Hermitian entry by entry, so
+    the relative operator D+ - D- is exactly d's adjoint:
     ``d_bar`` returns it and only d is stored, as its nonzero entries.
     ``d_bar`` swaps their rows and columns and conjugates their values, so
     neither forms a dense d x d matrix.  For one direction d carries its
@@ -413,9 +414,6 @@ class StringModel:
     a_plus: tuple[Operator, ...]
     a_minus: tuple[Operator, ...]
     e_plus: tuple[tuple[Operator, ...], ...]
-    e_minus: tuple[tuple[Operator, ...], ...]
-    h_sys: Operator
-    h_env: Operator
     d: DiracOperator
 
     @property
@@ -462,7 +460,7 @@ def build_string_model(background: Background, n_max: int, levels: int) -> Strin
     string_model_dim(n, n_max, levels)
     eta_u = background.metric
     eta_l = np.linalg.inv(eta_u)
-    kp = background.k_plus
+    kp = background.e_matrix
     km = background.k_minus
 
     system_space = FockSpace(n, n_max)
@@ -483,27 +481,13 @@ def build_string_model(background: Background, n_max: int, levels: int) -> Strin
         a_plus.append(Operator(plus / SQRT2))
         a_minus.append(Operator(minus / SQRT2))
 
-    h_sys = np.zeros((system_space.dim,) * 2, dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            h_sys += 0.5 * eta_l[i, j] * (
-                a_plus[i].mat @ a_plus[j].mat + a_minus[i].mat @ a_minus[j].mat
-            )
-
     # Environment towers: level m occupies modes (m-1)*n .. m*n - 1.
     towers = tuple(
         tuple(hw_mode(tower_space, m, eta_u, modes=range((m - 1) * n, m * n)))
         for m in range(1, levels + 1)
     )
 
-    h_env_half = np.zeros((tower_space.dim,) * 2, dtype=np.complex128)
-    for ops in towers:
-        for i in range(n):
-            for j in range(n):
-                h_env_half += eta_l[i, j] * (ops[i].mat.conj().T @ ops[j].mat)
     eye_t = np.eye(tower_space.dim)
-    h_env = tensor_sum([(1.0, (h_env_half, eye_t)), (1.0, (eye_t, h_env_half))])
-
     cliff = clifford_pair(eta_l)
     eye_s = np.eye(system_space.dim)
     # D+ (gamma_plus terms) and D- (gamma_minus terms) summed in one array.
@@ -539,9 +523,6 @@ def build_string_model(background: Background, n_max: int, levels: int) -> Strin
         a_plus=tuple(a_plus),
         a_minus=tuple(a_minus),
         e_plus=towers,
-        e_minus=towers,
-        h_sys=Operator(h_sys),
-        h_env=h_env,
         d=d,
     )
 
@@ -569,7 +550,7 @@ def dfs_from_dirac(d: Operator, tol: float = KERNEL_TOL) -> KernelBasis:
         raise ShapeError("the split's factors do not span half of the Dirac operator's space")
     scale = abs(split.scale)
     smax = scale * max(float(np.abs(k.grid).max()) for k in sums)
-    cutoff = tol * smax if smax > 0 else 1e-12
+    cutoff = _kernel_cutoff(tol, smax)
     rows = []
     for slot, k in enumerate(sums):
         vecs = k.eigenvectors(np.flatnonzero(scale * np.abs(k.grid) <= cutoff))
@@ -611,7 +592,7 @@ def _substitution_arrays(background: Background, levels: int) -> dict:
     eta_l = np.linalg.inv(eta_u)
     ell = np.linalg.cholesky(eta_l)
     out = {}
-    for sector, kmat, sign in (("plus", background.k_plus, 1.0), ("minus", background.k_minus, -1.0)):
+    for sector, kmat, sign in (("plus", background.e_matrix, 1.0), ("minus", background.k_minus, -1.0)):
         s_mat = eta_u @ np.linalg.inv(kmat)
         t_mat = kmat @ eta_l
         arrays = {
@@ -633,7 +614,7 @@ def _dual_side_arrays(background: Background, levels: int) -> dict:
     eta_d = dual.metric
     ell = np.linalg.cholesky(np.linalg.inv(eta_d))
     out = {}
-    for sector, kmat, sign in (("plus", dual.k_plus, 1.0), ("minus", dual.k_minus, -1.0)):
+    for sector, kmat, sign in (("plus", dual.e_matrix, 1.0), ("minus", dual.k_minus, -1.0)):
         arrays = {
             "p": sign * ell.T / SQRT2 @ eta_d,
             "x": ell.T @ kmat / SQRT2 @ np.linalg.inv(eta_d),

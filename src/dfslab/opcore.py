@@ -65,7 +65,11 @@ from .errors import BudgetError, DomainError, ShapeError, UsageError
 DIM_BUDGET = 4096
 
 # Default tolerances; ``nullspace`` and ``kernel_basis`` take a cutoff.
+# ``_is_hermitian`` is the one Hermiticity rule: HERMITICITY_TOL for the
+# operators the package computes, SYMMETRY_TOL for the coefficient matrices a
+# scenario gives (metrics, couplings, K and Lambda).
 HERMITICITY_TOL = 1e-10
+SYMMETRY_TOL = 1e-12
 KERNEL_TOL = 1e-10
 ORTHONORMALITY_TOL = 1e-10
 UNITARITY_TOL = 1e-12
@@ -265,15 +269,8 @@ class Operator:
         return complex(np.trace(self.mat))
 
     def is_hermitian(self) -> bool:
-        """Whether every entry of A - A^dag is within HERMITICITY_TOL times
-        max(1, largest |entry of A|).  Each entry is compared with the
-        conjugate of the one at its swapped position (0 where none is
-        stored), which covers every nonzero entry of A - A^dag with the same
-        values."""
-        e = self._entries
-        skew = e.vals - e.mirrored().conj()
-        scale = max(1.0, float(np.abs(e.vals).max(initial=0.0)))
-        return float(np.abs(skew).max(initial=0.0)) <= HERMITICITY_TOL * scale
+        """``_is_hermitian`` with HERMITICITY_TOL, read off the entries."""
+        return _is_hermitian(self)
 
     def _diagonal(self):
         """The diagonal when every nonzero entry lies on it, else None."""
@@ -290,6 +287,33 @@ class Operator:
         e = self._entries
         keep = label[e.rows] == label[e.cols]
         return Operator._unchecked(_Entries(e.shape, e.rows[keep], e.cols[keep], e.vals[keep]))
+
+
+def _is_hermitian(a, tol: float = HERMITICITY_TOL) -> bool:
+    """The one rule for "A is Hermitian": max |A - A^dag| <= tol * max(1,
+    max |A|), for an ``Operator``, a matrix, or each matrix of a stack (...,
+    d, d).  A backward-error test: roundoff in a computed matrix grows with
+    its entries, so the bound scales with them (absolute for entries at most
+    1), and an input valid at one scale stays valid at any other.  An
+    operator's entries are each compared with the conjugate of the one at
+    the swapped position (0 where none is stored), which covers every
+    nonzero entry of A - A^dag with the same values.  A real antisymmetric
+    X is one for which 1j * X passes."""
+    if isinstance(a, Operator):
+        e = a._entries
+        vals, skew, axes = e.vals, e.vals - e.mirrored().conj(), -1
+    else:
+        vals = np.asarray(a)
+        skew, axes = vals - vals.conj().swapaxes(-1, -2), (-2, -1)
+    bound = tol * np.maximum(1.0, np.abs(vals).max(axis=axes, initial=0.0))
+    return bool(np.all(np.abs(skew).max(axis=axes, initial=0.0) <= bound))
+
+
+def _kernel_cutoff(tol: float, ref: float) -> float:
+    """The largest singular value a kernel direction may have: tol * ref,
+    relative to the reference singular value ref, or 1e-12 when ref
+    vanishes (a zero matrix, all of whose directions are kernel)."""
+    return tol * ref if ref > 0 else 1e-12
 
 
 @dataclass(frozen=True)
@@ -820,8 +844,7 @@ def _nullspace_and_norm(e: _Entries, tol: float, scale: float = 0.0) -> tuple[np
         _, sigma, vh = np.linalg.svd(e.gather(rows, cols), full_matrices=rows.shape[1] < nb)
         svds.append((cols, sigma, vh))
     smax = max(float(sigma.max(initial=0.0)) for _, sigma, _ in svds)
-    ref = max(smax, scale)
-    cutoff = tol * ref if ref > 0 else 1e-12
+    cutoff = _kernel_cutoff(tol, max(smax, scale))
     pieces = []
     for cols, sigma, vh in svds:
         # columns beyond the number of singular values are exact kernel directions

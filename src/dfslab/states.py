@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError, UsageError
-from .opcore import HERMITICITY_TOL, Operator, _Entries, sector_eigh
+from .opcore import Operator, _Entries, _is_hermitian, sector_eigh
 
 TRACE_TOL = 1e-10
 POSITIVITY_FLOOR = -1e-10
@@ -23,12 +23,9 @@ def _clip_spectrum(vals: np.ndarray) -> np.ndarray:
 
 def _check_states(mats: np.ndarray) -> None:
     """The density-matrix checks on one matrix or a stack (..., d, d): each
-    must be Hermitian within HERMITICITY_TOL (relative to its largest entry,
-    as ``Operator.is_hermitian``), have trace 1 within TRACE_TOL and no
-    eigenvalue below POSITIVITY_FLOOR."""
-    skew = np.abs(mats - mats.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
-    scale = np.maximum(1.0, np.abs(mats).max(axis=(-2, -1), initial=0.0))
-    if np.any(skew > HERMITICITY_TOL * scale):
+    must be Hermitian (``_is_hermitian``, as ``Operator.is_hermitian``), have
+    trace 1 within TRACE_TOL and no eigenvalue below POSITIVITY_FLOOR."""
+    if not _is_hermitian(mats):
         raise DomainError("density matrix is not Hermitian within tolerance")
     traces = np.trace(mats, axis1=-2, axis2=-1)
     off = np.abs(traces - 1.0) > TRACE_TOL
@@ -105,18 +102,14 @@ class StateFunctional:
 
 def pure_state(v, dims: tuple[int, ...] | None = None) -> DensityMatrix:
     """The pure state v v^dag of a unit vector, kept as v: no d x d matrix
-    is formed until its ``op`` is read.  v must be finite with norm 1
-    within 1e-10, and the trace sum |v_i|^2 must be 1 within TRACE_TOL, as
-    ``DensityMatrix`` checks it; v v^dag is exactly Hermitian and rank one,
-    so the Hermitian and positivity checks cannot fail."""
+    is formed until its ``op`` is read.  v must be finite, and the trace
+    sum |v_i|^2 must be 1 within TRACE_TOL, as ``DensityMatrix`` checks it,
+    which puts the norm of v within TRACE_TOL / 2 of 1; v v^dag is exactly
+    Hermitian and rank one, so the Hermitian and positivity checks cannot
+    fail."""
     vec = np.array(v, dtype=np.complex128).reshape(-1)
     if not np.isfinite(vec).all():
         raise DomainError("state vector entries must be finite")
-    nrm = float(np.linalg.norm(vec))
-    if nrm == 0.0:
-        raise DomainError("cannot build a pure state from the zero vector")
-    if abs(nrm - 1.0) > 1e-10:
-        raise DomainError(f"state vector norm {nrm} is not 1")
     trace = float(np.sum(vec.real ** 2 + vec.imag ** 2))
     if abs(trace - 1.0) > TRACE_TOL:
         raise DomainError(f"density matrix trace {trace} is not 1")

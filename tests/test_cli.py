@@ -610,3 +610,31 @@ def test_substitution_sizes_are_checked_without_a_model(sub, message, tmp_path, 
     bad.write_text(json.dumps(scenario))
     assert entry(["run", str(bad)]) == 1
     assert capsys.readouterr().err.strip() == f"invalid scenario: {message}"
+
+
+# A metric with eigenvalues 1e5 and 2e5 and a Hermitian K with eigenvalues
+# 1e6 and 2e6, each formed as Q diag Q^dag in floating point: their
+# asymmetries, 2.9e-11 and 1.05e-10, are roundoff at their scale, and an
+# absolute bound of 1e-12 refuses both.
+LARGE_METRIC = [[143320.94294291548, -49551.89397821448], [-49551.89397821451, 156679.05705708452]]
+LARGE_K = [
+    [[1247490.4936263042, 2.9095783049343066e-11], [-425337.48357139115, -72986.12375012912]],
+    [[-425337.4835713911, 72986.12375012903], [1752509.5063736965, 5.2526624366823105e-11]],
+]
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("dfs", {"metric": LARGE_METRIC, "n_max": 1, "levels": 1}),
+        ("duality", {"metric": LARGE_METRIC, "box": 2, "generator": {"kind": "inversion"}}),
+        ("symmetrize", {"n_max": 2, "K": LARGE_K, "Lambda": [[1.0]], "w": [[0.3], [0.2]]}),
+        # the Clifford pair is built on the inverse metric, 3.3e5
+        ("dfs", {"metric": [[3e-6]], "n_max": 2, "levels": 1}),
+    ],
+    ids=["dfs-metric-1e5", "duality-metric-1e5", "symmetrize-k-1e6", "dfs-metric-3e-6"],
+)
+def test_valid_inputs_far_from_unit_scale_get_a_passing_report(kind, params):
+    report = run_scenario({"schema_version": 1, "kind": kind, "params": params})
+    assert report["pass"] is True
+

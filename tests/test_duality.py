@@ -62,7 +62,6 @@ def test_background_e_matrix_split():
     xi = np.array([[0.0, 0.7], [-0.7, 0.0]])
     bg = Background(eta, xi)
     assert np.array_equal(bg.e_matrix, eta + xi)
-    assert np.array_equal(bg.k_plus, eta + xi)
     assert np.array_equal(bg.k_minus, eta - xi)
 
 

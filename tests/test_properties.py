@@ -9,6 +9,7 @@ import pytest
 
 from dfslab import (
     Background,
+    CliffordPair,
     DensityMatrix,
     DomainError,
     ONNElement,
@@ -23,7 +24,9 @@ from dfslab import (
     onn_generators,
     pure_state,
     symmetrize_operator,
+    build_decoherence_model,
     charge_matrix,
+    clifford_pair,
     close_group,
     coupling_shift,
     coupling_swap,
@@ -196,3 +199,30 @@ def test_canonical_json_is_stable_and_key_sorted():
     assert "-0.0" not in one
     with pytest.raises(ValueError):
         canonical_json({"bad": float("nan")})
+
+
+def _asymmetric(scale, complex_part=0.0):
+    """A scale times a matrix whose largest entry is 1 and whose asymmetry
+    is 1e-6, far beyond roundoff at any scale."""
+    return scale * np.array([[1.0, 0.3 + complex_part], [0.3 - complex_part + 1e-6, 0.7]])
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e5])
+def test_clearly_non_hermitian_inputs_are_refused_at_every_scale(scale):
+    with pytest.raises(DomainError, match="metric must be symmetric"):
+        Background(_asymmetric(scale), np.zeros((2, 2)))
+    coupling = scale * np.array([[0.0, 1.0], [-1.0 + 1e-6, 0.0]])
+    with pytest.raises(DomainError, match="coupling must be antisymmetric"):
+        Background(np.eye(2), coupling)
+    with pytest.raises(DomainError, match="system coupling must be Hermitian"):
+        build_decoherence_model(_asymmetric(scale, 0.2j), [[1.0]], [[0.3], [0.2]], 1)
+    # a pair built on a metric, checked against that metric with one
+    # off-diagonal entry moved by 1e-6 of its largest entry
+    eta = scale * np.array([[2.0, 0.5], [0.5, 1.0]])
+    pair = clifford_pair(eta)
+    bad = eta.copy()
+    bad[1, 0] += 2e-6 * scale
+    with pytest.raises(DomainError, match="anticommutators do not close"):
+        CliffordPair(bad, pair.gamma_plus, pair.gamma_minus)
+    # the unperturbed pair passes its own check at this scale
+    CliffordPair(eta, pair.gamma_plus, pair.gamma_minus)
