@@ -71,6 +71,15 @@ def _number(obj, name: str) -> float:
     return _finite(obj, name)
 
 
+def _tolerance(params: dict, name: str, default: float) -> float:
+    """The positive tolerance ``params[name]``, or ``default``: a bound at or
+    below zero is a check that no result can pass."""
+    tol = _number(params.get(name, default), name)
+    if tol <= 0:
+        _fail(f"{name} must be positive, got {tol!r}")
+    return tol
+
+
 def _known_keys(obj: dict, allowed, name: str) -> None:
     unknown = sorted(str(k) for k in obj if k not in allowed)
     if unknown:
@@ -145,7 +154,6 @@ def _run_distance(params: dict, tol_scale: float):
         p = np.array([1.0, 0.0])
         q = np.array([0.0, 1.0])
         expected = _number(params.get("expected", 1.0 / abs(lam)), "expected")
-        tol = _number(params.get("tolerance", 1e-6), "tolerance") * tol_scale
     else:
         raw = params.get("dirac") or _fail("need lambda or dirac")
         if isinstance(raw, list) and len(raw) ** 2 > DIM_BUDGET:
@@ -161,7 +169,9 @@ def _run_distance(params: dict, tol_scale: float):
         expected = params.get("expected")
         if expected is not None:
             expected = _number(expected, "expected")
-        tol = _number(params.get("tolerance", 1e-6), "tolerance") * tol_scale
+        elif "tolerance" in params:
+            _fail("tolerance is given without expected, the value it would check")
+    tol = _tolerance(params, "tolerance", 1e-6) * tol_scale
     psi = StateFunctional(DensityMatrix(Operator(np.diag(p.astype(np.complex128)))))
     psi_prime = StateFunctional(DensityMatrix(Operator(np.diag(q.astype(np.complex128)))))
     res = connes_distance(triple, psi, psi_prime)
@@ -387,6 +397,15 @@ def _run_nctorus(params: dict, tol_scale: float):
     den = _int_param(params.get("denominator"), "denominator")
     if den < 1:
         _fail("denominator must be a positive integer")
+    landau_n_max = params.get("landau_n_max")
+    expect = params.get("landau_expect")
+    if expect is not None:
+        if landau_n_max is None:
+            _fail("landau_expect is given without landau_n_max, so no Landau level is computed to check")
+        expect = _number(expect, "landau_expect")
+        landau_tol = _tolerance(params, "landau_tol", 2e-3) * tol_scale
+    elif "landau_tol" in params:
+        _fail("landau_tol is given without landau_expect, the value it would check")
     flux = FluxMatrix.from_rational(q, den)
     rep = clock_shift_rep(flux)
     residual = weyl_residual(rep, flux)
@@ -397,16 +416,12 @@ def _run_nctorus(params: dict, tol_scale: float):
         "weyl_residual": residual,
     }
     checks = [_check("weyl-relation", residual, tol, residual <= tol)]
-    landau_n_max = params.get("landau_n_max")
     if landau_n_max is not None:
         landau_n_max = _int_param(landau_n_max, "landau_n_max")
         h = landau_hamiltonian(flux, landau_n_max)
         ground = lowest_eigenvalue(h)
         results["landau_ground_level"] = ground
-        expect = params.get("landau_expect")
         if expect is not None:
-            expect = _number(expect, "landau_expect")
-            landau_tol = _number(params.get("landau_tol", 2e-3), "landau_tol") * tol_scale
             err = abs(ground - expect)
             checks.append(_check("landau-ground-level", err, landau_tol, err <= landau_tol))
     return results, checks

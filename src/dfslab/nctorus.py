@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError, UnsupportedFluxError
 from .fock import FockSpace, position_momentum
-from .opcore import DIM_BUDGET, UNITARITY_TOL, Operator, _capped_power, _size_text, tensor, tensor_sum
+from .opcore import DIM_BUDGET, UNITARITY_TOL, Operator, _capped_power, _size_text, _summed, tensor, tensor_sum
 
 TWO_PI = 2.0 * math.pi
 RATIONAL_TOL = 1e-12
@@ -180,21 +180,38 @@ def weyl_residual(rep: MagneticRep, flux: FluxMatrix) -> float:
 
 def landau_hamiltonian(flux: FluxMatrix, n_max: int) -> Operator:
     """Half the sum of squared magnetic momenta p_i - (1/2) omega_ij x_j,
-    in the quarter-turn gauge of the second mode.
+    in the rotation-adapted basis of the quarter-turn gauge.
 
-    With two directions this is
+    With two directions this is H0 =
     (1/2)(p^2 kron I - w01 p kron x + (1/4) w01^2 I kron x^2
     + I kron p^2 - w10 x kron p + (1/4) w10^2 x^2 kron I),
     built by ``tensor_sum`` from single-mode quadratures truncated at
     ``n_max``, so no full-space product is formed.
 
-    The operator is returned in the basis |n0> kron (-i)^n1 |n1>: the second
-    mode's factors are conjugated by D = diag(i^n), which maps x to p and p
-    to -x exactly in the truncated Fock basis.  Every product of factors is
-    then real, so every stored entry has imaginary part exactly 0 and the
-    eigenvalue-only blocks of ``sector_eigh`` are real symmetric.  The
-    Fock-basis operator is (I kron D^dag) H (I kron D); the spectrum is the
-    same.
+    Quarter-turn gauge: the second mode's factors are conjugated by D =
+    diag(i^n), which maps x to p and p to -x exactly in the truncated Fock
+    basis, so every product of factors is real.  There the quarter turn
+    (x0, x1) -> (x1, -x0) of the plane is S|a,b> = sigma(a,b)|b,a> with
+    sigma = (-1)^floor((a+b)/2), a real symmetric involution that swaps the
+    two squared momenta.  H0 commutes with S only to roundoff, so the
+    operator is H = (1/2)(H0 + S H0 S), for which S H S = H bit for bit,
+    taken to the basis Q of S's eigenvectors.  Its first columns are the S =
+    +1 eigenvectors, then come the S = -1 ones, each sector in the order of
+    the index a (n_max+1) + b of the first component |a,b>, a <= b:
+
+    - (|a,b> + s sigma|b,a>)/sqrt 2 for a < b, in each sector s = +-1;
+    - |a,a> in the sector s = sigma(a,a).
+
+    Its entries are H's, combined by index arithmetic: between the states
+    on (a,b) and (c,d) in sector s, H_{ab,cd} + s sigma(c,d) H_{ab,dc},
+    times sqrt 2 or 1/sqrt 2 where one of the two is a diagonal state.
+    Entries between the S = +1 and -1 sectors are exactly 0 and never
+    stored, nor are entries between the parities of a + b.  So ``opcore``'s
+    pattern split finds four real symmetric blocks, one per (parity, S),
+    each about a quarter of the dimension (more when the flux is 0 and the
+    modes decouple), and every stored entry has imaginary part exactly 0.
+    The Fock-basis operator is (I kron D^dag) Q H Q^T (I kron D); the
+    spectrum is the same.
     """
     if flux.n != 2:
         raise UnsupportedFluxError(
@@ -210,11 +227,42 @@ def landau_hamiltonian(flux: FluxMatrix, n_max: int) -> Operator:
         return phase[:, None] * m * phase.conj()
 
     w01, w10 = flux.omega[0, 1], flux.omega[1, 0]
-    return tensor_sum([
+    h0 = tensor_sum([
         (0.5, (p2, eye)),
         (-0.5 * w01, (p, turn(x))),
         (0.125 * w01 * w01, (eye, turn(x2))),
         (0.5, (eye, turn(p2))),
         (-0.5 * w10, (x, turn(p))),
         (0.125 * w10 * w10, (x2, eye)),
-    ])
+    ])._entries
+    dim = h0.shape[0]
+    a, b = np.divmod(np.arange(dim), n_max + 1)
+    swap = b * (n_max + 1) + a
+    sigma = np.where((a + b) // 2 % 2, -1.0, 1.0)
+    half = 0.5 * h0.vals
+    turned = (swap[h0.rows], swap[h0.cols], sigma[h0.rows] * sigma[h0.cols] * half)
+    h = _summed(dim, [(h0.rows, h0.cols, half), turned])
+
+    # the entries in the rows of each state's first component |a,b>, a <=
+    # b, with each column folded onto its state's first component |c,d>; a
+    # folded entry H_{ab,dc} counts with the sign s sigma(c,d) in sector s
+    first = a <= b
+    r, c, v = (z[first[h.rows]] for z in (h.rows, h.cols, h.vals))
+    folded = ~first[c]
+    c = np.where(folded, swap[c], c)
+    pair_r, pair_c = a[r] < b[r], a[c] < b[c]
+    v = v * np.where(pair_r == pair_c, 1.0, np.where(pair_r, math.sqrt(2.0), math.sqrt(0.5)))
+    # each sector lists its states in the order of their first components,
+    # the S = +1 sector first
+    plus = first & ((a < b) | (sigma > 0))
+    minus = first & ((a < b) | (sigma < 0))
+    parts = []
+    for s, member, index in ((1.0, plus, np.cumsum(plus) - 1),
+                             (-1.0, minus, np.count_nonzero(plus) + np.cumsum(minus) - 1)):
+        inside = member[r] & member[c]
+        sign = np.where(folded, s * sigma[c], 1.0)
+        parts.append((index[r[inside]], index[c[inside]], (sign * v)[inside], folded[inside]))
+    rows, cols, vals, late = (np.concatenate(z) for z in zip(*parts))
+    # H_{ab,cd}, then the folded H_{ab,dc}: at most one of each per position
+    return Operator._unchecked(_summed(dim, [(rows[~late], cols[~late], vals[~late]),
+                                             (rows[late], cols[late], vals[late])]))

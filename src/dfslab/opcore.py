@@ -457,8 +457,16 @@ def tensor_sum(terms) -> Operator:
         parts.append((rows, cols, coef * vals))
     if dim is None:
         raise UsageError("tensor_sum needs at least one term")
+    return Operator._unchecked(_summed(dim, parts))
+
+
+def _summed(dim: int, parts) -> _Entries:
+    """The complex entries of the (dim, dim) sum of ``parts``, each a
+    ``(rows, cols, vals)`` triple with no position twice.  The values of one
+    position are added in the order of the parts, starting from zero, and a
+    position whose sum is exactly zero keeps no entry; finiteness is
+    checked on the sums."""
     if len(parts) == 1:
-        # positions are distinct within a term
         rows, cols, vals = parts[0]
         acc = np.zeros(vals.shape, dtype=np.complex128)
         acc += vals
@@ -473,7 +481,7 @@ def tensor_sum(terms) -> Operator:
     if not np.isfinite(acc).all():
         raise DomainError("matrix entries must be finite")
     keep = acc != 0
-    return Operator._unchecked(_Entries((dim, dim), rows[keep], cols[keep], acc[keep]))
+    return _Entries((dim, dim), rows[keep], cols[keep], acc[keep])
 
 
 def apply_on_factor(mat, slot: int, dims, vectors) -> np.ndarray:

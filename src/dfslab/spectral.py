@@ -152,10 +152,10 @@ def _h(commutators: np.ndarray, c: np.ndarray) -> float:
     return float(np.linalg.norm(np.tensordot(c, commutators, axes=1), 2))
 
 
-def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
+def _max_step(li: np.ndarray, dx: np.ndarray) -> float:
     """Largest alpha in (0, 1] with every block of x + alpha dx positive
-    semidefinite, for a stack x of positive definite blocks."""
-    li = np.linalg.inv(np.linalg.cholesky(x))
+    semidefinite, for a stack x of positive definite blocks given by the
+    inverses ``li`` of its Cholesky factors."""
     low = float(np.linalg.eigvalsh(li @ dx @ li.conj().transpose(0, 2, 1)).min())
     return min(1.0, -1.0 / low) if low < 0 else 1.0
 
@@ -199,12 +199,14 @@ def _newton_steps(hs: np.ndarray, b: np.ndarray):
                 dx = (rc - x @ ds) @ sinv
                 return dw, ds, 0.5 * (dx + dx.conj().transpose(0, 2, 1))
 
+            # the predictor and the corrector both step from this x and s
+            lx, ls = (np.linalg.inv(np.linalg.cholesky(m)) for m in (x, s))
             _, ds, dx = direction(-xs)
-            ap, ad = _max_step(x, dx), _max_step(s, ds)
+            ap, ad = _max_step(lx, dx), _max_step(ls, ds)
             sigma = (np.vdot(s + ad * ds, x + ap * dx).real / (2 * n * mu)) ** 3
             dw, ds, dx = direction(sigma * mu * eye - xs - dx @ ds)
-            ap = STEP_FRACTION * _max_step(x, dx)
-            ad = STEP_FRACTION * _max_step(s, ds)
+            ap = STEP_FRACTION * _max_step(lx, dx)
+            ad = STEP_FRACTION * _max_step(ls, ds)
         except np.linalg.LinAlgError:
             return
         x = x + ap * dx

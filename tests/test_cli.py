@@ -319,6 +319,39 @@ def test_generator_keys_depend_on_the_kind():
         run_scenario(scenario)
 
 
+NCTORUS = load("nctorus.json")["params"]
+DISTANCE = load("distance.json")["params"]
+DIRAC_DISTANCE = {"dirac": [[0.0, 1.0], [1.0, 0.0]], "state": [1.0, 0.0], "state_prime": [0.0, 1.0]}
+
+
+def without(params, key):
+    return {k: v for k, v in params.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "kind, params, message",
+    [
+        ("nctorus", without(NCTORUS, "landau_n_max"), "landau_expect is given without landau_n_max"),
+        ("nctorus", without(NCTORUS, "landau_expect"), "landau_tol is given without landau_expect"),
+        ("distance", dict(DIRAC_DISTANCE, tolerance=1e-6), "tolerance is given without expected"),
+        ("nctorus", dict(NCTORUS, landau_tol=0), "landau_tol must be positive"),
+        ("nctorus", dict(NCTORUS, landau_tol=-0.0025), "landau_tol must be positive"),
+        ("distance", dict(DISTANCE, tolerance=0), "tolerance must be positive"),
+        ("distance", dict(DIRAC_DISTANCE, expected=1.0, tolerance=-1e-6), "tolerance must be positive"),
+    ],
+    ids=["landau-expect-without-n_max", "landau-tol-without-expect", "tolerance-without-expected",
+         "landau-tol-0", "landau-tol-negative", "tolerance-0", "dirac-tolerance-negative"],
+)
+def test_a_tolerance_that_is_dropped_or_unmeetable_exits_1(kind, params, message, tmp_path, capsys):
+    """Without these checks, a tolerance with no value to check was dropped
+    and the run exited 0, and one at or below zero made a check that no
+    result can pass, exit 2."""
+    path = tmp_path / "tolerance.json"
+    path.write_text(json.dumps({"schema_version": 1, "kind": kind, "params": params}))
+    assert entry(["run", str(path)]) == 1
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("tol", [2, 1e300, 0, -1])
 def test_dfs_tol_outside_the_unit_interval_exits_1(tol, tmp_path, capsys, monkeypatch):
     """Without the range check, tol 2 and 1e300 pass with every dimension in
