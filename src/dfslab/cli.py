@@ -295,10 +295,16 @@ def _run_decohere(params: dict, tol_scale: float):
     v_env = np.zeros(env_dim, dtype=np.complex128)
     v_env[0] = 1.0
     rho0 = pure_state(np.kron(v_sys, v_env), dims=(sys_dim, env_dim))
+    cap = _tolerance(params, "leakage_cap", 1e-10) * tol_scale
+    floor = params.get("min_full_leakage")
+    if floor is not None:
+        floor = _number(floor, "min_full_leakage")
+        if not 0.0 < floor <= 1.0:
+            # leakages lie in [0, 1]: a floor above 1 is a check that no run
+            # can pass, and one at or below 0 a check that every run passes
+            _fail(f"min_full_leakage must lie in (0, 1], got {floor!r}")
     code = SubspaceBasis(sys_dim, np.eye(sys_dim, dtype=np.complex128), "vector-space")
     full, sym = coherence_experiment(model, code, rho0, times)
-    cap = _number(params.get("leakage_cap", 1e-10), "leakage_cap") * tol_scale
-    floor = params.get("min_full_leakage")
     results = {
         "times": times.tolist(),
         "full_leakages": full.leakages.tolist(),
@@ -309,7 +315,6 @@ def _run_decohere(params: dict, tol_scale: float):
     sym_max = float(sym.leakages.max())
     checks = [_check("symmetrized-leakage-cap", sym_max, cap, sym_max <= cap)]
     if floor is not None:
-        floor = _number(floor, "min_full_leakage")
         full_max = float(full.leakages.max())
         checks.append(
             _check("full-leakage-reaches-floor", full_max, floor, full_max >= floor)

@@ -7,7 +7,11 @@ rho_t = U rho U^dag with U = V exp(-i lambda t) V^dag.
 
 The coherence experiment forms no d x d state, eigenbasis or state check.
 It takes rho0 = W W^dag as W: a pure state's kept vector, else the factor
-of its matrix.  A Hamiltonian never joins two blocks of its nonzero
+of its matrix.  The reduced initial state is rho_sys(0) = M M^dag, with M
+the rows of W by system index and its columns by environment index and
+rank, so M's nonzero columns are a factor of rho_sys(0); only when there
+are more of them than system levels is the factor taken from the
+eigenpairs of M M^dag.  A Hamiltonian never joins two blocks of its nonzero
 pattern, so psi(t) = exp(-i H t) W stays inside the blocks that W's nonzero
 rows touch.  Only those blocks are gathered from the Hamiltonian's entries
 and diagonalized, each block's rows of W are evolved with its own
@@ -125,9 +129,13 @@ def coherence_experiment(
     h_full = model.h_total
     h_sym = symmetrize_operator(close_group(parity_generators(model)), h_full)
 
-    # rho_sys(0) = M M^dag, M = W with environment and rank as columns
+    # rho_sys(0) = M M^dag, M = W with environment and rank as columns, so
+    # M's nonzero columns are a factor of it; with more of them than system
+    # levels, the factor of M M^dag has fewer columns
     m0 = w.reshape(sys_dim, env_dim * rank)
-    w_sys = _factor(m0 @ m0.conj().T)
+    w_sys = m0[:, np.any(m0 != 0, axis=0)]
+    if w_sys.shape[1] > sys_dim:
+        w_sys = _factor(m0 @ m0.conj().T)
     occupied = np.any(w != 0, axis=1)
     results = []
     for ham in (h_full, h_sym):

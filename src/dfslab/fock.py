@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -179,7 +180,12 @@ def hw_mode(space: FockSpace, level: int, eta, modes=None) -> list[Operator]:
 
 @dataclass(frozen=True)
 class DecoherenceModel:
-    """Linear oscillators exchanging quanta with environment modes."""
+    """Linear oscillators exchanging quanta with environment modes.
+
+    ``h_int`` and ``h_total`` are formed from their nonzero entries
+    (``opcore.tensor_sum``) the first time each is read, and then cached;
+    a coherence experiment reads only ``h_total``, and a symmetrization
+    only ``h_int``."""
 
     coupling_sys: np.ndarray
     coupling_env: np.ndarray
@@ -189,8 +195,38 @@ class DecoherenceModel:
     space: FockSpace
     h_sys: Operator
     h_env: Operator
-    h_int: Operator
-    h_total: Operator
+
+    def _exchange_terms(self) -> list:
+        """The ``tensor_sum`` terms w a_i e_al^dag and their adjoints, on the
+        full space's modes (system modes first, each factor a single-mode
+        ladder or an identity); no two of these terms share an entry, nor do
+        they share one with the number-conserving h_sys and h_env terms."""
+        levels = self.space.levels
+        n_sys, n_env = self.system_space.n_modes, self.env_space.n_modes
+        a = _single_ladder(self.space.n_max)
+        a_dag = a.conj().T
+        terms = []
+        for i in range(n_sys):
+            for al in range(n_env):
+                before = np.eye(levels**i)
+                between = np.eye(levels ** (n_sys - 1 - i + al))
+                after = np.eye(levels ** (n_env - 1 - al))
+                w = self.coupling_int[i, al]
+                terms.append((w, (before, a, between, a_dag, after)))
+                terms.append((np.conj(w), (before, a_dag, between, a, after)))
+        return terms
+
+    @cached_property
+    def h_int(self) -> Operator:
+        return tensor_sum(self._exchange_terms())
+
+    @cached_property
+    def h_total(self) -> Operator:
+        free = [
+            (1.0, (self.h_sys.mat, np.eye(self.env_space.dim))),
+            (1.0, (np.eye(self.system_space.dim), self.h_env.mat)),
+        ]
+        return tensor_sum(free + self._exchange_terms())
 
 
 def build_decoherence_model(k_sys, lam_env, w_int, n_max: int) -> DecoherenceModel:
@@ -231,18 +267,6 @@ def build_decoherence_model(k_sys, lam_env, w_int, n_max: int) -> DecoherenceMod
         for be in range(n_env):
             h_env += lam_env[al, be] * (e_ops[al].conj().T @ e_ops[be])
 
-    # w a_i e_al^dag and its adjoint; no two of these terms share an entry,
-    # nor do they share one with the number-conserving h_sys and h_env terms
-    exchange = []
-    for i in range(n_sys):
-        for al in range(n_env):
-            exchange.append((w_int[i, al], (a_ops[i], e_ops[al].conj().T)))
-            exchange.append((np.conj(w_int[i, al]), (a_ops[i].conj().T, e_ops[al])))
-    h_int = tensor_sum(exchange)
-    h_total = tensor_sum(
-        [(1.0, (h_sys, np.eye(env_space.dim))), (1.0, (np.eye(sys_space.dim), h_env))] + exchange
-    )
-
     return DecoherenceModel(
         coupling_sys=k_sys,
         coupling_env=lam_env,
@@ -252,8 +276,6 @@ def build_decoherence_model(k_sys, lam_env, w_int, n_max: int) -> DecoherenceMod
         space=full_space,
         h_sys=Operator(h_sys),
         h_env=Operator(h_env),
-        h_int=h_int,
-        h_total=h_total,
     )
 
 
@@ -263,11 +285,10 @@ def parity_generators(model: DecoherenceModel) -> list[Operator]:
     Each exp(i Theta) flips the sign of that mode's ladder operators, so the
     generated group averages the exchange coupling to zero.
     """
-    eye_s = np.eye(model.system_space.dim)
-    return [
-        tensor(eye_s, math.pi * number_operator(model.env_space, al).mat)
-        for al in range(model.env_space.n_modes)
-    ]
+    a = _single_ladder(model.space.n_max)
+    local = math.pi * (a.conj().T @ a)
+    n_sys = model.system_space.n_modes
+    return [_on_mode(model.space, n_sys + al, local) for al in range(model.env_space.n_modes)]
 
 
 def env_vacuum_projector(model: DecoherenceModel) -> Operator:

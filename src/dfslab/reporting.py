@@ -3,6 +3,9 @@
 Byte-identical output for equal inputs: keys sorted, floats in fixed
 scientific notation, negative zero collapsed, LF line ending, ASCII only.
 Non-finite floats are rejected; callers encode unbounded results explicitly.
+A list whose items are all Python floats (a trajectory's samples, from
+``ndarray.tolist``) is checked and written in one pass by the same rule;
+every other value is rendered item by item.
 """
 
 from __future__ import annotations
@@ -40,6 +43,12 @@ def _render(obj, parts: list[str]) -> None:
         parts.append(json.dumps(obj, ensure_ascii=True))
     elif isinstance(obj, np.ndarray):
         _render(obj.tolist(), parts)
+    elif isinstance(obj, (list, tuple)) and obj and all(type(item) is float for item in obj):
+        # the float rule above, in one pass; x + 0.0 turns -0.0 into 0.0 and
+        # leaves every other float as it is
+        if not all(map(math.isfinite, obj)):
+            raise ValueError("non-finite float has no canonical encoding")
+        parts.append("[" + ",".join([format(x + 0.0, ".12e") for x in obj]) + "]")
     elif isinstance(obj, (list, tuple)):
         parts.append("[")
         for k, item in enumerate(obj):

@@ -322,6 +322,7 @@ def test_generator_keys_depend_on_the_kind():
 NCTORUS = load("nctorus.json")["params"]
 DISTANCE = load("distance.json")["params"]
 DIRAC_DISTANCE = {"dirac": [[0.0, 1.0], [1.0, 0.0]], "state": [1.0, 0.0], "state_prime": [0.0, 1.0]}
+DECOHERE = load("decohere.json")["params"]
 
 
 def without(params, key):
@@ -338,14 +339,21 @@ def without(params, key):
         ("nctorus", dict(NCTORUS, landau_tol=-0.0025), "landau_tol must be positive"),
         ("distance", dict(DISTANCE, tolerance=0), "tolerance must be positive"),
         ("distance", dict(DIRAC_DISTANCE, expected=1.0, tolerance=-1e-6), "tolerance must be positive"),
+        ("decohere", dict(DECOHERE, leakage_cap=0), "leakage_cap must be positive"),
+        ("decohere", dict(DECOHERE, leakage_cap=-1), "leakage_cap must be positive"),
+        ("decohere", dict(DECOHERE, min_full_leakage=2.0), "min_full_leakage must lie in (0, 1]"),
+        ("decohere", dict(DECOHERE, min_full_leakage=-1), "min_full_leakage must lie in (0, 1]"),
     ],
     ids=["landau-expect-without-n_max", "landau-tol-without-expect", "tolerance-without-expected",
-         "landau-tol-0", "landau-tol-negative", "tolerance-0", "dirac-tolerance-negative"],
+         "landau-tol-0", "landau-tol-negative", "tolerance-0", "dirac-tolerance-negative",
+         "leakage-cap-0", "leakage-cap-negative", "min-full-leakage-2", "min-full-leakage-negative"],
 )
 def test_a_tolerance_that_is_dropped_or_unmeetable_exits_1(kind, params, message, tmp_path, capsys):
     """Without these checks, a tolerance with no value to check was dropped
     and the run exited 0, and one at or below zero made a check that no
-    result can pass, exit 2."""
+    result can pass, exit 2.  Leakages lie in [0, 1], so a leakage floor
+    above 1 made a check that no run can pass (exit 2), and one below 0 a
+    check that every run passes (exit 0)."""
     path = tmp_path / "tolerance.json"
     path.write_text(json.dumps({"schema_version": 1, "kind": kind, "params": params}))
     assert entry(["run", str(path)]) == 1

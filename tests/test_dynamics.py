@@ -239,6 +239,57 @@ def test_experiment_matches_density_matrix_path_rank_two_state():
     assert float(sym.leakages.max()) <= 1e-10
 
 
+def factor_calls(monkeypatch):
+    """The shapes of the matrices the experiment factors by eigenpairs."""
+    from dfslab import dynamics
+
+    shapes = []
+    original = dynamics._factor
+
+    def recording(mat):
+        shapes.append(mat.shape)
+        return original(mat)
+
+    monkeypatch.setattr(dynamics, "_factor", recording)
+    return shapes
+
+
+def test_experiment_matches_density_matrix_path_more_columns_than_system_levels(monkeypatch):
+    """A rank-three state on three system levels whose members carry
+    off-vacuum amplitudes of 1e-7, inside SUPPORT_TOL: its M has more
+    nonzero columns than system levels, so the system factor comes from the
+    eigenpairs of M M^dag.  A pure product state's M has one nonzero
+    column, which is the factor itself."""
+    model = build_decoherence_model(
+        k_sys=np.array([[1.0]]),
+        lam_env=np.array([[1.2, 0.1], [0.1, 0.8]]),
+        w_int=np.array([[0.4 + 0.2j, 0.25 - 0.3j]]),
+        n_max=2,
+    )
+    sys_dim, env_dim = model.system_space.dim, model.env_space.dim
+    assert (sys_dim, env_dim) == (3, 9)
+    code = level_code(sys_dim, levels=range(sys_dim))
+    rng = np.random.Generator(np.random.Philox(59))
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    rho = np.zeros((sys_dim * env_dim,) * 2, dtype=complex)
+    for p, v in zip((0.5, 0.3, 0.2), q.T):
+        m = np.zeros((sys_dim, env_dim), dtype=complex)
+        m[:, 0] = v
+        off = (sys_dim, env_dim - 1)
+        m[:, 1:] = 1e-7 * (rng.normal(size=off) + 1j * rng.normal(size=off))
+        psi = m.reshape(-1) / np.linalg.norm(m)
+        rho += p * np.outer(psi, psi.conj())
+    rho0 = DensityMatrix(Operator(rho), dims=(sys_dim, env_dim))
+    shapes = factor_calls(monkeypatch)
+    full, _ = assert_matches_reference(model, code, rho0, np.linspace(0.0, 6.0, 13))
+    assert shapes == [(sys_dim, sys_dim)]
+    assert float(full.leakages.max()) > 1e-4
+    shapes.clear()
+    product = pure_state(np.kron(np.array([0.8, 0.6j, 0.0]), np.eye(env_dim)[0]), dims=(sys_dim, env_dim))
+    assert_matches_reference(model, code, product, np.linspace(0.0, 6.0, 13))
+    assert shapes == []
+
+
 def test_experiment_rejects_mixed_state_leaking_out_of_the_code():
     model = small_model()
     code = level_code(model.system_space.dim, levels=(0, 1))

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from dfslab import (
     build_decoherence_model,
     build_string_model,
     clifford_pair,
+    coherence_experiment,
     dfs_from_dirac,
     duality_substitution,
     env_vacuum_projector,
@@ -28,7 +30,10 @@ from dfslab import (
     Operator,
     parity_generators,
     position_momentum,
+    pure_state,
     SubspaceBasis,
+    tensor,
+    tensor_sum,
     unitary_exp,
 )
 
@@ -514,3 +519,68 @@ def test_decoherence_operators_equal_the_summed_tensor_products():
     h_total = np.kron(model.h_sys.mat, eye_e) + np.kron(eye_s, model.h_env.mat) + h_int
     assert np.array_equal(model.h_int.mat, h_int)
     assert np.array_equal(model.h_total.mat, h_total)
+
+
+def assert_same_entries(got, want):
+    """Equal entries bit for bit: positions, and values with signed zeros."""
+    got, want = got._entries, want._entries
+    for field in ("rows", "cols", "vals"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
+
+
+@pytest.mark.parametrize("n_sys, n_env, n_max", [(1, 1, 3), (1, 2, 3), (2, 1, 4), (2, 2, 2)])
+def test_decoherence_hamiltonians_and_parities_keep_their_entries(n_sys, n_env, n_max):
+    """h_int, h_total and the parity generators, formed from single-mode
+    factors, have the entries of the construction on the system and
+    environment spaces, which is written out here: the exchange terms as
+    (a_i, e_al^dag) on (system, environment), and each generator as
+    I_sys x pi number_operator(env, al)."""
+    rng = np.random.Generator(np.random.Philox(58))
+    k = rng.normal(size=(n_sys, n_sys)) + 1j * rng.normal(size=(n_sys, n_sys))
+    lam = rng.normal(size=(n_env, n_env)) + 1j * rng.normal(size=(n_env, n_env))
+    w = rng.normal(size=(n_sys, n_env)) + 1j * rng.normal(size=(n_sys, n_env))
+    model = build_decoherence_model(k + k.conj().T, lam + lam.conj().T, w, n_max)
+    a_ops = [ladder(model.system_space, i)[0].mat for i in range(n_sys)]
+    e_ops = [ladder(model.env_space, al)[0].mat for al in range(n_env)]
+    exchange = []
+    for i in range(n_sys):
+        for al in range(n_env):
+            exchange.append((w[i, al], (a_ops[i], e_ops[al].conj().T)))
+            exchange.append((np.conj(w[i, al]), (a_ops[i].conj().T, e_ops[al])))
+    eye_s = np.eye(model.system_space.dim)
+    eye_e = np.eye(model.env_space.dim)
+    free = [(1.0, (model.h_sys.mat, eye_e)), (1.0, (eye_s, model.h_env.mat))]
+    assert_same_entries(model.h_int, tensor_sum(exchange))
+    assert_same_entries(model.h_total, tensor_sum(free + exchange))
+    gens = parity_generators(model)
+    assert len(gens) == n_env
+    for al, gen in enumerate(gens):
+        assert_same_entries(gen, tensor(eye_s, math.pi * number_operator(model.env_space, al).mat))
+
+
+def test_each_decoherence_hamiltonian_is_formed_only_when_read(monkeypatch):
+    """A coherence experiment reads h_total and never forms h_int; a
+    symmetrize run reads h_int and never forms h_total."""
+    import dfslab.cli as cli
+
+    model = build_decoherence_model([[1.0]], [[1.0]], [[0.3]], 3)
+    assert "h_int" not in vars(model) and "h_total" not in vars(model)
+    sys_dim = model.system_space.dim
+    vec = np.zeros(model.space.dim, dtype=np.complex128)
+    vec[[0, model.env_space.dim]] = np.sqrt(0.5)
+    code = SubspaceBasis(sys_dim, np.eye(sys_dim, dtype=np.complex128))
+    coherence_experiment(model, code, pure_state(vec, dims=(sys_dim, model.env_space.dim)), [0.0, 1.0])
+    assert "h_total" in vars(model) and "h_int" not in vars(model)
+
+    built = []
+
+    def recording(*args):
+        built.append(build_decoherence_model(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_decoherence_model", recording)
+    params = {"n_max": 3, "K": [[1.0]], "Lambda": [[1.0]], "w": [[0.3]]}
+    report = cli.run_scenario({"schema_version": 1, "kind": "symmetrize", "params": params})
+    assert report["pass"] and len(built) == 1
+    assert "h_int" in vars(built[0]) and "h_total" not in vars(built[0])

@@ -201,6 +201,44 @@ def test_canonical_json_is_stable_and_key_sorted():
         canonical_json({"bad": float("nan")})
 
 
+EDGE_FLOATS = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.15, 1 / 3, 2.5e-5]
+
+
+def _float_text(x) -> str:
+    """The per-item float rule: twelve digits after the point in scientific
+    notation, with -0.0 written as 0.0."""
+    return format(0.0 if x == 0.0 else float(x), ".12e")
+
+
+@pytest.mark.parametrize(
+    "items, want",
+    [
+        (EDGE_FLOATS + [-x for x in EDGE_FLOATS], None),
+        ([], "[]"),
+        ([[0.5, -0.0], [], [[1 / 3]]], "[[5.000000000000e-01,0.000000000000e+00],[],[[3.333333333333e-01]]]"),
+        ([0.5, 1, -0.0], "[5.000000000000e-01,1,0.000000000000e+00]"),
+        ([True, 0.25], "[true,2.500000000000e-01]"),
+        ([np.float64(-0.0), 2.5e-5, np.float64(1 / 3)], "[0.000000000000e+00,2.500000000000e-05,3.333333333333e-01]"),
+    ],
+    ids=["edge-floats", "empty", "nested", "with-int", "with-bool", "with-np-float64"],
+)
+def test_float_lists_render_by_the_per_item_rule(items, want):
+    """A list of Python floats is written in one pass; these are the bytes
+    of the per-item rule, for every such list and for lists that mix floats
+    with other items."""
+    if want is None:
+        want = "[" + ",".join(_float_text(x) for x in items) + "]"
+    assert canonical_json(items) == want + "\n"
+    assert canonical_json({"k": items}) == '{"k":' + want + "}\n"
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("others", [[], [0.5, -0.0], [1]])
+def test_a_non_finite_float_in_a_list_has_no_encoding(bad, others):
+    with pytest.raises(ValueError, match="non-finite float has no canonical encoding"):
+        canonical_json(others + [bad])
+
+
 def _asymmetric(scale, complex_part=0.0):
     """A scale times a matrix whose largest entry is 1 and whose asymmetry
     is 1e-6, far beyond roundoff at any scale."""
