@@ -98,7 +98,6 @@ from .fock import (
     hw_mode,
     interior_indices,
     ladder,
-    number_operator,
     parity_generators,
     position_momentum,
 )

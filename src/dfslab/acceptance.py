@@ -25,8 +25,9 @@ from .duality import (
     onn_generators,
     pairing_matrix,
 )
-from .dynamics import coherence_experiment
+from .dynamics import SYMMETRIZED_LEAKAGE_CAP, coherence_experiment
 from .fock import (
+    SUBSTITUTION_TOL,
     FockSpace,
     build_decoherence_model,
     clifford_pair,
@@ -36,18 +37,27 @@ from .fock import (
     interior_indices,
     parity_generators,
 )
-from .nctorus import FluxMatrix, antisymmetrize_coupling, clock_shift_rep, weyl_residual
+from .nctorus import WEYL_TOL, FluxMatrix, antisymmetrize_coupling, clock_shift_rep, weyl_residual
 from .opcore import Operator, SubspaceBasis, commutant_basis, commutator, operator_norm
 from .reporting import canonical_json
-from .spectral import GAP_TOL, connes_distance, make_diagonal_triple, make_two_point_triple
+from .spectral import EXPECTED_DISTANCE_TOL, GAP_TOL, connes_distance, make_diagonal_triple, make_two_point_triple
 from .states import DensityMatrix, StateFunctional, encode_two_point, pure_state
-from .symmetry import close_group, invariant_projector, joint_kernel, symmetrize_operator
+from .symmetry import (
+    ANNIHILATION_TOL,
+    PROJECTOR_TOL,
+    close_group,
+    invariant_projector,
+    joint_kernel,
+    symmetrize_operator,
+)
 
 # Thresholds frozen against reference runs; see the test suite for the
 # experiments that produced them.
 FULL_LEAKAGE_FLOOR = 1e-4
-SYMMETRIZED_LEAKAGE_CAP = 1e-10
 ORACLE_SAMPLES = 100_000
+# The oracle skips coefficients whose commutator norm is at most this; it is
+# its own constant, not the solver's, so that the oracle stays independent.
+ORACLE_NORM_FLOOR = 1e-12
 
 
 @dataclass
@@ -75,7 +85,8 @@ def _diag_state(p: np.ndarray) -> StateFunctional:
 def criterion_1(tol_scale: float = 1.0) -> CriterionResult:
     """Two-point distances against the closed form 1/|lambda|, each with a
     certified duality gap."""
-    tol = 1e-6 * tol_scale
+    tol = EXPECTED_DISTANCE_TOL * tol_scale
+    gap_tol = GAP_TOL * tol_scale
     worst = 0.0
     worst_gap = -math.inf
     certified = True
@@ -91,7 +102,7 @@ def criterion_1(tol_scale: float = 1.0) -> CriterionResult:
         err = abs(res.value - 1.0 / abs(lam))
         worst = max(worst, err)
         worst_gap = max(worst_gap, res.gap)
-        certified = certified and res.certified
+        certified = certified and res.gap_within(gap_tol)
         slowest = max(slowest, elapsed)
         rows.append(
             {
@@ -111,12 +122,12 @@ def criterion_1(tol_scale: float = 1.0) -> CriterionResult:
         "two-point-distance",
         passed,
         f"max error {worst:.3e} (tol {tol:.1e}); max relative duality gap {worst_gap:.1e} "
-        f"(tol {GAP_TOL:.0e}), certified: {certified}; every solve under 1s: {quick}",
+        f"(tol {gap_tol:.0e}), certified: {certified}; every solve under 1s: {quick}",
         {
             "max_error": worst,
             "tolerance": tol,
             "max_duality_gap": worst_gap,
-            "gap_tolerance": GAP_TOL,
+            "gap_tolerance": gap_tol,
             "slowest_seconds": slowest,
             "cases": rows,
         },
@@ -146,7 +157,7 @@ def _oracle_distance(g: np.ndarray, comms: np.ndarray, rng: np.random.Generator)
     mats = np.tensordot(samples, comms, axes=(1, 0))
     # Each commutator is anti-Hermitian, so its norm is the largest |eigenvalue| of i M.
     norms = np.abs(np.linalg.eigvalsh(1j * mats)).max(axis=-1)
-    ok = norms > 1e-12
+    ok = norms > ORACLE_NORM_FLOOR
     objective = np.abs(samples[ok] @ g) / norms[ok]
     best = samples[ok][int(np.argmax(objective))].copy()
 
@@ -154,7 +165,9 @@ def _oracle_distance(g: np.ndarray, comms: np.ndarray, rng: np.random.Generator)
         m = np.tensordot(c, comms, axes=(1 if c.ndim > 1 else 0, 0))
         h = np.abs(np.linalg.eigvalsh(1j * m)).max(axis=-1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.abs(c @ g) / h if c.ndim == 1 else np.where(h > 1e-12, np.abs(c @ g) / h, 0.0)
+            if c.ndim == 1:
+                return np.abs(c @ g) / h
+            return np.where(h > ORACLE_NORM_FLOOR, np.abs(c @ g) / h, 0.0)
 
     span = 1.0
     current = value(best)
@@ -175,6 +188,7 @@ def criterion_2(tol_scale: float = 1.0) -> CriterionResult:
     """Solver against a random-search oracle on three-point triples, each
     solve with a certified duality gap."""
     tol = 1e-3 * tol_scale
+    gap_tol = GAP_TOL * tol_scale
     rng = _rng(2002)
     worst = 0.0
     worst_gap = -math.inf
@@ -186,7 +200,7 @@ def criterion_2(tol_scale: float = 1.0) -> CriterionResult:
         q = rng.dirichlet(np.ones(3))
         res = connes_distance(triple, _diag_state(p), _diag_state(q))
         worst_gap = max(worst_gap, res.gap)
-        certified = certified and res.certified
+        certified = certified and res.gap_within(gap_tol)
 
         basis_mats = [b.mat for b in triple.algebra_basis.matrices()]
         g = np.array(
@@ -201,12 +215,12 @@ def criterion_2(tol_scale: float = 1.0) -> CriterionResult:
         "three-point-oracle",
         passed,
         f"max solver/oracle gap {worst:.3e} over 25 triples (tol {tol:.1e}); "
-        f"max relative duality gap {worst_gap:.1e} (tol {GAP_TOL:.0e}), certified: {certified}",
+        f"max relative duality gap {worst_gap:.1e} (tol {gap_tol:.0e}), certified: {certified}",
         {
             "max_gap": worst,
             "tolerance": tol,
             "max_duality_gap": worst_gap,
-            "gap_tolerance": GAP_TOL,
+            "gap_tolerance": gap_tol,
             "triples": 25,
         },
     )
@@ -260,8 +274,8 @@ def criterion_4(tol_scale: float = 1.0) -> CriterionResult:
 
 def criterion_5(tol_scale: float = 1.0) -> CriterionResult:
     """Parity averaging kills the exchange coupling; kernel is system x vacuum."""
-    kill_tol = 1e-12 * tol_scale
-    proj_tol = 1e-12 * tol_scale
+    kill_tol = ANNIHILATION_TOL * tol_scale
+    proj_tol = PROJECTOR_TOL * tol_scale
     kernel_tol = 1e-10 * tol_scale
     rng = _rng(2005)
     rows = []
@@ -505,7 +519,7 @@ def criterion_11(tol_scale: float = 1.0) -> CriterionResult:
 def criterion_12(tol_scale: float = 1.0) -> CriterionResult:
     """Clock-shift pairs satisfy the phase relation; the antisymmetrized
     coupling matches the sign-weighted formula bit for bit."""
-    tol = 1e-13 * tol_scale
+    tol = WEYL_TOL * tol_scale
     worst = 0.0
     q = np.array([[0, 1], [-1, 0]])
     for den in (2, 3, 4, 5, 8):
@@ -538,7 +552,7 @@ def criterion_12(tol_scale: float = 1.0) -> CriterionResult:
 
 def criterion_13(tol_scale: float = 1.0) -> CriterionResult:
     """Substituted Dirac coefficients equal the dual-background ones."""
-    tol = 1e-12 * tol_scale
+    tol = SUBSTITUTION_TOL * tol_scale
     rng = _rng(2013)
     worst = 0.0
     for _ in range(10):

@@ -39,6 +39,9 @@ from .symmetry import close_group, symmetrize_operator
 
 BOUNDS_SLACK = 1e-9
 SUPPORT_TOL = 1e-10
+# Largest leakage the symmetrized evolution of ``coherence_experiment`` may
+# show: the ``decohere`` scenario's default leakage_cap and criterion 6's cap.
+SYMMETRIZED_LEAKAGE_CAP = 1e-10
 # Most complex entries in one chunk of the coherence experiment's stacks:
 # the evolved blocks psi(t) and the reduced system states.
 CHUNK_ELEMENTS = 1 << 22

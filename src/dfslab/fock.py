@@ -131,12 +131,6 @@ def ladder(space: FockSpace, mode: int) -> tuple[Operator, Operator]:
     return a, a.dag()
 
 
-def number_operator(space: FockSpace, mode: int) -> Operator:
-    """a_dag a on one mode, from the single-mode product."""
-    a = _single_ladder(space.n_max)
-    return _on_mode(space, mode, a.conj().T @ a)
-
-
 def position_momentum(space: FockSpace, mode: int) -> tuple[Operator, Operator]:
     """Quadratures x = (a + a_dag)/sqrt2 and p = (a - a_dag)/(i sqrt2)."""
     a, adag = ladder(space, mode)
@@ -645,6 +639,11 @@ def _dual_side_arrays(background: Background, levels: int) -> dict:
             arrays[f"tower{m}"] = sign * ell.T @ hw
         out[sector] = arrays
     return out
+
+
+# Largest coefficient residual of ``duality_substitution`` that counts as a
+# match: the ``duality`` scenario's substitution-match check and criterion 13.
+SUBSTITUTION_TOL = 1e-12
 
 
 def duality_substitution(background: Background, levels: int) -> SubstitutionReport:

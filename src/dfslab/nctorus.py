@@ -163,6 +163,11 @@ def clock_shift_rep(flux: FluxMatrix) -> MagneticRep:
     return MagneticRep(tuple(unitaries))
 
 
+# Largest ``weyl_residual`` of a clock-shift representation: the
+# ``nctorus`` scenario's weyl-relation check and criterion 12.
+WEYL_TOL = 1e-13
+
+
 def weyl_residual(rep: MagneticRep, flux: FluxMatrix) -> float:
     """Largest entrywise violation of U_i U_j = exp(i omega_ij) U_j U_i."""
     if len(rep.unitaries) != flux.n:

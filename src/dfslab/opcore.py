@@ -309,11 +309,19 @@ def _is_hermitian(a, tol: float = HERMITICITY_TOL) -> bool:
     return bool(np.all(np.abs(skew).max(axis=axes, initial=0.0) <= bound))
 
 
+# The absolute floor of a kernel: the cutoff of a zero matrix, all of whose
+# directions are kernel, and the least residual bound a kernel certificate
+# grants.
+KERNEL_FLOOR = 1e-12
+# The residual bound of a kernel certificate when sigma_max vanishes.
+ZERO_SIGMA_RESIDUAL = 1e-10
+
+
 def _kernel_cutoff(tol: float, ref: float) -> float:
     """The largest singular value a kernel direction may have: tol * ref,
-    relative to the reference singular value ref, or 1e-12 when ref
+    relative to the reference singular value ref, or KERNEL_FLOOR when ref
     vanishes (a zero matrix, all of whose directions are kernel)."""
-    return tol * ref if ref > 0 else 1e-12
+    return tol * ref if ref > 0 else KERNEL_FLOOR
 
 
 @dataclass(frozen=True)
@@ -395,12 +403,12 @@ class KernelBasis(SubspaceBasis):
         """The span of ``rows`` as the kernel of ``a``, certified: the
         largest residual ||a v|| over the rows, measured on ``a``'s entries
         in a fixed order, not by BLAS (``Operator._apply``), must stay
-        within tol * sigma_max * sqrt(dim) (1e-10 when sigma_max vanishes,
-        never below 1e-12), else DomainError."""
+        within tol * sigma_max * sqrt(dim) (ZERO_SIGMA_RESIDUAL when
+        sigma_max vanishes, never below KERNEL_FLOOR), else DomainError."""
         resid = float(np.linalg.norm(a._apply(rows), axis=0).max()) if rows.shape[0] else 0.0
         basis = cls(a.dim, rows, VECTOR_SPACE, sigma_max=sigma_max, residual=resid)
-        bound = tol * sigma_max * np.sqrt(a.dim) if sigma_max > 0 else 1e-10
-        if resid > max(bound, 1e-12):
+        bound = tol * sigma_max * np.sqrt(a.dim) if sigma_max > 0 else ZERO_SIGMA_RESIDUAL
+        if resid > max(bound, KERNEL_FLOOR):
             raise DomainError("kernel residual exceeds the certified bound")
         return basis
 
@@ -569,9 +577,9 @@ def sector_eigh(mat, vectors: bool = True):
     the real parts when no entry has an imaginary part); a matrix that is
     one block is one such call.  The eigenvalues are merged by a stable
     sort, blocks laid out in the order of their smallest index; eigenvector
-    k is column k, zero outside its block.  Each block's
-    eigenpairs must reconstruct it to 1e-10 relative to the largest entry
-    of its matrix.  Returns ``(vals, vecs)``, or ``vals`` alone when
+    k is column k, zero outside its block.  Each block's eigenpairs must
+    reconstruct it to RECONSTRUCTION_TOL relative to the largest entry of
+    its matrix.  Returns ``(vals, vecs)``, or ``vals`` alone when
     ``vectors`` is false.  Only the lower triangle of each block is read, as
     in ``np.linalg.eigh``.
     """
@@ -594,15 +602,23 @@ def sector_eigh(mat, vectors: bool = True):
     return vals[order], vecs
 
 
+# ``lowest_eigenvalue`` refines every block whose lowest eigenvalue lies
+# within GROUND_WINDOW times the scale of the lowest one, each from an
+# inverse-iteration solve shifted RAYLEIGH_SHIFT times the scale below it.
+GROUND_WINDOW = 1e-10
+RAYLEIGH_SHIFT = 1e-14
+
+
 def lowest_eigenvalue(a: Operator) -> float:
     """The lowest eigenvalue of a Hermitian operator, refined so that its
     bits do not depend on how many threads BLAS runs.
 
     The blocks' eigenvalues (``sector_eigh`` without vectors) locate it,
     but their last bits move with the thread count, so each block whose
-    lowest eigenvalue lies within 1e-10 of the scale (the largest of 1,
-    that eigenvalue and the largest entry) of the lowest one is refined
-    (``_rayleigh_quotient``), and the least of those quotients is returned.
+    lowest eigenvalue lies within GROUND_WINDOW of the scale (the largest
+    of 1, that eigenvalue and the largest entry) of the lowest one is
+    refined (``_rayleigh_quotient``), and the least of those quotients is
+    returned.
     A degeneracy across blocks is then settled by the refined values, not
     by the located ones.
     """
@@ -611,24 +627,25 @@ def lowest_eigenvalue(a: Operator) -> float:
                for w, rows in zip(vals[:, 0], block_rows)]
     low = min(w for w, _ in located)
     scale = max(1.0, abs(low), float(np.abs(e.vals).max(initial=0.0)))
-    return min(_rayleigh_quotient(e, rows, w, scale) for w, rows in located if w <= low + 1e-10 * scale)
+    window = low + GROUND_WINDOW * scale
+    return min(_rayleigh_quotient(e, rows, w, scale) for w, rows in located if w <= window)
 
 
 def _rayleigh_quotient(e: _Entries, rows: np.ndarray, located: float, scale: float) -> float:
     """The lowest eigenvalue of the block of ``e`` on ``rows``, from its
-    located value: one inverse-iteration solve with the block, shifted 1e-14
-    ``scale`` below that value, gives its eigenvector v, and the value
-    returned is the Rayleigh quotient v^dag A v / v^dag v, taken as the
-    located value plus v^dag (A - located) v / v^dag v.  That numerator is
-    summed exactly (``_exact_form``), so the quotient is the one of the v
-    the solve returned, to far below one unit in the last place.  Its error
-    is second order in v's, so the bits v takes from the solve do not reach
-    it unless the eigenvalue is within roundoff of 0."""
+    located value: one inverse-iteration solve with the block, shifted
+    RAYLEIGH_SHIFT ``scale`` below that value, gives its eigenvector v, and
+    the value returned is the Rayleigh quotient v^dag A v / v^dag v, taken
+    as the located value plus v^dag (A - located) v / v^dag v.  That
+    numerator is summed exactly (``_exact_form``), so the quotient is the
+    one of the v the solve returned, to far below one unit in the last
+    place.  Its error is second order in v's, so the bits v takes from the
+    solve do not reach it unless the eigenvalue is within roundoff of 0."""
     blk = e.gather(rows[None], rows[None])[0]
     # a fixed pseudo-random start: no symmetry of the block can make it
     # orthogonal to the lowest eigenvector, as it can a vector of ones
     start = np.random.default_rng(0).standard_normal(rows.size)
-    v = np.linalg.solve(blk - (located - 1e-14 * scale) * np.eye(rows.size), start)
+    v = np.linalg.solve(blk - (located - RAYLEIGH_SHIFT * scale) * np.eye(rows.size), start)
     v /= np.abs(v).max()
     full = np.zeros(e.shape[0], dtype=v.dtype)
     full[rows] = v
@@ -713,11 +730,16 @@ def _real_if_exact(e: _Entries) -> _Entries:
     return e
 
 
+# Largest entry of V diag(vals) V^dag - A, relative to the scale of A, that
+# an eigendecomposition with vectors may leave.
+RECONSTRUCTION_TOL = 1e-10
+
+
 def _check_reconstruction(blk, vals, vecs, scale: float) -> None:
     """Raise unless V diag(vals) V^dag reproduces every block of the stack
-    ``blk`` to 1e-10 times ``scale``."""
+    ``blk`` to RECONSTRUCTION_TOL times ``scale``."""
     recon = (vecs * vals[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-    if np.abs(recon - blk).max(initial=0.0) > 1e-10 * scale:
+    if np.abs(recon - blk).max(initial=0.0) > RECONSTRUCTION_TOL * scale:
         raise DomainError("eigendecomposition failed to reconstruct the operator")
 
 
@@ -869,12 +891,12 @@ def nullspace(mat: np.ndarray, tol: float = KERNEL_TOL) -> np.ndarray:
     """Orthonormal rows spanning the numerical right nullspace of ``mat``.
 
     Keeps right-singular directions with singular value <= tol * sigma_max,
-    with an absolute floor of 1e-12 when sigma_max vanishes.  The matrix is
-    split into the connected blocks of its nonzero pattern first; each block
-    gets its own SVD (blocks of one shape in one stacked call), sigma_max is
-    the largest singular value over all blocks, and each block's kernel
-    directions (the conjugated V^dag rows) are scattered back to its
-    columns.  A block with more columns than rows and a column with no
+    with an absolute floor of KERNEL_FLOOR when sigma_max vanishes.  The
+    matrix is split into the connected blocks of its nonzero pattern first;
+    each block gets its own SVD (blocks of one shape in one stacked call),
+    sigma_max is the largest singular value over all blocks, and each
+    block's kernel directions (the conjugated V^dag rows) are scattered back
+    to its columns.  A block with more columns than rows and a column with no
     nonzero entry contribute their exact kernel directions.  A matrix with
     no zero entry, or one block, goes through one SVD of the whole matrix.
     The matrix enters as the entries of its complex128 copy

@@ -40,10 +40,17 @@ from .opcore import (
 )
 from .states import StateFunctional
 
-# A basis direction counts as commutant when its commutator norm is below
-# this fraction of ||D||.
+# The seminorm kernel is the nullspace (cutoff SEMINORM_KERNEL_TOL) of the
+# map c -> [D, A(c)].  A kernel direction counts as commutant when its
+# commutator norm is at most the larger of COMMUTANT_FRACTION * ||D|| and
+# COMMUTANT_FLOOR.
+SEMINORM_KERNEL_TOL = 1e-12
 COMMUTANT_FRACTION = 1e-10
+COMMUTANT_FLOOR = 1e-14
 UNBOUNDED_OBJECTIVE_TOL = 1e-9
+# An objective of norm at most ZERO_OBJECTIVE_TOL off the commutant gives
+# distance 0.
+ZERO_OBJECTIVE_TOL = 1e-14
 # The solve stops once (upper_bound - value) <= GAP_TOL * value.  Weak
 # duality gives upper_bound >= value; at an exact optimum roundoff in the two
 # norms can put the computed bound up to DUALITY_ROUNDOFF (relative) below.
@@ -53,6 +60,9 @@ DUALITY_ROUNDOFF = 1e-14
 # (``DistanceResult`` refuses one past it); the ``distance`` scenario reports
 # the excess as its constraint-on-boundary check.
 BOUNDARY_SLACK = 1e-8
+# How far a distance may lie from the value a scenario or criterion expects:
+# the ``distance`` scenario's distance-matches-expected check and criterion 1.
+EXPECTED_DISTANCE_TOL = 1e-6
 # Interior-point steps: the share of the way to the cone boundary a step may
 # go, and the number of Newton steps before the solve gives up certifying.
 STEP_FRACTION = 0.95
@@ -113,9 +123,14 @@ class DistanceResult:
         """Relative duality gap (upper_bound - value) / value; 0 for distance 0."""
         return (self.upper_bound - self.value) / self.value if self.value else self.upper_bound
 
+    def gap_within(self, bound: float) -> bool:
+        """-DUALITY_ROUNDOFF <= gap <= bound: the certificate checked against
+        ``bound``, GAP_TOL scaled by a check's tolerance scale."""
+        return -DUALITY_ROUNDOFF <= self.gap <= bound
+
     @property
     def certified(self) -> bool:
-        return -DUALITY_ROUNDOFF <= self.gap <= GAP_TOL
+        return self.gap_within(GAP_TOL)
 
 
 def make_two_point_triple(lam: complex) -> SpectralTriple:
@@ -243,10 +258,10 @@ def connes_distance(
     dnorm = operator_norm(triple.dirac)
     flat = commutators.reshape(k, -1).T
     stacked = np.vstack([flat.real, flat.imag])
-    ker = nullspace(stacked, tol=1e-12).real
+    ker = nullspace(stacked, tol=SEMINORM_KERNEL_TOL).real
     genuine = []
     for row in ker:
-        if _h(commutators, row) <= max(COMMUTANT_FRACTION * dnorm, 1e-14):
+        if _h(commutators, row) <= max(COMMUTANT_FRACTION * dnorm, COMMUTANT_FLOOR):
             genuine.append(row)
     for row in genuine:
         if abs(float(g @ row)) > UNBOUNDED_OBJECTIVE_TOL:
@@ -259,7 +274,7 @@ def connes_distance(
         kermat = np.array(genuine)
         g = g - kermat.T @ (kermat @ g)
         complement = np.linalg.svd(kermat)[2][len(genuine):]
-    if float(np.linalg.norm(g)) <= 1e-14:
+    if float(np.linalg.norm(g)) <= ZERO_OBJECTIVE_TOL:
         return DistanceResult(0.0, zero, 0.0, dual=zero)
 
     # Coefficients c = T w make the H_j = sum_k T_kj H_k Frobenius-orthonormal.

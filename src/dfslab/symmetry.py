@@ -157,6 +157,12 @@ def joint_kernel(generators: list[Operator]) -> SubspaceBasis:
     return SubspaceBasis(dim, vecs, "vector-space")
 
 
+# Largest norm of a symmetrized coupling that counts as annihilated: the
+# bound of the ``symmetrize`` scenario's interaction-annihilated check and of
+# criterion 5.
+ANNIHILATION_TOL = 1e-12
+
+
 def symmetrize_operator(group: GroupRep, h: Operator) -> Operator:
     """Group-average U^dag H U; the result commutes with every element.
 

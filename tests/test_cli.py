@@ -679,3 +679,70 @@ def test_valid_inputs_far_from_unit_scale_get_a_passing_report(kind, params):
     report = run_scenario({"schema_version": 1, "kind": kind, "params": params})
     assert report["pass"] is True
 
+
+
+@pytest.mark.parametrize(
+    "kind, params, keys",
+    [
+        ("distance", dict(DIRAC_DISTANCE, **{"lambda": 2.0}), ("lambda", "dirac")),
+        ("duality", dict(load("duality.json")["params"], word=[{"kind": "swap"}]), ("word", "generator")),
+    ],
+    ids=["distance-lambda-and-dirac", "duality-word-and-generator"],
+)
+def test_two_keys_of_which_one_is_read_exit_1(kind, params, keys, tmp_path, capsys):
+    """Without this check, lambda ran the two-point problem and word ran the
+    word, each ignored the other key, and the run exited 0."""
+    path = tmp_path / "both.json"
+    path.write_text(json.dumps({"schema_version": 1, "kind": kind, "params": params}))
+    assert entry(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert all(key in err for key in keys)
+
+
+@pytest.mark.parametrize("amplitude", [1e-200, 1e200])
+def test_superposition_is_normalized_at_any_scale(amplitude):
+    """[1e-200, 1e-200] exited 1 as zero, its squared norm underflowing, and
+    [1e200, 1e200] overflowed to an infinite norm."""
+    base = run_scenario({"schema_version": 1, "kind": "decohere", "params": DECOHERE})
+    params = dict(DECOHERE, superposition=[amplitude, amplitude])
+    scaled = run_scenario({"schema_version": 1, "kind": "decohere", "params": params})
+    assert scaled["results"] == base["results"]
+
+
+# The two bounds that --tol-scale leaves alone: DistanceResult refuses a
+# maximizer past BOUNDARY_SLACK whatever the scale, and a leakage floor is a
+# value the bare evolution must reach, not a tolerance.
+UNSCALED_CHECKS = {"constraint-on-boundary", "full-leakage-reaches-floor"}
+
+
+@pytest.mark.parametrize("name", ["distance", "symmetrize", "dfs", "decohere", "duality", "nctorus"])
+def test_tol_scale_multiplies_every_check_tolerance(name):
+    """At scale 3 the certified-gap tolerance stayed 1e-09."""
+    checks = {}
+    for scale in (1.0, 3.0):
+        report = run_scenario(load(f"{name}.json"), tol_scale=scale)
+        checks[scale] = {c["name"]: c["tolerance"] for c in report["checks"]}
+    assert checks[1.0].keys() == checks[3.0].keys()
+    for check, tol in checks[1.0].items():
+        want = tol if check in UNSCALED_CHECKS else 3.0 * tol
+        assert checks[3.0][check] == pytest.approx(want, rel=1e-15, abs=0.0), check
+
+
+@pytest.mark.parametrize("scale", [1.0, 3.0])
+def test_scenario_checks_and_their_criteria_share_each_bound(scale):
+    """Each scenario check that tests a battery criterion's property reports
+    the tolerance that criterion records."""
+    from dfslab import acceptance
+
+    twins = [
+        ("distance", "distance-matches-expected", acceptance.criterion_1, "tolerance"),
+        ("distance", "certified-gap", acceptance.criterion_1, "gap_tolerance"),
+        ("symmetrize", "interaction-annihilated", acceptance.criterion_5, "kill_tolerance"),
+        ("decohere", "symmetrized-leakage-cap", acceptance.criterion_6, "cap"),
+        ("nctorus", "weyl-relation", acceptance.criterion_12, "tolerance"),
+        ("duality", "substitution-match", acceptance.criterion_13, "tolerance"),
+    ]
+    for name, check, criterion, key in twins:
+        report = run_scenario(load(f"{name}.json"), tol_scale=scale)
+        reported = {c["name"]: c["tolerance"] for c in report["checks"]}[check]
+        assert reported == criterion(scale).values[key], check
