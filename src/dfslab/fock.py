@@ -120,9 +120,21 @@ def _on_mode(space: FockSpace, mode: int, local: np.ndarray) -> Operator:
     """A single-mode operator acting on one mode of the space."""
     if not 0 <= mode < space.n_modes:
         raise UsageError(f"mode {mode} not in space with {space.n_modes} modes")
-    before = np.eye(space.levels ** mode)
-    after = np.eye(space.levels ** (space.n_modes - mode - 1))
-    return tensor(before, local, after)
+    return tensor(space.levels ** mode, local, space.levels ** (space.n_modes - mode - 1))
+
+
+def _embedded_ladder(space: FockSpace, mode: int) -> np.ndarray:
+    """The annihilation operator of one mode, I x .. x a x .. x I, as a dense
+    array: ``ladder(space, mode)[0].mat`` bit for bit, scattered straight
+    from ``_single_ladder`` into zeros, with no entries and no Operator."""
+    before = space.levels ** mode
+    after = space.levels ** (space.n_modes - mode - 1)
+    out = np.zeros((before, space.levels, after) * 2, dtype=np.complex128)
+    b, c = np.arange(before)[:, None], np.arange(after)
+    # the advanced indices go first: out[b, :, c, b, :, c] has the shape
+    # (before, after, levels, levels)
+    out[b, :, c, b, :, c] = _single_ladder(space.n_max)
+    return out.reshape(space.dim, space.dim)
 
 
 def ladder(space: FockSpace, mode: int) -> tuple[Operator, Operator]:
@@ -158,7 +170,7 @@ def hw_mode(space: FockSpace, level: int, eta, modes=None) -> list[Operator]:
     if level < 1:
         raise DomainError("level must be a positive integer")
     ell = math.sqrt(level) * np.linalg.cholesky(eta)
-    ladders = [ladder(space, m)[0].mat for m in modes]
+    ladders = [_embedded_ladder(space, m) for m in modes]
     out = []
     for i in range(n_dirs):
         acc = np.zeros((space.dim, space.dim), dtype=np.complex128)
@@ -193,8 +205,9 @@ class DecoherenceModel:
     def _exchange_terms(self) -> list:
         """The ``tensor_sum`` terms w a_i e_al^dag and their adjoints, on the
         full space's modes (system modes first, each factor a single-mode
-        ladder or an identity); no two of these terms share an entry, nor do
-        they share one with the number-conserving h_sys and h_env terms."""
+        ladder or an identity, given as its size); no two of these terms
+        share an entry, nor do they share one with the number-conserving
+        h_sys and h_env terms."""
         levels = self.space.levels
         n_sys, n_env = self.system_space.n_modes, self.env_space.n_modes
         a = _single_ladder(self.space.n_max)
@@ -202,9 +215,9 @@ class DecoherenceModel:
         terms = []
         for i in range(n_sys):
             for al in range(n_env):
-                before = np.eye(levels**i)
-                between = np.eye(levels ** (n_sys - 1 - i + al))
-                after = np.eye(levels ** (n_env - 1 - al))
+                before = levels**i
+                between = levels ** (n_sys - 1 - i + al)
+                after = levels ** (n_env - 1 - al)
                 w = self.coupling_int[i, al]
                 terms.append((w, (before, a, between, a_dag, after)))
                 terms.append((np.conj(w), (before, a_dag, between, a, after)))
@@ -217,8 +230,8 @@ class DecoherenceModel:
     @cached_property
     def h_total(self) -> Operator:
         free = [
-            (1.0, (self.h_sys.mat, np.eye(self.env_space.dim))),
-            (1.0, (np.eye(self.system_space.dim), self.h_env.mat)),
+            (1.0, (self.h_sys.mat, self.env_space.dim)),
+            (1.0, (self.system_space.dim, self.h_env.mat)),
         ]
         return tensor_sum(free + self._exchange_terms())
 
@@ -249,8 +262,8 @@ def build_decoherence_model(k_sys, lam_env, w_int, n_max: int) -> DecoherenceMod
         )
     full_space = FockSpace(n_sys + n_env, n_max)
 
-    a_ops = [ladder(sys_space, i)[0].mat for i in range(n_sys)]
-    e_ops = [ladder(env_space, i)[0].mat for i in range(n_env)]
+    a_ops = [_embedded_ladder(sys_space, i) for i in range(n_sys)]
+    e_ops = [_embedded_ladder(env_space, i) for i in range(n_env)]
 
     h_sys = np.zeros((sys_space.dim,) * 2, dtype=np.complex128)
     for i in range(n_sys):
@@ -289,7 +302,7 @@ def env_vacuum_projector(model: DecoherenceModel) -> Operator:
     """Projector onto (everything) x (all environment modes in vacuum)."""
     vac = np.zeros((model.env_space.dim,) * 2, dtype=np.complex128)
     vac[0, 0] = 1.0
-    return tensor(np.eye(model.system_space.dim), vac)
+    return tensor(model.system_space.dim, vac)
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +314,7 @@ def _jordan_wigner_gammas(n_dirs: int) -> list[np.ndarray]:
     gammas = []
     for k in range(n_dirs):
         for pauli in (_PAULI_X, _PAULI_Y):
-            mats = [_PAULI_Z] * k + [pauli] + [np.eye(2, dtype=np.complex128)] * (
-                n_dirs - k - 1
-            )
-            gammas.append(tensor(*mats).mat)
+            gammas.append(tensor(*[_PAULI_Z] * k, pauli, *[2] * (n_dirs - k - 1)).mat)
     return gammas
 
 
@@ -502,9 +512,10 @@ def build_string_model(background: Background, n_max: int, levels: int) -> Strin
         for m in range(1, levels + 1)
     )
 
-    eye_t = np.eye(tower_space.dim)
+    # identity factors, given by their sizes
+    eye_t = tower_space.dim
     cliff = clifford_pair(eta_l)
-    eye_s = np.eye(system_space.dim)
+    eye_s = system_space.dim
     # D+ (gamma_plus terms) and D- (gamma_minus terms) summed in one array.
     terms = []
     for i in range(n):

@@ -156,8 +156,7 @@ def clock_shift_rep(flux: FluxMatrix) -> MagneticRep:
     unitaries = []
     for b, q_b in enumerate(numerators):
         clock = np.diag(np.exp(2.0j * np.pi * q_b * np.arange(den) / den))
-        before = np.eye(den ** b)
-        after = np.eye(den ** (blocks - b - 1))
+        before, after = den ** b, den ** (blocks - b - 1)
         unitaries.append(tensor(before, shift, after))
         unitaries.append(tensor(before, clock, after))
     return MagneticRep(tuple(unitaries))
@@ -225,7 +224,7 @@ def landau_hamiltonian(flux: FluxMatrix, n_max: int) -> Operator:
     FockSpace(2, n_max)  # the dimension budget of the two-mode space
     x, p = (q.mat for q in position_momentum(FockSpace(1, n_max), 0))
     x2, p2 = x @ x, p @ p
-    eye = np.eye(n_max + 1)
+    eye = n_max + 1  # the identity factor, as its size
     phase = 1j ** np.arange(n_max + 1)
 
     def turn(m):

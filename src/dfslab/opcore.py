@@ -17,7 +17,8 @@ Conventions used throughout the package:
   slowest, matching the row-major reshape of composite indices.  This module
   is the only place that knows that layout: ``tensor_sum`` sums products of
   factors as an entry list formed from the factors' nonzero entries
-  (``tensor`` is its one-term case), ``apply_on_factor`` applies a local
+  (``tensor`` is its one-term case; an identity factor is given as its
+  size, so no identity array is scanned), ``apply_on_factor`` applies a local
   operator to one factor of a stack of kets without forming the product, and
   ``KroneckerSum`` diagonalizes a Kronecker sum of Hermitian factors from
   the factors' eigenpairs (eigenvalue grid and product eigenvectors);
@@ -28,7 +29,8 @@ Conventions used throughout the package:
   and norms split the pattern as a bipartite graph of rows and columns;
   Hermitian eigenproblems (``sector_eigh``) read it as an undirected graph
   on the indices, so a block's rows and columns are the same indices.  A
-  matrix that is one block is solved as one block;
+  matrix that is one block is solved as one block, and a caller that reads
+  only some indices has only the blocks holding them laid out;
 * kernels, commutants and operator norms are computed from singular value
   decompositions with a relative cutoff, never from exact rank decisions.
   Every block gets its own SVD (with the full V^dag only for a block with
@@ -414,20 +416,32 @@ class KernelBasis(SubspaceBasis):
 
 
 def tensor(*factors) -> Operator:
-    """Kronecker product of Operators or square arrays, first factor slowest:
-    the one-term ``tensor_sum``."""
+    """Kronecker product of Operators, square arrays or sizes (an int k is
+    the k x k identity), first factor slowest: the one-term ``tensor_sum``."""
     if not factors:
         raise UsageError("tensor needs at least one factor")
     return tensor_sum([(1.0, factors)])
 
 
-def _square_factors(factors) -> tuple[np.ndarray, ...]:
+def _square_factors(factors, sizes: bool = False) -> tuple:
     """The factors as arrays (an Operator gives its matrix); ShapeError
-    unless there is at least one and each is square."""
-    mats = tuple(np.asarray(f.mat if isinstance(f, Operator) else f) for f in factors)
-    if not mats or any(m.ndim != 2 or m.shape[0] != m.shape[1] for m in mats):
+    unless there is at least one and each is square.  With ``sizes`` a
+    factor may also be an int k, the k x k identity, kept as the int; it
+    must be positive and not a bool."""
+    mats = []
+    for f in factors:
+        if sizes and isinstance(f, (int, np.integer)):
+            if isinstance(f, bool) or f < 1:
+                raise ShapeError(f"an identity factor's size must be a positive int, got {f!r}")
+            mats.append(int(f))
+            continue
+        m = np.asarray(f.mat if isinstance(f, Operator) else f)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ShapeError("expected one or more square factor matrices")
+        mats.append(m)
+    if not mats:
         raise ShapeError("expected one or more square factor matrices")
-    return mats
+    return tuple(mats)
 
 
 def tensor_sum(terms) -> Operator:
@@ -435,20 +449,25 @@ def tensor_sum(terms) -> Operator:
     ``(coef, factors)`` pairs, as an ``Operator`` that keeps its nonzero
     entries.
 
-    Each term multiplies its factors' nonzero entries, first factor first,
-    and then scales them by ``coef``.  The entries of one position are added
-    in the order of the terms, starting from zero, and a position whose sum
-    is exactly zero keeps no entry.  So the entries are those of the running
+    A factor is an Operator, a square array, or an int k, the k x k
+    identity.  Each term multiplies its factors' nonzero entries, first
+    factor first, and then scales them by ``coef``; an identity factor's
+    positions come from index arithmetic and its unit entries repeat the
+    values, with no product.  The entries of one position are added in the
+    order of the terms, starting from zero, and a position whose sum is
+    exactly zero keeps no entry.  So the entries are those of the running
     sum of the densified terms, bit for bit: ``mat``, formed when read, is
-    that sum, and the stored positions are its nonzero pattern.  No
-    full-space array is formed.  The budget is checked before anything is
-    allocated; finiteness is checked once, on the summed entries.
+    that sum, and the stored positions are its nonzero pattern (the sum
+    onto +0.0 also sends any signed zero that a product by 1.0 would have
+    flipped to +0.0).  No full-space array is formed.  The budget is checked
+    before anything is allocated; finiteness is checked once, on the summed
+    entries.
     """
     dim = None
     parts = []
     for coef, factors in terms:
-        mats = _square_factors(factors)
-        size = math.prod(m.shape[0] for m in mats)
+        mats = _square_factors(factors, sizes=True)
+        size = math.prod(m if isinstance(m, int) else m.shape[0] for m in mats)
         if dim is None:
             if size > DIM_BUDGET:
                 raise BudgetError(f"tensor product dimension {size} exceeds budget {DIM_BUDGET}")
@@ -456,13 +475,24 @@ def tensor_sum(terms) -> Operator:
         elif size != dim:
             raise ShapeError(f"term dimension {size} does not match {dim}")
         rows = cols = np.zeros(1, dtype=np.intp)
-        vals = None
+        vals = None  # while every value so far is 1
         for m in mats:
+            if isinstance(m, int):
+                if m > 1:  # a 1 x 1 identity changes nothing
+                    diag = np.arange(m)
+                    rows = (rows[:, None] * m + diag).reshape(-1)
+                    cols = (cols[:, None] * m + diag).reshape(-1)
+                    vals = None if vals is None else np.repeat(vals, m)
+                continue
             r, c = np.nonzero(m)
+            v = m[r, c]
+            if vals is None:
+                vals = v if rows.size == 1 else np.tile(v, rows.size)
+            else:
+                vals = (vals[:, None] * v).reshape(-1)
             rows = (rows[:, None] * m.shape[0] + r).reshape(-1)
             cols = (cols[:, None] * m.shape[0] + c).reshape(-1)
-            vals = m[r, c] if vals is None else (vals[:, None] * m[r, c]).reshape(-1)
-        parts.append((rows, cols, coef * vals))
+        parts.append((rows, cols, coef * (np.ones(rows.size) if vals is None else vals)))
     if dim is None:
         raise UsageError("tensor_sum needs at least one term")
     return Operator._unchecked(_summed(dim, parts))
@@ -695,9 +725,9 @@ def _block_eighs(e: _Entries, vectors: bool = True, touched=None):
     m_b, m_b), each block's eigenvectors as its columns over its own rows
     (None when ``vectors`` is false; then entries with no imaginary part
     are solved as real symmetric blocks).  With ``touched``, a boolean mask
-    over the indices, only the blocks holding a touched index are solved;
-    no entry joins them to any other index, so this is an exact split, no
-    tolerance."""
+    over the indices, only the blocks holding a touched index are laid out
+    and solved (``_split``); no entry joins them to any other index, so
+    this is an exact split, no tolerance."""
     if vectors:
         if e.vals.ndim != 1:
             raise ShapeError(
@@ -706,12 +736,7 @@ def _block_eighs(e: _Entries, vectors: bool = True, touched=None):
         scale = max(1.0, float(np.abs(e.vals).max(initial=0.0)))
     else:
         e = _real_if_exact(e)
-    for rows, _, start in _split(e, hermitian=True):
-        if touched is not None:
-            keep = touched[rows].any(axis=1)
-            if not keep.any():
-                continue
-            rows, start = rows[keep], start[keep]
+    for rows, _, start in _split(e, hermitian=True, touched=touched):
         blk = e.gather(rows, rows)
         if not vectors:
             yield rows, start, np.linalg.eigvalsh(blk), None
@@ -781,7 +806,7 @@ def _components(n: int, r: np.ndarray, c: np.ndarray) -> np.ndarray:
     return (np.cumsum(label == np.arange(n)) - 1)[label]
 
 
-def _split(e: _Entries, hermitian: bool = False):
+def _split(e: _Entries, hermitian: bool = False, touched=None):
     """The connected blocks of the pattern of the entries ``e``, as
     ``_sectors`` lists them.
 
@@ -790,7 +815,10 @@ def _split(e: _Entries, hermitian: bool = False):
     square and its indices are the nodes, i -- j when entry (i, j) or
     (j, i) is stored, so each block's rows and columns are the same
     indices.  Either split is exact; a matrix with every entry stored is
-    one block, without walking its pattern."""
+    one block, without walking its pattern.  With ``touched`` (hermitian
+    only), a boolean mask over the indices, only the blocks holding a
+    touched index are laid out, in the same groups and order as in the
+    whole split, and ``start`` counts only their rows."""
     m, n = e.shape
     if e.rows.size == m * n:
         label = np.zeros(m if hermitian else m + n, dtype=np.intp)
@@ -798,7 +826,18 @@ def _split(e: _Entries, hermitian: bool = False):
         label = _components(m, e.rows, e.cols)
     else:
         label = _components(m + n, e.rows, e.cols + m)
-    return _sectors(label, label) if hermitian else _sectors(label[:m], label[m:])
+    if not hermitian:
+        return _sectors(label[:m], label[m:])
+    if touched is None:
+        return _sectors(label, label)
+    held = np.zeros(m, dtype=bool)  # by block label
+    held[label[touched]] = True
+    index = np.flatnonzero(held[label])
+    if not index.size:
+        return []
+    # the held blocks relabelled 0, 1, .. in their order
+    label = (np.cumsum(held) - 1)[label[index]]
+    return [(index[rows], index[cols], start) for rows, cols, start in _sectors(label, label)]
 
 
 def _row_stack(ops):

@@ -75,9 +75,9 @@ class InvariantProjector:
         p = np.asarray(self.mean, dtype=np.complex128).view()
         p.setflags(write=False)
         object.__setattr__(self, "mean", p)
-        square = p * p if p.ndim == 1 else p @ p
-        object.__setattr__(self, "idempotency", float(np.abs(square - p).max(initial=0.0)))
-        object.__setattr__(self, "hermiticity", float(np.abs(p - p.conj().T).max(initial=0.0)))
+        idempotency, hermiticity = projector_residuals(p)
+        object.__setattr__(self, "idempotency", idempotency)
+        object.__setattr__(self, "hermiticity", hermiticity)
         if self.idempotency > PROJECTOR_TOL:
             raise DomainError("projector is not idempotent")
         if self.hermiticity > PROJECTOR_TOL:
@@ -139,13 +139,30 @@ def _common_dim(generators: list[Operator]) -> int:
     return generators[0].dim
 
 
-def invariant_projector(group: GroupRep) -> InvariantProjector:
-    """Average of the group elements (of the phase vectors for a diagonal
-    group); projects onto the fixed-point sector."""
+def projector_residuals(mean) -> tuple[float, float]:
+    """The certificate of an ``InvariantProjector``: the largest entries of
+    P^2 - P and of P - P^dag, for ``mean`` the matrix P or, for a diagonal
+    group, its diagonal.  It raises nothing, so a caller can report a
+    projector that misses the certificate."""
+    p = np.asarray(mean, dtype=np.complex128)
+    square = p * p if p.ndim == 1 else p @ p
+    return float(np.abs(square - p).max(initial=0.0)), float(np.abs(p - p.conj().T).max(initial=0.0))
+
+
+def group_average(group: GroupRep) -> np.ndarray:
+    """The average of the group elements (of the phase vectors for a
+    diagonal group), with its Hermitian part taken: the ``mean`` of
+    ``invariant_projector``."""
     pi = group.elements.mean(axis=0)
     # The raw average of a closed unitary group is idempotent up to roundoff;
     # symmetrize the Hermitian part so the projector invariants hold strictly.
-    return InvariantProjector(0.5 * (pi + pi.conj().T))
+    return 0.5 * (pi + pi.conj().T)
+
+
+def invariant_projector(group: GroupRep) -> InvariantProjector:
+    """Average of the group elements (``group_average``); projects onto the
+    fixed-point sector."""
+    return InvariantProjector(group_average(group))
 
 
 def joint_kernel(generators: list[Operator]) -> SubspaceBasis:

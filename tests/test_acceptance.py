@@ -105,6 +105,28 @@ def test_criterion_14_fails_when_a_recomputed_criterion_changes(battery, monkeyp
     assert result.values["identical"] is False
 
 
+def test_a_projector_that_misses_its_certificate_fails_criterion_5(monkeypatch, tmp_path):
+    """A group average 2e-12 off a projector is a failed criterion with its
+    measured residuals, and ``dfs-lab selftest`` exits 2, not 3.  The other
+    criteria are stubbed as passing, so only criterion 5 runs."""
+    from dfslab.cli import entry
+    from dfslab.symmetry import PROJECTOR_TOL
+
+    average = acceptance.group_average
+    monkeypatch.setattr(acceptance, "group_average", lambda rep: average(rep) + 2e-12)
+    result = acceptance.criterion_5()
+    assert not result.passed
+    assert all(case["idempotency"] > PROJECTOR_TOL for case in result.values["cases"])
+    for n in (1, 2, 3, 4, 6, 7, 8, 9, 10, 11, 12, 13):
+        stub = CriterionResult(n, "stub", True, "stub")
+        monkeypatch.setattr(acceptance, f"criterion_{n}", lambda tol_scale=1.0, stub=stub: stub)
+    out = tmp_path / "selftest.json"
+    assert entry(["selftest", "--out", str(out)]) == 2
+    assert '"passed":false' in out.read_text()
+    # the library's certificate is not scaled: a looser scale does not admit it
+    assert not acceptance.criterion_5(tol_scale=10.0).passed
+
+
 def test_selftest_output_is_byte_identical():
     """The installed command must serialize the battery identically twice,
     and byte for byte as pinned in tests/golden/selftest.json."""

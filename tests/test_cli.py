@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import inspect
 import json
 import os
 import pathlib
@@ -7,9 +8,10 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
-from dfslab import UsageError
+from dfslab import SubspaceBasis, UsageError
 from dfslab.cli import build_parser, emit, entry, run_scenario
 from dfslab.reporting import canonical_json
 
@@ -712,6 +714,49 @@ def test_superposition_is_normalized_at_any_scale(amplitude):
 # The two bounds that --tol-scale leaves alone: DistanceResult refuses a
 # maximizer past BOUNDARY_SLACK whatever the scale, and a leakage floor is a
 # value the bare evolution must reach, not a tolerance.
+def test_dfs_without_tol_uses_the_library_default_cutoff(monkeypatch):
+    """A ``dfs`` scenario without ``tol`` computes the kernel that
+    ``dfs_from_dirac`` computes with its own default, KERNEL_TOL."""
+    import dfslab.cli as cli
+    from dfslab import fock
+
+    calls = []
+
+    def recording(d, **kwargs):
+        calls.append((d, kwargs, fock.dfs_from_dirac(d, **kwargs)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(cli, "dfs_from_dirac", recording)
+    scenario = load("dfs.json")
+    del scenario["params"]["tol"]
+    report = run_scenario(scenario)
+    (d, kwargs, kernel), = calls
+    default = fock.dfs_from_dirac(d)
+    assert kwargs["tol"] == inspect.signature(fock.dfs_from_dirac).parameters["tol"].default
+    assert np.array_equal(kernel.vectors, default.vectors)
+    assert report["results"]["kernel_dim"] == default.size and report["pass"]
+
+
+def test_kernel_check_reports_the_dimension_gap(monkeypatch):
+    """``kernel-is-system-times-vacuum`` reads |joint kernel dim - system
+    dim| as its value, so value <= tolerance is its verdict."""
+    import dfslab.cli as cli
+
+    report = run_scenario(load("symmetrize.json"))
+    check = {c["name"]: c for c in report["checks"]}["kernel-is-system-times-vacuum"]
+    assert (check["value"], check["tolerance"], check["pass"]) == (0.0, 0.0, True)
+    joint_kernel = cli.joint_kernel
+
+    def one_short(gens):
+        full = joint_kernel(gens)
+        return SubspaceBasis(full.ambient_dim, full.vectors[1:], full.kind)
+
+    monkeypatch.setattr(cli, "joint_kernel", one_short)
+    report = run_scenario(load("symmetrize.json"))
+    check = {c["name"]: c for c in report["checks"]}["kernel-is-system-times-vacuum"]
+    assert (check["value"], check["pass"], report["pass"]) == (1.0, False, False)
+
+
 UNSCALED_CHECKS = {"constraint-on-boundary", "full-leakage-reaches-floor"}
 
 

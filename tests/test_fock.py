@@ -526,6 +526,19 @@ def test_decoherence_operators_equal_the_summed_tensor_products():
     assert np.array_equal(model.h_total.mat, h_total)
 
 
+@pytest.mark.parametrize("n_modes, n_max", [(1, 1), (1, 5), (2, 3), (3, 2), (3, 3)])
+def test_embedded_ladders_are_the_ladder_matrices(n_modes, n_max):
+    """The dense ladders the decoherence model multiplies are the mats of
+    ``ladder``, bit for bit, for every mode."""
+    from dfslab.fock import _embedded_ladder
+
+    space = FockSpace(n_modes, n_max)
+    for mode in range(n_modes):
+        got, want = _embedded_ladder(space, mode), ladder(space, mode)[0].mat
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def assert_same_entries(got, want):
     """Equal entries bit for bit: positions, and values with signed zeros."""
     got, want = got._entries, want._entries

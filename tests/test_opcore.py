@@ -1086,3 +1086,106 @@ def test_block_eighs_solves_only_touched_blocks():
                 blk = m[np.ix_(r, r)]
                 assert np.allclose((v * w) @ v.conj().T, blk, atol=1e-14)
                 assert np.allclose(w, np.linalg.eigvalsh(blk), atol=1e-14)
+
+
+def same_entries(got: _Entries, want: _Entries) -> bool:
+    """Equal positions in the same order, and equal value bits, signed zeros
+    included."""
+    return all(
+        getattr(got, f).dtype == getattr(want, f).dtype and getattr(got, f).tobytes() == getattr(want, f).tobytes()
+        for f in ("rows", "cols", "vals")
+    )
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_an_int_factor_is_the_identity_of_that_size(real):
+    """Every term with int factors stores the entries of the same term with
+    ``np.eye`` factors: an int first, last, between and alone, and k = 1.
+    The complex factor holds entries with a -0.0 part, and the coefficients
+    flip signs, so products carry signed zeros."""
+    rng = np.random.Generator(np.random.Philox(61))
+    a = rng.normal(size=(3, 3))
+    a[0, 1] = a[2, 2] = 0.0
+    b = np.array([[1.5, -2.0], [0.0, -0.5]])
+    if not real:
+        a = a + 1j * rng.normal(size=(3, 3))
+        a[1, 0] = complex(-0.75, -0.0)
+        a[1, 1] = complex(-0.0, 2.0)
+        b = b.astype(complex)
+    layouts = [
+        (2, a), (a, 2), (4, a, 1), (1, a, 2, b), (a, 1), (6,), (1,), (2, 3),
+    ]
+    for factors in layouts:
+        eyes = tuple(np.eye(f) if isinstance(f, int) else f for f in factors)
+        for coef in (1.0, -1.0, complex(-0.5, -0.0)):
+            got, want = tensor_sum([(coef, factors)])._entries, tensor_sum([(coef, eyes)])._entries
+            assert same_entries(got, want), (factors, coef)
+        # several terms, the identity in different slots of each
+        dim = int(np.prod([f if isinstance(f, int) else f.shape[0] for f in factors]))
+        if dim % 3 == 0 and dim > 3:
+            terms = [(1.0, factors), (-1.0, (a, dim // 3)), (0.5j, (dim // 3, a))]
+            eye_terms = [(c, tuple(np.eye(f) if isinstance(f, int) else f for f in fs)) for c, fs in terms]
+            assert same_entries(tensor_sum(terms)._entries, tensor_sum(eye_terms)._entries)
+    assert same_entries(tensor(np.int64(3), b)._entries, tensor(np.eye(3), b)._entries)
+
+
+def test_an_identity_size_must_be_a_positive_int_and_counts_for_the_budget():
+    for bad in (0, -2, True, False):
+        with pytest.raises(ShapeError):
+            tensor_sum([(1.0, (bad, SX))])
+        with pytest.raises(ShapeError):
+            tensor(bad)
+    with pytest.raises(ShapeError):
+        tensor(2.0, SX)
+    with pytest.raises(ShapeError):
+        tensor_sum([(1.0, (SX,)), (1.0, (3,))])
+    assert tensor(64, 64).dim == 4096
+    with pytest.raises(BudgetError):
+        tensor(64, 65)
+    with pytest.raises(BudgetError):
+        tensor_sum([(1.0, (10**30, SX))])
+    with pytest.raises(ShapeError):
+        KroneckerSum([2, SX])
+
+
+def touched_patterns():
+    """Hermitian block patterns under a random permutation: isolated
+    indices (zero rows), singleton blocks, and several blocks of one size."""
+    rng = np.random.Generator(np.random.Philox(62))
+    for sizes, zero_pairs, zero_rows in (
+        ([3, 3, 3, 1, 1], 2, 3),
+        ([1, 1, 1, 1], 0, 2),
+        ([4, 2, 2, 2, 5], 1, 0),
+        ([7], 0, 0),
+    ):
+        m, labels = permuted_hermitian_blocks(rng, sizes, zero_pairs=zero_pairs, zero_rows=zero_rows)
+        yield rng, m, labels
+
+
+def test_block_eighs_of_the_touched_blocks_is_the_filtered_split():
+    """Laying out only the touched blocks gives the groups of the whole
+    split with the untouched blocks dropped: the same rows, eigenvalue and
+    eigenvector bits, in the same order.  Touched sets: random subsets, one
+    index in each of several blocks of one shape, every index and none."""
+    for rng, m, labels in touched_patterns():
+        e = tensor_sum([(1.0, (m,))])._entries
+        full = list(_block_eighs(e))
+        d = m.shape[0]
+        masks = [rng.random(d) < p for p in (0.1, 0.3, 0.6)]
+        masks += [np.ones(d, dtype=bool), np.zeros(d, dtype=bool)]
+        # one index of each block of the most common size
+        sizes = np.bincount(labels)
+        common = np.flatnonzero(sizes == np.bincount(sizes)[1:].argmax() + 1)
+        mask = np.zeros(d, dtype=bool)
+        mask[[np.flatnonzero(labels == b)[0] for b in common]] = True
+        masks.append(mask)
+        for touched in masks:
+            want = []
+            for rows, _, vals, vecs in full:
+                keep = touched[rows].any(axis=1)
+                if keep.any():
+                    want.append((rows[keep], vals[keep], vecs[keep]))
+            got = [(rows, vals, vecs) for rows, _, vals, vecs in _block_eighs(e, touched=touched)]
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert all(x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(g, w))
