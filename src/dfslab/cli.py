@@ -27,7 +27,7 @@ from . import acceptance
 from .duality import Background, _energy_shift, basis_change, charge_box, coupling_shift, coupling_swap, dual_metric, factorized_inversion, onn_apply
 from .dynamics import SYMMETRIZED_LEAKAGE_CAP, coherence_experiment
 from .errors import DfsLabError, UsageError
-from .fock import SUBSTITUTION_TOL, build_decoherence_model, build_string_model, dfs_from_dirac, duality_substitution, gamma_pair_norm, parity_generators, string_model_dim
+from .fock import SUBSTITUTION_TOL, FockSpace, build_decoherence_model, build_string_model, dfs_from_dirac, duality_substitution, gamma_pair_norm, parity_generators, string_model_dim
 from .nctorus import WEYL_TOL, FluxMatrix, clock_shift_rep, landau_hamiltonian, weyl_residual
 from .opcore import DIM_BUDGET, KERNEL_TOL, Operator, SubspaceBasis, lowest_eigenvalue, operator_norm
 from .reporting import canonical_json
@@ -200,16 +200,17 @@ def _run_distance(params: dict, tol_scale: float):
     return results, checks
 
 
-def _model_from_params(params: dict):
+def _model_args(params: dict) -> tuple:
+    """The arguments of ``build_decoherence_model``: K, Lambda, w, n_max."""
     n_max = _int_param(params.get("n_max", 3), "n_max")
     k = _matrix(params.get("K", [[1.0]]), "K")
     lam = _matrix(params.get("Lambda", [[1.0]]), "Lambda")
     w = _matrix(params.get("w", [[0.3]]), "w")
-    return build_decoherence_model(k, lam, w, n_max)
+    return k, lam, w, n_max
 
 
 def _run_symmetrize(params: dict, tol_scale: float):
-    model = _model_from_params(params)
+    model = build_decoherence_model(*_model_args(params))
     gens = parity_generators(model)
     rep = close_group(gens)
     killed = operator_norm(symmetrize_operator(rep, model.h_int))
@@ -284,9 +285,8 @@ def _run_decohere(params: dict, tol_scale: float):
         times = np.array([_number(t, "times[]") for t in times_arg])
     else:
         _fail("times must be a {start, stop, step} object or a list")
-    model = _model_from_params(params)
-    sys_dim = model.system_space.dim
-    env_dim = model.env_space.dim
+    k_sys, lam_env, w_int, n_max = _model_args(params)
+    sys_dim = FockSpace(k_sys.shape[0], n_max).dim
     amps = params.get("superposition", [1.0, 1.0])
     if not (isinstance(amps, list) and 0 < len(amps) <= sys_dim):
         _fail("superposition must list at most one amplitude per system level")
@@ -300,9 +300,6 @@ def _run_decohere(params: dict, tol_scale: float):
         _fail("superposition must not be zero")
     v_sys /= peak
     v_sys /= np.linalg.norm(v_sys)
-    v_env = np.zeros(env_dim, dtype=np.complex128)
-    v_env[0] = 1.0
-    rho0 = pure_state(np.kron(v_sys, v_env), dims=(sys_dim, env_dim))
     cap = _tolerance(params, "leakage_cap", SYMMETRIZED_LEAKAGE_CAP) * tol_scale
     floor = params.get("min_full_leakage")
     if floor is not None:
@@ -311,6 +308,11 @@ def _run_decohere(params: dict, tol_scale: float):
             # leakages lie in [0, 1]: a floor above 1 is a check that no run
             # can pass, and one at or below 0 a check that every run passes
             _fail(f"min_full_leakage must lie in (0, 1], got {floor!r}")
+    model = build_decoherence_model(k_sys, lam_env, w_int, n_max)
+    env_dim = model.env_space.dim
+    v_env = np.zeros(env_dim, dtype=np.complex128)
+    v_env[0] = 1.0
+    rho0 = pure_state(np.kron(v_sys, v_env), dims=(sys_dim, env_dim))
     code = SubspaceBasis(sys_dim, np.eye(sys_dim, dtype=np.complex128), "vector-space")
     full, sym = coherence_experiment(model, code, rho0, times)
     results = {
@@ -373,6 +375,16 @@ def _run_duality(params: dict, tol_scale: float):
     element = _parse_generator(word_arg[0], n)
     for entry in word_arg[1:]:
         element = element.compose(_parse_generator(entry, n))
+    sub_arg = params.get("substitution")
+    if sub_arg is not None:
+        if not isinstance(sub_arg, dict):
+            _fail("substitution must be an object")
+        _known_keys(sub_arg, ("n_max", "levels"), "substitution")
+        sub_n_max = _int_param(sub_arg.get("n_max", 1), "substitution.n_max")
+        levels = _int_param(sub_arg.get("levels", 1), "substitution.levels")
+        # the model the coefficients belong to must fit the budget, though
+        # only the background and levels enter them
+        string_model_dim(n, sub_n_max, levels)
     charges = charge_box(n, box)
     bg_new = onn_apply(element, bg)
     worst, tol = _energy_shift(element, bg, charges, tol_scale)
@@ -386,16 +398,7 @@ def _run_duality(params: dict, tol_scale: float):
         "max_energy_shift": worst,
     }
     checks = [_check("narain-energy-invariance", worst, tol, worst <= tol)]
-    sub_arg = params.get("substitution")
     if sub_arg is not None:
-        if not isinstance(sub_arg, dict):
-            _fail("substitution must be an object")
-        _known_keys(sub_arg, ("n_max", "levels"), "substitution")
-        sub_n_max = _int_param(sub_arg.get("n_max", 1), "substitution.n_max")
-        levels = _int_param(sub_arg.get("levels", 1), "substitution.levels")
-        # the model the coefficients belong to must fit the budget, though
-        # only the background and levels enter them
-        string_model_dim(n, sub_n_max, levels)
         sub = duality_substitution(bg, levels)
         results["substitution_max_residual"] = sub.max_residual
         results["substitution_max_gram_residual"] = sub.max_gram_residual
@@ -413,6 +416,8 @@ def _run_nctorus(params: dict, tol_scale: float):
     if den < 1:
         _fail("denominator must be a positive integer")
     landau_n_max = params.get("landau_n_max")
+    if landau_n_max is not None:
+        landau_n_max = _int_param(landau_n_max, "landau_n_max")
     expect = params.get("landau_expect")
     if expect is not None:
         if landau_n_max is None:
@@ -432,7 +437,6 @@ def _run_nctorus(params: dict, tol_scale: float):
     }
     checks = [_check("weyl-relation", residual, tol, residual <= tol)]
     if landau_n_max is not None:
-        landau_n_max = _int_param(landau_n_max, "landau_n_max")
         h = landau_hamiltonian(flux, landau_n_max)
         ground = lowest_eigenvalue(h)
         results["landau_ground_level"] = ground

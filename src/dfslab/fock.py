@@ -230,8 +230,8 @@ class DecoherenceModel:
     @cached_property
     def h_total(self) -> Operator:
         free = [
-            (1.0, (self.h_sys.mat, self.env_space.dim)),
-            (1.0, (self.system_space.dim, self.h_env.mat)),
+            (1.0, (self.h_sys, self.env_space.dim)),
+            (1.0, (self.system_space.dim, self.h_env)),
         ]
         return tensor_sum(free + self._exchange_terms())
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError, UnsupportedFluxError
 from .fock import FockSpace, position_momentum
-from .opcore import DIM_BUDGET, UNITARITY_TOL, Operator, _capped_power, _size_text, _summed, tensor, tensor_sum
+from .opcore import DIM_BUDGET, UNITARITY_TOL, Operator, _capped_power, _Entries, _size_text, _summed, tensor, tensor_sum
 
 TWO_PI = 2.0 * math.pi
 RATIONAL_TOL = 1e-12
@@ -88,7 +88,9 @@ def antisymmetrize_coupling(background) -> FluxMatrix:
 
 @dataclass(frozen=True)
 class MagneticRep:
-    """Finite unitaries realizing the flux phases exactly."""
+    """Finite unitaries realizing the flux phases exactly, each monomial (one
+    entry in every row and column), so U^dag U is diagonal with entries
+    |u_r|^2, each within UNITARITY_TOL of 1.  Anything else is refused."""
 
     unitaries: tuple[Operator, ...]
 
@@ -96,11 +98,14 @@ class MagneticRep:
         if not self.unitaries:
             raise DomainError("need at least one unitary")
         d = self.unitaries[0].dim
-        eye = np.eye(d)
         for u in self.unitaries:
             if u.dim != d:
                 raise ShapeError("all unitaries must share one dimension")
-            if np.abs(u.mat.conj().T @ u.mat - eye).max() > UNITARITY_TOL:
+            e = u._entries
+            if not (np.all(np.bincount(e.rows, minlength=d) == 1)
+                    and np.all(np.bincount(e.cols, minlength=d) == 1)):
+                raise DomainError("representation matrices must hold one entry in every row and column")
+            if np.abs(np.abs(e.vals) ** 2 - 1.0).max() > UNITARITY_TOL:
                 raise DomainError("representation matrices must be unitary")
 
     @property
@@ -150,12 +155,13 @@ def clock_shift_rep(flux: FluxMatrix) -> MagneticRep:
             f"representation dimension {den}^{blocks} exceeds the {DIM_BUDGET} budget"
         )
 
-    shift = np.zeros((den, den), dtype=np.complex128)
-    for k in range(den):
-        shift[(k - 1) % den, k] = 1.0
+    k = np.arange(den)
+    shift = Operator._unchecked(_Entries((den, den), k, (k + 1) % den, np.ones(den, dtype=np.complex128)))
     unitaries = []
     for b, q_b in enumerate(numerators):
-        clock = np.diag(np.exp(2.0j * np.pi * q_b * np.arange(den) / den))
+        # the phase of the exact residue q_b k mod den
+        phases = np.exp(2.0j * np.pi * ((q_b % den) * k % den) / den)
+        clock = Operator._unchecked(_Entries((den, den), k, k, phases))
         before, after = den ** b, den ** (blocks - b - 1)
         unitaries.append(tensor(before, shift, after))
         unitaries.append(tensor(before, clock, after))
@@ -168,17 +174,27 @@ WEYL_TOL = 1e-13
 
 
 def weyl_residual(rep: MagneticRep, flux: FluxMatrix) -> float:
-    """Largest entrywise violation of U_i U_j = exp(i omega_ij) U_j U_i."""
+    """Largest entrywise violation of U_i U_j = exp(2 pi i q_ij / den) U_j U_i,
+    q_ij reduced mod den.  Row r of U_i holds v_i[r] in column c_i[r], so row
+    r of U_i U_j holds v_i[r] v_j[c_i[r]] in column c_j[c_i[r]]; where the
+    two sides' columns differ, the larger modulus counts."""
     if len(rep.unitaries) != flux.n:
         raise ShapeError("one unitary per flux direction is required")
+    if flux.rational_form is None:
+        raise UnsupportedFluxError("flux has no rational form to read the Weyl phases from")
+    q, den = flux.rational_form
+    by_row = []
+    for e in (u._entries for u in rep.unitaries):
+        order = np.argsort(e.rows)  # one entry per row
+        by_row.append((e.cols[order], e.vals[order]))
     worst = 0.0
-    for i in range(flux.n):
+    for i, (ci, vi) in enumerate(by_row):
         for j in range(i + 1, flux.n):
-            ui = rep.unitaries[i].mat
-            uj = rep.unitaries[j].mat
-            lhs = ui @ uj
-            rhs = np.exp(1.0j * flux.omega[i, j]) * (uj @ ui)
-            worst = max(worst, float(np.abs(lhs - rhs).max()))
+            cj, vj = by_row[j]
+            lhs = vi * vj[ci]
+            rhs = np.exp(1.0j * (TWO_PI * (q[i, j] % den) / den)) * (vj * vi[cj])
+            gap = np.where(cj[ci] == ci[cj], np.abs(lhs - rhs), np.maximum(np.abs(lhs), np.abs(rhs)))
+            worst = max(worst, float(gap.max()))
     return worst
 
 

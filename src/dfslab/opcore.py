@@ -17,9 +17,10 @@ Conventions used throughout the package:
   slowest, matching the row-major reshape of composite indices.  This module
   is the only place that knows that layout: ``tensor_sum`` sums products of
   factors as an entry list formed from the factors' nonzero entries
-  (``tensor`` is its one-term case; an identity factor is given as its
-  size, so no identity array is scanned), ``apply_on_factor`` applies a local
-  operator to one factor of a stack of kets without forming the product, and
+  (``tensor`` is its one-term case; an Operator factor gives its entries,
+  and an identity factor is given as its size, so neither forms or scans a
+  dense array), ``apply_on_factor`` applies a local operator to one factor
+  of a stack of kets without forming the product, and
   ``KroneckerSum`` diagonalizes a Kronecker sum of Hermitian factors from
   the factors' eigenpairs (eigenvalue grid and product eigenvectors);
 * one splitter serves the three blocked solvers.  The connected blocks of
@@ -424,7 +425,7 @@ def tensor(*factors) -> Operator:
 
 
 def _square_factors(factors, sizes: bool = False) -> tuple:
-    """The factors as arrays (an Operator gives its matrix); ShapeError
+    """The factors as arrays, an Operator as its ``_Entries``; ShapeError
     unless there is at least one and each is square.  With ``sizes`` a
     factor may also be an int k, the k x k identity, kept as the int; it
     must be positive and not a bool."""
@@ -435,8 +436,8 @@ def _square_factors(factors, sizes: bool = False) -> tuple:
                 raise ShapeError(f"an identity factor's size must be a positive int, got {f!r}")
             mats.append(int(f))
             continue
-        m = np.asarray(f.mat if isinstance(f, Operator) else f)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        m = f._entries if isinstance(f, Operator) else np.asarray(f)
+        if len(m.shape) != 2 or m.shape[0] != m.shape[1]:
             raise ShapeError("expected one or more square factor matrices")
         mats.append(m)
     if not mats:
@@ -449,11 +450,11 @@ def tensor_sum(terms) -> Operator:
     ``(coef, factors)`` pairs, as an ``Operator`` that keeps its nonzero
     entries.
 
-    A factor is an Operator, a square array, or an int k, the k x k
-    identity.  Each term multiplies its factors' nonzero entries, first
-    factor first, and then scales them by ``coef``; an identity factor's
-    positions come from index arithmetic and its unit entries repeat the
-    values, with no product.  The entries of one position are added in the
+    A factor is an Operator (read as its entries), a square array, or an
+    int k, the k x k identity.  Each term multiplies its factors' nonzero
+    entries, first factor first, and then scales them by ``coef``; an
+    identity factor's positions come from index arithmetic and its unit
+    entries repeat the values, with no product.  The entries of one position are added in the
     order of the terms, starting from zero, and a position whose sum is
     exactly zero keeps no entry.  So the entries are those of the running
     sum of the densified terms, bit for bit: ``mat``, formed when read, is
@@ -484,8 +485,11 @@ def tensor_sum(terms) -> Operator:
                     cols = (cols[:, None] * m + diag).reshape(-1)
                     vals = None if vals is None else np.repeat(vals, m)
                 continue
-            r, c = np.nonzero(m)
-            v = m[r, c]
+            if isinstance(m, _Entries):
+                r, c, v = m.rows, m.cols, m.vals
+            else:
+                r, c = np.nonzero(m)
+                v = m[r, c]
             if vals is None:
                 vals = v if rows.size == 1 else np.tile(v, rows.size)
             else:
@@ -557,7 +561,7 @@ class KroneckerSum:
 
     def __init__(self, factors):
         mats = _square_factors(factors)
-        pairs = [sector_eigh(m) for m in mats]
+        pairs = [sector_eigh(Operator._unchecked(m) if isinstance(m, _Entries) else m) for m in mats]
         grid = np.zeros(())
         for vals, _ in pairs:
             grid = np.add.outer(grid, vals)

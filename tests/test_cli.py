@@ -362,6 +362,40 @@ def test_a_tolerance_that_is_dropped_or_unmeetable_exits_1(kind, params, message
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "kind, params, stage",
+    [
+        ("nctorus", dict(NCTORUS, landau_n_max="24"), "clock_shift_rep"),
+        ("duality", dict(load("duality.json")["params"], substitution={"levels": 1.5}), "charge_box"),
+        ("decohere", dict(DECOHERE, leakage_cap=0), "build_decoherence_model"),
+    ],
+    ids=["nctorus-landau_n_max", "duality-substitution", "decohere-leakage_cap"],
+)
+def test_params_are_validated_before_any_computation(kind, params, stage, tmp_path, capsys, monkeypatch):
+    import dfslab.cli as cli
+
+    def reached(*args, **kwargs):
+        raise AssertionError(f"{stage} ran before every parameter was validated")
+
+    monkeypatch.setattr(cli, stage, reached)
+    path = tmp_path / "early.json"
+    path.write_text(json.dumps({"schema_version": 1, "kind": kind, "params": params}))
+    assert entry(["run", str(path)]) == 1
+    assert "invalid scenario:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("num, den", [(1001, 6), (10**9 + 7, 6), (2047, 4096)])
+def test_valid_flux_with_a_large_numerator_passes_its_weyl_check(num, den, tmp_path, capsys):
+    """The phases come from exact residues mod den: formed from q k as
+    floats, they put the residual at 4.5e-13, 3.6e-7 and 1.3e-12 and the
+    run exited 2."""
+    path = tmp_path / "flux.json"
+    params = {"numerator": [[0, num], [-num, 0]], "denominator": den}
+    path.write_text(json.dumps({"schema_version": 1, "kind": "nctorus", "params": params}))
+    assert entry(["run", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["weyl_residual"] <= 1e-14
+
+
 @pytest.mark.parametrize("tol", [2, 1e300, 0, -1])
 def test_dfs_tol_outside_the_unit_interval_exits_1(tol, tmp_path, capsys, monkeypatch):
     """Without the range check, tol 2 and 1e300 pass with every dimension in

@@ -121,6 +121,88 @@ def test_magnetic_rep_validates_unitarity():
         MagneticRep((Operator(np.array([[2.0]])),))
 
 
+def block_flux(numerators, den):
+    """The rational flux with 2x2 blocks of the given numerators."""
+    q = np.zeros((2 * len(numerators),) * 2, dtype=int)
+    for b, num in enumerate(numerators):
+        q[2 * b, 2 * b + 1], q[2 * b + 1, 2 * b] = num, -num
+    return FluxMatrix.from_rational(q, den)
+
+
+def dense_weyl_residual(unitaries, flux):
+    """The oracle: max |U_i U_j - exp(2 pi i q_ij / den) U_j U_i| over
+    dense products."""
+    q, den = flux.rational_form
+    worst = 0.0
+    for i, ui in enumerate(unitaries):
+        for j in range(i + 1, len(unitaries)):
+            uj = unitaries[j]
+            phase = np.exp(2.0j * np.pi * q[i, j] / den)
+            worst = max(worst, float(np.abs(ui @ uj - phase * (uj @ ui)).max()))
+    return worst
+
+
+SMALL_REPS = pytest.mark.parametrize(
+    "numerators, den", [([1], 6), ([1, 2], 5), ([1, 3], 8)], ids=["den-6", "two-blocks-den-5", "four-directions-den-8"]
+)
+
+
+@SMALL_REPS
+def test_entry_checks_match_dense_oracles(numerators, den):
+    """U^dag U - I and the Weyl residual, read off the entries, against the
+    dense products; also for the flux of other numerators, which the
+    representation does not satisfy."""
+    flux = block_flux(numerators, den)
+    rep = clock_shift_rep(flux)
+    mats = [u.mat for u in rep.unitaries]
+    eye = np.eye(rep.dim)
+    for u, m in zip(rep.unitaries, mats):
+        unitarity = np.abs(np.abs(u._entries.vals) ** 2 - 1.0).max()
+        assert abs(unitarity - np.abs(m.conj().T @ m - eye).max()) <= 1e-15
+    assert abs(weyl_residual(rep, flux) - dense_weyl_residual(mats, flux)) <= 1e-15
+    assert weyl_residual(rep, flux) <= WEYL_TOL
+    other = block_flux([num + 1 for num in numerators], den)
+    assert weyl_residual(rep, other) == pytest.approx(dense_weyl_residual(mats, other), abs=1e-15)
+    assert weyl_residual(rep, other) > 0.1
+
+
+def test_weyl_residual_of_products_in_different_columns_is_the_larger_modulus():
+    """The shift and a transposition do not commute up to a phase: their
+    two products put row 0's entry in different columns."""
+    shift = np.roll(np.eye(3), 1, axis=1)
+    swap = np.eye(3)[[1, 0, 2]]
+    rep = MagneticRep((Operator(shift), Operator(swap)))
+    flux = block_flux([1], 3)
+    assert weyl_residual(rep, flux) == dense_weyl_residual([shift, swap], flux) == 1.0
+
+
+def test_weyl_residual_needs_the_rational_form():
+    rep = clock_shift_rep(block_flux([1], 3))
+    with pytest.raises(UnsupportedFluxError):
+        weyl_residual(rep, FluxMatrix(two_by_two(2.0 * np.pi / 3.0)))
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [
+        np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0),
+        np.diag([1.0, 1.0 + 1e-9]),
+        np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+    ],
+    ids=["hadamard", "modulus-off-by-1e-9", "two-entries-in-one-column"],
+)
+def test_magnetic_rep_refuses_what_is_not_a_monomial_unitary(mat):
+    with pytest.raises(DomainError):
+        MagneticRep((Operator(mat),))
+
+
+def test_representation_path_forms_no_dense_matrix():
+    flux = block_flux([1, 3], 8)
+    rep = clock_shift_rep(flux)
+    assert weyl_residual(rep, flux) <= WEYL_TOL
+    assert all("mat" not in vars(u) for u in rep.unitaries)
+
+
 def test_landau_zero_flux_is_free_kinetic_energy():
     flux = FluxMatrix(np.zeros((2, 2)))
     h = landau_hamiltonian(flux, 6)

@@ -1189,3 +1189,15 @@ def test_block_eighs_of_the_touched_blocks_is_the_filtered_split():
             assert len(got) == len(want)
             for g, w in zip(got, want):
                 assert all(x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(g, w))
+
+
+def test_tensor_reads_an_operator_factor_as_its_entries():
+    """An operator that holds only entries enters ``tensor`` without
+    forming its matrix, and gives the bits its matrix gives."""
+    a = np.array([[0.0, 1.0], [1.0, 0.5j]])
+    op = tensor_sum([(1.0, (a, 3)), (0.25, (2, np.diag([1.0, -1.0, 2.0])))])
+    out = tensor(2, op)._entries
+    assert "mat" not in vars(op)
+    ref = tensor(2, op.mat)._entries
+    assert np.array_equal(out.rows, ref.rows) and np.array_equal(out.cols, ref.cols)
+    assert out.vals.tobytes() == ref.vals.tobytes()
