@@ -32,7 +32,7 @@ from .nctorus import WEYL_TOL, FluxMatrix, clock_shift_rep, landau_hamiltonian, 
 from .opcore import DIM_BUDGET, KERNEL_TOL, Operator, SubspaceBasis, lowest_eigenvalue, operator_norm
 from .reporting import canonical_json
 from .spectral import BOUNDARY_SLACK, EXPECTED_DISTANCE_TOL, GAP_TOL, connes_distance, make_diagonal_triple, make_two_point_triple
-from .states import DensityMatrix, StateFunctional, pure_state
+from .states import TRACE_TOL, DensityMatrix, StateFunctional, pure_state
 from .symmetry import ANNIHILATION_TOL, close_group, invariant_projector, joint_kernel, symmetrize_operator
 
 SCHEMA_VERSION = 1
@@ -136,7 +136,8 @@ def _probabilities(obj, name: str) -> np.ndarray:
     if not (isinstance(obj, list) and obj):
         _fail(f"{name} must be a non-empty list")
     p = np.array([_number(v, f"{name}[{k}]") for k, v in enumerate(obj)])
-    if p.min() < 0 or abs(p.sum() - 1.0) > 1e-9:
+    # the bound DensityMatrix holds the trace to, so the parser answers first
+    if p.min() < 0 or abs(p.sum() - 1.0) > TRACE_TOL:
         _fail(f"{name} must be non-negative and sum to 1")
     return p
 

@@ -111,7 +111,7 @@ def _square_complex(mat) -> np.ndarray:
     arr = np.asarray(mat, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {arr.shape}")
-    if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
+    if not np.isfinite(arr).all():  # false where either part is not finite
         raise DomainError("matrix entries must be finite")
     return arr
 

@@ -34,6 +34,7 @@ from .opcore import (
     OPERATOR_SPACE,
     Operator,
     SubspaceBasis,
+    _is_hermitian,
     commutator,
     nullspace,
     operator_norm,
@@ -95,9 +96,9 @@ class SpectralTriple:
             raise UsageError("algebra basis must be an operator-space basis")
         if self.algebra_basis.ambient_dim != self.hilbert_dim ** 2:
             raise ShapeError("algebra basis lives on the wrong operator space")
-        for b in self.algebra_basis.matrices():
-            if not b.is_hermitian():
-                raise DomainError("algebra basis elements must be Hermitian")
+        side = self.hilbert_dim
+        if not _is_hermitian(self.algebra_basis.vectors.reshape(-1, side, side)):
+            raise DomainError("algebra basis elements must be Hermitian")
 
 
 @dataclass(frozen=True)
@@ -157,22 +158,48 @@ def make_diagonal_triple(n: int, dirac: Operator) -> SpectralTriple:
     return SpectralTriple(n, SubspaceBasis(n * n, rows, OPERATOR_SPACE), dirac)
 
 
-def _seminorm_data(triple: SpectralTriple):
-    basis_mats = [b.mat for b in triple.algebra_basis.matrices()]
-    commutators = np.array([commutator(triple.dirac, Operator(b)).mat for b in basis_mats])
-    return basis_mats, commutators
+def _h(flat: np.ndarray, c: np.ndarray) -> float:
+    """h(c) = ||sum_k c_k F_k|| for a stack F given by ``flat``, row k the
+    row-major vec of F_k."""
+    side = math.isqrt(flat.shape[1])
+    return float(np.linalg.svd((c @ flat).reshape(side, side), compute_uv=False)[0])
 
 
-def _h(commutators: np.ndarray, c: np.ndarray) -> float:
-    return float(np.linalg.norm(np.tensordot(c, commutators, axes=1), 2))
+def _re_traces(hs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Re Tr(hs[i] y) for every i, or Re Tr(hs[i] y[j]) at [i, j] for a
+    stack y, with Hermitian hs (m, n, n): Tr(hs[i] y) is the sum of
+    conj(hs[i]) * y entry by entry, so each is a real dot product of the
+    float views, and a stack of them is one matrix product."""
+    rows = hs.reshape(hs.shape[0], -1).view(np.float64)
+    return rows @ y.reshape(*y.shape[:-2], -1).view(np.float64).T
 
 
-def _max_step(li: np.ndarray, dx: np.ndarray) -> float:
-    """Largest alpha in (0, 1] with every block of x + alpha dx positive
-    semidefinite, for a stack x of positive definite blocks given by the
-    inverses ``li`` of its Cholesky factors."""
-    low = float(np.linalg.eigvalsh(li @ dx @ li.conj().transpose(0, 2, 1)).min())
-    return min(1.0, -1.0 / low) if low < 0 else 1.0
+def _schur(hs: np.ndarray, x: np.ndarray, sinv: np.ndarray) -> np.ndarray:
+    """The Newton system's Schur complement sum_b Re Tr(A_i,b X_b A_j,b
+    S_b^-1) for A_j = (hs[j], -hs[j]): the signs cancel, so X_b hs[j] S_b^-1
+    of both blocks add into one stack over j, formed one block at a time."""
+    p = x[0] @ hs @ sinv[0]
+    p += x[1] @ hs @ sinv[1]
+    return _re_traces(hs, p)
+
+
+def _corrected_dual(herm: np.ndarray, t: np.ndarray, g: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Z plus the least-norm correction along the H_k^dagger, within the
+    span of the columns of t, that makes Re Tr(H_k Z) = g_k.  Row k of
+    ``herm`` is the row-major vec of H_k, so Re Tr(H_k Z) pairs it with
+    vec(Z^T), and sum_k u_k H_k^dagger is the conjugate transpose of
+    sum_k u_k H_k for real u."""
+    resid = g - (herm @ z.T.reshape(-1)).real
+    return z + ((t @ (t.T @ resid)) @ herm).reshape(z.shape).conj().T
+
+
+def _max_steps(li: np.ndarray, d: np.ndarray) -> tuple[float, float]:
+    """The largest alpha in (0, 1] with x + alpha dx positive semidefinite,
+    and the same for s + alpha ds, for positive definite blocks (x0, x1, s0,
+    s1) given by the inverses ``li`` of their Cholesky factors and the stack
+    d = (dx0, dx1, ds0, ds1)."""
+    low = np.linalg.eigvalsh(li @ d @ li.conj().transpose(0, 2, 1))[:, 0].reshape(2, 2).min(axis=1)
+    return tuple(min(1.0, -1.0 / v) if v < 0 else 1.0 for v in low.tolist())
 
 
 def _newton_steps(hs: np.ndarray, b: np.ndarray):
@@ -185,43 +212,47 @@ def _newton_steps(hs: np.ndarray, b: np.ndarray):
 
     Yields (w, X1 - X2): first the feasible pair (b, z0 = sum_j b_j hs[j]),
     then the iterate after each Newton step from w = 0, X1 - X2 = z0.
+    Every sum over j is a matrix product with the (m, n^2) view of hs.
     """
-    n = hs.shape[1]
+    m, n = hs.shape[:2]
+    flat = hs.reshape(m, n * n)
     eye = np.eye(n)
-    # A_j = diag(hs[j], -hs[j]) as a stack of its two blocks, shape (2, m, n, n).
-    ahs = np.stack([hs, -hs])
-    z0 = np.tensordot(b, hs, axes=1)
+    signs = np.array([-1.0, 1.0])[:, None, None]  # S = eye + signs * M(w)
+
+    def field(v):  # M(v)
+        return (v @ flat).reshape(n, n)
+
+    def inner(y):  # Re Tr(A_j y) for A_j = (hs[j], -hs[j]) and a block pair y
+        return _re_traces(hs, y[0] - y[1])
+
+    z0 = field(b)
     yield b, z0
     ev, vec = np.linalg.eigh(z0)
     x = np.stack([(vec * (np.maximum(sign * ev, 0.0) + 1.0)) @ vec.conj().T for sign in (1.0, -1.0)])
     w = np.zeros(b.size)
-
-    def inner(y):  # <A_j, y> for a block stack y
-        return np.einsum("bjac,bca->j", ahs, y).real
-
     for _ in range(MAX_NEWTON):
-        s = eye - np.tensordot(w, ahs, axes=(0, 1))
+        s = eye + signs * field(w)
         try:
-            sinv = np.linalg.inv(s)
+            # x and s factored together; the predictor and the corrector
+            # both step from them
+            li = np.linalg.inv(np.linalg.cholesky(np.concatenate([x, s])))
+            sinv = li[2:].conj().transpose(0, 2, 1) @ li[2:]
             xs = x @ s
             mu = np.vdot(s, x).real / (2 * n)
-            schur = np.einsum("biac,bjca->ij", ahs, x[:, None] @ ahs @ sinv[:, None]).real
+            schur = _schur(hs, x, sinv)
             rp = b - inner(x)
 
             def direction(rc):
                 dw = np.linalg.solve(schur, rp - inner(rc @ sinv))
-                ds = -np.tensordot(dw, ahs, axes=(0, 1))
+                ds = signs * field(dw)
                 dx = (rc - x @ ds) @ sinv
                 return dw, ds, 0.5 * (dx + dx.conj().transpose(0, 2, 1))
 
-            # the predictor and the corrector both step from this x and s
-            lx, ls = (np.linalg.inv(np.linalg.cholesky(m)) for m in (x, s))
             _, ds, dx = direction(-xs)
-            ap, ad = _max_step(lx, dx), _max_step(ls, ds)
+            ap, ad = _max_steps(li, np.concatenate([dx, ds]))
             sigma = (np.vdot(s + ad * ds, x + ap * dx).real / (2 * n * mu)) ** 3
             dw, ds, dx = direction(sigma * mu * eye - xs - dx @ ds)
-            ap = STEP_FRACTION * _max_step(lx, dx)
-            ad = STEP_FRACTION * _max_step(ls, ds)
+            ap, ad = (STEP_FRACTION * a for a in _max_steps(li, np.concatenate([dx, ds])))
         except np.linalg.LinAlgError:
             return
         x = x + ap * dx
@@ -242,32 +273,36 @@ def connes_distance(
     """
     if psi.rho.dim != triple.hilbert_dim or psi_prime.rho.dim != triple.hilbert_dim:
         raise ShapeError("states do not act on the triple's Hilbert space")
-    basis_mats, commutators = _seminorm_data(triple)
-    k = len(basis_mats)
-    zero = Operator.zeros(triple.hilbert_dim)
+    # The algebra basis B_k and the commutators [D, B_k] as (k, n^2) arrays
+    # whose row k is the row-major vec of its matrix.
+    n = triple.hilbert_dim
+    basis = triple.algebra_basis.vectors
+    k = basis.shape[0]
+    mats = basis.reshape(k, n, n)
+    cflat = (triple.dirac.mat @ mats - mats @ triple.dirac.mat).reshape(k, n * n)
+    zero = Operator.zeros(n)
     delta = psi.rho.op.mat - psi_prime.rho.op.mat
-    g = np.array([np.real(np.trace(b @ delta)) for b in basis_mats])
+    g = (basis @ delta.T.reshape(-1)).real  # Re Tr(B_k delta)
 
     def build(c: np.ndarray) -> Operator:
-        return Operator(np.tensordot(c, basis_mats, axes=1))
+        return Operator((c @ basis).reshape(n, n))
 
     if float(np.abs(g).max(initial=0.0)) == 0.0:
         return DistanceResult(0.0, zero, 0.0, dual=zero)
 
     # Split off the seminorm kernel: flatten the real-linear map c -> [D, A(c)].
     dnorm = operator_norm(triple.dirac)
-    flat = commutators.reshape(k, -1).T
-    stacked = np.vstack([flat.real, flat.imag])
+    stacked = np.vstack([cflat.real.T, cflat.imag.T])
     ker = nullspace(stacked, tol=SEMINORM_KERNEL_TOL).real
     genuine = []
     for row in ker:
-        if _h(commutators, row) <= max(COMMUTANT_FRACTION * dnorm, COMMUTANT_FLOOR):
+        if _h(cflat, row) <= max(COMMUTANT_FRACTION * dnorm, COMMUTANT_FLOOR):
             genuine.append(row)
     for row in genuine:
         if abs(float(g @ row)) > UNBOUNDED_OBJECTIVE_TOL:
             direction = build(row if g @ row > 0 else -row)
             return DistanceResult(
-                math.inf, direction, _h(commutators, row), unbounded=True, upper_bound=math.inf
+                math.inf, direction, _h(cflat, row), unbounded=True, upper_bound=math.inf
             )
     complement = np.eye(k)
     if genuine:
@@ -280,20 +315,17 @@ def connes_distance(
     # Coefficients c = T w make the H_j = sum_k T_kj H_k Frobenius-orthonormal.
     _, sigma, vt = np.linalg.svd(stacked @ complement.T, full_matrices=False)
     t = complement.T @ (vt.T / sigma)
-    herm = 1j * commutators
-    hs = np.tensordot(t.T, herm, axes=1)
+    herm = 1j * cflat  # rows of H_k = i [D, B_k]
+    hs = (t.T @ herm).reshape(-1, n, n)
     hs = 0.5 * (hs + hs.conj().transpose(0, 2, 1))  # D is Hermitian only to HERMITICITY_TOL
     b = t.T @ g
     scale = float(np.linalg.norm(b))
 
     for iterations, (w, zhat) in enumerate(_newton_steps(hs, b / scale)):
         c = t @ w
-        hval = _h(commutators, c)
+        hval = _h(cflat, c)
         value = float(g @ c) / hval
-        # Least-norm correction along the H_k^dagger makes Re Tr(H_k Z) = g_k.
-        z = scale * zhat
-        resid = g - np.einsum("kab,ba->k", herm, z).real
-        z = z + np.tensordot(t @ (t.T @ resid), herm.conj().transpose(0, 2, 1), axes=1)
+        z = _corrected_dual(herm, t, g, scale * zhat)
         upper = float(np.linalg.svd(z, compute_uv=False).sum())
         if upper - value <= GAP_TOL * value:
             break

@@ -825,3 +825,29 @@ def test_scenario_checks_and_their_criteria_share_each_bound(scale):
         report = run_scenario(load(f"{name}.json"), tol_scale=scale)
         reported = {c["name"]: c["tolerance"] for c in report["checks"]}[check]
         assert reported == criterion(scale).values[key], check
+
+
+@pytest.mark.parametrize("state", [[0.5, 0.5000000005], [0.5, 0.4999999995]])
+def test_distance_state_off_its_sum_is_refused_by_the_parser(state, tmp_path, capsys):
+    """A weight sum within 1e-9 of 1 but past the density-matrix trace bound
+    is refused with the parser's message, not the density matrix's."""
+    scenario = {
+        "schema_version": 1,
+        "kind": "distance",
+        "params": {"dirac": [[0.0, 1.0], [1.0, 0.0]], "state": state, "state_prime": [1.0, 0.0]},
+    }
+    path = tmp_path / "sum.json"
+    path.write_text(json.dumps(scenario))
+    assert entry(["run", str(path)]) == 1
+    assert capsys.readouterr().err.strip() == "invalid scenario: state must be non-negative and sum to 1"
+
+
+def test_distance_state_within_the_trace_bound_runs(tmp_path):
+    scenario = {
+        "schema_version": 1,
+        "kind": "distance",
+        "params": {"dirac": [[0.0, 1.0], [1.0, 0.0]], "state": [0.5, 0.50000000005], "state_prime": [1.0, 0.0]},
+    }
+    path = tmp_path / "sum.json"
+    path.write_text(json.dumps(scenario))
+    assert entry(["run", str(path), "--out", str(tmp_path / "out.json")]) == 0

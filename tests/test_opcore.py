@@ -52,6 +52,15 @@ def test_operator_rejects_non_finite():
         Operator(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("re, im", [(np.nan, 0.0), (0.0, np.nan), (np.nan, np.nan), (np.inf, 0.0), (0.0, -np.inf), (np.inf, np.nan)])
+def test_operator_rejects_a_non_finite_part(re, im):
+    mat = np.eye(2, dtype=complex)
+    mat[0, 1] = complex(re, im)
+    assert (np.isfinite(mat[0, 1].real), np.isfinite(mat[0, 1].imag)) == (np.isfinite(re), np.isfinite(im))
+    with pytest.raises(DomainError, match="matrix entries must be finite"):
+        Operator(mat)
+
+
 def test_operator_matrix_is_write_protected():
     op = Operator(np.eye(2))
     with pytest.raises(ValueError):

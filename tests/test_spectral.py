@@ -10,10 +10,13 @@ from dfslab import (
     Operator,
     SpectralTriple,
     StateFunctional,
+    SubspaceBasis,
     connes_distance,
     make_diagonal_triple,
     make_two_point_triple,
 )
+from dfslab import spectral
+from dfslab.opcore import OPERATOR_SPACE
 from dfslab.spectral import DUALITY_ROUNDOFF, GAP_TOL
 
 DIST_TOL = 1e-6
@@ -262,7 +265,80 @@ def test_two_point_random_lambda():
         assert res.certified
 
 
+def test_spectral_triple_rejects_a_non_hermitian_algebra_element():
+    rows = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 2**0.5, 0.0, 0.0]]) / 2**0.5  # I / sqrt(2), E_01
+    basis = SubspaceBasis(4, rows, OPERATOR_SPACE)
+    with pytest.raises(DomainError, match="algebra basis elements must be Hermitian"):
+        SpectralTriple(2, basis, Operator(np.array([[0.0, 1.0], [1.0, 0.0]])))
+    SpectralTriple(2, SubspaceBasis(4, rows[:1], OPERATOR_SPACE), Operator(np.eye(2)))
+
+
 def test_spectral_triple_rejects_non_hermitian_dirac():
     basis = make_diagonal_triple(2, Operator(np.eye(2))).algebra_basis
     with pytest.raises(DomainError):
         SpectralTriple(2, basis, Operator(np.array([[0.0, 1.0], [0.0, 0.0]])))
+
+
+def hermitian_stack(rng, m, n):
+    a = rng.normal(size=(m, n, n)) + 1j * rng.normal(size=(m, n, n))
+    return a + a.conj().transpose(0, 2, 1)
+
+
+def positive_stack(rng, n):
+    a = rng.normal(size=(2, n, n)) + 1j * rng.normal(size=(2, n, n))
+    return a @ a.conj().transpose(0, 2, 1) + 0.1 * np.eye(n)
+
+
+def assert_close(new, oracle):
+    assert np.abs(new - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
+def test_matrix_product_forms_match_their_definitions():
+    """The Schur complement, the traces against the basis, the certificate's
+    residual and correction, and h(c), each against its einsum definition."""
+    rng = np.random.default_rng(41)
+    for m in range(1, 9):
+        for n in range(1, 9):
+            hs = hermitian_stack(rng, m, n)
+            ahs = np.stack([hs, -hs])
+            x = positive_stack(rng, n)
+            sinv = np.linalg.inv(positive_stack(rng, n))
+            schur = np.einsum("biac,bjca->ij", ahs, x[:, None] @ ahs @ sinv[:, None]).real
+            assert_close(spectral._schur(hs, x, sinv), schur)
+            y = rng.normal(size=(2, n, n)) + 1j * rng.normal(size=(2, n, n))
+            inner = np.einsum("bjac,bca->j", ahs, y).real
+            assert_close(spectral._re_traces(hs, y[0] - y[1]), inner)
+
+            herm = rng.normal(size=(m, n, n)) + 1j * rng.normal(size=(m, n, n))
+            t = rng.normal(size=(m, max(1, m - 1)))
+            g = rng.normal(size=m)
+            z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            resid = g - np.einsum("kab,ba->k", herm, z).real
+            fixed = z + np.tensordot(t @ (t.T @ resid), herm.conj().transpose(0, 2, 1), axes=1)
+            assert_close(spectral._corrected_dual(herm.reshape(m, -1), t, g, z), fixed)
+            c = rng.normal(size=m)
+            h = np.linalg.norm(np.tensordot(c, herm, axes=1), 2)
+            assert spectral._h(herm.reshape(m, -1), c) == pytest.approx(h, rel=1e-12)
+
+
+# (n, iterations, value) of seeded n-point solves, recorded with the Newton
+# step written as einsum and tensordot loops
+NPOINT_SOLVES = (
+    (2, 0, 0.9204933508694629), (2, 0, 0.1201707570806767), (2, 0, 0.07864127892166566),
+    (3, 11, 0.23631136532550068), (3, 9, 0.22364159587067983), (3, 9, 0.0786971709771258),
+    (4, 9, 0.17587968623721642), (4, 13, 0.3063786254827034), (4, 11, 0.22678870477964244),
+    (5, 10, 0.3079952228884919), (5, 9, 0.1515894673571175), (5, 8, 0.3362044904154169),
+    (6, 10, 0.28277959023517996), (6, 12, 0.215323557242215), (6, 11, 0.31255421725790133),
+)
+
+
+def test_npoint_solves_keep_their_iterations_and_values():
+    rng = np.random.default_rng(33)
+    for n, iterations, value in NPOINT_SOLVES:
+        dirac = offdiag_dirac(rng, n)
+        p = rng.dirichlet(np.ones(n))
+        q = rng.dirichlet(np.ones(n))
+        res = connes_distance(make_diagonal_triple(n, Operator(dirac)), mixture(p), mixture(q))
+        assert res.iterations == iterations
+        assert abs(res.value - value) <= GAP_TOL * value
+        assert res.certified

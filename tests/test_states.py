@@ -14,6 +14,8 @@ from dfslab import (
     partial_trace,
     pure_state,
 )
+from dfslab import states
+from dfslab.states import _check_states
 
 TOL = 1e-12
 
@@ -214,3 +216,63 @@ def test_fidelity_symmetric_and_unitary_invariant():
 def test_fidelity_dimension_mismatch():
     with pytest.raises(ShapeError):
         fidelity(pure_state(np.array([1.0, 0.0])), pure_state(np.array([1.0, 0.0, 0.0])))
+
+
+def rotated_states(rng, spectra):
+    """A stack of density matrices U diag(spectrum) U^dag, each spectrum
+    summing to 1, with random unitaries U."""
+    d = len(spectra[0])
+    a = rng.normal(size=(len(spectra), d, d)) + 1j * rng.normal(size=(len(spectra), d, d))
+    u = np.linalg.qr(a)[0]
+    mats = (u * np.asarray(spectra)[:, None, :]) @ u.conj().transpose(0, 2, 1)
+    return 0.5 * (mats + mats.conj().transpose(0, 2, 1))
+
+
+def spectrum(low, d=4):
+    return [low] + [(1.0 - low) / (d - 1)] * (d - 1)
+
+
+def test_check_states_names_an_eigenvalue_below_the_floor():
+    mats = rotated_states(np.random.default_rng(1), [spectrum(-2e-10)])
+    with pytest.raises(DomainError, match="below the positivity floor") as info:
+        _check_states(mats)
+    named = float(str(info.value).split("eigenvalue ")[1].split()[0])
+    assert named == pytest.approx(-2e-10, abs=1e-15)
+
+
+def test_check_states_passes_an_eigenvalue_above_the_floor():
+    rng = np.random.default_rng(2)
+    _check_states(rotated_states(rng, [spectrum(-5e-11)] * 3))
+    _check_states(rotated_states(rng, [spectrum(0.0, d=8)])[0])
+
+
+def test_check_states_computes_no_eigenvalues_for_valid_states(monkeypatch):
+    """The shifted Cholesky certifies valid states, rank-deficient ones and
+    those a little below 0 included, without an eigensolve."""
+
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("eigenvalues computed for valid states")
+
+    monkeypatch.setattr(states, "sector_eigh", no_eigensolve)
+    rng = np.random.default_rng(5)
+    _check_states(rotated_states(rng, [spectrum(-5e-11)] * 3))
+    _check_states(rotated_states(rng, [[1.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0]]))
+
+
+def test_check_states_refuses_one_bad_matrix_among_good_ones():
+    mats = rotated_states(np.random.default_rng(3), [spectrum(0.1)] * 5 + [spectrum(-2e-10)] + [spectrum(0.2)] * 5)
+    with pytest.raises(DomainError, match="below the positivity floor"):
+        _check_states(mats)
+
+
+def test_check_states_reports_hermiticity_and_trace_first():
+    """A matrix that is also below the floor is refused for its first fault."""
+    bad = rotated_states(np.random.default_rng(4), [spectrum(-0.1)])[0]
+    skew = bad.copy()
+    skew[0, 1] += 1e-3
+    with pytest.raises(DomainError, match="not Hermitian"):
+        _check_states(skew)
+    with pytest.raises(DomainError, match="trace .* is not 1"):
+        _check_states(2.0 * bad)
+    with pytest.raises(DomainError, match="trace .* is not 1"):
+        _check_states(np.stack([bad, 2.0 * bad]))
