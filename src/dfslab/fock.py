@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -104,12 +104,8 @@ def interior_indices(space: FockSpace) -> np.ndarray:
     Matrix elements between interior states are unaffected by the hard
     truncation, so canonical-relation tests restrict to them.
     """
-    idx = [
-        k
-        for k in range(space.dim)
-        if all(n < space.n_max for n in space.occupations(k))
-    ]
-    return np.array(idx, dtype=np.intp)
+    occupations = np.arange(space.dim)[:, None] // space.levels ** np.arange(space.n_modes) % space.levels
+    return np.flatnonzero((occupations < space.n_max).all(axis=1))
 
 
 def _single_ladder(n_max: int) -> np.ndarray:
@@ -309,13 +305,32 @@ def env_vacuum_projector(model: DecoherenceModel) -> Operator:
 # Clifford sector
 
 
-def _jordan_wigner_gammas(n_dirs: int) -> list[np.ndarray]:
-    """2 n_dirs Hermitian matrices on 2^n_dirs dims, pairwise anticommuting."""
-    gammas = []
+@cache
+def _jordan_wigner_gammas(n_dirs: int) -> np.ndarray:
+    """The 2 n_dirs Jordan-Wigner gammas Z x .. x Z x P x I x .. x I, with
+    P = X then Y on direction 0, 1, ... in turn: Hermitian and pairwise
+    anticommuting, as one read-only (2 n_dirs, 2^n_dirs, 2^n_dirs) stack of
+    Kronecker products, built once per n_dirs.  BudgetError past
+    DIM_BUDGET."""
+    dim = 2 ** n_dirs
+    if dim > DIM_BUDGET:
+        raise BudgetError(f"gamma matrix dimension {dim} exceeds budget {DIM_BUDGET}")
+    stack = np.empty((2 * n_dirs, dim, dim), dtype=np.complex128)
+    z_string = np.ones((1, 1), dtype=np.complex128)
     for k in range(n_dirs):
-        for pauli in (_PAULI_X, _PAULI_Y):
-            gammas.append(tensor(*[_PAULI_Z] * k, pauli, *[2] * (n_dirs - k - 1)).mat)
-    return gammas
+        rest = np.eye(2 ** (n_dirs - k - 1))
+        stack[2 * k] = np.kron(np.kron(z_string, _PAULI_X), rest)
+        stack[2 * k + 1] = np.kron(np.kron(z_string, _PAULI_Y), rest)
+        z_string = np.kron(z_string, _PAULI_Z)
+    stack.setflags(write=False)
+    return stack
+
+
+_CLIFFORD_FAILURES = (
+    "plus-family anticommutators do not close",
+    "minus-family anticommutators do not close",
+    "the two families fail to anticommute",
+)
 
 
 @dataclass(frozen=True)
@@ -325,6 +340,9 @@ class CliffordPair:
     gamma_plus are Hermitian, gamma_minus anti-Hermitian; eta is the
     lower-index metric the anticommutators reproduce, each within
     SYMMETRY_TOL * max(1, max |eta|), as their roundoff grows with eta.
+    All 3 n^2 anticommutators come from one product of the concatenated
+    families; a failure names the first failing (i, j) in row-major order,
+    the plus family before the minus family before the mixed pairs.
     """
 
     eta: np.ndarray
@@ -332,20 +350,19 @@ class CliffordPair:
     gamma_minus: tuple[Operator, ...]
 
     def __post_init__(self):
-        n = len(self.gamma_plus)
-        eye = np.eye(self.rep_dim)
+        n, r = self.n, self.rep_dim
+        family = np.concatenate([g.mat for g in self.gamma_plus + self.gamma_minus])
+        # block (I, J) of the (2n r, 2n r) product is family_I @ family_J
+        products = family @ family.reshape(2 * n, r, r).transpose(1, 0, 2).reshape(r, 2 * n * r)
+        products = products.reshape(2 * n, r, 2 * n, r).transpose(0, 2, 1, 3)
+        want = np.zeros((2 * n, 2 * n))
+        want[:n, :n], want[n:, n:] = 2 * self.eta, -2 * self.eta
+        resid = np.abs(products + products.transpose(1, 0, 2, 3) - want[:, :, None, None] * np.eye(r))
+        resid = resid.max(axis=(2, 3))
         bound = SYMMETRY_TOL * max(1.0, float(np.abs(self.eta).max()))
-        for i in range(n):
-            for j in range(n):
-                pp = _anticomm(self.gamma_plus[i].mat, self.gamma_plus[j].mat)
-                mm = _anticomm(self.gamma_minus[i].mat, self.gamma_minus[j].mat)
-                pm = _anticomm(self.gamma_plus[i].mat, self.gamma_minus[j].mat)
-                if np.abs(pp - 2 * self.eta[i, j] * eye).max() > bound:
-                    raise DomainError("plus-family anticommutators do not close")
-                if np.abs(mm + 2 * self.eta[i, j] * eye).max() > bound:
-                    raise DomainError("minus-family anticommutators do not close")
-                if np.abs(pm).max() > bound:
-                    raise DomainError("the two families fail to anticommute")
+        failed = np.stack([resid[:n, :n], resid[n:, n:], resid[:n, n:]], axis=-1) > bound
+        if failed.any():
+            raise DomainError(_CLIFFORD_FAILURES[np.flatnonzero(failed)[0] % 3])
 
     @property
     def n(self) -> int:
@@ -356,10 +373,6 @@ class CliffordPair:
         return self.gamma_plus[0].dim
 
 
-def _anticomm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b + b @ a
-
-
 def clifford_pair(eta) -> CliffordPair:
     """Gamma families with {G+_i, G+_j} = 2 eta_ij and {G-_i, G-_j} = -2 eta_ij,
     built from Pauli tensor products and the Cholesky factor of eta."""
@@ -367,17 +380,14 @@ def clifford_pair(eta) -> CliffordPair:
     n = eta.shape[0]
     ell = np.linalg.cholesky(eta)
     gammas = _jordan_wigner_gammas(n)
-    plus = []
-    minus = []
-    for i in range(n):
-        gp = np.zeros((2 ** n,) * 2, dtype=np.complex128)
-        gm = np.zeros((2 ** n,) * 2, dtype=np.complex128)
-        for a in range(n):
-            gp += ell[i, a] * gammas[a]
-            gm += 1.0j * ell[i, a] * gammas[n + a]
-        plus.append(Operator(gp))
-        minus.append(Operator(gm))
-    return CliffordPair(eta, tuple(plus), tuple(minus))
+    plus = np.zeros((n,) + gammas.shape[1:], dtype=np.complex128)
+    minus = np.zeros_like(plus)
+    # G+_i = sum_a ell_ia gamma_a and G-_i = sum_a i ell_ia gamma_(n+a),
+    # added one a at a time
+    for a in range(n):
+        plus += ell[:, a, None, None] * gammas[a]
+        minus += (1.0j * ell[:, a])[:, None, None] * gammas[n + a]
+    return CliffordPair(eta, tuple(Operator(g) for g in plus), tuple(Operator(g) for g in minus))
 
 
 # ---------------------------------------------------------------------------

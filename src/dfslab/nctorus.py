@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError, UnsupportedFluxError
 from .fock import FockSpace, position_momentum
-from .opcore import DIM_BUDGET, UNITARITY_TOL, Operator, _capped_power, _Entries, _size_text, _summed, tensor, tensor_sum
+from .opcore import DIM_BUDGET, UNITARITY_TOL, Operator, _capped_power, _Entries, _key_sums, _size_text, _tensor_terms, tensor
 
 TWO_PI = 2.0 * math.pi
 RATIONAL_TOL = 1e-12
@@ -205,8 +205,9 @@ def landau_hamiltonian(flux: FluxMatrix, n_max: int) -> Operator:
     With two directions this is H0 =
     (1/2)(p^2 kron I - w01 p kron x + (1/4) w01^2 I kron x^2
     + I kron p^2 - w10 x kron p + (1/4) w10^2 x^2 kron I),
-    built by ``tensor_sum`` from single-mode quadratures truncated at
-    ``n_max``, so no full-space product is formed.
+    summed as ``tensor_sum`` sums it, from the Kronecker terms of
+    single-mode quadratures truncated at ``n_max``, so no full-space product
+    is formed.  One key sort orders its positions for both steps below.
 
     Quarter-turn gauge: the second mode's factors are conjugated by D =
     diag(i^n), which maps x to p and p to -x exactly in the truncated Fock
@@ -247,29 +248,43 @@ def landau_hamiltonian(flux: FluxMatrix, n_max: int) -> Operator:
         return phase[:, None] * m * phase.conj()
 
     w01, w10 = flux.omega[0, 1], flux.omega[1, 0]
-    h0 = tensor_sum([
+    dim, terms = _tensor_terms([
         (0.5, (p2, eye)),
         (-0.5 * w01, (p, turn(x))),
         (0.125 * w01 * w01, (eye, turn(x2))),
         (0.5, (eye, turn(p2))),
         (-0.5 * w10, (x, turn(p))),
         (0.125 * w10 * w10, (x2, eye)),
-    ])._entries
-    dim = h0.shape[0]
+    ])
     a, b = np.divmod(np.arange(dim), n_max + 1)
     swap = b * (n_max + 1) + a
     sigma = np.where((a + b) // 2 % 2, -1.0, 1.0)
-    half = 0.5 * h0.vals
-    turned = (swap[h0.rows], swap[h0.cols], sigma[h0.rows] * sigma[h0.cols] * half)
-    h = _summed(dim, [(h0.rows, h0.cols, half), turned])
+    first = a <= b
+
+    # The one key sort: H0's positions (r, c) in the order of the row, the
+    # column's first component f = min(c, swap c), and whether c is folded
+    # (c > f).  Positions whose terms sum to 0 stay, so the pattern is the
+    # union of the six terms', which S maps onto itself (the terms come in
+    # S-image pairs); adding 0 first changes no sum below.
+    rows = np.concatenate([t[0] for t in terms])
+    cols = np.concatenate([t[1] for t in terms])
+    keys, h0 = _key_sums((rows * dim + np.minimum(cols, swap[cols])) * 2 + ~first[cols], [t[2] for t in terms])
+    if not np.isfinite(h0).all():
+        raise DomainError("matrix entries must be finite")
+    r, f = np.divmod(keys // 2, dim)
+    folded = keys % 2 == 1
+    c = np.where(folded, swap[f], f)
+    # the S-average: each position's image (swap r, swap c) by one search
+    image = np.searchsorted(keys, (swap[r] * dim + f) * 2 + (swap[c] > c))
+    half = 0.5 * h0
+    h = np.zeros(keys.size, dtype=np.complex128)
+    h += half
+    h += (sigma[r] * sigma[c] * half)[image]
 
     # the entries in the rows of each state's first component |a,b>, a <=
-    # b, with each column folded onto its state's first component |c,d>; a
+    # b, with each column folded onto its state's first component f; a
     # folded entry H_{ab,dc} counts with the sign s sigma(c,d) in sector s
-    first = a <= b
-    r, c, v = (z[first[h.rows]] for z in (h.rows, h.cols, h.vals))
-    folded = ~first[c]
-    c = np.where(folded, swap[c], c)
+    r, c, folded, v = (z[first[r]] for z in (r, f, folded, h))
     pair_r, pair_c = a[r] < b[r], a[c] < b[c]
     v = v * np.where(pair_r == pair_c, 1.0, np.where(pair_r, math.sqrt(2.0), math.sqrt(0.5)))
     # each sector lists its states in the order of their first components,
@@ -281,8 +296,17 @@ def landau_hamiltonian(flux: FluxMatrix, n_max: int) -> Operator:
                              (-1.0, minus, np.count_nonzero(plus) + np.cumsum(minus) - 1)):
         inside = member[r] & member[c]
         sign = np.where(folded, s * sigma[c], 1.0)
-        parts.append((index[r[inside]], index[c[inside]], (sign * v)[inside], folded[inside]))
-    rows, cols, vals, late = (np.concatenate(z) for z in zip(*parts))
-    # H_{ab,cd}, then the folded H_{ab,dc}: at most one of each per position
-    return Operator._unchecked(_summed(dim, [(rows[~late], cols[~late], vals[~late]),
-                                             (rows[late], cols[late], vals[late])]))
+        parts.append((index[r[inside]], index[c[inside]], (sign * v)[inside]))
+    rows, cols, vals = (np.concatenate(z) for z in zip(*parts))
+    # already in row-major order, H_{ab,cd} just before the folded H_{ab,dc}
+    # of the same position: add each run of one position from zero
+    new = np.ones(rows.size, dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    slot = np.cumsum(new) - 1
+    acc = np.zeros(np.count_nonzero(new), dtype=np.complex128)
+    acc[slot[new]] += vals[new]
+    acc[slot[~new]] += vals[~new]
+    if not np.isfinite(acc).all():
+        raise DomainError("matrix entries must be finite")
+    keep = acc != 0
+    return Operator._unchecked(_Entries((dim, dim), rows[new][keep], cols[new][keep], acc[keep]))

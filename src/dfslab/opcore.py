@@ -464,6 +464,13 @@ def tensor_sum(terms) -> Operator:
     before anything is allocated; finiteness is checked once, on the summed
     entries.
     """
+    return Operator._unchecked(_summed(*_tensor_terms(terms)))
+
+
+def _tensor_terms(terms) -> tuple:
+    """``(dim, parts)`` for ``tensor_sum``: the common dimension and, for
+    each term in order, its entries as one ``(rows, cols, vals)`` triple with
+    no position twice, before they are summed."""
     dim = None
     parts = []
     for coef, factors in terms:
@@ -499,7 +506,7 @@ def tensor_sum(terms) -> Operator:
         parts.append((rows, cols, coef * (np.ones(rows.size) if vals is None else vals)))
     if dim is None:
         raise UsageError("tensor_sum needs at least one term")
-    return Operator._unchecked(_summed(dim, parts))
+    return dim, parts
 
 
 def _summed(dim: int, parts) -> _Entries:
@@ -513,17 +520,26 @@ def _summed(dim: int, parts) -> _Entries:
         acc = np.zeros(vals.shape, dtype=np.complex128)
         acc += vals
     else:
-        keys, slot = np.unique(np.concatenate([r * dim + c for r, c, _ in parts]), return_inverse=True)
-        acc = np.zeros(keys.size, dtype=np.complex128)
-        start = 0
-        for _, _, vals in parts:
-            acc[slot[start:start + vals.size]] += vals
-            start += vals.size
+        keys, acc = _key_sums(np.concatenate([r * dim + c for r, c, _ in parts]), [v for *_, v in parts])
         rows, cols = np.divmod(keys, dim)
     if not np.isfinite(acc).all():
         raise DomainError("matrix entries must be finite")
     keep = acc != 0
     return _Entries((dim, dim), rows[keep], cols[keep], acc[keep])
+
+
+def _key_sums(keys: np.ndarray, values) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``keys``, ascending (one sort), and the complex sum of
+    each key's values.  ``keys`` concatenates one key array per array of
+    ``values``, with no key twice in one; the values of a key are added in
+    the order of the arrays, starting from zero."""
+    uniq, slot = np.unique(keys, return_inverse=True)
+    acc = np.zeros(uniq.size, dtype=np.complex128)
+    start = 0
+    for vals in values:
+        acc[slot[start:start + vals.size]] += vals
+        start += vals.size
+    return uniq, acc
 
 
 def apply_on_factor(mat, slot: int, dims, vectors) -> np.ndarray:

@@ -9,6 +9,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from dfslab import acceptance
@@ -145,3 +146,61 @@ def test_selftest_output_is_byte_identical():
     for line in first.stderr.decode().splitlines():
         if line.startswith("criterion"):
             assert " FAIL " not in line
+
+
+def test_criterion_8_interior_product_is_the_interior_block_of_the_full_one():
+    """At criterion 8's draws, the commutator formed on the interior rows
+    and columns only equals the interior block of the full commutator, bit
+    for bit."""
+    from dfslab.fock import FockSpace, hw_mode, interior_indices
+
+    eta = acceptance._random_spd(acceptance._rng(2008), 2)
+    space = FockSpace(4, 2)
+    ops = {lvl: hw_mode(space, lvl, eta, modes=(2 * lvl - 2, 2 * lvl - 1)) for lvl in (1, 2)}
+    inter = interior_indices(space)
+    for e_n in (op.mat for lvl in (1, 2) for op in ops[lvl]):
+        for e_m_dag in (op.mat.conj().T for lvl in (1, 2) for op in ops[lvl]):
+            full = (e_n @ e_m_dag - e_m_dag @ e_n)[np.ix_(inter, inter)]
+            interior = e_n[inter] @ e_m_dag[:, inter] - e_m_dag[inter] @ e_n[:, inter]
+            assert interior.tobytes() == full.tobytes()
+
+
+def test_closed_form_largest_eigenvalue_agrees_with_lapack():
+    """On 10,000 seeded traceless Hermitian 3x3 matrices, half of them with
+    a zero diagonal as the oracle's are, to 1e-14 relative."""
+    rng = np.random.default_rng(34)
+    a = rng.normal(size=(10_000, 3, 3)) + 1j * rng.normal(size=(10_000, 3, 3))
+    h = a + a.conj().transpose(0, 2, 1)
+    h[:, 2, 2] = -(h[:, 0, 0] + h[:, 1, 1])
+    h[5_000:, [0, 1, 2], [0, 1, 2]] = 0.0
+    want = np.abs(np.linalg.eigvalsh(h)).max(axis=-1)
+    got = acceptance._largest_abs_eigenvalue(h)
+    assert (np.abs(got - want) / want).max() <= 1e-14
+    assert acceptance._largest_abs_eigenvalue(np.zeros((1, 3, 3), dtype=complex))[0] == 0.0
+
+
+def test_oracle_takes_lapack_for_every_sample_when_a_diagonal_is_not_zero(monkeypatch):
+    """The closed form is used only when every sample's diagonal is exactly
+    0; a commutator with a nonzero diagonal sends all samples to eigvalsh."""
+    monkeypatch.setattr(acceptance, "ORACLE_SAMPLES", 2_000)
+    rng = np.random.default_rng(35)
+    d = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    d = d + d.conj().T
+    np.fill_diagonal(d, 0.0)
+    basis = [np.diag(v).astype(complex) for v in ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])]
+    comms = np.stack([d @ b - b @ d for b in basis])
+    g = np.array([0.3, -0.2])
+    calls = []
+    for name in ("_largest_abs_eigenvalue", "_lapack_norms"):
+        norms = getattr(acceptance, name)
+        monkeypatch.setattr(acceptance, name, lambda h, name=name, norms=norms: calls.append((name, len(h))) or norms(h))
+    acceptance._oracle_distance(g, comms, acceptance._rng(1))
+    # the closed form on every sample, then LAPACK on the few it keeps
+    assert calls[0] == ("_largest_abs_eigenvalue", 2_000)
+    assert calls[1][0] == "_lapack_norms" and calls[1][1] < 2_000
+    calls.clear()
+    tilted = comms.copy()
+    tilted[0, 1, 1] = 1e-3j  # anti-Hermitian still, but not traceless
+    acceptance._oracle_distance(g, tilted, acceptance._rng(1))
+    assert calls[0] == ("_lapack_norms", 2_000)
+    assert all(name == "_lapack_norms" for name, _ in calls)

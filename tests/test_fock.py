@@ -258,8 +258,67 @@ def test_clifford_pair_general_metric_relations():
 
 def test_clifford_pair_rejects_inconsistent_arrays():
     good = clifford_pair(np.eye(1))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="minus-family anticommutators do not close"):
         CliffordPair(np.eye(1), good.gamma_plus, good.gamma_plus)
+
+
+def per_matrix_gamma_sums(eta):
+    """The gamma families as one matrix at a time: each Jordan-Wigner gamma
+    a tensor product of Paulis, each G+_i and G-_i a running sum over a."""
+    n = eta.shape[0]
+    x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+    z = np.diag([1.0, -1.0]).astype(complex)
+    gammas = [tensor(*[z] * k, pauli, *[2] * (n - k - 1)).mat for k in range(n) for pauli in (x, y)]
+    ell = np.linalg.cholesky(eta)
+    plus, minus = [], []
+    for i in range(n):
+        gp = np.zeros((2 ** n,) * 2, dtype=complex)
+        gm = np.zeros((2 ** n,) * 2, dtype=complex)
+        for a in range(n):
+            gp += ell[i, a] * gammas[a]
+            gm += 1.0j * ell[i, a] * gammas[n + a]
+        plus.append(gp)
+        minus.append(gm)
+    return plus, minus
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stacked_gamma_families_equal_the_per_matrix_sums_bit_for_bit(n):
+    rng = np.random.default_rng(40 + n)
+    for scale in (1.0, 1e-5, 3e4):
+        a = rng.normal(size=(n, n))
+        eta = scale * (a @ a.T + 0.25 * np.eye(n))
+        pair = clifford_pair(eta)
+        plus, minus = per_matrix_gamma_sums(eta)
+        for got, want in zip(pair.gamma_plus + pair.gamma_minus, plus + minus):
+            assert got.mat.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+
+
+def test_clifford_pair_names_the_first_failing_pair():
+    """Each inconsistent input is refused with the message of the first
+    failing (i, j) in row-major order, plus before minus before mixed."""
+    eta = np.eye(2)
+    good = clifford_pair(eta)
+    gp, gm = good.gamma_plus, good.gamma_minus
+
+    def scaled(ops, factor):
+        return tuple(Operator(factor * g.mat) for g in ops)
+
+    with pytest.raises(DomainError, match="^plus-family anticommutators do not close$"):
+        CliffordPair(eta, scaled(gp, 2.0), gm)
+    with pytest.raises(DomainError, match="^minus-family anticommutators do not close$"):
+        CliffordPair(eta, gp, scaled(gm, 2.0))
+    with pytest.raises(DomainError, match="^the two families fail to anticommute$"):
+        CliffordPair(eta, gp, scaled(gp, 1.0j))
+    # mixed fails at (0, 0) and plus first at (0, 1): (0, 0) comes first
+    tilted_plus = (gp[0], Operator(gp[1].mat + 1e-6 * gp[0].mat))
+    tilted_minus = (Operator(gm[0].mat + 1e-7 * gp[0].mat), gm[1])
+    with pytest.raises(DomainError, match="^the two families fail to anticommute$"):
+        CliffordPair(eta, tilted_plus, tilted_minus)
+    # the plus family alone fails at (0, 1)
+    with pytest.raises(DomainError, match="^plus-family anticommutators do not close$"):
+        CliffordPair(eta, tilted_plus, gm)
 
 
 def string_background(value=1.0):
