@@ -26,7 +26,6 @@ from .opcore import (
     KroneckerSum,
     Operator,
     SubspaceBasis,
-    apply_on_factor,
     commutant_basis,
     commutator,
     eig_hermitian,
@@ -87,14 +86,12 @@ from .fock import (
     DiracSplit,
     FockSpace,
     StringModel,
-    SubstitutionReport,
     build_decoherence_model,
     build_string_model,
     clifford_pair,
     dfs_from_dirac,
     duality_substitution,
     env_vacuum_projector,
-    gamma_pair_norm,
     hw_mode,
     interior_indices,
     ladder,

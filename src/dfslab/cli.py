@@ -27,9 +27,9 @@ from . import acceptance
 from .duality import Background, _energy_shift, basis_change, charge_box, coupling_shift, coupling_swap, dual_metric, factorized_inversion, onn_apply
 from .dynamics import SYMMETRIZED_LEAKAGE_CAP, coherence_experiment
 from .errors import DfsLabError, UsageError
-from .fock import SUBSTITUTION_TOL, FockSpace, build_decoherence_model, build_string_model, dfs_from_dirac, duality_substitution, gamma_pair_norm, parity_generators, string_model_dim
+from .fock import SUBSTITUTION_TOL, FockSpace, build_decoherence_model, build_string_model, dfs_from_dirac, duality_substitution, parity_generators, string_model_dim
 from .nctorus import WEYL_TOL, FluxMatrix, clock_shift_rep, landau_hamiltonian, weyl_residual
-from .opcore import DIM_BUDGET, KERNEL_TOL, Operator, SubspaceBasis, lowest_eigenvalue, operator_norm
+from .opcore import DIM_BUDGET, KERNEL_TOL, Operator, SubspaceBasis, _kernel_residual_bound, lowest_eigenvalue, operator_norm
 from .reporting import canonical_json
 from .spectral import BOUNDARY_SLACK, EXPECTED_DISTANCE_TOL, GAP_TOL, connes_distance, make_diagonal_triple, make_two_point_triple
 from .states import TRACE_TOL, DensityMatrix, StateFunctional, pure_state
@@ -257,12 +257,11 @@ def _run_dfs(params: dict, tol_scale: float):
     model = build_string_model(bg, n_max, levels)
     dirac = model.d_bar if which == "relative" else model.d
     kernel = dfs_from_dirac(dirac, tol=tol)
-    bound = tol * kernel.sigma_max * tol_scale
+    bound = _kernel_residual_bound(tol, kernel.sigma_max, model.dim) * tol_scale
     results = {
         "model_dim": model.dim,
         "kernel_dim": kernel.size,
         "kernel_residual": kernel.residual,
-        "max_gamma_pair_residual": gamma_pair_norm(model, kernel) if kernel.size else None,
     }
     checks = [_check("kernel-residual", kernel.residual, bound, kernel.residual <= bound)]
     return results, checks
@@ -400,14 +399,10 @@ def _run_duality(params: dict, tol_scale: float):
     }
     checks = [_check("narain-energy-invariance", worst, tol, worst <= tol)]
     if sub_arg is not None:
-        sub = duality_substitution(bg, levels)
-        results["substitution_max_residual"] = sub.max_residual
-        results["substitution_max_gram_residual"] = sub.max_gram_residual
+        residual = duality_substitution(bg, levels)
+        results["substitution_residual"] = residual
         sub_tol = SUBSTITUTION_TOL * tol_scale
-        # Raw coefficient arrays are gauge-dependent beyond one direction;
-        # compare the gauge-invariant products there instead.
-        value = sub.max_residual if n == 1 else sub.max_gram_residual
-        checks.append(_check("substitution-match", value, sub_tol, value <= sub_tol))
+        checks.append(_check("substitution-match", residual, sub_tol, residual <= sub_tol))
     return results, checks
 
 

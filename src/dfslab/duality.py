@@ -42,19 +42,17 @@ def _check_square(arr: np.ndarray, name: str) -> np.ndarray:
     return arr
 
 
-def _check_spd(arr, name: str) -> np.ndarray:
-    """A float copy of ``arr``: a finite square matrix, symmetric by the
-    shared rule (``_is_hermitian`` with SYMMETRY_TOL), whose Cholesky
-    factorization succeeds, so every later ``np.linalg.cholesky`` of it
-    does too."""
+def _check_spd(arr, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """A float copy of ``arr`` and its lower Cholesky factor: ``arr`` must be
+    a finite square matrix, symmetric by the shared rule (``_is_hermitian``
+    with SYMMETRY_TOL), whose Cholesky factorization succeeds."""
     eta = _check_square(np.array(arr, dtype=float), name)
     if not _is_hermitian(eta, SYMMETRY_TOL):
         raise DomainError(f"{name} must be symmetric")
     try:
-        np.linalg.cholesky(eta)
+        return eta, np.linalg.cholesky(eta)
     except np.linalg.LinAlgError:
         raise DomainError(f"{name} must be positive definite") from None
-    return eta
 
 
 def _int_matrix(arr) -> np.ndarray:
@@ -129,7 +127,7 @@ class Background:
     coupling: np.ndarray
 
     def __post_init__(self):
-        eta = _check_spd(self.metric, "metric")
+        eta, _ = _check_spd(self.metric, "metric")
         xi = _check_square(np.array(self.coupling, dtype=float), "coupling")
         if eta.shape != xi.shape:
             raise ShapeError("metric and coupling must have matching shapes")
@@ -409,11 +407,10 @@ def normal_modes(kinetic: np.ndarray, potential: np.ndarray) -> np.ndarray:
     kinetic matrix reduces the generalized problem to an ordinary symmetric
     one.
     """
-    a = _check_spd(kinetic, "kinetic matrix")
-    b = _check_spd(potential, "potential matrix")
+    a, ell = _check_spd(kinetic, "kinetic matrix")
+    b, _ = _check_spd(potential, "potential matrix")
     if a.shape != b.shape:
         raise ShapeError("kinetic and potential matrices must match")
-    ell = np.linalg.cholesky(a)
     sym = ell.T @ b @ ell
     vals = np.linalg.eigvalsh(0.5 * (sym + sym.T))
     return np.sqrt(np.clip(vals, 0.0, None))

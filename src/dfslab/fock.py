@@ -20,6 +20,10 @@ that split next to the entries, and ``dfs_from_dirac`` takes the kernel from
 the factors' eigenpairs; with more directions the a_plus_i do not commute, no
 such split exists, and the kernel comes from block SVDs of the blocks
 gathered from the entries.
+
+``duality_substitution`` rewrites the model's Dirac coefficients under the
+coupling inversion E -> E^-1 and returns one residual against the opposite
+combination on the inverse background, with no model built.
 """
 
 from __future__ import annotations
@@ -39,12 +43,10 @@ from .opcore import (
     KernelBasis,
     KroneckerSum,
     Operator,
-    SubspaceBasis,
     _capped_power,
     _is_hermitian,
     _kernel_cutoff,
     _size_text,
-    apply_on_factor,
     kernel_basis,
     tensor,
     tensor_sum,
@@ -154,7 +156,7 @@ def hw_mode(space: FockSpace, level: int, eta, modes=None) -> list[Operator]:
     Distinct levels must live on disjoint modes; pass each level its own
     slice of the space through ``modes`` (defaults to the first ones).
     """
-    eta = _check_spd(eta, "eta")
+    eta, chol = _check_spd(eta, "eta")
     n_dirs = eta.shape[0]
     if modes is None:
         modes = tuple(range(n_dirs))
@@ -165,7 +167,7 @@ def hw_mode(space: FockSpace, level: int, eta, modes=None) -> list[Operator]:
         raise UsageError(f"modes {modes} outside the {space.n_modes}-mode space")
     if level < 1:
         raise DomainError("level must be a positive integer")
-    ell = math.sqrt(level) * np.linalg.cholesky(eta)
+    ell = math.sqrt(level) * chol
     ladders = [_embedded_ladder(space, m) for m in modes]
     out = []
     for i in range(n_dirs):
@@ -341,8 +343,10 @@ class CliffordPair:
     lower-index metric the anticommutators reproduce, each within
     SYMMETRY_TOL * max(1, max |eta|), as their roundoff grows with eta.
     All 3 n^2 anticommutators come from one product of the concatenated
-    families; a failure names the first failing (i, j) in row-major order,
-    the plus family before the minus family before the mixed pairs.
+    families (``_anticommutator_residuals``, which criterion 7 also reads,
+    under its own bound); a failure names the first failing (i, j) in
+    row-major order, the plus family before the minus family before the
+    mixed pairs.
     """
 
     eta: np.ndarray
@@ -350,15 +354,8 @@ class CliffordPair:
     gamma_minus: tuple[Operator, ...]
 
     def __post_init__(self):
-        n, r = self.n, self.rep_dim
-        family = np.concatenate([g.mat for g in self.gamma_plus + self.gamma_minus])
-        # block (I, J) of the (2n r, 2n r) product is family_I @ family_J
-        products = family @ family.reshape(2 * n, r, r).transpose(1, 0, 2).reshape(r, 2 * n * r)
-        products = products.reshape(2 * n, r, 2 * n, r).transpose(0, 2, 1, 3)
-        want = np.zeros((2 * n, 2 * n))
-        want[:n, :n], want[n:, n:] = 2 * self.eta, -2 * self.eta
-        resid = np.abs(products + products.transpose(1, 0, 2, 3) - want[:, :, None, None] * np.eye(r))
-        resid = resid.max(axis=(2, 3))
+        n = self.n
+        resid = _anticommutator_residuals(self)
         bound = SYMMETRY_TOL * max(1.0, float(np.abs(self.eta).max()))
         failed = np.stack([resid[:n, :n], resid[n:, n:], resid[:n, n:]], axis=-1) > bound
         if failed.any():
@@ -373,12 +370,26 @@ class CliffordPair:
         return self.gamma_plus[0].dim
 
 
+def _anticommutator_residuals(pair: CliffordPair) -> np.ndarray:
+    """The (2n, 2n) largest entries of |{G_I, G_J} - 2 eta_IJ I| over the
+    concatenated families (plus first, eta_IJ = +eta on the plus block, -eta
+    on the minus block and 0 between them), from one product: block (I, J)
+    of the (2n r, 2n r) product is G_I @ G_J."""
+    n, r = pair.n, pair.rep_dim
+    family = np.concatenate([g.mat for g in pair.gamma_plus + pair.gamma_minus])
+    products = family @ family.reshape(2 * n, r, r).transpose(1, 0, 2).reshape(r, 2 * n * r)
+    products = products.reshape(2 * n, r, 2 * n, r).transpose(0, 2, 1, 3)
+    want = np.zeros((2 * n, 2 * n))
+    want[:n, :n], want[n:, n:] = 2 * pair.eta, -2 * pair.eta
+    resid = np.abs(products + products.transpose(1, 0, 2, 3) - want[:, :, None, None] * np.eye(r))
+    return resid.max(axis=(2, 3))
+
+
 def clifford_pair(eta) -> CliffordPair:
     """Gamma families with {G+_i, G+_j} = 2 eta_ij and {G-_i, G-_j} = -2 eta_ij,
     built from Pauli tensor products and the Cholesky factor of eta."""
-    eta = _check_spd(eta, "eta")
+    eta, ell = _check_spd(eta, "eta")
     n = eta.shape[0]
-    ell = np.linalg.cholesky(eta)
     gammas = _jordan_wigner_gammas(n)
     plus = np.zeros((n,) + gammas.shape[1:], dtype=np.complex128)
     minus = np.zeros_like(plus)
@@ -600,46 +611,33 @@ def dfs_from_dirac(d: Operator, tol: float = KERNEL_TOL) -> KernelBasis:
 # Duality substitution at the coefficient level
 
 
-@dataclass(frozen=True)
-class SubstitutionReport:
-    """Coefficient arrays of the substituted Dirac operator next to those of
-    the opposite combination built on the dual background.
-
-    Arrays are indexed [gamma slot, symbol]: rows run over the fixed gamma
-    labels, columns over p, x, or tower symbols.  The dual side is rescaled by
-    the dual metric on the p and x slots (the canonical index shuffle that
-    accompanies exchanging position with momentum).  For one direction the
-    match is exact; for more, the Cholesky gamma gauge on the two sides can
-    differ by a rotation, so gram_residuals compares the gauge-invariant
-    products instead.
-    """
-
-    substituted: dict
-    dual: dict
-    residuals: dict
-    gram_residuals: dict
-    max_residual: float
-    max_gram_residual: float
-
-
 def _substitution_arrays(background: Background, levels: int) -> dict:
-    n = background.n
+    """The coefficient arrays of the substituted Dirac operator, indexed
+    [gamma slot, symbol].  With G the metric, B the coupling, K the sector's
+    coupling matrix (G + B plus, G - B minus), ell = chol(G^-1) and
+    G_o = G - B G^-1 B: p slot sign ell^T G K^-T / sqrt2, x slot
+    ell^T G_o / sqrt2 and tower slot sign ell^T sqrt(m) chol(G).  They
+    follow from swapping the quadratures, a_+(E) = E a_+'(E^-1) and
+    a_-(E) = -E^T a_-'(E^-1), and from E^T G^-1 E = G_o, the inverse of the
+    dual metric ((G + B)^-1 = G_o^-1 + theta, Seiberg and Witten,
+    hep-th/9908142)."""
     eta_u = background.metric
+    xi = background.coupling
     eta_l = np.linalg.inv(eta_u)
     ell = np.linalg.cholesky(eta_l)
+    # exactly eta_u at zero coupling, where xi @ eta_l @ xi is zero
+    open_metric = eta_u - xi @ eta_l @ xi
     out = {}
     for sector, kmat, sign in (("plus", background.e_matrix, 1.0), ("minus", background.k_minus, -1.0)):
-        s_mat = eta_u @ np.linalg.inv(kmat)
-        t_mat = kmat @ eta_l
         arrays = {
-            "p": sign * ell.T @ s_mat / SQRT2,
+            "p": sign * ell.T @ (eta_u @ np.linalg.inv(kmat).T) / SQRT2,
             # The x slot is even in the sector sign: the minus sign of the
             # substitution cancels against the minus in a_minus = (p - Kx)/sqrt2.
-            "x": ell.T @ s_mat @ kmat / SQRT2,
+            "x": ell.T @ open_metric / SQRT2,
         }
         for m in range(1, levels + 1):
             hw = math.sqrt(m) * np.linalg.cholesky(eta_u)
-            arrays[f"tower{m}"] = sign * ell.T @ t_mat @ hw
+            arrays[f"tower{m}"] = sign * ell.T @ hw
         out[sector] = arrays
     return out
 
@@ -667,66 +665,33 @@ def _dual_side_arrays(background: Background, levels: int) -> dict:
 SUBSTITUTION_TOL = 1e-12
 
 
-def duality_substitution(background: Background, levels: int) -> SubstitutionReport:
-    """Rewrite the Dirac coefficients of the string model on ``background``
-    with ``levels`` tower levels under the coupling-inversion map, and
-    compare with the opposite Dirac combination on the inverse background.
+def duality_substitution(background: Background, levels: int) -> float:
+    """The residual between the Dirac coefficients of the string model on
+    ``background`` with ``levels`` tower levels, rewritten under the
+    coupling-inversion map (``_substitution_arrays``), and those of the
+    opposite Dirac combination on the inverse background.
 
-    The substitution sends each quadrature combination through the inverse of
-    its coupling matrix (with a sector sign) and each tower operator through
-    the transposed inverse, which at zero coupling amounts to swapping the
-    roles of position and momentum.  The coefficient arrays are those of
-    ``build_string_model(background, n_max, levels)`` for every n_max and
-    depend on the background and ``levels`` only, so no model is built.
-    ``levels`` must be one for which some model fits the budget
-    (``string_model_dim`` at n_max 1).
+    The arrays are indexed [gamma slot, symbol], and the dual side is
+    rescaled by the dual metric on the p and x slots (the canonical index
+    shuffle that accompanies exchanging position with momentum).  For one
+    direction the residual is the largest entrywise difference.  For more,
+    the Cholesky gamma gauge on the two sides can differ by a rotation, so
+    it is the largest difference of the gauge-invariant products A^T A,
+    slot by slot.  The arrays are those of ``build_string_model(background,
+    n_max, levels)`` for every n_max and depend on the background and
+    ``levels`` only, so no model is built.  ``levels`` must be one for which
+    some model fits the budget (``string_model_dim`` at n_max 1).
     """
     string_model_dim(background.n, 1, levels)
     subbed = _substitution_arrays(background, levels)
     dual = _dual_side_arrays(background, levels)
-    residuals: dict = {}
-    grams: dict = {}
     worst = 0.0
-    worst_gram = 0.0
     for sector in ("plus", "minus"):
-        residuals[sector] = {}
-        grams[sector] = {}
         for slot, arr in subbed[sector].items():
-            diff = float(np.abs(arr - dual[sector][slot]).max())
-            gdiff = float(
-                np.abs(arr.T @ arr - dual[sector][slot].T @ dual[sector][slot]).max()
-            )
-            residuals[sector][slot] = diff
-            grams[sector][slot] = gdiff
-            worst = max(worst, diff)
-            worst_gram = max(worst_gram, gdiff)
-    return SubstitutionReport(
-        substituted=subbed,
-        dual=dual,
-        residuals=residuals,
-        gram_residuals=grams,
-        max_residual=worst,
-        max_gram_residual=worst_gram,
-    )
-
-
-def gamma_pair_norm(model: StringModel, kernel: SubspaceBasis) -> float:
-    """max_i of the spectral norm of G+_i + G-_i restricted to the kernel.
-
-    The restriction is the stack ``apply_on_factor(G+_i + G-_i, 0, dims,
-    kernel.vectors)`` over the factors (spinor, register, tower, tower); its
-    norm does not change when the kernel basis is rotated.
-    """
-    if kernel.kind != "vector-space":
-        raise UsageError("kernel must be a vector-space basis")
-    if kernel.ambient_dim != model.dim:
-        raise ShapeError("kernel vectors do not live on the model space")
-    if not kernel.size:
-        raise UsageError("the kernel is empty")
-    dims = (model.clifford.rep_dim, model.system_space.dim) + (model.tower_space.dim,) * 2
-    gp = model.clifford.gamma_plus
-    gm = model.clifford.gamma_minus
-    return max(
-        float(np.linalg.norm(apply_on_factor(gp[i].mat + gm[i].mat, 0, dims, kernel.vectors), 2))
-        for i in range(model.background.n)
-    )
+            other = dual[sector][slot]
+            if background.n == 1:
+                diff = np.abs(arr - other)
+            else:
+                diff = np.abs(arr.T @ arr - other.T @ other)
+            worst = max(worst, float(diff.max()))
+    return worst

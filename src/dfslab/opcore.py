@@ -19,10 +19,9 @@ Conventions used throughout the package:
   factors as an entry list formed from the factors' nonzero entries
   (``tensor`` is its one-term case; an Operator factor gives its entries,
   and an identity factor is given as its size, so neither forms or scans a
-  dense array), ``apply_on_factor`` applies a local operator to one factor
-  of a stack of kets without forming the product, and
-  ``KroneckerSum`` diagonalizes a Kronecker sum of Hermitian factors from
-  the factors' eigenpairs (eigenvalue grid and product eigenvectors);
+  dense array), and ``KroneckerSum`` diagonalizes a Kronecker sum of
+  Hermitian factors from the factors' eigenpairs (eigenvalue grid and
+  product eigenvectors);
 * one splitter serves the three blocked solvers.  The connected blocks of
   the entries' pattern are found (an exact split, no tolerance) and each
   block is gathered from the entries, so a matrix and the ``tensor_sum``
@@ -327,6 +326,19 @@ def _kernel_cutoff(tol: float, ref: float) -> float:
     return tol * ref if ref > 0 else KERNEL_FLOOR
 
 
+def _kernel_residual_bound(tol: float, sigma_max: float, dim: int) -> float:
+    """The largest residual ||A v|| a kernel direction of a dim x dim
+    operator may have: the cutoff ``_kernel_cutoff(tol, sigma_max)``, the
+    largest singular value a kept direction has, plus 2 dim eps sigma_max,
+    the backward error of the decomposition that found it (dim eps
+    sigma_max) and the rounding of the measured residual (as much again).
+    Never below KERNEL_FLOOR; ZERO_SIGMA_RESIDUAL when sigma_max vanishes."""
+    if sigma_max <= 0:
+        return ZERO_SIGMA_RESIDUAL
+    roundoff = 2 * dim * np.finfo(np.float64).eps * sigma_max
+    return max(_kernel_cutoff(tol, sigma_max) + roundoff, KERNEL_FLOOR)
+
+
 @dataclass(frozen=True)
 class SubspaceBasis:
     """An orthonormal family spanning a subspace of C^ambient_dim.
@@ -406,12 +418,11 @@ class KernelBasis(SubspaceBasis):
         """The span of ``rows`` as the kernel of ``a``, certified: the
         largest residual ||a v|| over the rows, measured on ``a``'s entries
         in a fixed order, not by BLAS (``Operator._apply``), must stay
-        within tol * sigma_max * sqrt(dim) (ZERO_SIGMA_RESIDUAL when
-        sigma_max vanishes, never below KERNEL_FLOOR), else DomainError."""
+        within ``_kernel_residual_bound(tol, sigma_max, dim)``, else
+        DomainError."""
         resid = float(np.linalg.norm(a._apply(rows), axis=0).max()) if rows.shape[0] else 0.0
         basis = cls(a.dim, rows, VECTOR_SPACE, sigma_max=sigma_max, residual=resid)
-        bound = tol * sigma_max * np.sqrt(a.dim) if sigma_max > 0 else ZERO_SIGMA_RESIDUAL
-        if resid > max(bound, KERNEL_FLOOR):
+        if resid > _kernel_residual_bound(tol, sigma_max, a.dim):
             raise DomainError("kernel residual exceeds the certified bound")
         return basis
 
@@ -540,26 +551,6 @@ def _key_sums(keys: np.ndarray, values) -> tuple[np.ndarray, np.ndarray]:
         acc[slot[start:start + vals.size]] += vals
         start += vals.size
     return uniq, acc
-
-
-def apply_on_factor(mat, slot: int, dims, vectors) -> np.ndarray:
-    """Apply a local operator to factor ``slot`` of a stack of row-kets.
-
-    ``vectors`` has shape (k, prod(dims)) in the first-factor-slowest layout;
-    the result has the same shape and equals ``vectors @ tensor(I, .., mat,
-    .., I).mat.T`` without forming the product operator.
-    """
-    m = mat.mat if isinstance(mat, Operator) else _square_complex(mat)
-    if not 0 <= slot < len(dims):
-        raise UsageError(f"slot {slot} outside {len(dims)} factors")
-    if m.shape[0] != dims[slot]:
-        raise ShapeError(f"operator dimension {m.shape[0]} does not match factor {dims[slot]}")
-    vecs = np.asarray(vectors, dtype=np.complex128)
-    if vecs.ndim != 2 or vecs.shape[1] != math.prod(dims):
-        raise ShapeError(f"expected rows of length {math.prod(dims)}, got shape {vecs.shape}")
-    stacked = vecs.reshape(vecs.shape[0], *dims)
-    out = np.moveaxis(np.tensordot(m, stacked, axes=(1, slot + 1)), 0, slot + 1)
-    return out.reshape(vecs.shape)
 
 
 class KroneckerSum:
@@ -971,7 +962,7 @@ def kernel_basis(a: Operator, tol: float = KERNEL_TOL) -> KernelBasis:
     that ``tensor_sum`` built is never densified, and an operator made from
     a matrix gives the same bits as the ``tensor_sum`` of that matrix.
     Certified (``KernelBasis.certify``): every basis
-    vector's residual must stay within tol * sigma_max * sqrt(dim), with
+    vector's residual must stay within ``_kernel_residual_bound``, with
     sigma_max read off the singular values the kernel computation already
     has.  Both sigma_max and the measured residual are returned on the basis.
     """

@@ -643,9 +643,10 @@ N2_SUBSTITUTION = {
         "substitution": {"n_max": 1, "levels": 1},
     },
 }
-# SHA-256 of its canonical report as rendered when the substitution still
-# read a whole string model
-N2_SUBSTITUTION_SHA256 = "3e287671d1274de0a11f7f956b652d2e964b51772e0e1ff219aeccd0a55de085"
+# SHA-256 of its canonical report: the bytes rendered when the substitution
+# still read a whole string model, with the two substitution fields since
+# replaced by substitution_residual, the Gram residual they held
+N2_SUBSTITUTION_SHA256 = "d125d642608c12428664e464e4e7669932429e5fe542fc81b95c326e0c156daa"
 
 
 def forbid_string_models(monkeypatch):

@@ -21,7 +21,6 @@ from dfslab import (
     dfs_from_dirac,
     duality_substitution,
     env_vacuum_projector,
-    gamma_pair_norm,
     hw_mode,
     interior_indices,
     kernel_basis,
@@ -411,43 +410,33 @@ def test_sector_kernel_matches_dense_svd(n_max, levels):
         assert np.abs(proj - oracle.T @ oracle.conj()).max() < 1e-10
 
 
-def test_gamma_pair_norm_is_basis_invariant():
-    model = build_string_model(string_background(2.25), n_max=2, levels=1)
-    kernel = dfs_from_dirac(model.d_bar, tol=1e-9)
-    rng = np.random.Generator(np.random.Philox(92))
-    raw = rng.normal(size=(kernel.size,) * 2) + 1j * rng.normal(size=(kernel.size,) * 2)
-    rotated = SubspaceBasis(model.dim, np.linalg.qr(raw)[0] @ kernel.vectors)
-    eye_rest = np.eye(model.dim // model.clifford.rep_dim)
-    pair = model.clifford.gamma_plus[0].mat + model.clifford.gamma_minus[0].mat
-    dense = np.linalg.norm(np.kron(pair, eye_rest) @ kernel.vectors.T, 2)
-    for basis in (kernel, rotated):
-        assert abs(gamma_pair_norm(model, basis) - dense) < 1e-12
-    assert abs(dense - 4.0 / 3.0) < 1e-12
-    with pytest.raises(UsageError):
-        gamma_pair_norm(model, SubspaceBasis(model.dim, np.zeros((0, model.dim))))
-    with pytest.raises(ShapeError):
-        gamma_pair_norm(model, dfs_from_dirac(Operator(np.zeros((3, 3)))))
-
-
 def test_substitution_exact_for_single_direction():
-    report = duality_substitution(string_background(2.25), levels=1)
-    assert report.max_residual < 1e-12
-    assert report.max_gram_residual < 1e-12
+    assert duality_substitution(string_background(2.25), levels=1) < 1e-12
 
 
 def test_substitution_random_single_direction_metrics():
     rng = np.random.Generator(np.random.Philox(71))
     for _ in range(5):
         value = float(rng.uniform(0.3, 3.0))
-        report = duality_substitution(string_background(value), levels=1)
-        assert report.max_residual < 1e-12
+        assert duality_substitution(string_background(value), levels=1) < 1e-12
 
 
 def test_substitution_two_directions_gauge_invariant_match():
     background = Background(np.array([[1.0, 0.3], [0.3, 2.0]]), np.zeros((2, 2)))
-    report = duality_substitution(background, levels=1)
-    assert report.max_gram_residual < 1e-12
-    assert set(report.substituted) == set(report.dual)
+    assert duality_substitution(background, levels=1) < 1e-12
+
+
+@pytest.mark.parametrize("n, levels", [(2, 2), (3, 1)])
+def test_substitution_matches_at_random_couplings(n, levels):
+    """The p, x and tower slots at B != 0 (G K^-T, G - B G^-1 B and no
+    K G^-1 in front of the tower): the per-slot Gram residual stays at
+    roundoff for random metrics and couplings with entries up to 2."""
+    rng = np.random.Generator(np.random.Philox(36 + n))
+    for _ in range(20):
+        a = rng.normal(size=(n, n))
+        c = rng.uniform(-2.0, 2.0, size=(n, n))
+        background = Background(a @ a.T + 0.5 * np.eye(n), 0.5 * (c - c.T))
+        assert duality_substitution(background, levels=levels) < 1e-12
 
 
 def running_sum_dirac(model):

@@ -12,7 +12,6 @@ from dfslab import (
     ShapeError,
     SubspaceBasis,
     UsageError,
-    apply_on_factor,
     build_string_model,
     commutant_basis,
     commutator,
@@ -25,9 +24,12 @@ from dfslab import (
     unitary_exp,
 )
 from dfslab.opcore import (
+    KernelBasis,
     _block_eighs,
     _Entries,
     _exact_form,
+    _kernel_cutoff,
+    _kernel_residual_bound,
     _nullspace_and_norm,
     _split,
     lowest_eigenvalue,
@@ -150,31 +152,6 @@ def test_tensor_three_factors_matches_nested_kron():
         tensor()
     with pytest.raises(ShapeError):
         tensor(np.zeros((2, 3)), np.zeros((3, 2)))
-
-
-def test_apply_on_factor_matches_dense_product_on_every_slot():
-    dims = (2, 3, 4)
-    rng = np.random.Generator(np.random.Philox(13))
-    vectors = rng.normal(size=(5, 24)) + 1j * rng.normal(size=(5, 24))
-    for slot, d in enumerate(dims):
-        local = random_matrix(rng, d)
-        factors = [np.eye(k) for k in dims]
-        factors[slot] = local
-        dense = kron(*factors)
-        out = apply_on_factor(local, slot, dims, vectors)
-        assert out.shape == vectors.shape
-        assert np.abs(out - vectors @ dense.T).max() < TOL
-        assert np.abs(apply_on_factor(Operator(local), slot, dims, vectors) - out).max() == 0.0
-
-
-def test_apply_on_factor_validation():
-    vectors = np.zeros((1, 24))
-    with pytest.raises(UsageError):
-        apply_on_factor(np.eye(2), 3, (2, 3, 4), vectors)
-    with pytest.raises(ShapeError):
-        apply_on_factor(np.eye(3), 0, (2, 3, 4), vectors)
-    with pytest.raises(ShapeError):
-        apply_on_factor(np.eye(2), 0, (2, 3, 4), np.zeros((1, 23)))
 
 
 def test_commutator_paulis():
@@ -422,6 +399,27 @@ def test_kernel_basis_diagonal():
 def test_kernel_basis_invertible_is_empty():
     basis = kernel_basis(Operator(np.diag([1.0, 2.0])))
     assert basis.size == 0 and basis.sigma_max == 2.0
+
+
+def test_kernel_residual_bound_at_the_cutoff_edge():
+    """A direction kept at the cutoff has a residual of its singular value
+    plus roundoff.  The certificate grants the cutoff plus 2 dim eps
+    sigma_max (the `dfs` scenario of metric 4, n_max 11 and tol 0.5 keeps a
+    direction whose residual exceeds its cutoff by 8e-15) and refuses
+    anything past that."""
+    tol, smax, dim = 0.5, 22.003606817871, 2
+    cutoff = _kernel_cutoff(tol, smax)
+    bound = _kernel_residual_bound(tol, smax, dim)
+    assert bound == cutoff + 2 * dim * np.finfo(float).eps * smax
+    row = np.array([[0.0, 1.0]], dtype=complex)
+    for s in (cutoff, cutoff + 8e-15, bound):
+        basis = KernelBasis.certify(Operator(np.diag([smax, s])), row, smax, tol)
+        assert basis.residual == s
+    with pytest.raises(DomainError, match="kernel residual exceeds the certified bound"):
+        KernelBasis.certify(Operator(np.diag([smax, np.nextafter(bound, 1.0e3)])), row, smax, tol)
+    # the floors: a zero operator, and a cutoff below KERNEL_FLOOR
+    assert _kernel_residual_bound(tol, 0.0, dim) == 1e-10
+    assert _kernel_residual_bound(1e-20, 1.0, dim) == 1e-12
 
 
 def test_kernel_basis_rank_deficient_product():

@@ -27,3 +27,18 @@ def render(stem):
 @pytest.mark.parametrize("stem", ["decohere", "dfs", "distance", "duality", "nctorus", "symmetrize"])
 def test_shipped_report_is_byte_identical_to_its_golden(stem):
     assert render(stem) == (GOLDEN / f"{stem}.json").read_text(encoding="utf-8")
+
+
+def test_readme_explains_every_result_field():
+    """Each results key of the six shipped reports (the duality one with a
+    substitution) is named in its kind's README paragraph, the one that
+    begins "A `kind` report's results are"."""
+    paragraphs = (ROOT / "README.md").read_text(encoding="utf-8").split("\n\n")
+    for stem in ("decohere", "dfs", "distance", "duality", "nctorus", "symmetrize"):
+        report = json.loads((GOLDEN / f"{stem}.json").read_text(encoding="utf-8"))
+        if stem == "duality":
+            assert "substitution" in report["scenario"]
+        mine = [p for p in paragraphs if p.startswith((f"A `{stem}` report's results", f"An `{stem}` report's results"))]
+        assert len(mine) == 1, stem
+        for key in report["results"]:
+            assert f"`{key}`" in mine[0], (stem, key)
