@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,10 +50,21 @@ def _check_spd(arr, name: str) -> tuple[np.ndarray, np.ndarray]:
     eta = _check_square(np.array(arr, dtype=float), name)
     if not _is_hermitian(eta, SYMMETRY_TOL):
         raise DomainError(f"{name} must be symmetric")
+    return eta, _cholesky(eta, name)
+
+
+def _cholesky(eta: np.ndarray, name: str) -> np.ndarray:
+    """The lower Cholesky factor of ``eta``, read from its lower triangle."""
     try:
-        return eta, np.linalg.cholesky(eta)
+        return np.linalg.cholesky(eta)
     except np.linalg.LinAlgError:
         raise DomainError(f"{name} must be positive definite") from None
+
+
+def _singular(mat: np.ndarray) -> bool:
+    """Singular to working precision: scale-free, as E = 1e-5 I is as usable
+    as E = I, so the condition number, not the size of the determinant."""
+    return bool(np.linalg.cond(mat) > 1.0 / np.finfo(float).eps)
 
 
 def _int_matrix(arr) -> np.ndarray:
@@ -121,22 +133,49 @@ def _conjugate_by_signs(g: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Background:
-    """Constant metric and antisymmetric coupling on N compact directions."""
+    """Constant metric and antisymmetric coupling on N compact directions.
+
+    The one place a metric is judged: it must pass ``_check_spd`` and not be
+    ``_singular``.  Its Cholesky factor ``_chol`` is kept and ``_inverse``
+    computed once, so code that builds from a background checks nothing
+    again."""
 
     metric: np.ndarray
     coupling: np.ndarray
 
     def __post_init__(self):
-        eta, _ = _check_spd(self.metric, "metric")
+        eta, chol = _check_spd(self.metric, "metric")
+        if _singular(eta):
+            raise DomainError("metric must be nonsingular to working precision")
         xi = _check_square(np.array(self.coupling, dtype=float), "coupling")
         if eta.shape != xi.shape:
             raise ShapeError("metric and coupling must have matching shapes")
         if not _is_hermitian(1j * xi, SYMMETRY_TOL):
             raise DomainError("coupling must be antisymmetric")
-        object.__setattr__(self, "metric", eta)
-        object.__setattr__(self, "coupling", xi)
-        eta.setflags(write=False)
-        xi.setflags(write=False)
+        self._keep(eta, xi, chol)
+
+    def _keep(self, eta, xi, chol) -> None:
+        for name, arr in (("metric", eta), ("coupling", xi), ("_chol", chol)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @classmethod
+    def _derived(cls, e: np.ndarray, what: str) -> "Background":
+        """The background with E = ``e``, which ``what`` computed from a
+        checked one: its parts are exactly (anti)symmetric, so only the
+        overflow of ``e`` and the metric's factorization can fail."""
+        if not np.isfinite(e).all():
+            raise DomainError(f"{what} overflows on this background")
+        out = object.__new__(cls)
+        eta = 0.5 * (e + e.T)
+        out._keep(eta, 0.5 * (e - e.T), _cholesky(eta, "metric"))
+        return out
+
+    @cached_property
+    def _inverse(self) -> tuple[np.ndarray, np.ndarray]:
+        """The inverse metric and its lower Cholesky factor."""
+        eta_l = np.linalg.inv(self.metric)
+        return eta_l, _cholesky(eta_l, "inverse metric")
 
     @property
     def n(self) -> int:
@@ -291,14 +330,10 @@ def onn_apply(element: ONNElement, background: Background) -> Background:
         e = e.T
     a, b, c, d = element.blocks()
     denom = c.astype(float) @ e + d.astype(float)
-    # scale-free, as E = 1e-5 I is as usable as E = I: the condition number
-    # of cE + d, not the size of its determinant
-    if np.linalg.cond(denom) > 1.0 / np.finfo(float).eps:
+    if _singular(denom):
         raise DomainError("duality action is singular on this background")
     new_e = (a.astype(float) @ e + b.astype(float)) @ np.linalg.inv(denom)
-    if not np.isfinite(new_e).all():
-        raise DomainError("duality action overflows on this background")
-    return Background(0.5 * (new_e + new_e.T), 0.5 * (new_e - new_e.T))
+    return Background._derived(new_e, "duality action")
 
 
 def charge_matrix(element: ONNElement) -> np.ndarray:

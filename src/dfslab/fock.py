@@ -28,6 +28,7 @@ combination on the inverse background, with no model built.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -143,10 +144,12 @@ def ladder(space: FockSpace, mode: int) -> tuple[Operator, Operator]:
 
 def position_momentum(space: FockSpace, mode: int) -> tuple[Operator, Operator]:
     """Quadratures x = (a + a_dag)/sqrt2 and p = (a - a_dag)/(i sqrt2)."""
-    a, adag = ladder(space, mode)
-    x = Operator((a.mat + adag.mat) / SQRT2)
-    p = Operator((a.mat - adag.mat) / (1.0j * SQRT2))
-    return x, p
+    return tuple(Operator(q) for q in _quadratures(ladder(space, mode)[0].mat))
+
+
+def _quadratures(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``position_momentum``'s x and p as arrays, from the dense ladder a."""
+    return (a + a.conj().T) / SQRT2, (a - a.conj().T) / (1.0j * SQRT2)
 
 
 def hw_mode(space: FockSpace, level: int, eta, modes=None) -> list[Operator]:
@@ -158,23 +161,24 @@ def hw_mode(space: FockSpace, level: int, eta, modes=None) -> list[Operator]:
     """
     eta, chol = _check_spd(eta, "eta")
     n_dirs = eta.shape[0]
-    if modes is None:
-        modes = tuple(range(n_dirs))
-    modes = tuple(int(m) for m in modes)
+    modes = tuple(int(m) for m in (range(n_dirs) if modes is None else modes))
     if len(modes) != n_dirs or len(set(modes)) != n_dirs:
         raise UsageError(f"need {n_dirs} distinct modes, got {modes}")
     if any(not 0 <= m < space.n_modes for m in modes):
         raise UsageError(f"modes {modes} outside the {space.n_modes}-mode space")
     if level < 1:
         raise DomainError("level must be a positive integer")
-    ell = math.sqrt(level) * chol
+    return [Operator(e) for e in _tower_operators(space, level, chol, modes)]
+
+
+def _tower_operators(space: FockSpace, level: int, chol: np.ndarray, modes) -> list[np.ndarray]:
+    """``hw_mode``'s operators as dense arrays, from the Cholesky factor
+    ``chol`` of a checked metric, with no check: added one b_a at a time."""
     ladders = [_embedded_ladder(space, m) for m in modes]
-    out = []
-    for i in range(n_dirs):
-        acc = np.zeros((space.dim, space.dim), dtype=np.complex128)
-        for a in range(n_dirs):
-            acc += ell[i, a] * ladders[a]
-        out.append(Operator(acc))
+    out = [np.zeros((space.dim, space.dim), dtype=np.complex128) for _ in ladders]
+    for acc, row in zip(out, math.sqrt(level) * chol):
+        for coef, b in zip(row, ladders):
+            acc += coef * b
     return out
 
 
@@ -191,8 +195,6 @@ class DecoherenceModel:
     a coherence experiment reads only ``h_total``, and a symmetrization
     only ``h_int``."""
 
-    coupling_sys: np.ndarray
-    coupling_env: np.ndarray
     coupling_int: np.ndarray
     system_space: FockSpace
     env_space: FockSpace
@@ -249,39 +251,23 @@ def build_decoherence_model(k_sys, lam_env, w_int, n_max: int) -> DecoherenceMod
     n_sys = k_sys.shape[0]
     n_env = lam_env.shape[0]
     if w_int.shape != (n_sys, n_env):
-        raise ShapeError(
-            f"interaction matrix must be {n_sys}x{n_env}, got {w_int.shape}"
-        )
+        raise ShapeError(f"interaction matrix must be {n_sys}x{n_env}, got {w_int.shape}")
     sys_space = FockSpace(n_sys, n_max)
     env_space = FockSpace(n_env, n_max)
     if sys_space.dim * env_space.dim > DIM_BUDGET:
-        raise BudgetError(
-            f"model dimension {sys_space.dim}x{env_space.dim} exceeds {DIM_BUDGET}"
-        )
-    full_space = FockSpace(n_sys + n_env, n_max)
+        raise BudgetError(f"model dimension {sys_space.dim}x{env_space.dim} exceeds {DIM_BUDGET}")
+    h_sys, h_env = _number_form(sys_space, k_sys), _number_form(env_space, lam_env)
+    return DecoherenceModel(w_int, sys_space, env_space, FockSpace(n_sys + n_env, n_max), h_sys, h_env)
 
-    a_ops = [_embedded_ladder(sys_space, i) for i in range(n_sys)]
-    e_ops = [_embedded_ladder(env_space, i) for i in range(n_env)]
 
-    h_sys = np.zeros((sys_space.dim,) * 2, dtype=np.complex128)
-    for i in range(n_sys):
-        for j in range(n_sys):
-            h_sys += k_sys[i, j] * (a_ops[i].conj().T @ a_ops[j])
-    h_env = np.zeros((env_space.dim,) * 2, dtype=np.complex128)
-    for al in range(n_env):
-        for be in range(n_env):
-            h_env += lam_env[al, be] * (e_ops[al].conj().T @ e_ops[be])
-
-    return DecoherenceModel(
-        coupling_sys=k_sys,
-        coupling_env=lam_env,
-        coupling_int=w_int,
-        system_space=sys_space,
-        env_space=env_space,
-        space=full_space,
-        h_sys=Operator(h_sys),
-        h_env=Operator(h_env),
-    )
+def _number_form(space: FockSpace, k: np.ndarray) -> Operator:
+    """sum_ij k_ij a_i^dag a_j on the modes of ``space``, added in row-major
+    order."""
+    ops = [_embedded_ladder(space, i) for i in range(space.n_modes)]
+    out = np.zeros((space.dim,) * 2, dtype=np.complex128)
+    for (i, a), (j, b) in itertools.product(enumerate(ops), repeat=2):
+        out += k[i, j] * (a.conj().T @ b)
+    return Operator(out)
 
 
 def parity_generators(model: DecoherenceModel) -> list[Operator]:
@@ -388,8 +374,13 @@ def _anticommutator_residuals(pair: CliffordPair) -> np.ndarray:
 def clifford_pair(eta) -> CliffordPair:
     """Gamma families with {G+_i, G+_j} = 2 eta_ij and {G-_i, G-_j} = -2 eta_ij,
     built from Pauli tensor products and the Cholesky factor of eta."""
-    eta, ell = _check_spd(eta, "eta")
-    n = eta.shape[0]
+    return _clifford_from_factor(*_check_spd(eta, "eta"))
+
+
+def _clifford_from_factor(eta: np.ndarray, ell: np.ndarray) -> CliffordPair:
+    """``clifford_pair``'s families from the Cholesky factor ``ell`` of
+    ``eta``, unchecked; the pair's certificate compares them with ``eta``."""
+    n = ell.shape[0]
     gammas = _jordan_wigner_gammas(n)
     plus = np.zeros((n,) + gammas.shape[1:], dtype=np.complex128)
     minus = np.zeros_like(plus)
@@ -438,9 +429,8 @@ class StringModel:
     """Quadrature register, environment towers, gamma sector, Dirac operator.
 
     The full space factors as (spinor) x (system) x (plus tower) x (minus
-    tower), first factor slowest.  x, p, a_plus and a_minus live on the
-    system factor; e_plus, the tower operators of each level, on one tower
-    factor (d puts them on both); the Dirac operator d on the full space.
+    tower), first factor slowest.  Of the operators only the Dirac operator
+    d on the full space is kept, not the factors it is built from.
     d = D+ + D-, with D+ Hermitian and D- anti-Hermitian entry by entry, so
     the relative operator D+ - D- is exactly d's adjoint:
     ``d_bar`` returns it and only d is stored, as its nonzero entries.
@@ -452,14 +442,8 @@ class StringModel:
     background: Background
     n_max: int
     levels: int
-    clifford: CliffordPair
     system_space: FockSpace
     tower_space: FockSpace
-    x: tuple[Operator, ...]
-    p: tuple[Operator, ...]
-    a_plus: tuple[Operator, ...]
-    a_minus: tuple[Operator, ...]
-    e_plus: tuple[tuple[Operator, ...], ...]
     d: DiracOperator
 
     @property
@@ -501,46 +485,37 @@ def build_string_model(background: Background, n_max: int, levels: int) -> Strin
 
     Budget is checked up front (``string_model_dim``); the intended desk
     scale is one or two directions with n_max and levels at most 3 and 2.
+    Its factors are those of ``position_momentum``, ``hw_mode`` and
+    ``clifford_pair``, from the background's factors with no check repeated.
     """
     n = background.n
     string_model_dim(n, n_max, levels)
-    eta_u = background.metric
-    eta_l = np.linalg.inv(eta_u)
-    kp = background.e_matrix
-    km = background.k_minus
-
+    eta_l, ell = background._inverse
+    kp, km = background.e_matrix, background.k_minus
     system_space = FockSpace(n, n_max)
     tower_space = FockSpace(n * levels, n_max)
 
-    xs, ps = [], []
-    for i in range(n):
-        x_i, p_i = position_momentum(system_space, i)
-        xs.append(x_i)
-        ps.append(p_i)
+    # a_+ = (p + K+ x)/sqrt2 and a_- = (p - K- x)/sqrt2 on the system modes
+    xs, ps = zip(*(_quadratures(_embedded_ladder(system_space, i)) for i in range(n)))
     a_plus, a_minus = [], []
-    for i in range(n):
-        plus = ps[i].mat.copy()
-        minus = ps[i].mat.copy()
+    for i, p in enumerate(ps):
+        plus, minus = p.copy(), p.copy()
         for j in range(n):
-            plus += kp[i, j] * xs[j].mat
-            minus -= km[i, j] * xs[j].mat
-        a_plus.append(Operator(plus / SQRT2))
-        a_minus.append(Operator(minus / SQRT2))
+            plus += kp[i, j] * xs[j]
+            minus -= km[i, j] * xs[j]
+        a_plus.append(plus / SQRT2)
+        a_minus.append(minus / SQRT2)
 
     # Environment towers: level m occupies modes (m-1)*n .. m*n - 1.
-    towers = tuple(
-        tuple(hw_mode(tower_space, m, eta_u, modes=range((m - 1) * n, m * n)))
-        for m in range(1, levels + 1)
-    )
+    towers = [_tower_operators(tower_space, m, background._chol, range((m - 1) * n, m * n)) for m in range(1, levels + 1)]
 
-    # identity factors, given by their sizes
-    eye_t = tower_space.dim
-    cliff = clifford_pair(eta_l)
-    eye_s = system_space.dim
+    # certified against the lower triangle of G^-1, which the factor read
+    cliff = _clifford_from_factor(np.tril(eta_l) + np.tril(eta_l, -1).T, ell)
+    eye_s, eye_t = system_space.dim, tower_space.dim  # identity factors, given by their sizes
     # D+ (gamma_plus terms) and D- (gamma_minus terms) summed in one array.
     terms = []
     for i in range(n):
-        env = sum(op.mat + op.mat.conj().T for op in (lvl[i] for lvl in towers))
+        env = sum(e + e.conj().T for e in (lvl[i] for lvl in towers))
         terms += [
             (1.0, (cliff.gamma_plus[i], a_plus[i], eye_t, eye_t)),
             (1.0, (cliff.gamma_plus[i], eye_s, env, eye_t)),
@@ -552,26 +527,12 @@ def build_string_model(background: Background, n_max: int, levels: int) -> Strin
         # gamma_plus = l sigma_x and gamma_minus = l (|0><1| - |1><0|), so
         # the four terms above are l (|0><1| x K+ + |1><0| x K-); the kernel
         # certificate fails loudly if this split ever disagrees with d
-        a_p, a_m = a_plus[0].mat, a_minus[0].mat
+        a_p, a_m = a_plus[0], a_minus[0]
         split = DiracSplit(
             float(cliff.gamma_plus[0].mat[0, 1].real), (a_p + a_m, env, env), (a_p - a_m, env, -env)
         )
     d = DiracOperator._unchecked(tensor_sum(terms)._entries, split=split)
-
-    return StringModel(
-        background=background,
-        n_max=n_max,
-        levels=levels,
-        clifford=cliff,
-        system_space=system_space,
-        tower_space=tower_space,
-        x=tuple(xs),
-        p=tuple(ps),
-        a_plus=tuple(a_plus),
-        a_minus=tuple(a_minus),
-        e_plus=towers,
-        d=d,
-    )
+    return StringModel(background, n_max, levels, system_space, tower_space, d)
 
 
 def dfs_from_dirac(d: Operator, tol: float = KERNEL_TOL) -> KernelBasis:
@@ -611,53 +572,52 @@ def dfs_from_dirac(d: Operator, tol: float = KERNEL_TOL) -> KernelBasis:
 # Duality substitution at the coefficient level
 
 
+def _tower_slots(background: Background, levels: int, sign: float) -> dict:
+    """Tower slot m, sign ell^T sqrt(m) chol(G) with ell = chol(G^-1), from
+    the background's factors."""
+    ell = background._inverse[1]
+    return {f"tower{m}": sign * ell.T @ (math.sqrt(m) * background._chol) for m in range(1, levels + 1)}
+
+
 def _substitution_arrays(background: Background, levels: int) -> dict:
     """The coefficient arrays of the substituted Dirac operator, indexed
     [gamma slot, symbol].  With G the metric, B the coupling, K the sector's
-    coupling matrix (G + B plus, G - B minus), ell = chol(G^-1) and
-    G_o = G - B G^-1 B: p slot sign ell^T G K^-T / sqrt2, x slot
-    ell^T G_o / sqrt2 and tower slot sign ell^T sqrt(m) chol(G).  They
-    follow from swapping the quadratures, a_+(E) = E a_+'(E^-1) and
-    a_-(E) = -E^T a_-'(E^-1), and from E^T G^-1 E = G_o, the inverse of the
-    dual metric ((G + B)^-1 = G_o^-1 + theta, Seiberg and Witten,
-    hep-th/9908142)."""
-    eta_u = background.metric
-    xi = background.coupling
-    eta_l = np.linalg.inv(eta_u)
-    ell = np.linalg.cholesky(eta_l)
+    coupling matrix, ell = chol(G^-1) and G_o = G - B G^-1 B: p slot
+    sign ell^T G K^-T / sqrt2, x slot ell^T G_o / sqrt2 and the tower slots
+    (``_tower_slots``).  They follow from swapping the quadratures,
+    a_+(E) = E a_+'(E^-1) and a_-(E) = -E^T a_-'(E^-1), and from
+    E^T G^-1 E = G_o, the inverse of the dual metric ((G + B)^-1 =
+    G_o^-1 + theta, Seiberg and Witten, hep-th/9908142).  The x slot is even
+    in the sector sign: the minus sign of the substitution cancels against
+    the minus in a_minus = (p - Kx)/sqrt2."""
+    eta_u, xi = background.metric, background.coupling
+    eta_l, ell = background._inverse
     # exactly eta_u at zero coupling, where xi @ eta_l @ xi is zero
     open_metric = eta_u - xi @ eta_l @ xi
-    out = {}
-    for sector, kmat, sign in (("plus", background.e_matrix, 1.0), ("minus", background.k_minus, -1.0)):
-        arrays = {
+    return {
+        sector: {
             "p": sign * ell.T @ (eta_u @ np.linalg.inv(kmat).T) / SQRT2,
-            # The x slot is even in the sector sign: the minus sign of the
-            # substitution cancels against the minus in a_minus = (p - Kx)/sqrt2.
             "x": ell.T @ open_metric / SQRT2,
+            **_tower_slots(background, levels, sign),
         }
-        for m in range(1, levels + 1):
-            hw = math.sqrt(m) * np.linalg.cholesky(eta_u)
-            arrays[f"tower{m}"] = sign * ell.T @ hw
-        out[sector] = arrays
-    return out
+        for sector, kmat, sign in (("plus", background.e_matrix, 1.0), ("minus", background.k_minus, -1.0))
+    }
 
 
 def _dual_side_arrays(background: Background, levels: int) -> dict:
-    e_inv = np.linalg.inv(background.e_matrix)
-    dual = Background(0.5 * (e_inv + e_inv.T), 0.5 * (e_inv - e_inv.T))
+    """The arrays of the opposite Dirac combination on the inverse
+    background E^-1, rescaled by its metric on the p and x slots."""
+    dual = Background._derived(np.linalg.inv(background.e_matrix), "the coupling inversion")
     eta_d = dual.metric
-    ell = np.linalg.cholesky(np.linalg.inv(eta_d))
-    out = {}
-    for sector, kmat, sign in (("plus", dual.e_matrix, 1.0), ("minus", dual.k_minus, -1.0)):
-        arrays = {
+    eta_d_inv, ell = dual._inverse
+    return {
+        sector: {
             "p": sign * ell.T / SQRT2 @ eta_d,
-            "x": ell.T @ kmat / SQRT2 @ np.linalg.inv(eta_d),
+            "x": ell.T @ kmat / SQRT2 @ eta_d_inv,
+            **_tower_slots(dual, levels, sign),
         }
-        for m in range(1, levels + 1):
-            hw = math.sqrt(m) * np.linalg.cholesky(eta_d)
-            arrays[f"tower{m}"] = sign * ell.T @ hw
-        out[sector] = arrays
-    return out
+        for sector, kmat, sign in (("plus", dual.e_matrix, 1.0), ("minus", dual.k_minus, -1.0))
+    }
 
 
 # Largest coefficient residual of ``duality_substitution`` that counts as a

@@ -476,6 +476,22 @@ def test_out_of_range_input_exits_1(kind, params, tmp_path, capsys):
     assert "invalid scenario:" in err and "Traceback" not in err
 
 
+REFUSED_DIR = pathlib.Path(__file__).resolve().parent / "ceilings" / "refused"
+
+
+@pytest.mark.parametrize("path", sorted(REFUSED_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_refused_scenarios_exit_1_without_a_traceback(path, capsys):
+    """Each scenario under ceilings/refused exits 1 with its reason.  The
+    two singular-metric ones (determinant exactly 0, Cholesky factorable by
+    rounding) exited 3 with a LinAlgError traceback: dfs inverting the
+    metric, duality solving with it for the lattice energies."""
+    assert entry(["run", str(path), "--out", os.devnull]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid scenario:") and "Traceback" not in err
+    if "singular" in path.stem:
+        assert "metric must be nonsingular to working precision" in err
+
+
 def test_long_duality_word_exits_1_quickly(tmp_path, capsys):
     letter = {"kind": "basis", "matrix": [[2, 1], [1, 1]]}
     scenario = {"schema_version": 1, "kind": "duality", "params": {"metric": [[1.0, 0.0], [0.0, 1.0]]}}

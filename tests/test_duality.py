@@ -51,6 +51,34 @@ def test_background_rejects_non_finite_entries(metric, coupling):
         Background(metric, coupling)
 
 
+@pytest.mark.parametrize("scale", [2.0**-40, 1.0, 2.0**40])
+def test_background_refuses_a_metric_singular_to_working_precision(scale):
+    """[[1000, 1], [1, 0.001]] has determinant exactly 0, but its Cholesky
+    factorization succeeds by rounding: the condition number over 1/eps
+    refuses it at every scale (powers of two, which scale it exactly), as
+    onn_apply refuses cE + d."""
+    metric = scale * np.array([[1000.0, 1.0], [1.0, 0.001]])
+    with pytest.raises(DomainError, match="^metric must be nonsingular to working precision$"):
+        Background(metric, np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("metric", [1e-300 * np.eye(2), 1e300 * np.eye(2), np.diag([1.0, 1e-15])])
+def test_background_accepts_a_metric_that_is_only_far_from_unit_scale(metric):
+    assert np.array_equal(Background(metric, np.zeros((2, 2))).metric, metric)
+
+
+def test_background_keeps_the_factors_of_its_check():
+    """The Cholesky factor of the metric is the one its check computed, and
+    the inverse metric with its factor are computed once, when first read."""
+    eta = np.array([[2.0, 0.6], [0.6, 1.5]])
+    bg = Background(eta, np.zeros((2, 2)))
+    assert np.array_equal(bg._chol, np.linalg.cholesky(eta))
+    inverse, factor = bg._inverse
+    assert np.array_equal(inverse, np.linalg.inv(eta))
+    assert np.array_equal(factor, np.linalg.cholesky(np.linalg.inv(eta)))
+    assert bg._inverse is bg._inverse
+
+
 def test_background_matrices_are_frozen():
     bg = Background(np.eye(2), np.zeros((2, 2)))
     with pytest.raises(ValueError):

@@ -25,6 +25,9 @@ from dfslab import (
     interior_indices,
     kernel_basis,
     ladder,
+    normal_modes,
+    onn_apply,
+    onn_generators,
     Operator,
     parity_generators,
     position_momentum,
@@ -34,6 +37,10 @@ from dfslab import (
     tensor_sum,
     unitary_exp,
 )
+from dfslab import duality as duality_module
+from dfslab import fock as fock_module
+from dfslab.fock import _dual_side_arrays, _substitution_arrays
+from dfslab.opcore import SYMMETRY_TOL
 
 INTERIOR_TOL = 1e-12
 
@@ -354,18 +361,52 @@ def test_dirac_parts_have_expected_symmetry():
         assert np.abs(d_plus).max() > 0.1 and np.abs(d_minus).max() > 0.1
 
 
+def public_factors(model):
+    """The factors of the model's d from the public builders: the gammas of
+    ``clifford_pair`` on the inverse metric, a_+ = (p + K+ x)/sqrt2 and
+    a_- = (p - K- x)/sqrt2 from ``position_momentum``, and per direction
+    the tower sum of e + e^dag over the ``hw_mode`` operators of each
+    level."""
+    bg, n = model.background, model.background.n
+    cliff = clifford_pair(np.linalg.inv(bg.metric))
+    xs, ps = zip(*(position_momentum(model.system_space, i) for i in range(n)))
+    a_plus, a_minus = [], []
+    for i in range(n):
+        plus, minus = ps[i].mat.copy(), ps[i].mat.copy()
+        for j in range(n):
+            plus += bg.e_matrix[i, j] * xs[j].mat
+            minus -= bg.k_minus[i, j] * xs[j].mat
+        a_plus.append(plus / math.sqrt(2.0))
+        a_minus.append(minus / math.sqrt(2.0))
+    towers = [
+        hw_mode(model.tower_space, m, bg.metric, modes=range((m - 1) * n, m * n))
+        for m in range(1, model.levels + 1)
+    ]
+    envs = [sum(op.mat + op.mat.conj().T for op in (lvl[i] for lvl in towers)) for i in range(n)]
+    return cliff, a_plus, a_minus, envs
+
+
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("levels", [1, 2])
 def test_towers_are_hw_mode_operators(n, levels):
+    """d's entries, bit for bit, are those of the tensor sum of the public
+    builders' factors: the hw_mode towers, clifford_pair's gammas and the
+    position_momentum quadratures."""
     metric = np.array([[1.7]]) if n == 1 else np.array([[1.0, 0.3], [0.3, 2.0]])
     background = Background(metric, np.zeros((n, n)))
     model = build_string_model(background, n_max=1, levels=levels)
-    assert len(model.e_plus) == levels
-    for m, ops in enumerate(model.e_plus, start=1):
-        ref = hw_mode(model.tower_space, m, metric, modes=range((m - 1) * n, m * n))
-        assert len(ops) == n
-        for op, expected in zip(ops, ref):
-            assert np.array_equal(op.mat, expected.mat)
+    cliff, a_plus, a_minus, envs = public_factors(model)
+    eye_s, eye_t = model.system_space.dim, model.tower_space.dim
+    terms = []
+    for i in range(n):
+        gp, gm = cliff.gamma_plus[i], cliff.gamma_minus[i]
+        terms += [
+            (1.0, (gp, a_plus[i], eye_t, eye_t)),
+            (1.0, (gp, eye_s, envs[i], eye_t)),
+            (1.0, (gm, a_minus[i], eye_t, eye_t)),
+            (1.0, (gm, eye_s, eye_t, envs[i])),
+        ]
+    assert_same_entries(model.d, tensor_sum(terms))
 
 
 def test_string_model_stores_one_full_space_matrix():
@@ -440,18 +481,18 @@ def test_substitution_matches_at_random_couplings(n, levels):
 
 
 def running_sum_dirac(model):
-    """d as the parent formula: the running sum of four dense Kronecker
-    products per direction."""
+    """d as the running sum of four dense Kronecker products per
+    direction, of the public builders' factors."""
+    cliff, a_plus, a_minus, envs = public_factors(model)
     eye_s = np.eye(model.system_space.dim)
     eye_t = np.eye(model.tower_space.dim)
     d = np.zeros((model.dim,) * 2, dtype=np.complex128)
     for i in range(model.background.n):
-        env = sum(op.mat + op.mat.conj().T for op in (lvl[i] for lvl in model.e_plus))
-        gp, gm = model.clifford.gamma_plus[i].mat, model.clifford.gamma_minus[i].mat
-        d += kron(gp, model.a_plus[i].mat, eye_t, eye_t)
-        d += kron(gp, eye_s, env, eye_t)
-        d += kron(gm, model.a_minus[i].mat, eye_t, eye_t)
-        d += kron(gm, eye_s, eye_t, env)
+        gp, gm = cliff.gamma_plus[i].mat, cliff.gamma_minus[i].mat
+        d += kron(gp, a_plus[i], eye_t, eye_t)
+        d += kron(gp, eye_s, envs[i], eye_t)
+        d += kron(gm, a_minus[i], eye_t, eye_t)
+        d += kron(gm, eye_s, eye_t, envs[i])
     return d
 
 
@@ -477,9 +518,9 @@ def test_one_direction_dirac_operator_is_its_split(n_max, levels, metric):
     model = build_string_model(string_background(metric), n_max, levels)
     split = model.d.split
     assert split.scale > 0
-    assert np.array_equal(split.upper[0], model.a_plus[0].mat + model.a_minus[0].mat)
-    assert np.array_equal(split.lower[0], model.a_plus[0].mat - model.a_minus[0].mat)
-    env = sum(op.mat + op.mat.conj().T for op in (lvl[0] for lvl in model.e_plus))
+    _, (a_plus,), (a_minus,), (env,) = public_factors(model)
+    assert np.array_equal(split.upper[0], a_plus + a_minus)
+    assert np.array_equal(split.lower[0], a_plus - a_minus)
     for got, want in zip(split.upper[1:] + split.lower[1:], (env, env, env, -env)):
         assert np.array_equal(got, want)
     raise_, lower_ = np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -650,3 +691,129 @@ def test_each_decoherence_hamiltonian_is_formed_only_when_read(monkeypatch):
     report = cli.run_scenario({"schema_version": 1, "kind": "symmetrize", "params": params})
     assert report["pass"] and len(built) == 1
     assert "h_int" in vars(built[0]) and "h_total" not in vars(built[0])
+
+
+# A valid n = 3 metric (eigenvalues 3.1e-4 to 346) whose inverse, as
+# np.linalg.inv returns it, is asymmetric by 3.7e-12 of its largest entry.
+N3_METRIC = [[219.037, 145.753, 81.2133], [145.753, 96.9898, 54.0418], [81.2133, 54.0418, 30.1122]]
+
+
+def test_a_metric_whose_computed_inverse_is_asymmetric_builds_its_model(monkeypatch):
+    """The input rule refuses the computed inverse ("eta must be
+    symmetric"), as the model did when it checked that inverse again; the
+    model reads the background's factors, and its gammas pass their
+    certificate against the lower triangle of the inverse, which their
+    Cholesky factor read."""
+    background = Background(np.array(N3_METRIC), np.zeros((3, 3)))
+    inverse = np.linalg.inv(background.metric)
+    with pytest.raises(DomainError, match="^eta must be symmetric$"):
+        clifford_pair(inverse)
+    pairs = []
+
+    class Recording(CliffordPair):
+        def __post_init__(self):
+            super().__post_init__()
+            pairs.append(self)
+
+    monkeypatch.setattr(fock_module, "CliffordPair", Recording)
+    model = build_string_model(background, n_max=1, levels=1)
+    assert model.dim == 4096 and len(pairs) == 1
+    assert np.array_equal(pairs[0].eta, np.tril(inverse) + np.tril(inverse, -1).T)
+    residual = float(fock_module._anticommutator_residuals(pairs[0]).max())
+    assert residual <= SYMMETRY_TOL * np.abs(inverse).max()
+
+
+def test_library_paths_check_no_matrix_they_derived(monkeypatch):
+    """Once a background is checked, building its string models, its
+    substitution and its images under the duality group runs no input check
+    on a matrix the library computed from it."""
+    background = Background(np.array([[1.0, 0.3], [0.3, 2.0]]), np.array([[0.0, 0.7], [-0.7, 0.0]]))
+
+    def refuse(*args):
+        raise AssertionError("an input check ran on a derived matrix")
+
+    monkeypatch.setattr(duality_module, "_check_spd", refuse)
+    monkeypatch.setattr(fock_module, "_check_spd", refuse)
+    build_string_model(background, n_max=1, levels=2)
+    assert duality_substitution(background, levels=2) < 1e-12
+    for element in onn_generators(2):
+        onn_apply(element, background)
+
+
+def test_each_metric_is_factored_once(monkeypatch):
+    """One Cholesky factorization of the metric per background, in its
+    check, and one of its inverse, however many models and substitutions
+    read them; the substitution's inverse background adds its two."""
+    real = np.linalg.cholesky
+    calls = []
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or real(a))
+    background = Background(np.array([[1.0, 0.3], [0.3, 2.0]]), np.array([[0.0, 0.4], [-0.4, 0.0]]))
+    assert len(calls) == 1
+    build_string_model(background, n_max=1, levels=2)
+    build_string_model(background, n_max=2, levels=1)
+    assert len(calls) == 2
+    duality_substitution(background, levels=2)
+    assert len(calls) == 4
+
+
+def _square(n):
+    return [[1.0] * n for _ in range(n)]
+
+
+# (what is wrong, the input, the error, the message with {name} for the
+# matrix's name) for every public entry that reads a metric-like matrix
+BAD_MATRICES = [
+    ("non-symmetric", [[1.0, 0.5], [0.4, 1.0]], DomainError, "{name} must be symmetric"),
+    ("non-positive-definite", [[1.0, 2.0], [2.0, 1.0]], DomainError, "{name} must be positive definite"),
+    ("non-finite", [[1.0, np.nan], [np.nan, 1.0]], DomainError, "{name} entries must be finite"),
+    ("mis-shaped", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], ShapeError, "{name} must be a square matrix"),
+]
+PUBLIC_ENTRIES = [
+    ("Background", "metric", lambda m: Background(m, np.zeros((2, 2)))),
+    ("clifford_pair", "eta", clifford_pair),
+    ("hw_mode", "eta", lambda m: hw_mode(FockSpace(2, 1), 1, m)),
+    ("normal_modes kinetic", "kinetic matrix", lambda m: normal_modes(m, np.eye(2))),
+    ("normal_modes potential", "potential matrix", lambda m: normal_modes(np.eye(2), m)),
+    ("decoherence system", "system coupling", lambda m: build_decoherence_model(m, [[1.0]], [[0.1], [0.2]], 1)),
+    ("decoherence environment", "environment coupling", lambda m: build_decoherence_model([[1.0]], m, [[0.1, 0.2]], 1)),
+]
+
+
+@pytest.mark.parametrize("what, bad, error, message", BAD_MATRICES, ids=[b[0] for b in BAD_MATRICES])
+@pytest.mark.parametrize("entry, name, build", PUBLIC_ENTRIES, ids=[e[0] for e in PUBLIC_ENTRIES])
+def test_every_public_entry_refuses_invalid_input_with_its_message(what, bad, error, message, entry, name, build):
+    """Each public entry checks its own input at the boundary, with the
+    message it gave before library code stopped checking derived
+    matrices.  A decoherence coupling need only be Hermitian."""
+    if entry.startswith("decoherence"):
+        if what == "non-positive-definite":
+            build(bad)  # Hermitian, so accepted
+            return
+        message = message.replace("symmetric", "Hermitian")
+    with pytest.raises(error, match="^" + message.format(name=name) + "$"):
+        build(np.array(bad))
+
+
+def _stacked_gram(arrays):
+    """The Gram product of [p | x]: the per-slot products and the cross
+    terms p^T x between the slots."""
+    stacked = np.hstack([arrays["p"], arrays["x"]])
+    return stacked.T @ stacked
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_stacked_p_and_x_gram_matches_the_dual_side(n):
+    """The substituted and dual-side [p | x] arrays agree up to a rotation
+    of the gamma gauge, so their Gram products agree, cross terms included,
+    to roundoff relative to their largest entry (1.6e-15 at most over these
+    draws; the p slot G K^-1 of the form before the B != 0 slots gives 0.79
+    at n = 2 and 0.45 at n = 3)."""
+    rng = np.random.Generator(np.random.Philox(37 + n))
+    for _ in range(20):
+        a = rng.normal(size=(n, n))
+        c = rng.uniform(-2.0, 2.0, size=(n, n))
+        background = Background(a @ a.T + 0.5 * np.eye(n), 0.5 * (c - c.T))
+        subbed, dual = _substitution_arrays(background, 1), _dual_side_arrays(background, 1)
+        for sector in ("plus", "minus"):
+            got, want = _stacked_gram(subbed[sector]), _stacked_gram(dual[sector])
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
