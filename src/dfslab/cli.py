@@ -24,7 +24,7 @@ import traceback
 import numpy as np
 
 from . import acceptance
-from .duality import Background, _energy_shift, basis_change, charge_box, coupling_shift, coupling_swap, dual_metric, factorized_inversion, onn_apply
+from .duality import Background, _energy_shift, basis_change, charge_box, coupling_shift, coupling_swap, dual_metric, factorized_inversion
 from .dynamics import SYMMETRIZED_LEAKAGE_CAP, coherence_experiment
 from .errors import DfsLabError, UsageError
 from .fock import SUBSTITUTION_TOL, FockSpace, build_decoherence_model, build_string_model, dfs_from_dirac, duality_substitution, parity_generators, string_model_dim
@@ -386,8 +386,7 @@ def _run_duality(params: dict, tol_scale: float):
         # only the background and levels enter them
         string_model_dim(n, sub_n_max, levels)
     charges = charge_box(n, box)
-    bg_new = onn_apply(element, bg)
-    worst, tol = _energy_shift(element, bg, charges, tol_scale)
+    worst, tol, bg_new = _energy_shift(element, bg, charges, tol_scale)
     results = {
         "element_matrix": element.matrix.tolist(),
         "element_swaps": element.swap,

@@ -136,8 +136,9 @@ class Background:
     """Constant metric and antisymmetric coupling on N compact directions.
 
     The one place a metric is judged: it must pass ``_check_spd`` and not be
-    ``_singular``.  Its Cholesky factor ``_chol`` is kept and ``_inverse``
-    computed once, so code that builds from a background checks nothing
+    ``_singular``.  Its Cholesky factor ``_chol`` is kept, and ``_inverse``
+    and ``_e_inverse`` are computed once, when first read, so code that
+    builds from a background checks nothing again and forms neither inverse
     again."""
 
     metric: np.ndarray
@@ -173,9 +174,21 @@ class Background:
 
     @cached_property
     def _inverse(self) -> tuple[np.ndarray, np.ndarray]:
-        """The inverse metric and its lower Cholesky factor."""
-        eta_l = np.linalg.inv(self.metric)
+        """The inverse metric, exactly symmetric, and its lower Cholesky
+        factor: the lower triangle of the computed inverse, the one the
+        factor reads, mirrored onto the upper."""
+        raw = np.linalg.inv(self.metric)
+        eta_l = np.tril(raw) + np.tril(raw, -1).T
         return eta_l, _cholesky(eta_l, "inverse metric")
+
+    @cached_property
+    def _e_inverse(self) -> np.ndarray:
+        """E^-1 for E = metric + coupling, the image of E under the
+        coupling inversion."""
+        inv = np.linalg.inv(self.e_matrix)
+        if not np.isfinite(inv).all():
+            raise DomainError("dual metric overflows on this background")
+        return inv
 
     @property
     def n(self) -> int:
@@ -408,31 +421,28 @@ def max_energy_shift(element: ONNElement, background: Background, charges) -> fl
 ENERGY_SHIFT_TOL = 1e-10
 
 
-def _energy_shift(element: ONNElement, background: Background, charges, tol_scale: float) -> tuple[float, float]:
-    """``max_energy_shift`` together with the bound it is checked against:
+def _energy_shift(element: ONNElement, background: Background, charges, tol_scale: float) -> tuple[float, float, Background]:
+    """``max_energy_shift`` together with the bound it is checked against,
     ENERGY_SHIFT_TOL * tol_scale, relative to the largest |energy| of the
     charges on ``background`` when that exceeds 1, since roundoff in the
-    energies grows with them."""
+    energies grows with them; and the image onn_apply(element, background)
+    the shift was measured on."""
+    image = onn_apply(element, background)
     before = narain_energies(background, charges)
-    after = narain_energies(
-        onn_apply(element, background), transform_charge_stack(element, charges)
-    )
+    after = narain_energies(image, transform_charge_stack(element, charges))
     shift = float(np.abs(before - after).max(initial=0.0))
-    return shift, ENERGY_SHIFT_TOL * tol_scale * max(1.0, float(np.abs(before).max(initial=0.0)))
+    bound = ENERGY_SHIFT_TOL * tol_scale * max(1.0, float(np.abs(before).max(initial=0.0)))
+    return shift, bound, image
 
 
 def dual_metric(background: Background) -> np.ndarray:
-    """Metric seen by the inverted background.
-
-    Equals the symmetric part of E^-1; with zero coupling it is the plain
-    matrix inverse of the metric.
-    """
-    eta = background.metric
-    prod = background.e_matrix @ np.linalg.solve(eta, background.k_minus)
-    dual = np.linalg.inv(prod)
-    if not np.isfinite(dual).all():
-        raise DomainError("dual metric overflows on this background")
-    return dual
+    """Metric seen by the inverted background: the symmetric part of E^-1,
+    exactly symmetric.  With zero coupling it is the inverse of the metric,
+    and in general the inverse of G - B G^-1 B (Seiberg and Witten,
+    hep-th/9908142)."""
+    inv = background._e_inverse
+    # halved before the sum, which then cannot overflow
+    return 0.5 * inv + 0.5 * inv.T
 
 
 def normal_modes(kinetic: np.ndarray, potential: np.ndarray) -> np.ndarray:

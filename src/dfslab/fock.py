@@ -509,8 +509,7 @@ def build_string_model(background: Background, n_max: int, levels: int) -> Strin
     # Environment towers: level m occupies modes (m-1)*n .. m*n - 1.
     towers = [_tower_operators(tower_space, m, background._chol, range((m - 1) * n, m * n)) for m in range(1, levels + 1)]
 
-    # certified against the lower triangle of G^-1, which the factor read
-    cliff = _clifford_from_factor(np.tril(eta_l) + np.tril(eta_l, -1).T, ell)
+    cliff = _clifford_from_factor(eta_l, ell)
     eye_s, eye_t = system_space.dim, tower_space.dim  # identity factors, given by their sizes
     # D+ (gamma_plus terms) and D- (gamma_minus terms) summed in one array.
     terms = []
@@ -581,9 +580,10 @@ def _tower_slots(background: Background, levels: int, sign: float) -> dict:
 
 def _substitution_arrays(background: Background, levels: int) -> dict:
     """The coefficient arrays of the substituted Dirac operator, indexed
-    [gamma slot, symbol].  With G the metric, B the coupling, K the sector's
-    coupling matrix, ell = chol(G^-1) and G_o = G - B G^-1 B: p slot
-    sign ell^T G K^-T / sqrt2, x slot ell^T G_o / sqrt2 and the tower slots
+    [gamma slot, symbol].  With G the metric, B the coupling, E = G + B, the
+    sector's coupling matrix K = E (plus) or E^T (minus), ell = chol(G^-1)
+    and G_o = G - B G^-1 B: p slot sign ell^T G K^-T / sqrt2, K^-T read
+    from the background's E^-1, x slot ell^T G_o / sqrt2 and the tower slots
     (``_tower_slots``).  They follow from swapping the quadratures,
     a_+(E) = E a_+'(E^-1) and a_-(E) = -E^T a_-'(E^-1), and from
     E^T G^-1 E = G_o, the inverse of the dual metric ((G + B)^-1 =
@@ -592,22 +592,23 @@ def _substitution_arrays(background: Background, levels: int) -> dict:
     the minus in a_minus = (p - Kx)/sqrt2."""
     eta_u, xi = background.metric, background.coupling
     eta_l, ell = background._inverse
+    e_inv = background._e_inverse
     # exactly eta_u at zero coupling, where xi @ eta_l @ xi is zero
     open_metric = eta_u - xi @ eta_l @ xi
     return {
         sector: {
-            "p": sign * ell.T @ (eta_u @ np.linalg.inv(kmat).T) / SQRT2,
+            "p": sign * ell.T @ (eta_u @ k_inv_t) / SQRT2,
             "x": ell.T @ open_metric / SQRT2,
             **_tower_slots(background, levels, sign),
         }
-        for sector, kmat, sign in (("plus", background.e_matrix, 1.0), ("minus", background.k_minus, -1.0))
+        for sector, k_inv_t, sign in (("plus", e_inv.T, 1.0), ("minus", e_inv, -1.0))
     }
 
 
 def _dual_side_arrays(background: Background, levels: int) -> dict:
     """The arrays of the opposite Dirac combination on the inverse
     background E^-1, rescaled by its metric on the p and x slots."""
-    dual = Background._derived(np.linalg.inv(background.e_matrix), "the coupling inversion")
+    dual = Background._derived(background._e_inverse, "the coupling inversion")
     eta_d = dual.metric
     eta_d_inv, ell = dual._inverse
     return {

@@ -441,12 +441,14 @@ def test_dual_metric_inverts_when_coupling_vanishes():
 
 
 def test_dual_metric_is_symmetric_part_of_inverse_e():
+    """Bit for bit, so exactly symmetric."""
     eta = np.array([[1.0, 0.3], [0.3, 2.0]])
     xi = np.array([[0.0, 0.6], [-0.6, 0.0]])
     bg = Background(eta, xi)
     inv_e = np.linalg.inv(bg.e_matrix)
-    expected = 0.5 * (inv_e + inv_e.T)
-    assert float(np.abs(dual_metric(bg) - expected).max()) < ACTION_TOL
+    dm = dual_metric(bg)
+    assert np.array_equal(dm, dm.T)
+    assert np.array_equal(dm, 0.5 * (inv_e + inv_e.T))
 
 
 def test_dual_of_dual_restores_the_metric():
@@ -456,6 +458,69 @@ def test_dual_of_dual_restores_the_metric():
     inv_e = np.linalg.inv(bg.e_matrix)
     dual_bg = Background(0.5 * (inv_e + inv_e.T), 0.5 * (inv_e - inv_e.T))
     assert float(np.abs(dual_metric(dual_bg) - eta).max()) < ACTION_TOL
+
+
+def test_dual_metric_is_the_inverse_of_the_open_string_metric():
+    """sym((G + B)^-1) = (G - B G^-1 B)^-1 (Seiberg and Witten,
+    hep-th/9908142), relative to its largest entry, over seeded backgrounds
+    at metric scales 1e-3 to 1e4 whose coupling is not zero (n >= 2)."""
+    rng = np.random.default_rng(3802)
+    worst = 0.0
+    for n in (1, 2, 3):
+        for scale in (1e-3, 1e-1, 1.0, 1e2, 1e4):
+            for _ in range(10):
+                a = rng.normal(size=(n, n))
+                u = np.triu(rng.normal(size=(n, n)), k=1)
+                eta, xi = scale * (a @ a.T + 0.25 * np.eye(n)), scale * (u - u.T)
+                closed = np.linalg.inv(eta - xi @ np.linalg.inv(eta) @ xi)
+                residual = np.abs(dual_metric(Background(eta, xi)) - closed).max()
+                worst = max(worst, float(residual / np.abs(closed).max()))
+    assert worst < 1e-13
+
+
+def test_dual_metric_of_a_metric_near_the_smallest_float_is_finite():
+    """E^-1 is 1e308 here, so E^-1 + E^-T would overflow; the halves are
+    summed instead."""
+    dm = dual_metric(Background([[1e-308]], [[0.0]]))
+    assert dm[0, 0] == pytest.approx(1e308, rel=1e-15)
+
+
+def test_dual_metric_refuses_an_inverse_of_e_that_overflows():
+    with pytest.raises(DomainError, match="^dual metric overflows on this background$"):
+        dual_metric(Background([[1e-310]], [[0.0]]))
+
+
+def test_a_duality_scenario_with_a_substitution_inverts_e_once(monkeypatch):
+    """The dual metric, the substitution's p slots and its inverse
+    background read the background's one E^-1; the word, an inversion of
+    one direction after a shift, makes onn_apply invert neither E nor E^T."""
+    metric, coupling = [[1.0, 0.3], [0.3, 2.0]], [[0.0, 0.7], [-0.7, 0.0]]
+    e = np.array(metric) + np.array(coupling)
+    real = np.linalg.inv
+    inverted = []
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(np.array(a)) or real(a))
+    word = [{"kind": "inversion", "directions": [0]}, {"kind": "shift", "theta": [[0, 1], [-1, 0]]}]
+    params = {"metric": metric, "coupling": coupling, "box": 2, "word": word, "substitution": {"n_max": 1, "levels": 1}}
+    report = cli.run_scenario({"schema_version": 1, "kind": "duality", "params": params})
+    assert report["pass"]
+    assert sum(np.array_equal(a, e) or np.array_equal(a, e.T) for a in inverted) == 1
+
+
+def test_a_duality_scenario_applies_its_element_once(monkeypatch):
+    """The transformed background of the report and the energy check's
+    image are one onn_apply."""
+    original = duality.onn_apply
+    calls = []
+
+    def counted(element, background):
+        calls.append(element)
+        return original(element, background)
+
+    monkeypatch.setattr(duality, "onn_apply", counted)
+    monkeypatch.setattr(cli, "onn_apply", counted, raising=False)
+    report = cli.run_scenario(_inversion_scenario([[2.25]], 3))
+    assert len(calls) == 1
+    assert report["results"]["transformed_metric"] == [[1.0 / 2.25]]
 
 
 def test_normal_modes_unit_for_inverse_pair():

@@ -723,6 +723,30 @@ def test_a_metric_whose_computed_inverse_is_asymmetric_builds_its_model(monkeypa
     assert residual <= SYMMETRY_TOL * np.abs(inverse).max()
 
 
+def test_the_inverse_metric_is_exactly_symmetric_and_keeps_its_factor():
+    """The computed inverse of N3_METRIC is asymmetric; the background keeps
+    its lower triangle, the one the Cholesky factor reads, mirrored onto the
+    upper, so the factor is that of the computed inverse bit for bit."""
+    background = Background(np.array(N3_METRIC), np.zeros((3, 3)))
+    raw = np.linalg.inv(background.metric)
+    inverse, factor = background._inverse
+    assert not np.array_equal(raw, raw.T)
+    assert np.array_equal(inverse, inverse.T)
+    assert np.array_equal(np.tril(inverse), np.tril(raw))
+    assert np.array_equal(factor, np.linalg.cholesky(raw))
+
+
+def test_normal_modes_take_the_inverse_metric_a_background_keeps():
+    """Criterion 9's unit-frequency pair on N3_METRIC: its computed inverse
+    is refused as a kinetic matrix, the background's symmetric one is not."""
+    metric = np.array(N3_METRIC)
+    with pytest.raises(DomainError, match="^kinetic matrix must be symmetric$"):
+        normal_modes(np.linalg.inv(metric), metric)
+    freqs = normal_modes(Background(metric, np.zeros((3, 3)))._inverse[0], metric)
+    # the metric's condition number, 1.1e6, limits how near to 1 they come
+    assert freqs.shape == (3,) and np.abs(freqs - 1.0).max() < 1e-5
+
+
 def test_library_paths_check_no_matrix_they_derived(monkeypatch):
     """Once a background is checked, building its string models, its
     substitution and its images under the duality group runs no input check
