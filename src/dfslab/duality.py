@@ -168,8 +168,9 @@ class Background:
         if not np.isfinite(e).all():
             raise DomainError(f"{what} overflows on this background")
         out = object.__new__(cls)
-        eta = 0.5 * (e + e.T)
-        out._keep(eta, 0.5 * (e - e.T), _cholesky(eta, "metric"))
+        # halved before the sums, which then cannot overflow
+        eta = 0.5 * e + 0.5 * e.T
+        out._keep(eta, 0.5 * e - 0.5 * e.T, _cholesky(eta, "metric"))
         return out
 
     @cached_property

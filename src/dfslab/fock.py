@@ -542,29 +542,35 @@ def dfs_from_dirac(d: Operator, tol: float = KERNEL_TOL) -> KernelBasis:
     and ker d = |1> x ker K+ + |0> x ker K-; so sigma_max is l max |lambda|
     and ker K+- is spanned by the product eigenvectors with l |lambda| <=
     tol * sigma_max, the cutoff ``nullspace`` applies to singular values.
-    Any other operator, non-normal ones included, goes through
-    ``kernel_basis`` (block SVDs).  Either way the returned basis carries
-    d's largest singular value as ``sigma_max`` and is certified on d's
-    entries (``KernelBasis.certify``), so a split that disagrees with them
-    raises DomainError.
+    Each distinct factor of the two sums is diagonalized once, and only
+    the kept product eigenvectors are formed.  Any other operator,
+    non-normal ones included, goes through ``kernel_basis`` (block SVDs,
+    with singular vectors only for the blocks that may have a kernel).
+    Either way the returned basis carries d's largest singular value as
+    ``sigma_max`` and is certified on d's entries (``KernelBasis.certify``),
+    so a split that disagrees with them raises DomainError; orthonormality
+    is checked per kernel block, here per spinor half.
     """
     split = d.split if isinstance(d, DiracOperator) else None
     if split is None:
         return kernel_basis(d, tol=tol)
-    sums = (KroneckerSum(split.lower), KroneckerSum(split.upper))  # spinor components 0 and 1
+    # spinor components 0 and 1, each distinct factor diagonalized once
+    sums = KroneckerSum._sharing(split.lower, split.upper)
     half = d.dim // 2
     if any(k.grid.size != half for k in sums) or 2 * half != d.dim:
         raise ShapeError("the split's factors do not span half of the Dirac operator's space")
     scale = abs(split.scale)
     smax = scale * max(float(np.abs(k.grid).max()) for k in sums)
     cutoff = _kernel_cutoff(tol, smax)
-    rows = []
-    for slot, k in enumerate(sums):
-        vecs = k.eigenvectors(np.flatnonzero(scale * np.abs(k.grid) <= cutoff))
-        piece = np.zeros((vecs.shape[0], d.dim), dtype=np.complex128)
-        piece[:, slot * half:(slot + 1) * half] = vecs
-        rows.append(piece)
-    return KernelBasis.certify(d, np.concatenate(rows), smax, tol)
+    picks = [np.flatnonzero(scale * np.abs(k.grid) <= cutoff) for k in sums]
+    rows = np.zeros((sum(pick.size for pick in picks), d.dim), dtype=np.complex128)
+    blocks, start = [], 0
+    for slot, (k, pick) in enumerate(zip(sums, picks)):
+        block = (slice(start, start + pick.size), slice(slot * half, (slot + 1) * half))
+        rows[block] = k.eigenvectors(pick)
+        blocks.append(block)
+        start += pick.size
+    return KernelBasis.certify(d, rows, smax, tol, blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -34,10 +34,12 @@ Conventions used throughout the package:
 * kernels, commutants and operator norms are computed from singular value
   decompositions with a relative cutoff, never from exact rank decisions.
   Every block gets its own SVD (with the full V^dag only for a block with
-  more columns than rows); the cutoff stays relative to the largest
-  singular value of the whole matrix.  A kernel computed any other way
-  (from a Kronecker sum's eigenpairs, say) is certified the same way, by
-  ``KernelBasis.certify``;
+  more columns than rows; a square block gets its singular values first and
+  its vectors only if it may have a kernel); the cutoff stays relative to
+  the largest singular value of the whole matrix.  A kernel computed any
+  other way (from a Kronecker sum's eigenpairs, say) is certified the same
+  way, by ``KernelBasis.certify``, which checks orthonormality per kernel
+  block;
 * each Hermitian block is diagonalized on its own (blocks of one size in
   one stacked call), so a Hamiltonian that conserves a quantum number costs
   the cube of its largest block, not of its dimension.  Eigenvalues alone
@@ -332,11 +334,24 @@ def _kernel_residual_bound(tol: float, sigma_max: float, dim: int) -> float:
     largest singular value a kept direction has, plus 2 dim eps sigma_max,
     the backward error of the decomposition that found it (dim eps
     sigma_max) and the rounding of the measured residual (as much again).
-    Never below KERNEL_FLOOR; ZERO_SIGMA_RESIDUAL when sigma_max vanishes."""
+    Never below KERNEL_FLOOR; ZERO_SIGMA_RESIDUAL when sigma_max vanishes.
+    ``_nullspace_and_norm`` reads it too: a square block whose smallest
+    singular value, computed without vectors, is at most this bound is
+    decomposed again with them."""
     if sigma_max <= 0:
         return ZERO_SIGMA_RESIDUAL
     roundoff = 2 * dim * np.finfo(np.float64).eps * sigma_max
     return max(_kernel_cutoff(tol, sigma_max) + roundoff, KERNEL_FLOOR)
+
+
+def _check_orthonormal(rows: np.ndarray) -> None:
+    """Raise DomainError unless the rows of ``rows``, or of each matrix of a
+    stack (..., k, n), are orthonormal: every entry of their Gram matrix
+    within ORTHONORMALITY_TOL of the identity's."""
+    if rows.shape[-2]:
+        gram = rows @ rows.conj().swapaxes(-1, -2)
+        if float(np.abs(gram - np.eye(rows.shape[-2])).max(initial=0.0)) > ORTHONORMALITY_TOL:
+            raise DomainError("basis rows are not orthonormal")
 
 
 @dataclass(frozen=True)
@@ -353,6 +368,11 @@ class SubspaceBasis:
     kind: str = VECTOR_SPACE
 
     def __post_init__(self):
+        _check_orthonormal(self._kept_rows())
+
+    def _kept_rows(self) -> np.ndarray:
+        """Check the rows' shape, kind and finiteness, keep them as a
+        read-only complex array, and return it."""
         arr = np.asarray(self.vectors, dtype=np.complex128)
         if arr.ndim != 2:
             arr = arr.reshape(-1, self.ambient_dim) if arr.size else arr.reshape(0, self.ambient_dim)
@@ -368,13 +388,10 @@ class SubspaceBasis:
                 raise ShapeError("operator-space basis needs a square ambient dimension")
         if not np.isfinite(arr).all():
             raise DomainError("basis entries must be finite")
-        if arr.shape[0]:
-            gram = arr @ arr.conj().T
-            if float(np.abs(gram - np.eye(arr.shape[0])).max()) > ORTHONORMALITY_TOL:
-                raise DomainError("basis rows are not orthonormal")
         arr = arr.view()
         arr.setflags(write=False)
         object.__setattr__(self, "vectors", arr)
+        return arr
 
     @property
     def size(self) -> int:
@@ -414,14 +431,29 @@ class KernelBasis(SubspaceBasis):
     residual: float
 
     @classmethod
-    def certify(cls, a: Operator, rows: np.ndarray, sigma_max: float, tol: float) -> "KernelBasis":
-        """The span of ``rows`` as the kernel of ``a``, certified: the
-        largest residual ||a v|| over the rows, measured on ``a``'s entries
-        in a fixed order, not by BLAS (``Operator._apply``), must stay
-        within ``_kernel_residual_bound(tol, sigma_max, dim)``, else
-        DomainError."""
+    def certify(cls, a: Operator, rows: np.ndarray, sigma_max: float, tol: float, blocks=None) -> "KernelBasis":
+        """The span of ``rows`` as the kernel of ``a``, certified: the rows
+        must be orthonormal, and the largest residual ||a v|| over them,
+        measured on ``a``'s entries in a fixed order, not by BLAS
+        (``Operator._apply``), must stay within ``_kernel_residual_bound(tol,
+        sigma_max, dim)``, else DomainError.
+
+        Orthonormality is checked per kernel block: one Gram matrix for
+        ``rows[index]`` per ``index`` in ``blocks`` (a stack of blocks of one
+        shape where that is (..., k, n)), or for all rows when ``blocks`` is
+        None.  The code that built the rows passes their blocks and vouches
+        that every row vanishes outside its block's columns and that no two
+        blocks share a column; every Gram entry between two blocks is then
+        exactly zero, so this is the full check.  The public constructor
+        keeps the full Gram matrix."""
         resid = float(np.linalg.norm(a._apply(rows), axis=0).max()) if rows.shape[0] else 0.0
-        basis = cls(a.dim, rows, VECTOR_SPACE, sigma_max=sigma_max, residual=resid)
+        basis = object.__new__(cls)
+        for name, value in (("ambient_dim", a.dim), ("vectors", rows), ("kind", VECTOR_SPACE),
+                            ("sigma_max", sigma_max), ("residual", resid)):
+            object.__setattr__(basis, name, value)
+        kept = basis._kept_rows()
+        for index in [...] if blocks is None else blocks:
+            _check_orthonormal(kept[index])
         if resid > _kernel_residual_bound(tol, sigma_max, a.dim):
             raise DomainError("kernel residual exceeds the certified bound")
         return basis
@@ -561,14 +593,34 @@ class KroneckerSum:
 
     ``grid`` holds the eigenvalues lambda_a + mu_b + .., one eigenvalue of
     each factor, flattened in the first-factor-slowest layout; grid entry g
-    belongs to the product eigenvector ``eigenvectors([g])``.  Each factor
-    goes through ``sector_eigh``, whose reconstruction check rejects a
-    factor that is not Hermitian.
+    belongs to the product eigenvector ``eigenvectors([g])``.  Each distinct
+    factor object goes through ``sector_eigh`` once, whose reconstruction
+    check rejects a factor that is not Hermitian.
     """
 
     def __init__(self, factors):
+        self._diagonalize(factors, {})
+
+    @classmethod
+    def _sharing(cls, *factor_lists) -> tuple["KroneckerSum", ...]:
+        """One Kronecker sum per list of factors, each distinct factor
+        object diagonalized once across them: the same eigenpairs, bit for
+        bit, as separate ``KroneckerSum``s of the same objects."""
+        solved = {}
+        sums = tuple(object.__new__(cls) for _ in factor_lists)
+        for ksum, factors in zip(sums, factor_lists):
+            ksum._diagonalize(factors, solved)
+        return sums
+
+    def _diagonalize(self, factors, solved: dict) -> None:
+        """Set the grid and eigenvectors from the factors' eigenpairs, taken
+        from ``solved`` (keyed by the factor's id, beside the factor, which
+        it keeps alive) or put there."""
         mats = _square_factors(factors)
-        pairs = [sector_eigh(Operator._unchecked(m) if isinstance(m, _Entries) else m) for m in mats]
+        for m in mats:
+            if id(m) not in solved:
+                solved[id(m)] = (m, sector_eigh(Operator._unchecked(m) if isinstance(m, _Entries) else m))
+        pairs = [solved[id(m)][1] for m in mats]
         grid = np.zeros(())
         for vals, _ in pairs:
             grid = np.add.outer(grid, vals)
@@ -903,38 +955,63 @@ def _sectors(row_label: np.ndarray, col_label: np.ndarray):
     return out
 
 
-def _nullspace_and_norm(e: _Entries, tol: float, scale: float = 0.0) -> tuple[np.ndarray, float]:
+def _nullspace_and_norm(e: _Entries, tol: float, scale: float = 0.0):
     """``nullspace`` rows of the matrix with entries ``e``, together with
-    sigma_max, the largest singular value; the cutoff is tol * max(sigma_max,
-    scale)."""
+    sigma_max, the largest singular value, and the rows' blocks for
+    ``KernelBasis.certify``; the cutoff is tol * max(sigma_max, scale).
+
+    A square block's singular values come first, without vectors; only a
+    block whose smallest value is at most the cutoff plus 2 dim eps
+    sigma_max (``_kernel_residual_bound``) is decomposed again with them.
+    Two backward-stable SVDs of one block agree on each singular value to
+    within their two backward errors, dim eps sigma_max each, so this keeps
+    the rows one SVD with vectors keeps.  A wide or tall block takes one SVD
+    with vectors."""
     m, ncols = e.shape
     if m * ncols == 0:
-        return np.eye(ncols, dtype=np.complex128), 0.0
-    svds = []
+        return np.eye(ncols, dtype=np.complex128), 0.0, None
+    svds = []  # (rows, cols, sigma, vh), vh None for a square block's values alone
     for rows, cols, _ in _split(e):
         k, nb = cols.shape
         if not nb:
             continue  # zero rows
         if not rows.shape[1]:
             # zero columns: each is an exact kernel direction, vh = [[1]]
-            svds.append((cols, np.zeros((k, 0)), np.ones((k, 1, 1))))
-            continue
-        # only a wide block needs the V^dag rows past its singular values;
-        # a tall one would form a full U that nothing reads
-        _, sigma, vh = np.linalg.svd(e.gather(rows, cols), full_matrices=rows.shape[1] < nb)
-        svds.append((cols, sigma, vh))
-    smax = max(float(sigma.max(initial=0.0)) for _, sigma, _ in svds)
-    cutoff = _kernel_cutoff(tol, max(smax, scale))
-    pieces = []
-    for cols, sigma, vh in svds:
-        # columns beyond the number of singular values are exact kernel directions
-        keep = np.ones(cols.shape, dtype=bool)
-        keep[:, : sigma.shape[1]] = sigma <= cutoff
-        block, row = np.nonzero(keep)
-        piece = np.zeros((block.size, ncols), dtype=np.complex128)
-        piece[np.arange(block.size)[:, None], cols[block]] = vh[block, row].conj()
-        pieces.append(piece)
-    return np.concatenate(pieces), smax
+            svds.append((rows, cols, np.zeros((k, 0)), np.ones((k, 1, 1))))
+        elif rows.shape[1] == nb:
+            svds.append((rows, cols, np.linalg.svd(e.gather(rows, cols), compute_uv=False), None))
+        else:
+            # only a wide block needs the V^dag rows past its singular values;
+            # a tall one would form a full U that nothing reads
+            _, sigma, vh = np.linalg.svd(e.gather(rows, cols), full_matrices=rows.shape[1] < nb)
+            svds.append((rows, cols, sigma, vh))
+    smax = max(float(sigma.max(initial=0.0)) for _, _, sigma, _ in svds)
+    ref = max(smax, scale)
+    cutoff, near = _kernel_cutoff(tol, ref), _kernel_residual_bound(tol, ref, max(m, ncols))
+    kept = []  # (cols, vh, count): each block keeps the last count rows of its vh
+    for rows, cols, sigma, vh in svds:
+        if vh is None:
+            need = sigma[:, -1] <= near
+            if not need.any():
+                continue
+            rows, cols = rows[need], cols[need]
+            _, sigma, vh = np.linalg.svd(e.gather(rows, cols), full_matrices=False)
+        # singular values descend, and rows of vh beyond them are exact
+        # kernel directions
+        kept.append((cols, vh, vh.shape[1] - np.count_nonzero(sigma > cutoff, axis=1)))
+    out = np.zeros((sum(int(count.sum()) for *_, count in kept), ncols), dtype=np.complex128)
+    blocks = []
+    start = 0
+    for cols, vh, count in kept:
+        nb = cols.shape[1]
+        first = start + np.cumsum(count) - count  # each block's first row in out
+        for c in np.unique(count[count > 0]):
+            ids = np.flatnonzero(count == c)
+            index = (first[ids, None, None] + np.arange(c)[:, None], cols[ids, None, :])
+            out[index] = vh[ids, nb - c:].conj()
+            blocks.append(index)
+        start += int(count.sum())
+    return out, smax, blocks
 
 
 def nullspace(mat: np.ndarray, tol: float = KERNEL_TOL) -> np.ndarray:
@@ -947,8 +1024,11 @@ def nullspace(mat: np.ndarray, tol: float = KERNEL_TOL) -> np.ndarray:
     sigma_max is the largest singular value over all blocks, and each
     block's kernel directions (the conjugated V^dag rows) are scattered back
     to its columns.  A block with more columns than rows and a column with no
-    nonzero entry contribute their exact kernel directions.  A matrix with
-    no zero entry, or one block, goes through one SVD of the whole matrix.
+    nonzero entry contribute their exact kernel directions.  A square block
+    gets its singular values first; its singular vectors are formed only
+    when its smallest value is at most the cutoff plus 2 dim eps sigma_max,
+    so a square block with no kernel forms no vector.  A matrix with no zero
+    entry is one block.
     The matrix enters as the entries of its complex128 copy
     (``_Entries.of``), as the other blocked solvers read an ``Operator``.
     """
@@ -961,12 +1041,17 @@ def kernel_basis(a: Operator, tol: float = KERNEL_TOL) -> KernelBasis:
     The blocks are split and gathered from the operator's entries, so one
     that ``tensor_sum`` built is never densified, and an operator made from
     a matrix gives the same bits as the ``tensor_sum`` of that matrix.
-    Certified (``KernelBasis.certify``): every basis
-    vector's residual must stay within ``_kernel_residual_bound``, with
-    sigma_max read off the singular values the kernel computation already
-    has.  Both sigma_max and the measured residual are returned on the basis.
+    Singular vectors are formed only for wide and tall blocks and for square
+    blocks that may have a kernel (``nullspace``).  Certified
+    (``KernelBasis.certify``): the rows are orthonormal, checked with one
+    Gram matrix per kernel block (the kept rows of one block, which no
+    other block's rows overlap), and every basis vector's residual must
+    stay within ``_kernel_residual_bound``, with sigma_max read off the
+    singular values the kernel computation already has.  Both sigma_max and
+    the measured residual are returned on the basis.
     """
-    return KernelBasis.certify(a, *_nullspace_and_norm(a._entries, tol), tol)
+    rows, smax, blocks = _nullspace_and_norm(a._entries, tol)
+    return KernelBasis.certify(a, rows, smax, tol, blocks)
 
 
 def commutant_basis(ops: list[Operator], dim: int) -> SubspaceBasis:

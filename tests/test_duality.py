@@ -485,6 +485,16 @@ def test_dual_metric_of_a_metric_near_the_smallest_float_is_finite():
     assert dm[0, 0] == pytest.approx(1e308, rel=1e-15)
 
 
+@pytest.mark.filterwarnings("error")
+def test_inversion_of_a_metric_near_the_smallest_float_is_finite():
+    """The image of [[1e-308]] under the inversion has E = [[1e308]], so
+    E + E^T would overflow; its metric and coupling are summed from the
+    halves instead, and no overflow warning is raised."""
+    moved = onn_apply(factorized_inversion(1, [0]), Background([[1e-308]], [[0.0]]))
+    assert moved.metric[0, 0] == pytest.approx(1e308, rel=1e-15)
+    assert moved.coupling[0, 0] == 0.0 and np.isfinite(moved._chol).all()
+
+
 def test_dual_metric_refuses_an_inverse_of_e_that_overflows():
     with pytest.raises(DomainError, match="^dual metric overflows on this background$"):
         dual_metric(Background([[1e-310]], [[0.0]]))

@@ -422,6 +422,42 @@ def test_kernel_residual_bound_at_the_cutoff_edge():
     assert _kernel_residual_bound(1e-20, 1.0, dim) == 1e-12
 
 
+def test_kernel_certificate_checks_orthonormality_per_block():
+    """``KernelBasis.certify`` forms one Gram matrix per kernel block, a
+    slice or a stack of blocks of one shape, and refuses rows that are not
+    orthonormal within one block."""
+    op = Operator(np.diag([0.0, 0.0, 0.0, 1.0]))
+    rows = np.zeros((3, 4), dtype=complex)
+    rows[0, 0] = rows[1, 1] = rows[2, 2] = 1.0
+    slices = [(slice(0, 2), slice(0, 2)), (slice(2, 3), slice(2, 4))]
+    stack = [(np.array([[[0], [1]]]), np.array([[[0, 1]]])), (slice(2, 3), slice(2, 4))]
+    for blocks in (None, slices, stack):
+        assert KernelBasis.certify(op, rows, 1.0, 1e-10, blocks).size == 3
+    rows[1, :2] = [0.6, 0.8]  # unit length, not orthogonal to row 0
+    for blocks in (None, slices, stack):
+        with pytest.raises(DomainError, match="^basis rows are not orthonormal$"):
+            KernelBasis.certify(op, rows, 1.0, 1e-10, blocks)
+
+
+def test_kernel_basis_blocks_cover_its_rows():
+    """The blocks ``_nullspace_and_norm`` hands to the certificate hold
+    every kernel row once, each on its own block's columns, which no other
+    block shares; so the per-block check reads every nonzero entry."""
+    rng = np.random.Generator(np.random.Philox(27))
+    a, kernel_dim = permuted_blocks(rng, [(2, 5, 2), (5, 2, 1), (4, 4, 3), (4, 4, 2), (3, 3, 3)], 2, 3)
+    rows, _, blocks = _nullspace_and_norm(_Entries.of(a), 1e-10)
+    assert rows.shape[0] == kernel_dim
+    seen = np.zeros(rows.shape, dtype=int)
+    cols_seen = np.zeros(rows.shape[1], dtype=int)
+    for r, c in blocks:
+        r, c = np.broadcast_arrays(r, c)
+        seen[r, c] += 1
+        for block_cols in c[:, 0, :]:
+            cols_seen[block_cols] += 1
+    assert seen.max() == 1 and np.array_equal(seen == 1, rows != 0)
+    assert cols_seen.max() == 1
+
+
 def test_kernel_basis_rank_deficient_product():
     rng = np.random.Generator(np.random.Philox(14))
     b = rng.normal(size=(5, 2))
@@ -507,26 +543,66 @@ def test_nullspace_of_one_block_is_the_direct_svd(sparse):
 def test_only_wide_blocks_take_full_svds(monkeypatch):
     """A tall or square block's kernel is read off its whole V^dag, so its
     SVD forms no full U; a wide block needs the V^dag rows past its singular
-    values.  At dim 64 the commutant of two generators solves one 4096 x 64
-    system, whose full U alone would be 4096 x 4096."""
-    calls = []
+    values.  A square block's singular values come first, and only a block
+    whose values reach the cutoff gets vectors.  At dim 64 the commutant of
+    two generators solves one 4096 x 64 system, whose full U alone would be
+    4096 x 4096."""
+    calls, values = [], []
     original = np.linalg.svd
 
-    def recording(a, full_matrices=True, **kwargs):
-        calls.append((np.shape(a)[-2:], full_matrices))
-        return original(a, full_matrices=full_matrices, **kwargs)
+    def recording(a, full_matrices=True, compute_uv=True, **kwargs):
+        (calls if compute_uv else values).append((np.shape(a)[-2:], full_matrices))
+        return original(a, full_matrices=full_matrices, compute_uv=compute_uv, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", recording)
     rng = np.random.Generator(np.random.Philox(20))
-    a, kernel_dim = permuted_blocks(rng, [(2, 5, 2), (5, 2, 1), (4, 4, 3), (6, 3, 2)])
+    a, kernel_dim = permuted_blocks(rng, [(2, 5, 2), (5, 2, 1), (4, 4, 3), (3, 3, 3), (6, 3, 2)])
     rows = nullspace(a)
     assert rows.shape[0] == kernel_dim
     assert np.abs(a @ rows.T).max() < 1e-12 * np.abs(a).max()
+    # the rank-3 square block has a kernel and gets vectors, the full-rank
+    # one clears the cutoff on its values alone
+    assert sorted(shape for shape, _ in values) == [(3, 3), (4, 4)]
+    assert ((4, 4), False) in calls and all(shape != (3, 3) for shape, _ in calls)
     basis = commutant_basis([Operator(random_hermitian(rng, 64)) for _ in range(2)], 64)
     assert basis.size == 1
     assert any(m > 4000 and n == 64 and not full for (m, n), full in calls)
     assert {m < n for (m, n), _ in calls} == {True, False}
     assert all(full == (m < n) for (m, n), full in calls)
+
+
+@pytest.mark.parametrize("edge", [-0.5, 0.25, 0.5, 0.75])
+def test_a_square_block_near_the_cutoff_gets_vectors(monkeypatch, edge):
+    """A square block whose smallest singular value, computed without
+    vectors, lies between the cutoff and the cutoff plus 2 dim eps sigma_max
+    (``edge`` > 0), or below the cutoff, is decomposed again with vectors,
+    and ``nullspace`` keeps exactly the rows that one SVD of it with vectors
+    keeps."""
+    tol, dim = 1e-10, 8
+    rng = np.random.Generator(np.random.Philox(26))
+    left, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    right, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    smax = 2.0
+    cutoff = _kernel_cutoff(tol, smax)
+    sigma = np.linspace(smax, 0.5, dim)
+    sigma[-1] = cutoff + edge * (_kernel_residual_bound(tol, smax, dim) - cutoff)
+    a = (left * sigma) @ right
+    values = np.linalg.svd(a, compute_uv=False)
+    assert values[-1] <= _kernel_residual_bound(tol, values[0], dim)
+    assert (values[-1] > _kernel_cutoff(tol, values[0])) == (edge > 0)
+    calls = []
+    original = np.linalg.svd
+
+    def recording(m, full_matrices=True, compute_uv=True, **kwargs):
+        calls.append((np.shape(m)[-2:], compute_uv))
+        return original(m, full_matrices=full_matrices, compute_uv=compute_uv, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    rows = nullspace(a, tol)
+    assert calls == [((dim, dim), False), ((dim, dim), True)]
+    _, sigma, vh = original(a, full_matrices=False)
+    assert np.array_equal(rows, vh[sigma <= _kernel_cutoff(tol, values[0])].conj())
+    assert rows.shape[0] == (edge < 0)
 
 
 def test_operator_norm_of_permuted_blocks():
@@ -928,8 +1004,8 @@ def test_the_entry_product_residual_matches_the_dense_product(n, n_max):
 def test_two_direction_blocks_gathered_from_the_entries_match_the_dense_gather():
     model = string_model(2, 1)
     for dirac in (model.d, model.d_bar):
-        rows, smax = _nullspace_and_norm(dirac._entries, 1e-9)
-        dense_rows, dense_smax = _nullspace_and_norm(_Entries.of(np.array(dirac.mat)), 1e-9)
+        rows, smax, _ = _nullspace_and_norm(dirac._entries, 1e-9)
+        dense_rows, dense_smax, _ = _nullspace_and_norm(_Entries.of(np.array(dirac.mat)), 1e-9)
         assert np.array_equal(rows, dense_rows) and smax == dense_smax
 
 
@@ -993,7 +1069,7 @@ def test_quarter_turn_gauge_of_one_sparse_block():
 def check_block_kernel(a, kernel_dim):
     """``_nullspace_and_norm`` against ``dense_nullspace``: the same kernel
     dimension and projector, and sigma_max to 1e-14 relative."""
-    rows, smax = _nullspace_and_norm(_Entries.of(a), 1e-10)
+    rows, smax, _ = _nullspace_and_norm(_Entries.of(a), 1e-10)
     oracle = dense_nullspace(a)
     sigma_max = np.linalg.norm(a, 2)
     assert rows.shape[0] == kernel_dim == oracle.shape[0]
