@@ -542,8 +542,7 @@ def dfs_from_dirac(d: Operator, tol: float = KERNEL_TOL) -> KernelBasis:
     and ker d = |1> x ker K+ + |0> x ker K-; so sigma_max is l max |lambda|
     and ker K+- is spanned by the product eigenvectors with l |lambda| <=
     tol * sigma_max, the cutoff ``nullspace`` applies to singular values.
-    Each distinct factor of the two sums is diagonalized once, and only
-    the kept product eigenvectors are formed.  Any other operator,
+    Only the kept product eigenvectors are formed.  Any other operator,
     non-normal ones included, goes through ``kernel_basis`` (block SVDs,
     with singular vectors only for the blocks that may have a kernel).
     Either way the returned basis carries d's largest singular value as
@@ -554,8 +553,7 @@ def dfs_from_dirac(d: Operator, tol: float = KERNEL_TOL) -> KernelBasis:
     split = d.split if isinstance(d, DiracOperator) else None
     if split is None:
         return kernel_basis(d, tol=tol)
-    # spinor components 0 and 1, each distinct factor diagonalized once
-    sums = KroneckerSum._sharing(split.lower, split.upper)
+    sums = (KroneckerSum(split.lower), KroneckerSum(split.upper))  # spinor components 0 and 1
     half = d.dim // 2
     if any(k.grid.size != half for k in sums) or 2 * half != d.dim:
         raise ShapeError("the split's factors do not span half of the Dirac operator's space")

@@ -39,7 +39,8 @@ Conventions used throughout the package:
   the largest singular value of the whole matrix.  A kernel computed any
   other way (from a Kronecker sum's eigenpairs, say) is certified the same
   way, by ``KernelBasis.certify``, which checks orthonormality per kernel
-  block;
+  block where the caller passes disjoint blocks (a Kronecker sum's spinor
+  halves);
 * each Hermitian block is diagonalized on its own (blocks of one size in
   one stacked call), so a Hamiltonian that conserves a quantum number costs
   the cube of its largest block, not of its dimension.  Eigenvalues alone
@@ -59,7 +60,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
 
@@ -345,13 +346,29 @@ def _kernel_residual_bound(tol: float, sigma_max: float, dim: int) -> float:
 
 
 def _check_orthonormal(rows: np.ndarray) -> None:
-    """Raise DomainError unless the rows of ``rows``, or of each matrix of a
-    stack (..., k, n), are orthonormal: every entry of their Gram matrix
-    within ORTHONORMALITY_TOL of the identity's."""
-    if rows.shape[-2]:
-        gram = rows @ rows.conj().swapaxes(-1, -2)
-        if float(np.abs(gram - np.eye(rows.shape[-2])).max(initial=0.0)) > ORTHONORMALITY_TOL:
+    """Raise DomainError unless the rows of ``rows`` are orthonormal: every
+    entry of their Gram matrix within ORTHONORMALITY_TOL of the identity's."""
+    if rows.shape[0]:
+        gram = rows @ rows.conj().T
+        if float(np.abs(gram - np.eye(rows.shape[0])).max()) > ORTHONORMALITY_TOL:
             raise DomainError("basis rows are not orthonormal")
+
+
+def _check_blocks(rows: np.ndarray, blocks) -> None:
+    """Raise DomainError unless ``blocks``, (row slice, column slice) pairs,
+    put every row of ``rows`` in exactly one block and every column in at
+    most one, and hold every nonzero entry of ``rows``.  Rows of different
+    blocks then have disjoint supports, so the blocks' Gram matrices are
+    the only nonzero blocks of the whole Gram matrix."""
+    row_use = np.zeros(rows.shape[0], dtype=int)
+    col_use = np.zeros(rows.shape[1], dtype=int)
+    inside = 0
+    for r, c in blocks:
+        row_use[r] += 1
+        col_use[c] += 1
+        inside += np.count_nonzero(rows[r, c])
+    if (row_use != 1).any() or (col_use > 1).any() or inside != np.count_nonzero(rows):
+        raise DomainError("kernel blocks do not partition the basis rows' support")
 
 
 @dataclass(frozen=True)
@@ -431,7 +448,7 @@ class KernelBasis(SubspaceBasis):
     residual: float
 
     @classmethod
-    def certify(cls, a: Operator, rows: np.ndarray, sigma_max: float, tol: float, blocks=None) -> "KernelBasis":
+    def certify(cls, a: Operator, rows: np.ndarray, sigma_max: float, tol: float, blocks) -> "KernelBasis":
         """The span of ``rows`` as the kernel of ``a``, certified: the rows
         must be orthonormal, and the largest residual ||a v|| over them,
         measured on ``a``'s entries in a fixed order, not by BLAS
@@ -439,21 +456,22 @@ class KernelBasis(SubspaceBasis):
         sigma_max, dim)``, else DomainError.
 
         Orthonormality is checked per kernel block: one Gram matrix for
-        ``rows[index]`` per ``index`` in ``blocks`` (a stack of blocks of one
-        shape where that is (..., k, n)), or for all rows when ``blocks`` is
-        None.  The code that built the rows passes their blocks and vouches
-        that every row vanishes outside its block's columns and that no two
-        blocks share a column; every Gram entry between two blocks is then
-        exactly zero, so this is the full check.  The public constructor
-        keeps the full Gram matrix."""
+        ``rows[r, c]`` per slice pair ``(r, c)`` in ``blocks``;
+        ``[np.s_[:, :]]`` is the whole Gram matrix.  The blocks must put each
+        row in one block and each column in at most one, and hold every
+        nonzero entry (``_check_blocks``), else DomainError; every Gram
+        entry between two blocks is then exactly zero, so this is the full
+        check.  The public constructor keeps the full Gram matrix."""
         resid = float(np.linalg.norm(a._apply(rows), axis=0).max()) if rows.shape[0] else 0.0
+        values = {"ambient_dim": a.dim, "vectors": rows, "kind": VECTOR_SPACE,
+                  "sigma_max": sigma_max, "residual": resid}
         basis = object.__new__(cls)
-        for name, value in (("ambient_dim", a.dim), ("vectors", rows), ("kind", VECTOR_SPACE),
-                            ("sigma_max", sigma_max), ("residual", resid)):
-            object.__setattr__(basis, name, value)
+        for field in dataclass_fields(cls):
+            object.__setattr__(basis, field.name, values[field.name])
         kept = basis._kept_rows()
-        for index in [...] if blocks is None else blocks:
-            _check_orthonormal(kept[index])
+        _check_blocks(kept, blocks)
+        for r, c in blocks:
+            _check_orthonormal(kept[r, c])
         if resid > _kernel_residual_bound(tol, sigma_max, a.dim):
             raise DomainError("kernel residual exceeds the certified bound")
         return basis
@@ -593,34 +611,14 @@ class KroneckerSum:
 
     ``grid`` holds the eigenvalues lambda_a + mu_b + .., one eigenvalue of
     each factor, flattened in the first-factor-slowest layout; grid entry g
-    belongs to the product eigenvector ``eigenvectors([g])``.  Each distinct
-    factor object goes through ``sector_eigh`` once, whose reconstruction
-    check rejects a factor that is not Hermitian.
+    belongs to the product eigenvector ``eigenvectors([g])``.  Each factor
+    goes through ``sector_eigh``, whose reconstruction check rejects a
+    factor that is not Hermitian.
     """
 
     def __init__(self, factors):
-        self._diagonalize(factors, {})
-
-    @classmethod
-    def _sharing(cls, *factor_lists) -> tuple["KroneckerSum", ...]:
-        """One Kronecker sum per list of factors, each distinct factor
-        object diagonalized once across them: the same eigenpairs, bit for
-        bit, as separate ``KroneckerSum``s of the same objects."""
-        solved = {}
-        sums = tuple(object.__new__(cls) for _ in factor_lists)
-        for ksum, factors in zip(sums, factor_lists):
-            ksum._diagonalize(factors, solved)
-        return sums
-
-    def _diagonalize(self, factors, solved: dict) -> None:
-        """Set the grid and eigenvectors from the factors' eigenpairs, taken
-        from ``solved`` (keyed by the factor's id, beside the factor, which
-        it keeps alive) or put there."""
         mats = _square_factors(factors)
-        for m in mats:
-            if id(m) not in solved:
-                solved[id(m)] = (m, sector_eigh(Operator._unchecked(m) if isinstance(m, _Entries) else m))
-        pairs = [solved[id(m)][1] for m in mats]
+        pairs = [sector_eigh(Operator._unchecked(m) if isinstance(m, _Entries) else m) for m in mats]
         grid = np.zeros(())
         for vals, _ in pairs:
             grid = np.add.outer(grid, vals)
@@ -955,10 +953,10 @@ def _sectors(row_label: np.ndarray, col_label: np.ndarray):
     return out
 
 
-def _nullspace_and_norm(e: _Entries, tol: float, scale: float = 0.0):
+def _nullspace_and_norm(e: _Entries, tol: float, scale: float = 0.0) -> tuple[np.ndarray, float]:
     """``nullspace`` rows of the matrix with entries ``e``, together with
-    sigma_max, the largest singular value, and the rows' blocks for
-    ``KernelBasis.certify``; the cutoff is tol * max(sigma_max, scale).
+    sigma_max, the largest singular value; the cutoff is tol * max(sigma_max,
+    scale).
 
     A square block's singular values come first, without vectors; only a
     block whose smallest value is at most the cutoff plus 2 dim eps
@@ -969,7 +967,7 @@ def _nullspace_and_norm(e: _Entries, tol: float, scale: float = 0.0):
     with vectors."""
     m, ncols = e.shape
     if m * ncols == 0:
-        return np.eye(ncols, dtype=np.complex128), 0.0, None
+        return np.eye(ncols, dtype=np.complex128), 0.0
     svds = []  # (rows, cols, sigma, vh), vh None for a square block's values alone
     for rows, cols, _ in _split(e):
         k, nb = cols.shape
@@ -988,7 +986,7 @@ def _nullspace_and_norm(e: _Entries, tol: float, scale: float = 0.0):
     smax = max(float(sigma.max(initial=0.0)) for _, _, sigma, _ in svds)
     ref = max(smax, scale)
     cutoff, near = _kernel_cutoff(tol, ref), _kernel_residual_bound(tol, ref, max(m, ncols))
-    kept = []  # (cols, vh, count): each block keeps the last count rows of its vh
+    kept = []  # (cols, vh, (block, row)): the kept rows of each vh
     for rows, cols, sigma, vh in svds:
         if vh is None:
             need = sigma[:, -1] <= near
@@ -996,22 +994,16 @@ def _nullspace_and_norm(e: _Entries, tol: float, scale: float = 0.0):
                 continue
             rows, cols = rows[need], cols[need]
             _, sigma, vh = np.linalg.svd(e.gather(rows, cols), full_matrices=False)
-        # singular values descend, and rows of vh beyond them are exact
-        # kernel directions
-        kept.append((cols, vh, vh.shape[1] - np.count_nonzero(sigma > cutoff, axis=1)))
-    out = np.zeros((sum(int(count.sum()) for *_, count in kept), ncols), dtype=np.complex128)
-    blocks = []
+        # columns beyond the number of singular values are exact kernel directions
+        keep = np.ones(cols.shape, dtype=bool)
+        keep[:, : sigma.shape[1]] = sigma <= cutoff
+        kept.append((cols, vh, np.nonzero(keep)))
+    out = np.zeros((sum(block.size for *_, (block, _) in kept), ncols), dtype=np.complex128)
     start = 0
-    for cols, vh, count in kept:
-        nb = cols.shape[1]
-        first = start + np.cumsum(count) - count  # each block's first row in out
-        for c in np.unique(count[count > 0]):
-            ids = np.flatnonzero(count == c)
-            index = (first[ids, None, None] + np.arange(c)[:, None], cols[ids, None, :])
-            out[index] = vh[ids, nb - c:].conj()
-            blocks.append(index)
-        start += int(count.sum())
-    return out, smax, blocks
+    for cols, vh, (block, row) in kept:
+        out[start + np.arange(block.size)[:, None], cols[block]] = vh[block, row].conj()
+        start += block.size
+    return out, smax
 
 
 def nullspace(mat: np.ndarray, tol: float = KERNEL_TOL) -> np.ndarray:
@@ -1044,14 +1036,12 @@ def kernel_basis(a: Operator, tol: float = KERNEL_TOL) -> KernelBasis:
     Singular vectors are formed only for wide and tall blocks and for square
     blocks that may have a kernel (``nullspace``).  Certified
     (``KernelBasis.certify``): the rows are orthonormal, checked with one
-    Gram matrix per kernel block (the kept rows of one block, which no
-    other block's rows overlap), and every basis vector's residual must
-    stay within ``_kernel_residual_bound``, with sigma_max read off the
-    singular values the kernel computation already has.  Both sigma_max and
+    Gram matrix of all of them, and every basis vector's residual must stay
+    within ``_kernel_residual_bound``, with sigma_max read off the singular
+    values the kernel computation already has.  Both sigma_max and
     the measured residual are returned on the basis.
     """
-    rows, smax, blocks = _nullspace_and_norm(a._entries, tol)
-    return KernelBasis.certify(a, rows, smax, tol, blocks)
+    return KernelBasis.certify(a, *_nullspace_and_norm(a._entries, tol), tol, [np.s_[:, :]])
 
 
 def commutant_basis(ops: list[Operator], dim: int) -> SubspaceBasis:

@@ -39,7 +39,6 @@ from dfslab import (
 )
 from dfslab import duality as duality_module
 from dfslab import fock as fock_module
-from dfslab import opcore as opcore_module
 from dfslab.fock import _dual_side_arrays, _substitution_arrays
 from dfslab.opcore import SYMMETRY_TOL
 
@@ -581,25 +580,6 @@ def test_a_split_that_disagrees_with_its_matrix_fails_the_certificate():
     small = build_string_model(string_background(2.25), n_max=1, levels=1)
     with pytest.raises(ShapeError):
         dfs_from_dirac(DiracOperator(model.d.mat, split=small.d.split), tol=1e-9)
-
-
-@pytest.mark.parametrize("n_max, levels, metric", [(2, 1, 2.25), (1, 1, 0.25)])
-def test_split_kernel_diagonalizes_each_distinct_factor_once(monkeypatch, n_max, levels, metric):
-    """The split's two Kronecker sums hold four distinct factors, the tower
-    factor three times: four eigensolves, not six, and the same basis bit
-    for bit as from two separate ``KroneckerSum``s."""
-    model = build_string_model(string_background(metric), n_max, levels)
-    calls = []
-    real = opcore_module.sector_eigh
-    monkeypatch.setattr(opcore_module, "sector_eigh", lambda *a, **k: calls.append(1) or real(*a, **k))
-    kernel = dfs_from_dirac(model.d, tol=1e-9)
-    assert len(calls) == 4 and kernel.size > 0
-    monkeypatch.setattr(
-        opcore_module.KroneckerSum, "_sharing", classmethod(lambda cls, *lists: tuple(cls(f) for f in lists))
-    )
-    separate = dfs_from_dirac(model.d, tol=1e-9)
-    assert np.array_equal(kernel.vectors, separate.vectors)
-    assert (kernel.sigma_max, kernel.residual) == (separate.sigma_max, separate.residual)
 
 
 def test_two_direction_kernels_keep_the_block_svds(svd_dtypes):

@@ -413,49 +413,38 @@ def test_kernel_residual_bound_at_the_cutoff_edge():
     assert bound == cutoff + 2 * dim * np.finfo(float).eps * smax
     row = np.array([[0.0, 1.0]], dtype=complex)
     for s in (cutoff, cutoff + 8e-15, bound):
-        basis = KernelBasis.certify(Operator(np.diag([smax, s])), row, smax, tol)
+        basis = KernelBasis.certify(Operator(np.diag([smax, s])), row, smax, tol, [np.s_[:, :]])
         assert basis.residual == s
     with pytest.raises(DomainError, match="kernel residual exceeds the certified bound"):
-        KernelBasis.certify(Operator(np.diag([smax, np.nextafter(bound, 1.0e3)])), row, smax, tol)
+        KernelBasis.certify(Operator(np.diag([smax, np.nextafter(bound, 1.0e3)])), row, smax, tol, [np.s_[:, :]])
     # the floors: a zero operator, and a cutoff below KERNEL_FLOOR
     assert _kernel_residual_bound(tol, 0.0, dim) == 1e-10
     assert _kernel_residual_bound(1e-20, 1.0, dim) == 1e-12
 
 
 def test_kernel_certificate_checks_orthonormality_per_block():
-    """``KernelBasis.certify`` forms one Gram matrix per kernel block, a
-    slice or a stack of blocks of one shape, and refuses rows that are not
-    orthonormal within one block."""
+    """``KernelBasis.certify`` forms one Gram matrix per kernel block and
+    refuses rows that are not orthonormal within one block, and blocks that
+    do not partition the rows' support."""
     op = Operator(np.diag([0.0, 0.0, 0.0, 1.0]))
     rows = np.zeros((3, 4), dtype=complex)
     rows[0, 0] = rows[1, 1] = rows[2, 2] = 1.0
-    slices = [(slice(0, 2), slice(0, 2)), (slice(2, 3), slice(2, 4))]
-    stack = [(np.array([[[0], [1]]]), np.array([[[0, 1]]])), (slice(2, 3), slice(2, 4))]
-    for blocks in (None, slices, stack):
+    whole, halves = [np.s_[:, :]], [np.s_[0:2, 0:2], np.s_[2:3, 2:4]]
+    for blocks in (whole, halves):
         assert KernelBasis.certify(op, rows, 1.0, 1e-10, blocks).size == 3
+    bad = {
+        "a row outside every block": [np.s_[0:2, 0:2]],
+        "a row in two blocks": [np.s_[0:2, 0:2], np.s_[1:3, 2:4]],
+        "a column in two blocks": [np.s_[0:2, 0:3], np.s_[2:3, 2:4]],
+        "an entry outside its block": [np.s_[0:2, 0:1], np.s_[2:3, 2:4]],
+    }
+    for blocks in bad.values():
+        with pytest.raises(DomainError, match="^kernel blocks do not partition the basis rows' support$"):
+            KernelBasis.certify(op, rows, 1.0, 1e-10, blocks)
     rows[1, :2] = [0.6, 0.8]  # unit length, not orthogonal to row 0
-    for blocks in (None, slices, stack):
+    for blocks in (whole, halves):
         with pytest.raises(DomainError, match="^basis rows are not orthonormal$"):
             KernelBasis.certify(op, rows, 1.0, 1e-10, blocks)
-
-
-def test_kernel_basis_blocks_cover_its_rows():
-    """The blocks ``_nullspace_and_norm`` hands to the certificate hold
-    every kernel row once, each on its own block's columns, which no other
-    block shares; so the per-block check reads every nonzero entry."""
-    rng = np.random.Generator(np.random.Philox(27))
-    a, kernel_dim = permuted_blocks(rng, [(2, 5, 2), (5, 2, 1), (4, 4, 3), (4, 4, 2), (3, 3, 3)], 2, 3)
-    rows, _, blocks = _nullspace_and_norm(_Entries.of(a), 1e-10)
-    assert rows.shape[0] == kernel_dim
-    seen = np.zeros(rows.shape, dtype=int)
-    cols_seen = np.zeros(rows.shape[1], dtype=int)
-    for r, c in blocks:
-        r, c = np.broadcast_arrays(r, c)
-        seen[r, c] += 1
-        for block_cols in c[:, 0, :]:
-            cols_seen[block_cols] += 1
-    assert seen.max() == 1 and np.array_equal(seen == 1, rows != 0)
-    assert cols_seen.max() == 1
 
 
 def test_kernel_basis_rank_deficient_product():
@@ -1004,8 +993,8 @@ def test_the_entry_product_residual_matches_the_dense_product(n, n_max):
 def test_two_direction_blocks_gathered_from_the_entries_match_the_dense_gather():
     model = string_model(2, 1)
     for dirac in (model.d, model.d_bar):
-        rows, smax, _ = _nullspace_and_norm(dirac._entries, 1e-9)
-        dense_rows, dense_smax, _ = _nullspace_and_norm(_Entries.of(np.array(dirac.mat)), 1e-9)
+        rows, smax = _nullspace_and_norm(dirac._entries, 1e-9)
+        dense_rows, dense_smax = _nullspace_and_norm(_Entries.of(np.array(dirac.mat)), 1e-9)
         assert np.array_equal(rows, dense_rows) and smax == dense_smax
 
 
@@ -1069,7 +1058,7 @@ def test_quarter_turn_gauge_of_one_sparse_block():
 def check_block_kernel(a, kernel_dim):
     """``_nullspace_and_norm`` against ``dense_nullspace``: the same kernel
     dimension and projector, and sigma_max to 1e-14 relative."""
-    rows, smax, _ = _nullspace_and_norm(_Entries.of(a), 1e-10)
+    rows, smax = _nullspace_and_norm(_Entries.of(a), 1e-10)
     oracle = dense_nullspace(a)
     sigma_max = np.linalg.norm(a, 2)
     assert rows.shape[0] == kernel_dim == oracle.shape[0]
