@@ -36,11 +36,12 @@ Conventions used throughout the package:
   Every block gets its own SVD (with the full V^dag only for a block with
   more columns than rows; a square block gets its singular values first and
   its vectors only if it may have a kernel); the cutoff stays relative to
-  the largest singular value of the whole matrix.  A kernel computed any
-  other way (from a Kronecker sum's eigenpairs, say) is certified the same
-  way, by ``KernelBasis.certify``, which checks orthonormality per kernel
-  block where the caller passes disjoint blocks (a Kronecker sum's spinor
-  halves);
+  the largest singular value of the whole matrix.  Every kernel, from the
+  SVDs or computed any other way (from a Kronecker sum's eigenpairs, say),
+  is certified the same way, by ``KernelBasis.certify``, per kernel block:
+  ``kernel_basis`` passes its SVD blocks, a Kronecker sum its spinor
+  halves.  Each block's rows get one Gram matrix, and each row's residual
+  reads only the entries in its block's columns;
 * each Hermitian block is diagonalized on its own (blocks of one size in
   one stacked call), so a Hamiltonian that conserves a quantum number costs
   the cube of its largest block, not of its dimension.  Eigenvalues alone
@@ -355,11 +356,11 @@ def _check_orthonormal(rows: np.ndarray) -> None:
 
 
 def _check_blocks(rows: np.ndarray, blocks) -> None:
-    """Raise DomainError unless ``blocks``, (row slice, column slice) pairs,
-    put every row of ``rows`` in exactly one block and every column in at
-    most one, and hold every nonzero entry of ``rows``.  Rows of different
-    blocks then have disjoint supports, so the blocks' Gram matrices are
-    the only nonzero blocks of the whole Gram matrix."""
+    """Raise DomainError unless ``blocks``, (row slice, column slice or index
+    array) pairs, put every row of ``rows`` in exactly one block and every
+    column in at most one, and hold every nonzero entry of ``rows``.  Rows
+    of different blocks then have disjoint supports, so the blocks' Gram
+    matrices are the only nonzero blocks of the whole Gram matrix."""
     row_use = np.zeros(rows.shape[0], dtype=int)
     col_use = np.zeros(rows.shape[1], dtype=int)
     inside = 0
@@ -369,6 +370,40 @@ def _check_blocks(rows: np.ndarray, blocks) -> None:
         inside += np.count_nonzero(rows[r, c])
     if (row_use != 1).any() or (col_use > 1).any() or inside != np.count_nonzero(rows):
         raise DomainError("kernel blocks do not partition the basis rows' support")
+
+
+def _block_residual(e: _Entries, rows: np.ndarray, blocks) -> float:
+    """The largest norm ||A v|| over the rows v of ``rows``, for blocks that
+    ``_check_blocks`` accepted, with the bits of
+    ``np.linalg.norm(Operator._apply(rows), axis=0).max()``.  Each row's
+    product takes only the entries in its block's columns, in entry order:
+    the row is zero in every other column, so each skipped product is an
+    exact zero and adds nothing to its output's sum.  The rows go one at a
+    time, product then norm, so no (dim, k) product is held."""
+    if not rows.shape[0]:
+        return 0.0
+    m = e.shape[0]
+    label = np.full(e.shape[1], len(blocks))  # a column in no block sorts last
+    for b, (_, c) in enumerate(blocks):
+        label[c] = b
+    held = label[e.cols]
+    order = np.argsort(held, kind="stable")  # by block, in entry order within one
+    count = np.bincount(held, minlength=len(blocks) + 1)
+    worst = 0.0
+    for (r, _), end, n in zip(blocks, np.cumsum(count), count):
+        pick = order[end - n:end]
+        cols, vals = e.cols[pick], e.vals[pick]
+        # the real and the imaginary part of each product go to adjacent
+        # bins, so one bincount sums both, each in entry order, into the
+        # memory of a complex row
+        bins = np.repeat(2 * e.rows[pick], 2)
+        bins[1::2] += 1
+        for v in rows[r]:
+            out = np.bincount(bins, (v[cols] * vals).view(np.float64), 2 * m).view(np.complex128)
+            # the sum of squares as np.linalg.norm forms it, for its bits
+            worst = max(worst, np.add.reduce((out.conj() * out).real))
+    # the square root is monotone, so the largest norm is the root of the largest sum
+    return float(np.sqrt(worst))
 
 
 @dataclass(frozen=True)
@@ -451,20 +486,23 @@ class KernelBasis(SubspaceBasis):
     def certify(cls, a: Operator, rows: np.ndarray, sigma_max: float, tol: float, blocks) -> "KernelBasis":
         """The span of ``rows`` as the kernel of ``a``, certified: the rows
         must be orthonormal, and the largest residual ||a v|| over them,
-        measured on ``a``'s entries in a fixed order, not by BLAS
-        (``Operator._apply``), must stay within ``_kernel_residual_bound(tol,
-        sigma_max, dim)``, else DomainError.
+        measured on ``a``'s entries in a fixed order, not by BLAS, must stay
+        within ``_kernel_residual_bound(tol, sigma_max, dim)``, else
+        DomainError.
 
-        Orthonormality is checked per kernel block: one Gram matrix for
-        ``rows[r, c]`` per slice pair ``(r, c)`` in ``blocks``;
-        ``[np.s_[:, :]]`` is the whole Gram matrix.  The blocks must put each
-        row in one block and each column in at most one, and hold every
-        nonzero entry (``_check_blocks``), else DomainError; every Gram
-        entry between two blocks is then exactly zero, so this is the full
-        check.  The public constructor keeps the full Gram matrix."""
-        resid = float(np.linalg.norm(a._apply(rows), axis=0).max()) if rows.shape[0] else 0.0
+        Both are checked per kernel block: ``blocks`` lists (row slice,
+        column slice or index array) pairs ``(r, c)``; ``[np.s_[:, :]]`` is
+        one block of everything.  The blocks must put each row in one block
+        and each column in at most one, and hold every nonzero entry
+        (``_check_blocks``), else DomainError.  Every Gram entry between two
+        blocks is then exactly zero, so one Gram matrix of ``rows[r, c]``
+        per block is the full orthonormality check; and each row's residual
+        reads only the entries of ``a`` in its block's columns, one row at a
+        time (``_block_residual``), with the bits of
+        ``np.linalg.norm(a._apply(rows), axis=0).max()``.  The public
+        constructor keeps the full Gram matrix."""
         values = {"ambient_dim": a.dim, "vectors": rows, "kind": VECTOR_SPACE,
-                  "sigma_max": sigma_max, "residual": resid}
+                  "sigma_max": sigma_max, "residual": 0.0}
         basis = object.__new__(cls)
         for field in dataclass_fields(cls):
             object.__setattr__(basis, field.name, values[field.name])
@@ -472,8 +510,10 @@ class KernelBasis(SubspaceBasis):
         _check_blocks(kept, blocks)
         for r, c in blocks:
             _check_orthonormal(kept[r, c])
+        resid = _block_residual(a._entries, kept, blocks)
         if resid > _kernel_residual_bound(tol, sigma_max, a.dim):
             raise DomainError("kernel residual exceeds the certified bound")
+        object.__setattr__(basis, "residual", resid)
         return basis
 
 
@@ -953,10 +993,12 @@ def _sectors(row_label: np.ndarray, col_label: np.ndarray):
     return out
 
 
-def _nullspace_and_norm(e: _Entries, tol: float, scale: float = 0.0) -> tuple[np.ndarray, float]:
+def _nullspace_and_norm(e: _Entries, tol: float, scale: float = 0.0, layout: bool = False):
     """``nullspace`` rows of the matrix with entries ``e``, together with
     sigma_max, the largest singular value; the cutoff is tol * max(sigma_max,
-    scale).
+    scale).  With ``layout``, also the kept rows' blocks, one (row slice,
+    column index array) pair per SVD block with a kept row, as
+    ``KernelBasis.certify`` takes them.
 
     A square block's singular values come first, without vectors; only a
     block whose smallest value is at most the cutoff plus 2 dim eps
@@ -999,11 +1041,15 @@ def _nullspace_and_norm(e: _Entries, tol: float, scale: float = 0.0) -> tuple[np
         keep[:, : sigma.shape[1]] = sigma <= cutoff
         kept.append((cols, vh, np.nonzero(keep)))
     out = np.zeros((sum(block.size for *_, (block, _) in kept), ncols), dtype=np.complex128)
-    start = 0
+    blocks, start = [], 0
     for cols, vh, (block, row) in kept:
         out[start + np.arange(block.size)[:, None], cols[block]] = vh[block, row].conj()
+        if layout:
+            # np.nonzero lists each block's kept rows together, in block order
+            ids, first, count = np.unique(block, return_index=True, return_counts=True)
+            blocks += [(slice(start + f, start + f + n), cols[i]) for i, f, n in zip(ids, first, count)]
         start += block.size
-    return out, smax
+    return (out, smax, blocks) if layout else (out, smax)
 
 
 def nullspace(mat: np.ndarray, tol: float = KERNEL_TOL) -> np.ndarray:
@@ -1035,13 +1081,16 @@ def kernel_basis(a: Operator, tol: float = KERNEL_TOL) -> KernelBasis:
     a matrix gives the same bits as the ``tensor_sum`` of that matrix.
     Singular vectors are formed only for wide and tall blocks and for square
     blocks that may have a kernel (``nullspace``).  Certified
-    (``KernelBasis.certify``): the rows are orthonormal, checked with one
-    Gram matrix of all of them, and every basis vector's residual must stay
-    within ``_kernel_residual_bound``, with sigma_max read off the singular
-    values the kernel computation already has.  Both sigma_max and
-    the measured residual are returned on the basis.
+    (``KernelBasis.certify``) per SVD block: the rows of each block are
+    orthonormal, checked with one Gram matrix of that block's rows on its
+    columns, and every basis vector's residual, read from the entries in
+    its block's columns, must stay within ``_kernel_residual_bound``, with
+    sigma_max read off the singular values the kernel computation already
+    has.  Both sigma_max and the measured residual are returned on the
+    basis.
     """
-    return KernelBasis.certify(a, *_nullspace_and_norm(a._entries, tol), tol, [np.s_[:, :]])
+    rows, smax, blocks = _nullspace_and_norm(a._entries, tol, layout=True)
+    return KernelBasis.certify(a, rows, smax, tol, blocks)
 
 
 def commutant_basis(ops: list[Operator], dim: int) -> SubspaceBasis:

@@ -17,6 +17,7 @@ from dfslab.reporting import canonical_json
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
+CEILING_DIR = pathlib.Path(__file__).resolve().parent / "ceilings"
 
 
 def load(name):
@@ -432,6 +433,16 @@ def test_one_direction_dfs_allocates_less_than_one_dense_dirac_matrix(operator):
     assert peak < 1458 * 1458 * 16
 
 
+def test_dfs_kernel_3095_ceiling_exits_0_through_the_cli(tmp_path):
+    """Metric 4, n_max 11, tol 0.5 (dim 3456): 3,095 kernel vectors, some
+    kept at the cutoff's edge, whose residuals pass the one kernel-residual
+    bound."""
+    out = tmp_path / "report.json"
+    assert entry(["run", str(CEILING_DIR / "dfs-kernel-3095.json"), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["pass"] and report["results"]["kernel_dim"] == 3095
+
+
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("operator", ["relative", "total"])
 def test_dfs_runs_form_no_dense_dirac_matrix(n, operator, monkeypatch):
@@ -476,7 +487,7 @@ def test_out_of_range_input_exits_1(kind, params, tmp_path, capsys):
     assert "invalid scenario:" in err and "Traceback" not in err
 
 
-REFUSED_DIR = pathlib.Path(__file__).resolve().parent / "ceilings" / "refused"
+REFUSED_DIR = CEILING_DIR / "refused"
 
 
 @pytest.mark.parametrize("path", sorted(REFUSED_DIR.glob("*.json")), ids=lambda p: p.stem)

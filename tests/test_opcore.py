@@ -24,6 +24,7 @@ from dfslab import (
     unitary_exp,
 )
 from dfslab.opcore import (
+    KERNEL_TOL,
     KernelBasis,
     _block_eighs,
     _Entries,
@@ -425,12 +426,14 @@ def test_kernel_residual_bound_at_the_cutoff_edge():
 def test_kernel_certificate_checks_orthonormality_per_block():
     """``KernelBasis.certify`` forms one Gram matrix per kernel block and
     refuses rows that are not orthonormal within one block, and blocks that
-    do not partition the rows' support."""
+    do not partition the rows' support, whether a block's columns are a
+    slice or an index array."""
     op = Operator(np.diag([0.0, 0.0, 0.0, 1.0]))
     rows = np.zeros((3, 4), dtype=complex)
     rows[0, 0] = rows[1, 1] = rows[2, 2] = 1.0
     whole, halves = [np.s_[:, :]], [np.s_[0:2, 0:2], np.s_[2:3, 2:4]]
-    for blocks in (whole, halves):
+    indexed = [(np.s_[0:2], np.array([1, 0])), (np.s_[2:3], np.array([3, 2]))]
+    for blocks in (whole, halves, indexed):
         assert KernelBasis.certify(op, rows, 1.0, 1e-10, blocks).size == 3
     bad = {
         "a row outside every block": [np.s_[0:2, 0:2]],
@@ -439,12 +442,68 @@ def test_kernel_certificate_checks_orthonormality_per_block():
         "an entry outside its block": [np.s_[0:2, 0:1], np.s_[2:3, 2:4]],
     }
     for blocks in bad.values():
-        with pytest.raises(DomainError, match="^kernel blocks do not partition the basis rows' support$"):
-            KernelBasis.certify(op, rows, 1.0, 1e-10, blocks)
+        # each layout with slices, then with the same columns as index arrays
+        for layout in (blocks, [(r, np.arange(4)[c]) for r, c in blocks]):
+            with pytest.raises(DomainError, match="^kernel blocks do not partition the basis rows' support$"):
+                KernelBasis.certify(op, rows, 1.0, 1e-10, layout)
     rows[1, :2] = [0.6, 0.8]  # unit length, not orthogonal to row 0
-    for blocks in (whole, halves):
+    for blocks in (whole, halves, indexed):
         with pytest.raises(DomainError, match="^basis rows are not orthonormal$"):
             KernelBasis.certify(op, rows, 1.0, 1e-10, blocks)
+
+
+def test_kernel_basis_forms_one_gram_matrix_per_svd_block(monkeypatch):
+    """``kernel_basis`` certifies per SVD block: one Gram matrix of each
+    block's kernel rows on that block's columns, none of all the rows (a
+    zero column is a block of its own).  Rows and sigma_max are those of
+    ``_nullspace_and_norm``, and the residual, read per block one row at a
+    time, has the bits of the norms of ``Operator._apply``."""
+    from dfslab import opcore
+
+    rng = np.random.Generator(np.random.Philox(41))
+    a, kernel_dim = permuted_blocks(rng, [(5, 5, 3), (5, 5, 4), (4, 6, 3), (3, 3, 3), (6, 4, 4)], 1, 1)
+    grams = []
+    check = opcore._check_orthonormal
+
+    def recording(rows):
+        grams.append(rows.shape)
+        check(rows)
+
+    monkeypatch.setattr(opcore, "_check_orthonormal", recording)
+    op = Operator(a)
+    basis = kernel_basis(op)
+    assert basis.size == kernel_dim == 7
+    # the kernel rows of each SVD block on its columns; the full-rank ones have none
+    assert sorted(grams) == [(1, 1), (1, 5), (2, 5), (3, 6)]
+    rows, smax = _nullspace_and_norm(_Entries.of(a), KERNEL_TOL)
+    assert np.array_equal(basis.vectors, rows) and basis.sigma_max == smax
+    assert basis.residual == float(np.linalg.norm(op._apply(basis.vectors), axis=0).max())
+
+
+def test_split_kernel_certificate_allocates_less_than_its_basis():
+    """The certificate of a split kernel (n = 1, n_max 9: dim 2000, 260
+    rows) holds no (dim, k) product: each row's residual is taken on its
+    own, so its allocations stay well under the basis it checks (the
+    largest is one spinor half's Gram check).  Taking all the residuals at
+    once held the product and a norm temporary, each of the basis's size."""
+    import tracemalloc
+
+    model = build_string_model(Background([[4.0]], [[0.0]]), 9, 1)
+    d = model.d_bar
+    kernel = dfs_from_dirac(d, tol=0.05)
+    half = d.dim // 2
+    first = int(np.count_nonzero(np.any(kernel.vectors[:, :half] != 0, axis=1)))
+    blocks = [np.s_[:first, :half], np.s_[first:, half:]]
+    rows = np.array(kernel.vectors)
+    assert rows.shape == (260, 2000) and 0 < first < rows.shape[0]
+    tracemalloc.start()
+    try:
+        basis = KernelBasis.certify(d, rows, kernel.sigma_max, 0.05, blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert basis.residual == kernel.residual
+    assert peak < rows.nbytes / 2
 
 
 def test_kernel_basis_rank_deficient_product():
