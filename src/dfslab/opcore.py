@@ -993,12 +993,12 @@ def _sectors(row_label: np.ndarray, col_label: np.ndarray):
     return out
 
 
-def _nullspace_and_norm(e: _Entries, tol: float, scale: float = 0.0, layout: bool = False):
+def _nullspace_and_norm(e: _Entries, tol: float, scale: float = 0.0):
     """``nullspace`` rows of the matrix with entries ``e``, together with
-    sigma_max, the largest singular value; the cutoff is tol * max(sigma_max,
-    scale).  With ``layout``, also the kept rows' blocks, one (row slice,
-    column index array) pair per SVD block with a kept row, as
-    ``KernelBasis.certify`` takes them.
+    sigma_max, the largest singular value, and the kept rows' blocks, one
+    (row slice, column index array) pair per SVD block with a kept row, as
+    ``KernelBasis.certify`` takes them; the cutoff is tol * max(sigma_max,
+    scale).  A matrix with no entry gives the identity rows as one block.
 
     A square block's singular values come first, without vectors; only a
     block whose smallest value is at most the cutoff plus 2 dim eps
@@ -1009,7 +1009,7 @@ def _nullspace_and_norm(e: _Entries, tol: float, scale: float = 0.0, layout: boo
     with vectors."""
     m, ncols = e.shape
     if m * ncols == 0:
-        return np.eye(ncols, dtype=np.complex128), 0.0
+        return np.eye(ncols, dtype=np.complex128), 0.0, [np.s_[:, :]]
     svds = []  # (rows, cols, sigma, vh), vh None for a square block's values alone
     for rows, cols, _ in _split(e):
         k, nb = cols.shape
@@ -1044,12 +1044,11 @@ def _nullspace_and_norm(e: _Entries, tol: float, scale: float = 0.0, layout: boo
     blocks, start = [], 0
     for cols, vh, (block, row) in kept:
         out[start + np.arange(block.size)[:, None], cols[block]] = vh[block, row].conj()
-        if layout:
-            # np.nonzero lists each block's kept rows together, in block order
-            ids, first, count = np.unique(block, return_index=True, return_counts=True)
-            blocks += [(slice(start + f, start + f + n), cols[i]) for i, f, n in zip(ids, first, count)]
+        # np.nonzero lists each block's kept rows together, in block order
+        ids, first, count = np.unique(block, return_index=True, return_counts=True)
+        blocks += [(slice(start + f, start + f + n), cols[i]) for i, f, n in zip(ids, first, count)]
         start += block.size
-    return (out, smax, blocks) if layout else (out, smax)
+    return out, smax, blocks
 
 
 def nullspace(mat: np.ndarray, tol: float = KERNEL_TOL) -> np.ndarray:
@@ -1089,7 +1088,7 @@ def kernel_basis(a: Operator, tol: float = KERNEL_TOL) -> KernelBasis:
     has.  Both sigma_max and the measured residual are returned on the
     basis.
     """
-    rows, smax, blocks = _nullspace_and_norm(a._entries, tol, layout=True)
+    rows, smax, blocks = _nullspace_and_norm(a._entries, tol)
     return KernelBasis.certify(a, rows, smax, tol, blocks)
 
 

@@ -475,9 +475,15 @@ def test_kernel_basis_forms_one_gram_matrix_per_svd_block(monkeypatch):
     assert basis.size == kernel_dim == 7
     # the kernel rows of each SVD block on its columns; the full-rank ones have none
     assert sorted(grams) == [(1, 1), (1, 5), (2, 5), (3, 6)]
-    rows, smax = _nullspace_and_norm(_Entries.of(a), KERNEL_TOL)
+    rows, smax = _nullspace_and_norm(_Entries.of(a), KERNEL_TOL)[:2]
     assert np.array_equal(basis.vectors, rows) and basis.sigma_max == smax
     assert basis.residual == float(np.linalg.norm(op._apply(basis.vectors), axis=0).max())
+
+
+def test_kernel_basis_of_a_dim_0_operator_is_empty_and_certified():
+    basis = kernel_basis(Operator(np.zeros((0, 0))))
+    assert basis.size == 0 and basis.vectors.shape == (0, 0)
+    assert basis.sigma_max == 0.0 and basis.residual == 0.0
 
 
 def test_split_kernel_certificate_allocates_less_than_its_basis():
@@ -1052,8 +1058,8 @@ def test_the_entry_product_residual_matches_the_dense_product(n, n_max):
 def test_two_direction_blocks_gathered_from_the_entries_match_the_dense_gather():
     model = string_model(2, 1)
     for dirac in (model.d, model.d_bar):
-        rows, smax = _nullspace_and_norm(dirac._entries, 1e-9)
-        dense_rows, dense_smax = _nullspace_and_norm(_Entries.of(np.array(dirac.mat)), 1e-9)
+        rows, smax = _nullspace_and_norm(dirac._entries, 1e-9)[:2]
+        dense_rows, dense_smax = _nullspace_and_norm(_Entries.of(np.array(dirac.mat)), 1e-9)[:2]
         assert np.array_equal(rows, dense_rows) and smax == dense_smax
 
 
@@ -1117,7 +1123,7 @@ def test_quarter_turn_gauge_of_one_sparse_block():
 def check_block_kernel(a, kernel_dim):
     """``_nullspace_and_norm`` against ``dense_nullspace``: the same kernel
     dimension and projector, and sigma_max to 1e-14 relative."""
-    rows, smax = _nullspace_and_norm(_Entries.of(a), 1e-10)
+    rows, smax = _nullspace_and_norm(_Entries.of(a), 1e-10)[:2]
     oracle = dense_nullspace(a)
     sigma_max = np.linalg.norm(a, 2)
     assert rows.shape[0] == kernel_dim == oracle.shape[0]
