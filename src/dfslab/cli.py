@@ -28,7 +28,7 @@ from .duality import Background, _energy_shift, basis_change, charge_box, coupli
 from .dynamics import SYMMETRIZED_LEAKAGE_CAP, coherence_experiment
 from .errors import DfsLabError, UsageError
 from .fock import SUBSTITUTION_TOL, FockSpace, build_decoherence_model, build_string_model, dfs_from_dirac, duality_substitution, parity_generators, string_model_dim
-from .nctorus import WEYL_TOL, FluxMatrix, clock_shift_rep, landau_hamiltonian, weyl_residual
+from .nctorus import LANDAU_TOL, WEYL_TOL, FluxMatrix, clock_shift_rep, landau_hamiltonian, weyl_residual
 from .opcore import DIM_BUDGET, KERNEL_TOL, Operator, SubspaceBasis, _kernel_residual_bound, lowest_eigenvalue, operator_norm
 from .reporting import canonical_json
 from .spectral import BOUNDARY_SLACK, EXPECTED_DISTANCE_TOL, GAP_TOL, connes_distance, make_diagonal_triple, make_two_point_triple
@@ -413,12 +413,14 @@ def _run_nctorus(params: dict, tol_scale: float):
     landau_n_max = params.get("landau_n_max")
     if landau_n_max is not None:
         landau_n_max = _int_param(landau_n_max, "landau_n_max")
+        if landau_n_max < 1:
+            _fail("landau_n_max must be at least 1")
     expect = params.get("landau_expect")
     if expect is not None:
         if landau_n_max is None:
             _fail("landau_expect is given without landau_n_max, so no Landau level is computed to check")
         expect = _number(expect, "landau_expect")
-        landau_tol = _tolerance(params, "landau_tol", 2e-3) * tol_scale
+        landau_tol = _tolerance(params, "landau_tol", LANDAU_TOL) * tol_scale
     elif "landau_tol" in params:
         _fail("landau_tol is given without landau_expect, the value it would check")
     flux = FluxMatrix.from_rational(q, den)

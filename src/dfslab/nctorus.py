@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError, UnsupportedFluxError
 from .fock import FockSpace, position_momentum
-from .opcore import DIM_BUDGET, UNITARITY_TOL, Operator, _capped_power, _Entries, _key_sums, _size_text, _tensor_terms, tensor
+from .opcore import DIM_BUDGET, UNITARITY_TOL, Operator, _capped_power, _Entries, _size_text, _summed, tensor, tensor_sum
 
 TWO_PI = 2.0 * math.pi
 RATIONAL_TOL = 1e-12
@@ -198,6 +198,12 @@ def weyl_residual(rep: MagneticRep, flux: FluxMatrix) -> float:
     return worst
 
 
+# The ``nctorus`` scenario's default ``landau_tol`` for its
+# ``landau-ground-level`` check: the truncation error of the lowest Landau
+# level at n_max 24.
+LANDAU_TOL = 2e-3
+
+
 def landau_hamiltonian(flux: FluxMatrix, n_max: int) -> Operator:
     """Half the sum of squared magnetic momenta p_i - (1/2) omega_ij x_j,
     in the rotation-adapted basis of the quarter-turn gauge.
@@ -205,9 +211,8 @@ def landau_hamiltonian(flux: FluxMatrix, n_max: int) -> Operator:
     With two directions this is H0 =
     (1/2)(p^2 kron I - w01 p kron x + (1/4) w01^2 I kron x^2
     + I kron p^2 - w10 x kron p + (1/4) w10^2 x^2 kron I),
-    summed as ``tensor_sum`` sums it, from the Kronecker terms of
-    single-mode quadratures truncated at ``n_max``, so no full-space product
-    is formed.  One key sort orders its positions for both steps below.
+    summed by ``tensor_sum`` from the Kronecker terms of single-mode
+    quadratures truncated at ``n_max``, so no full-space product is formed.
 
     Quarter-turn gauge: the second mode's factors are conjugated by D =
     diag(i^n), which maps x to p and p to -x exactly in the truncated Fock
@@ -233,6 +238,12 @@ def landau_hamiltonian(flux: FluxMatrix, n_max: int) -> Operator:
     modes decouple), and every stored entry has imaginary part exactly 0.
     The Fock-basis operator is (I kron D^dag) Q H Q^T (I kron D); the
     spectrum is the same.
+
+    Three entry sums build it, each by ``opcore``'s rule for merging the
+    entries of one position: ``tensor_sum`` adds the six terms of H0; the
+    S-average adds half of H0's entries and then their S-images; the
+    rotation-adapted basis adds each H_{ab,cd} and then the folded s
+    sigma(c,d) H_{ab,dc}.
     """
     if flux.n != 2:
         raise UnsupportedFluxError(
@@ -248,43 +259,30 @@ def landau_hamiltonian(flux: FluxMatrix, n_max: int) -> Operator:
         return phase[:, None] * m * phase.conj()
 
     w01, w10 = flux.omega[0, 1], flux.omega[1, 0]
-    dim, terms = _tensor_terms([
+    h0 = tensor_sum([
         (0.5, (p2, eye)),
         (-0.5 * w01, (p, turn(x))),
         (0.125 * w01 * w01, (eye, turn(x2))),
         (0.5, (eye, turn(p2))),
         (-0.5 * w10, (x, turn(p))),
         (0.125 * w10 * w10, (x2, eye)),
-    ])
+    ])._entries
+    dim = h0.shape[0]
     a, b = np.divmod(np.arange(dim), n_max + 1)
     swap = b * (n_max + 1) + a
     sigma = np.where((a + b) // 2 % 2, -1.0, 1.0)
-    first = a <= b
-
-    # The one key sort: H0's positions (r, c) in the order of the row, the
-    # column's first component f = min(c, swap c), and whether c is folded
-    # (c > f).  Positions whose terms sum to 0 stay, so the pattern is the
-    # union of the six terms', which S maps onto itself (the terms come in
-    # S-image pairs); adding 0 first changes no sum below.
-    rows = np.concatenate([t[0] for t in terms])
-    cols = np.concatenate([t[1] for t in terms])
-    keys, h0 = _key_sums((rows * dim + np.minimum(cols, swap[cols])) * 2 + ~first[cols], [t[2] for t in terms])
-    if not np.isfinite(h0).all():
-        raise DomainError("matrix entries must be finite")
-    r, f = np.divmod(keys // 2, dim)
-    folded = keys % 2 == 1
-    c = np.where(folded, swap[f], f)
-    # the S-average: each position's image (swap r, swap c) by one search
-    image = np.searchsorted(keys, (swap[r] * dim + f) * 2 + (swap[c] > c))
-    half = 0.5 * h0
-    h = np.zeros(keys.size, dtype=np.complex128)
-    h += half
-    h += (sigma[r] * sigma[c] * half)[image]
+    # the S-average: half of each entry of H0, then its image under S
+    half = 0.5 * h0.vals
+    h = _summed(dim, [(h0.rows, h0.cols, half),
+                      (swap[h0.rows], swap[h0.cols], sigma[h0.rows] * sigma[h0.cols] * half)])
 
     # the entries in the rows of each state's first component |a,b>, a <=
-    # b, with each column folded onto its state's first component f; a
-    # folded entry H_{ab,dc} counts with the sign s sigma(c,d) in sector s
-    r, c, folded, v = (z[first[r]] for z in (r, f, folded, h))
+    # b, with each column folded onto its state's first component; a folded
+    # entry H_{ab,dc} counts with the sign s sigma(c,d) in sector s
+    first = a <= b
+    r, c, v = (z[first[h.rows]] for z in (h.rows, h.cols, h.vals))
+    folded = ~first[c]
+    c = np.where(folded, swap[c], c)
     pair_r, pair_c = a[r] < b[r], a[c] < b[c]
     v = v * np.where(pair_r == pair_c, 1.0, np.where(pair_r, math.sqrt(2.0), math.sqrt(0.5)))
     # each sector lists its states in the order of their first components,
@@ -296,17 +294,8 @@ def landau_hamiltonian(flux: FluxMatrix, n_max: int) -> Operator:
                              (-1.0, minus, np.count_nonzero(plus) + np.cumsum(minus) - 1)):
         inside = member[r] & member[c]
         sign = np.where(folded, s * sigma[c], 1.0)
-        parts.append((index[r[inside]], index[c[inside]], (sign * v)[inside]))
-    rows, cols, vals = (np.concatenate(z) for z in zip(*parts))
-    # already in row-major order, H_{ab,cd} just before the folded H_{ab,dc}
-    # of the same position: add each run of one position from zero
-    new = np.ones(rows.size, dtype=bool)
-    new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    slot = np.cumsum(new) - 1
-    acc = np.zeros(np.count_nonzero(new), dtype=np.complex128)
-    acc[slot[new]] += vals[new]
-    acc[slot[~new]] += vals[~new]
-    if not np.isfinite(acc).all():
-        raise DomainError("matrix entries must be finite")
-    keep = acc != 0
-    return Operator._unchecked(_Entries((dim, dim), rows[new][keep], cols[new][keep], acc[keep]))
+        parts.append((index[r[inside]], index[c[inside]], (sign * v)[inside], folded[inside]))
+    rows, cols, vals, late = (np.concatenate(z) for z in zip(*parts))
+    # H_{ab,cd} first, then the folded H_{ab,dc}
+    return Operator._unchecked(_summed(dim, [(rows[~late], cols[~late], vals[~late]),
+                                             (rows[late], cols[late], vals[late])]))

@@ -22,6 +22,10 @@ Conventions used throughout the package:
   dense array), and ``KroneckerSum`` diagonalizes a Kronecker sum of
   Hermitian factors from the factors' eigenpairs (eigenvalue grid and
   product eigenvectors);
+* ``_summed`` is the one place where the entries of one position are
+  merged: ``tensor_sum`` adds its terms with it, and the Landau level of
+  ``nctorus`` its S-average and its rotation-adapted basis.  It adds in part
+  order from +0.0, drops exact zeros and checks finiteness once;
 * one splitter serves the three blocked solvers.  The connected blocks of
   the entries' pattern are found (an exact split, no tolerance) and each
   block is gathered from the entries, so a matrix and the ``tensor_sum``
@@ -555,9 +559,9 @@ def tensor_sum(terms) -> Operator:
     int k, the k x k identity.  Each term multiplies its factors' nonzero
     entries, first factor first, and then scales them by ``coef``; an
     identity factor's positions come from index arithmetic and its unit
-    entries repeat the values, with no product.  The entries of one position are added in the
-    order of the terms, starting from zero, and a position whose sum is
-    exactly zero keeps no entry.  So the entries are those of the running
+    entries repeat the values, with no product.  ``_summed`` adds the
+    entries of one position in the order of the terms, starting from zero,
+    and a position whose sum is exactly zero keeps no entry.  So the entries are those of the running
     sum of the densified terms, bit for bit: ``mat``, formed when read, is
     that sum, and the stored positions are its nonzero pattern (the sum
     onto +0.0 also sends any signed zero that a product by 1.0 would have
@@ -565,13 +569,6 @@ def tensor_sum(terms) -> Operator:
     before anything is allocated; finiteness is checked once, on the summed
     entries.
     """
-    return Operator._unchecked(_summed(*_tensor_terms(terms)))
-
-
-def _tensor_terms(terms) -> tuple:
-    """``(dim, parts)`` for ``tensor_sum``: the common dimension and, for
-    each term in order, its entries as one ``(rows, cols, vals)`` triple with
-    no position twice, before they are summed."""
     dim = None
     parts = []
     for coef, factors in terms:
@@ -607,40 +604,33 @@ def _tensor_terms(terms) -> tuple:
         parts.append((rows, cols, coef * (np.ones(rows.size) if vals is None else vals)))
     if dim is None:
         raise UsageError("tensor_sum needs at least one term")
-    return dim, parts
+    return Operator._unchecked(_summed(dim, parts))
 
 
 def _summed(dim: int, parts) -> _Entries:
     """The complex entries of the (dim, dim) sum of ``parts``, each a
-    ``(rows, cols, vals)`` triple with no position twice.  The values of one
-    position are added in the order of the parts, starting from zero, and a
-    position whose sum is exactly zero keeps no entry; finiteness is
-    checked on the sums."""
+    ``(rows, cols, vals)`` triple with no position twice: the one rule by
+    which the package merges the entries of one position.  The values of a
+    position are added in the order of the parts, starting from +0.0, and a
+    position whose sum is exactly zero keeps no entry; finiteness is checked
+    once, on the sums.  One part keeps its order; the positions of several
+    come out in row-major order (one sort of their keys)."""
     if len(parts) == 1:
         rows, cols, vals = parts[0]
         acc = np.zeros(vals.shape, dtype=np.complex128)
         acc += vals
     else:
-        keys, acc = _key_sums(np.concatenate([r * dim + c for r, c, _ in parts]), [v for *_, v in parts])
+        keys, slot = np.unique(np.concatenate([r * dim + c for r, c, _ in parts]), return_inverse=True)
+        acc = np.zeros(keys.size, dtype=np.complex128)
+        start = 0
+        for *_, vals in parts:
+            acc[slot[start:start + vals.size]] += vals
+            start += vals.size
         rows, cols = np.divmod(keys, dim)
     if not np.isfinite(acc).all():
         raise DomainError("matrix entries must be finite")
     keep = acc != 0
     return _Entries((dim, dim), rows[keep], cols[keep], acc[keep])
-
-
-def _key_sums(keys: np.ndarray, values) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct ``keys``, ascending (one sort), and the complex sum of
-    each key's values.  ``keys`` concatenates one key array per array of
-    ``values``, with no key twice in one; the values of a key are added in
-    the order of the arrays, starting from zero."""
-    uniq, slot = np.unique(keys, return_inverse=True)
-    acc = np.zeros(uniq.size, dtype=np.complex128)
-    start = 0
-    for vals in values:
-        acc[slot[start:start + vals.size]] += vals
-        start += vals.size
-    return uniq, acc
 
 
 class KroneckerSum:

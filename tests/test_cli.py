@@ -346,17 +346,21 @@ def without(params, key):
         ("decohere", dict(DECOHERE, leakage_cap=-1), "leakage_cap must be positive"),
         ("decohere", dict(DECOHERE, min_full_leakage=2.0), "min_full_leakage must lie in (0, 1]"),
         ("decohere", dict(DECOHERE, min_full_leakage=-1), "min_full_leakage must lie in (0, 1]"),
+        ("nctorus", dict(NCTORUS, landau_n_max=0), "landau_n_max must be at least 1"),
+        ("nctorus", dict(NCTORUS, landau_n_max=-1), "landau_n_max must be at least 1"),
     ],
     ids=["landau-expect-without-n_max", "landau-tol-without-expect", "tolerance-without-expected",
          "landau-tol-0", "landau-tol-negative", "tolerance-0", "dirac-tolerance-negative",
-         "leakage-cap-0", "leakage-cap-negative", "min-full-leakage-2", "min-full-leakage-negative"],
+         "leakage-cap-0", "leakage-cap-negative", "min-full-leakage-2", "min-full-leakage-negative",
+         "landau-n_max-0", "landau-n_max-negative"],
 )
 def test_a_tolerance_that_is_dropped_or_unmeetable_exits_1(kind, params, message, tmp_path, capsys):
     """Without these checks, a tolerance with no value to check was dropped
     and the run exited 0, and one at or below zero made a check that no
     result can pass, exit 2.  Leakages lie in [0, 1], so a leakage floor
     above 1 made a check that no run can pass (exit 2), and one below 0 a
-    check that every run passes (exit 0)."""
+    check that every run passes (exit 0).  A landau_n_max below 1 exited 1
+    with "n_max must be at least 1", naming a key the kind does not have."""
     path = tmp_path / "tolerance.json"
     path.write_text(json.dumps({"schema_version": 1, "kind": kind, "params": params}))
     assert entry(["run", str(path)]) == 1

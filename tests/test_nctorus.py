@@ -5,24 +5,27 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import kron
 
 from dfslab import (
     Background,
     BudgetError,
     DomainError,
     FluxMatrix,
+    FockSpace,
     MagneticRep,
     Operator,
     UnsupportedFluxError,
     antisymmetrize_coupling,
     clock_shift_rep,
     landau_hamiltonian,
+    position_momentum,
     weyl_residual,
 )
+from dfslab.nctorus import LANDAU_TOL
 from dfslab.opcore import _split, lowest_eigenvalue, sector_eigh
 
 WEYL_TOL = 1e-13
-LANDAU_TOL = 2e-3  # truncation error of the lowest level at n_max = 24
 
 
 def two_by_two(value):
@@ -335,66 +338,53 @@ def test_ground_level_bits_do_not_depend_on_the_blas_thread_count():
     assert runs[0].stdout == runs[1].stdout
 
 
-def landau_by_three_sorts(flux, n_max):
-    """Reference: the Landau level summed by ``tensor_sum``, S-averaged by a
-    second entry sum and taken to the rotation-adapted basis by a third,
-    each merging its entries by a sort of their keys."""
-    from dfslab import FockSpace, position_momentum
-    from dfslab.opcore import _summed, tensor_sum
-
+def landau_dense(flux, n_max):
+    """Dense oracle for ``landau_hamiltonian``: H0 as the running sum of its
+    six ``kron`` terms from a zero matrix, in term order; the S-average,
+    half of H0 and then its S-image, by index arithmetic on H0; and the
+    sector blocks, f H[ab,cd] and then s sigma(c,d) f H[ab,dc], gathered
+    from the S-average by state indices.  It forms no entry list."""
     x, p = (q.mat for q in position_momentum(FockSpace(1, n_max), 0))
     x2, p2 = x @ x, p @ p
-    eye = n_max + 1
+    eye = np.eye(n_max + 1)
     phase = 1j ** np.arange(n_max + 1)
-
-    def turn(m):
-        return phase[:, None] * m * phase.conj()
-
+    tx, tp, tx2, tp2 = (phase[:, None] * m * phase.conj() for m in (x, p, x2, p2))
     w01, w10 = flux.omega[0, 1], flux.omega[1, 0]
-    h0 = tensor_sum([
-        (0.5, (p2, eye)),
-        (-0.5 * w01, (p, turn(x))),
-        (0.125 * w01 * w01, (eye, turn(x2))),
-        (0.5, (eye, turn(p2))),
-        (-0.5 * w10, (x, turn(p))),
-        (0.125 * w10 * w10, (x2, eye)),
-    ])._entries
-    dim = h0.shape[0]
+    dim = (n_max + 1) ** 2
+    h0 = np.zeros((dim, dim), dtype=np.complex128)
+    for coef, factors in ((0.5, (p2, eye)), (-0.5 * w01, (p, tx)), (0.125 * w01 * w01, (eye, tx2)),
+                          (0.5, (eye, tp2)), (-0.5 * w10, (x, tp)), (0.125 * w10 * w10, (x2, eye))):
+        h0 += coef * kron(*factors)
     a, b = np.divmod(np.arange(dim), n_max + 1)
     swap = b * (n_max + 1) + a
     sigma = np.where((a + b) // 2 % 2, -1.0, 1.0)
-    half = 0.5 * h0.vals
-    turned = (swap[h0.rows], swap[h0.cols], sigma[h0.rows] * sigma[h0.cols] * half)
-    h = _summed(dim, [(h0.rows, h0.cols, half), turned])
+    half = 0.5 * h0
+    h = np.zeros((dim, dim), dtype=np.complex128)
+    h += half
+    h += (sigma[:, None] * sigma * half)[np.ix_(swap, swap)]
     first = a <= b
-    r, c, v = (z[first[h.rows]] for z in (h.rows, h.cols, h.vals))
-    folded = ~first[c]
-    c = np.where(folded, swap[c], c)
-    pair_r, pair_c = a[r] < b[r], a[c] < b[c]
-    v = v * np.where(pair_r == pair_c, 1.0, np.where(pair_r, math.sqrt(2.0), math.sqrt(0.5)))
     plus = first & ((a < b) | (sigma > 0))
     minus = first & ((a < b) | (sigma < 0))
-    parts = []
-    for s, member, index in ((1.0, plus, np.cumsum(plus) - 1),
-                             (-1.0, minus, np.count_nonzero(plus) + np.cumsum(minus) - 1)):
-        inside = member[r] & member[c]
-        sign = np.where(folded, s * sigma[c], 1.0)
-        parts.append((index[r[inside]], index[c[inside]], (sign * v)[inside], folded[inside]))
-    rows, cols, vals, late = (np.concatenate(z) for z in zip(*parts))
-    return _summed(dim, [(rows[~late], cols[~late], vals[~late]), (rows[late], cols[late], vals[late])])
+    states = np.concatenate([np.flatnonzero(plus), np.flatnonzero(minus)])
+    s = np.concatenate([np.ones(np.count_nonzero(plus)), -np.ones(np.count_nonzero(minus))])
+    pair = a[states] < b[states]
+    f = np.where(pair[:, None] == pair, 1.0, np.where(pair[:, None], math.sqrt(2.0), math.sqrt(0.5)))
+    block = s[:, None] == s
+    folded = block & pair
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    out[block] += (h[np.ix_(states, states)] * f)[block]
+    out[folded] += (s[:, None] * sigma[states] * (h[np.ix_(states, swap[states])] * f))[folded]
+    return out
 
 
 @pytest.mark.parametrize("n_max", [20, 24])
-def test_landau_entries_keep_their_bits(n_max):
-    """The one-sort build stores the reference's entries, in its order, bit
-    for bit (signed zeros included), at zero, rational and irrational flux."""
+def test_landau_matches_the_dense_oracle(n_max):
+    """Every entry equals the dense oracle's, at zero, rational and
+    irrational flux."""
     fluxes = [FluxMatrix(two_by_two(w)) for w in (0.0, -0.7, 1e-9, 3.3)]
     fluxes += [FluxMatrix.from_rational(np.array([[0, q], [-q, 0]]), den) for q, den in ((1, 6), (-2, 5), (7, 3))]
     for flux in fluxes:
-        got = landau_hamiltonian(flux, n_max)._entries
-        want = landau_by_three_sorts(flux, n_max)
-        assert np.array_equal(got.rows, want.rows) and np.array_equal(got.cols, want.cols)
-        assert got.vals.tobytes() == want.vals.tobytes()
+        assert np.array_equal(landau_hamiltonian(flux, n_max).mat, landau_dense(flux, n_max))
 
 
 def test_landau_keeps_the_two_mode_budget():

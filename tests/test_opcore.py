@@ -33,6 +33,7 @@ from dfslab.opcore import (
     _kernel_residual_bound,
     _nullspace_and_norm,
     _split,
+    _summed,
     lowest_eigenvalue,
     nullspace,
     sector_eigh,
@@ -975,6 +976,46 @@ def test_tensor_sum_validation():
         tensor_sum([(1.0, (np.eye(64), np.eye(65)))])
     with pytest.raises(DomainError):
         tensor_sum([(1.0, (np.eye(2), np.array([[np.inf]])))])
+
+
+def summed(*parts, dim=3):
+    """``_summed`` of parts given as lists of ((row, col), value)."""
+    return _summed(dim, [(np.array([r for (r, _), _ in part], dtype=np.intp),
+                          np.array([c for (_, c), _ in part], dtype=np.intp),
+                          np.array([v for _, v in part], dtype=complex)) for part in parts])
+
+
+def test_summed_adds_each_position_in_part_order_from_zero():
+    one = summed([((1, 2), 1e16)], [((1, 2), -1e16)], [((1, 2), 1.0)])
+    assert (one.rows.tolist(), one.cols.tolist(), one.vals.tolist()) == ([1], [2], [1.0])
+    # 1e16 + 1 rounds back to 1e16, so the sum is exactly 0 and keeps no entry
+    assert summed([((1, 2), 1e16)], [((1, 2), 1.0)], [((1, 2), -1e16)]).vals.size == 0
+
+
+def test_summed_keeps_no_exact_zero():
+    negative = complex(-0.0, -0.0)
+    for parts in ([[((0, 0), negative)], [((0, 0), negative)]], [[((0, 0), negative)]],
+                  [[((0, 0), 2.5j)], [((0, 0), -2.5j)]]):
+        assert summed(*parts).vals.size == 0
+    kept = summed([((0, 0), negative), ((2, 1), 1.0)], [((0, 0), negative)])
+    assert (kept.rows.tolist(), kept.cols.tolist()) == ([2], [1])
+
+
+def test_summed_lists_the_positions_of_several_parts_in_row_major_order():
+    got = summed([((2, 0), 1.0), ((0, 2), 2.0), ((1, 1), 3.0)], [((0, 1), 4.0), ((2, 0), 5.0), ((1, 0), 6.0)])
+    assert list(zip(got.rows.tolist(), got.cols.tolist())) == [(0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
+    assert got.vals.tolist() == [4.0, 2.0, 6.0, 3.0, 6.0]
+    one = summed([((2, 0), 1.0), ((0, 2), 2.0)])
+    assert (one.rows.tolist(), one.cols.tolist()) == ([2, 0], [0, 2])  # one part keeps its order
+
+
+def test_summed_refuses_a_non_finite_sum():
+    for parts in ([[((0, 1), complex(0.0, np.nan))]], [[((0, 1), np.inf)], [((1, 1), 1.0)]]):
+        with pytest.raises(DomainError, match="finite"):
+            summed(*parts)
+    # finite values whose sum overflows: the check reads the sums
+    with np.errstate(over="ignore"), pytest.raises(DomainError, match="finite"):
+        summed([((0, 1), 1e308)], [((0, 1), 1e308)])
 
 
 def entry_pattern(op):

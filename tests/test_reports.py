@@ -9,6 +9,7 @@ count either.
 
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -42,3 +43,23 @@ def test_readme_explains_every_result_field():
         assert len(mine) == 1, stem
         for key in report["results"]:
             assert f"`{key}`" in mine[0], (stem, key)
+
+
+def test_readme_tolerances_table_names_every_bound():
+    """Each module constant of ``src/dfslab`` named ``*_TOL``, ``*_FLOOR``,
+    ``*_SLACK`` or ``*_CAP`` has a row of the README's Tolerances table,
+    whose module column names the module that defines it."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Tolerances\n", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            names, _, module = (cell.strip() for cell in line.strip("|").split(" | ")[:3])
+            rows.update((name, module) for name in re.findall(r"`(\w+)`", names))
+    defined = {}
+    for path in sorted((ROOT / "src" / "dfslab").glob("*.py")):
+        for name in re.findall(r"^([A-Z][A-Z0-9_]*_(?:TOL|FLOOR|SLACK|CAP)) *=", path.read_text(encoding="utf-8"), re.M):
+            defined[name] = f"`{path.stem}`"
+    assert defined, "no tolerance constants found"
+    missing = sorted(set(defined) - set(rows))
+    assert not missing, missing
+    assert {name: rows[name] for name in defined} == defined
